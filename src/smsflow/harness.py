@@ -33,6 +33,9 @@ OUTCOME_NAMES = {
 REPORT_JSON = "report.json"
 REPORT_TEXT = "report.txt"
 
+# Step note of a model document the validator discarded: discarded:<model>:<reason>.
+DISCARD_NOTE = re.compile(r"^discarded:([^:]+):(.+)$")
+
 
 @dataclass
 class RunConfig:
@@ -124,24 +127,18 @@ def build_report(
     drop_rate: float,
     quiescent: bool,
 ) -> dict:
-    parsed_by_event: dict[str, dict] = {}
-    while True:
-        batch = pipeline.parsed_sub.poll(64)
-        if not batch:
-            break
-        for env in batch:
-            parsed_by_event[env.payload["metadata"]["eventId"]] = env.payload
-    verdict_by_event: dict[str, dict] = {}
-    while True:
-        batch = pipeline.verdict_sub.poll(64)
-        if not batch:
-            break
-        for env in batch:
-            verdict_by_event[env.payload["metadata"]["eventId"]] = env.payload
+    """One row per corpus entry plus summary counters, linear in messages and log records."""
+    parsed_by_event = _drain_by_event(pipeline.parsed_sub)
+    verdict_by_event = _drain_by_event(pipeline.verdict_sub)
 
     store = pipeline.store
     pharmacy_records = store.pharmacy.read_all()
-    sms_records = store.outbound_sms.read_all()
+    pharmacy_by_event: dict[str, list[dict]] = {}
+    for r in pharmacy_records:
+        pharmacy_by_event.setdefault(r["eventId"], []).append({"keyword": r["keyword"], "action": r["action"]})
+    sms_by_event: dict[str, list[str]] = {}
+    for r in store.outbound_sms.read_all():
+        sms_by_event.setdefault(r["eventId"], []).append(r["kind"])
 
     rows = []
     for entry, event in entries:
@@ -152,8 +149,23 @@ def build_report(
             )
             continue
         event_id = event.metadata.event_id
-        history = store.get_history(event_id)
-        terminal = store.terminal_of(event_id)
+        terminal = None
+        retries = 0
+        direct = False
+        discarded = []
+        routing = []
+        for record in store.get_history(event_id):
+            note = record["note"]
+            if record["terminal"]:
+                terminal = record
+            if note == "retry-requested":
+                retries += 1
+            elif note == "decision:processDirect":
+                direct = True
+            elif note.startswith("routed-to:"):
+                routing.append(note.split(":", 1)[1])
+            elif m := DISCARD_NOTE.match(note):
+                discarded.append({"model_id": m.group(1), "reason": m.group(2)})
         outcome = OUTCOME_NAMES.get(terminal["note"], terminal["note"]) if terminal else "pending"
 
         parsed = parsed_by_event.get(event_id)
@@ -161,7 +173,7 @@ def build_report(
         keyword_outcome = ""
         accepted = None
         scores = None
-        if any(r["note"] == "decision:processDirect" for r in history):
+        if direct:
             keyword_outcome = "direct"
             if parsed:
                 accepted = {"renew": parsed["renew"], "stop": parsed["stop"]}
@@ -170,17 +182,6 @@ def build_report(
             accepted = verdict["keywords"]["accepted"]
             if verdict.get("extraction"):
                 scores = verdict["extraction"]["scores"]
-
-        discarded = []
-        for record in history:
-            m = re.match(r"^discarded:([^:]+):(.+)$", record["note"])
-            if m:
-                discarded.append({"model_id": m.group(1), "reason": m.group(2)})
-        routing = [
-            record["note"].split(":", 1)[1]
-            for record in history
-            if record["note"].startswith("routed-to:")
-        ]
 
         rows.append(
             {
@@ -199,15 +200,11 @@ def build_report(
                 ),
                 "keyword_outcome": keyword_outcome,
                 "accepted": accepted,
-                "pharmacy": [
-                    {"keyword": r["keyword"], "action": r["action"]}
-                    for r in pharmacy_records
-                    if r["eventId"] == event_id
-                ],
-                "sms": [r["kind"] for r in sms_records if r["eventId"] == event_id],
+                "pharmacy": pharmacy_by_event.get(event_id, []),
+                "sms": sms_by_event.get(event_id, []),
                 "routing": routing,
                 "discarded": discarded,
-                "retries": store.retry_count(event_id),
+                "retries": retries,
                 "scores": scores,
             }
         )
@@ -238,6 +235,15 @@ def build_report(
             "pharmacy_actions": len(pharmacy_records),
         },
     }
+
+
+def _drain_by_event(sub) -> dict[str, dict]:
+    """Poll a subscription dry and keep the last payload per eventId."""
+    by_event: dict[str, dict] = {}
+    while batch := sub.poll(64):
+        for env in batch:
+            by_event[env.payload["metadata"]["eventId"]] = env.payload
+    return by_event
 
 
 def render_report_table(report: dict) -> str:
@@ -319,9 +325,9 @@ def summarize_run(run_dir: Path | str) -> dict:
         if record.get("terminal"):
             name = OUTCOME_NAMES.get(record["note"], record["note"])
             outcomes[name] = outcomes.get(name, 0) + 1
-        m = re.match(r"^discarded:[^:]+:(.+)$", record["note"])
+        m = DISCARD_NOTE.match(record["note"])
         if m:
-            discard_reasons[m.group(1)] = discard_reasons.get(m.group(1), 0) + 1
+            discard_reasons[m.group(2)] = discard_reasons.get(m.group(2), 0) + 1
         if record["note"] == "retry-requested":
             retries += 1
     sms_kinds: dict[str, int] = {}

@@ -50,27 +50,21 @@ class LogicalClock:
     EPOCH = datetime(2025, 1, 1, 0, 0, 0, tzinfo=timezone.utc)
 
     def __init__(self):
-        self._ticks = 0
+        self._set_ticks(0)
+
+    def _set_ticks(self, ticks: int) -> None:
+        # The stamp changes only here, so callers get it without formatting.
+        self._ticks = ticks
+        self._iso = self.now().strftime("%Y-%m-%dT%H:%M:%SZ")
 
     def advance(self) -> None:
-        self._ticks += 1
+        self._set_ticks(self._ticks + 1)
 
     def now(self) -> datetime:
         return self.EPOCH + timedelta(seconds=self._ticks)
 
     def now_iso(self) -> str:
-        return self.now().strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-class WallClock:
-    def advance(self) -> None:
-        pass
-
-    def now(self) -> datetime:
-        return datetime.now(timezone.utc)
-
-    def now_iso(self) -> str:
-        return self.now().strftime("%Y-%m-%dT%H:%M:%SZ")
+        return self._iso
 
 
 class JsonlLog:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import yaml
 from smsflow.cli import main
 from smsflow.config import default_config_path, default_corpus_path, load_config
 from smsflow.harness import (
+    OUTCOME_NAMES,
     load_corpus,
     render_report_json,
     run_pipeline,
@@ -143,6 +145,53 @@ def test_report_json_is_deterministic_across_runs():
     a = run_pipeline(config, corpus, seed=5)
     b = run_pipeline(config, corpus, seed=5)
     assert render_report_json(a.report) == render_report_json(b.report)
+
+
+# SHA-256 of render_report_json for the demo corpus at seed 1 with add/drop
+# rates 0.1. Reports must stay byte-identical; change this only on purpose.
+DEMO_REPORT_SHA256 = "666f4f5d00721d331f1f6addaad72041d5b3151f49264d520f18b4794453dd13"
+
+
+def test_demo_report_bytes_are_pinned():
+    config = load_config(default_config_path())
+    corpus = load_corpus(default_corpus_path())
+    result = run_pipeline(config, corpus, seed=1, add_keyword_rate=0.1, drop_keyword_rate=0.1)
+    rendered = render_report_json(result.report).encode("utf-8")
+    assert hashlib.sha256(rendered).hexdigest() == DEMO_REPORT_SHA256
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_report_rows_match_a_scan_of_the_logs(seed):
+    config = load_config(default_config_path())
+    corpus = load_corpus(default_corpus_path()) + [
+        # Routed to two experts, so one event sends two SMS.
+        {"phone": "+15550002", "text": "1. I want to know your holiday hours. I also want to "
+                                       "book a vaccine appointment on Saturday 03/22/2025 afternoon"},
+        {"phone": "+10000000", "text": "1"},
+    ]
+    result = run_pipeline(config, corpus, seed=seed, add_keyword_rate=0.1, drop_keyword_rate=0.1)
+    store = result.pipeline.store
+    pharmacy = store.pharmacy.read_all()
+    sms = store.outbound_sms.read_all()
+    *rows, rejected = result.report["messages"]
+    assert len(rows) + 1 == len(corpus)
+    assert rejected["outcome"] == "auth-rejected"
+    for row in rows:
+        event_id = row["eventId"]
+        history = store.get_history(event_id)
+        assert row["pharmacy"] == [
+            {"keyword": r["keyword"], "action": r["action"]}
+            for r in pharmacy
+            if r["eventId"] == event_id
+        ]
+        assert row["sms"] == [r["kind"] for r in sms if r["eventId"] == event_id]
+        assert row["retries"] == sum(1 for r in history if r["note"] == "retry-requested")
+        terminals = [r["note"] for r in history if r["terminal"]]
+        assert row["outcome"] == OUTCOME_NAMES[terminals[-1]]
+    assert sum(len(row["pharmacy"]) for row in rows) == len(pharmacy)
+    assert any(len(row["pharmacy"]) > 1 for row in rows)  # a multi-keyword event
+    assert any(row["retries"] > 0 for row in rows)  # a retried event
+    assert any(len(row["sms"]) > 1 for row in rows)
 
 
 def test_summary_counters_match_the_run(ten_message_run):

@@ -139,6 +139,23 @@ def test_logical_clock_only_advances_when_told():
     clock.advance()
     assert clock.now_iso() > first
 
+    # The stamp is cached per tick; it must always equal a fresh format.
+    clock = LogicalClock()
+    advanced = 0
+    for target in (0, 1, 1000):
+        while advanced < target:
+            clock.advance()
+            advanced += 1
+        assert clock.now_iso() == clock.now().strftime("%Y-%m-%dT%H:%M:%SZ")
+    assert clock.now_iso() == "2025-01-01T00:16:40Z"
+
+    store = RunStore(clock=clock)
+    before = store.record_step("E1", "S000", "Agent", "before")["recorded_at"]
+    clock.advance()
+    after = store.record_step("E1", "S000", "Agent", "after")["recorded_at"]
+    assert before == "2025-01-01T00:16:40Z"
+    assert after == "2025-01-01T00:16:41Z" == clock.now_iso()
+
 
 def test_timestamps_parse_as_utc():
     from datetime import datetime, timezone
