@@ -102,12 +102,17 @@ def run_pipeline(
         drop_keyword_rate=drop_keyword_rate,
         run_dir=run_dir,
     )
-    entries = []
-    for entry in corpus:
-        event = pipeline.ingest(entry["phone"], entry["text"])
-        entries.append((entry, event))
-    quiescent = pipeline.run_to_quiescence(budget)
-    report = build_report(pipeline, entries, seed, add_keyword_rate, drop_keyword_rate, quiescent)
+    try:
+        entries = []
+        for entry in corpus:
+            event = pipeline.ingest(entry["phone"], entry["text"])
+            entries.append((entry, event))
+        quiescent = pipeline.run_to_quiescence(budget)
+        report = build_report(
+            pipeline, entries, seed, add_keyword_rate, drop_keyword_rate, quiescent
+        )
+    finally:
+        pipeline.close()
     if run_dir is not None:
         out = Path(run_dir)
         (out / REPORT_JSON).write_text(render_report_json(report), encoding="utf-8")

@@ -3,7 +3,8 @@
 Two interchangeable backends sit behind one interface: a deterministic
 scripted model used by the test harness (with seeded fault injection so
 hallucination handling can be reproduced exactly), and an HTTP
-chat-completion adapter for real deployments.
+chat-completion adapter for real deployments.  :func:`model_results` runs
+one stage's model calls, one after the other or overlapped on an executor.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import logging
 import random
 import re
 import urllib.request
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 
 from .messages import (
@@ -21,12 +23,10 @@ from .messages import (
     RenewalProcessed,
 )
 from .pool import Envelope, MessagePool
-from .renewal import KeywordLexicon, tokens_of
+from .renewal import TOKEN_SEPARATORS, KeywordLexicon, tokens_of
 from .store import RunStore
 
 log = logging.getLogger(__name__)
-
-MOODS = ("positive", "neutral", "negative")
 
 
 class BackendUnavailableError(RuntimeError):
@@ -35,6 +35,45 @@ class BackendUnavailableError(RuntimeError):
 
 class MalformedOutputError(ValueError):
     """The model reply did not parse as the declared output document."""
+
+
+MODEL_ERRORS = (BackendUnavailableError, MalformedOutputError)
+
+
+def _model_result(call, item):
+    try:
+        return call(item)
+    except MODEL_ERRORS as exc:
+        return exc
+
+
+def model_results(call, items: list, executor: Executor | None = None):
+    """Yield ``(item, call(item))`` for each item, in order.
+
+    A model error (``MODEL_ERRORS``) is yielded in place of the result; any
+    other exception propagates from the item that raised it.  Without an
+    executor each call runs when its result is asked for.  With one, every
+    call but the first starts on the executor at once and the first runs on
+    the calling thread, so the stage waits for its slowest call instead of
+    the sum.  Results still come in item order, and the generator does not
+    finish, or let an exception out, while a call it started is running.
+    """
+    if executor is None or len(items) < 2:
+        for item in items:
+            yield item, _model_result(call, item)
+        return
+    futures = [executor.submit(_model_result, call, item) for item in items[1:]]
+    read = 0
+    try:
+        yield items[0], _model_result(call, items[0])
+        for item, future in zip(items[1:], futures):
+            read += 1
+            yield item, future.result()
+    finally:
+        for future in futures[read:]:
+            exc = future.exception()  # waits for the call to end
+            if exc is not None:
+                log.error("model call failed after an earlier one raised: %r", exc)
 
 
 @dataclass(frozen=True)
@@ -91,12 +130,12 @@ class CueConfig:
 
 
 def split_sentences(text: str, lexicon: KeywordLexicon) -> list[str]:
-    parts = re.split("[" + re.escape(lexicon.delimiters) + "]", text)
+    parts = lexicon.segment_split.split(text)
     return [p.strip() for p in parts if p.strip()]
 
 
 def _sentence_tokens(sentence: str) -> list[str]:
-    return [t for t in re.split(r"[\s,]+", sentence) if t]
+    return [t for t in TOKEN_SEPARATORS.split(sentence) if t]
 
 
 def classify_sentence(sentence: str, cues: CueConfig) -> str:
@@ -214,8 +253,11 @@ class ScriptedModel:
         return max(1, min(10, 10 - 3 * fabricated - 2 * missed))
 
 
+_WHITESPACE_RUNS = re.compile(r"\s+")
+
+
 def _normalize_item(text: str) -> str:
-    return re.sub(r"\s+", " ", text).strip(" \t.,!?;").lower()
+    return _WHITESPACE_RUNS.sub(" ", text).strip(" \t.,!?;").lower()
 
 
 def judge(
@@ -356,37 +398,40 @@ def run_llm_stage(
     faults: FaultPlan,
     store: RunStore,
     pool: MessagePool,
+    executor: Executor | None = None,
 ) -> list[dict]:
     """Run both configured models on one forwarded message.
 
     Always publishes exactly two stage-S003 documents: an extraction per
     healthy model and an explicit failure marker otherwise, so the validator
-    can fail over without waiting.
+    can fail over without waiting.  Documents and step records follow the
+    model order, also when ``executor`` overlaps the two calls.
     """
     if len(models) != 2:
         raise ValueError(f"the extraction stage needs exactly two models, got {len(models)}")
     event_id = msg.metadata.event_id
     attempt = 1 + store.retry_count(event_id)
     original = store.fetch_original(event_id)
+
+    def extract(model):
+        return model.extract(original, lexicon, event_id=event_id, attempt=attempt, faults=faults)
+
     published = []
-    for model in models:
+    for model, extraction in model_results(extract, models, executor):
         metadata = msg.metadata.at_step(STEP_LLM_EXTRACTED, last_update=store.clock.now_iso())
-        try:
-            extraction = model.extract(
-                original, lexicon, event_id=event_id, attempt=attempt, faults=faults
-            )
-            doc = {"metadata": metadata.to_doc(), "model_id": model.model_id, **extraction.to_doc()}
-        except (BackendUnavailableError, MalformedOutputError) as exc:
+        if isinstance(extraction, MODEL_ERRORS):
             doc = {
                 "metadata": metadata.to_doc(),
                 "model_id": model.model_id,
                 "failed": True,
-                "reason": str(exc),
+                "reason": str(extraction),
             }
             store.record_step(
                 event_id, STEP_LLM_EXTRACTED, "LlmAgent",
-                f"extraction-failure:{model.model_id}: {exc}",
+                f"extraction-failure:{model.model_id}: {extraction}",
             )
+        else:
+            doc = {"metadata": metadata.to_doc(), "model_id": model.model_id, **extraction.to_doc()}
         pool.publish(AGENTS_TOPIC, doc)
         published.append(doc)
     return published
@@ -404,13 +449,17 @@ class LlmAgent:
         faults: FaultPlan,
         store: RunStore,
         pool: MessagePool,
+        executor: Executor | None = None,
     ):
         self.models = models
         self.lexicon = lexicon
         self.faults = faults
         self.store = store
         self.pool = pool
+        self.executor = executor
 
     def handle(self, envelope: Envelope) -> None:
         msg = RenewalProcessed.from_doc(envelope.payload)
-        run_llm_stage(msg, self.models, self.lexicon, self.faults, self.store, self.pool)
+        run_llm_stage(
+            msg, self.models, self.lexicon, self.faults, self.store, self.pool, self.executor
+        )

@@ -24,6 +24,8 @@ from .store import RunStore
 
 SEGMENT_DELIMITERS = ".!?;"
 POLARITIES = ("renew", "stop")
+TOKEN_SEPARATORS = re.compile(r"[\s,]+")
+_BLANK_RUNS = re.compile(r"[ \t]+")
 
 
 class LexiconError(ValueError):
@@ -56,11 +58,24 @@ class KeywordLexicon:
     entries: tuple[LexiconEntry, ...]
     politeness: tuple[str, ...] = ()
     delimiters: str = SEGMENT_DELIMITERS
+    # Compiled once here: every parsed SMS and every model reading splits on them.
+    segment_split: re.Pattern = field(init=False, repr=False, compare=False)
+    politeness_res: tuple[re.Pattern, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         canonicals = [e.canonical for e in self.entries]
         if len(set(canonicals)) != len(canonicals):
             raise LexiconError("canonical keywords must be unique")
+        object.__setattr__(
+            self, "segment_split", re.compile("[" + re.escape(self.delimiters) + "]")
+        )
+        object.__setattr__(self, "politeness_res", tuple(
+            re.compile(
+                r"(?<!\w)" + r"\s+".join(re.escape(w) for w in phrase.split()) + r"(?!\w)",
+                re.IGNORECASE,
+            )
+            for phrase in sorted(self.politeness, key=len, reverse=True)
+        ))
 
     def match_token(self, token: str) -> LexiconEntry | None:
         for entry in self.entries:
@@ -81,17 +96,16 @@ class KeywordLexicon:
 def strip_politeness(text: str, lexicon: KeywordLexicon) -> str:
     """Remove every whole-phrase politeness occurrence, case-insensitively."""
     result = text
-    for phrase in sorted(lexicon.politeness, key=len, reverse=True):
-        pattern = r"(?<!\w)" + r"\s+".join(re.escape(w) for w in phrase.split()) + r"(?!\w)"
-        result = re.sub(pattern, " ", result, flags=re.IGNORECASE)
-    return re.sub(r"[ \t]+", " ", result).strip()
+    for pattern in lexicon.politeness_res:
+        result = pattern.sub(" ", result)
+    return _BLANK_RUNS.sub(" ", result).strip()
 
 
 def segment(text: str, lexicon: KeywordLexicon) -> list[list[str]]:
     """Sentence segments, each a list of whitespace/comma-separated tokens."""
     segments = []
-    for part in re.split("[" + re.escape(lexicon.delimiters) + "]", text):
-        tokens = [t for t in re.split(r"[\s,]+", part) if t]
+    for part in lexicon.segment_split.split(text):
+        tokens = [t for t in TOKEN_SEPARATORS.split(part) if t]
         if tokens:
             segments.append(tokens)
     return segments

@@ -183,11 +183,17 @@ class RunStore:
             return [dict(r) for r in self._steps_by_event.get(event_id, ())]
 
     def terminal_of(self, event_id: str) -> dict | None:
-        terminals = [r for r in self.get_history(event_id) if r["terminal"]]
-        return terminals[-1] if terminals else None
+        with self._steps_index_lock:
+            for record in reversed(self._steps_by_event.get(event_id, ())):
+                if record["terminal"]:
+                    return dict(record)
+        return None
 
     def retry_count(self, event_id: str) -> int:
-        return sum(1 for r in self.get_history(event_id) if r["note"] == "retry-requested")
+        with self._steps_index_lock:
+            return sum(
+                1 for r in self._steps_by_event.get(event_id, ()) if r["note"] == "retry-requested"
+            )
 
     # -- original message store ---------------------------------------------
 

@@ -8,11 +8,12 @@ other's complaint/request reading; sub-5 scores are discarded.
 from __future__ import annotations
 
 import logging
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .fuzzy import FuzzySystem, ZeroActivationError, defuzzify_cog
-from .llm import BackendUnavailableError, MalformedOutputError
+from .llm import MODEL_ERRORS, model_results
 from .messages import (
     AGENTS_TOPIC,
     STEP_LLM_EXTRACTED,
@@ -220,26 +221,26 @@ def validate_extraction(
     model_order: list[str],
     lexicon: KeywordLexicon,
     event_id: str = "",
+    executor: Executor | None = None,
 ) -> ExtractionVerdict:
     """Stage-2 cross-judging: each model scores the other's reading.
 
     Failure markers (and judge failures) count as score 1.  Scores below 5
     discard the extraction; among the rest the highest score wins, with ties
-    going to the first configured model.
+    going to the first configured model.  ``executor`` overlaps the two
+    judge calls.
     """
-    def cross_score(target: ModelResponse, judge_model_id: str) -> int:
-        if target.extraction is None:
-            return 1
-        try:
-            return models_by_id[judge_model_id].judge(original_text, target.extraction, lexicon)
-        except (BackendUnavailableError, MalformedOutputError) as exc:
-            log.warning("judge %s failed on %s: %s", judge_model_id, target.model_id, exc)
-            return 1
+    def cross_score(pair: tuple[ModelResponse, str]) -> int:
+        target, judge_model_id = pair
+        return models_by_id[judge_model_id].judge(original_text, target.extraction, lexicon)
 
-    scores = {
-        a.model_id: cross_score(a, b.model_id),
-        b.model_id: cross_score(b, a.model_id),
-    }
+    scores = {a.model_id: 1, b.model_id: 1}
+    pairs = [(t, j.model_id) for t, j in ((a, b), (b, a)) if t.extraction is not None]
+    for (target, judge_model_id), score in model_results(cross_score, pairs, executor):
+        if isinstance(score, MODEL_ERRORS):
+            log.warning("judge %s failed on %s: %s", judge_model_id, target.model_id, score)
+        else:
+            scores[target.model_id] = score
     candidates = [r for r in (a, b) if r.extraction is not None and scores[r.model_id] >= MIN_ACCEPTED_SCORE]
     if not candidates:
         return ExtractionVerdict(event_id, chosen=None, scores=scores, outcome=EXTRACTION_FAIL)
@@ -265,6 +266,7 @@ class ValidatorAgent:
         pool: MessagePool,
         pharmacy: PharmacyClient,
         outbound: OutboundSmsGateway,
+        executor: Executor | None = None,
     ):
         self.models_by_id = {m.model_id: m for m in models}
         self.model_order = model_order
@@ -274,6 +276,7 @@ class ValidatorAgent:
         self.pool = pool
         self.pharmacy = pharmacy
         self.outbound = outbound
+        self.executor = executor
         self._parsed_docs: dict[str, dict] = {}
         self._pending: dict[str, dict[str, dict]] = {}
 
@@ -341,7 +344,7 @@ class ValidatorAgent:
                 )
             extraction_verdict = validate_extraction(
                 original, ordered[0], ordered[1],
-                self.models_by_id, self.model_order, self.lexicon, event_id,
+                self.models_by_id, self.model_order, self.lexicon, event_id, self.executor,
             )
             if extraction_verdict.outcome == EXTRACTION_FAIL:
                 self.outbound.send_sms(customer_id, CONTACT_SUPPORT_TEXT, "contact-support", event_id)

@@ -1,12 +1,16 @@
 import hashlib
 import json
+import random
+import threading
 from pathlib import Path
 
 import pytest
 import yaml
+from fake_chat import FakeChat
 
 from smsflow.cli import main
 from smsflow.config import default_config_path, default_corpus_path, load_config
+from smsflow.llm import ChatCompletionModel
 from smsflow.harness import (
     OUTCOME_NAMES,
     load_corpus,
@@ -294,3 +298,53 @@ def test_concurrent_scheduler_mode_reaches_the_same_terminals():
     }
     assert terminals["A1002"] == "done"
     assert terminals["A1010"] == "awaiting-confirmation"
+
+
+def _http_model_run(max_delay=0.0, salt=0):
+    """Demo corpus through two HTTP models whose fake backends sleep up to ``max_delay``."""
+    config = load_config(default_config_path())
+    transports = []
+    for spec in config.model_specs:
+        rng = random.Random(f"{salt}:{spec.model_id}")  # each model's calls are serial
+        transports.append(FakeChat(
+            spec.model_id, config.lexicon, delay=lambda _prompt, rng=rng: rng.uniform(0, max_delay)
+        ))
+    models = [
+        ChatCompletionModel(t.reader.model_id, "http://fake/v1", "fake", transport=t)
+        for t in transports
+    ]
+    config.build_models = lambda: models
+    result = run_pipeline(config, load_corpus(default_corpus_path()))
+    assert result.quiescent and result.pending == []
+    return result, transports
+
+
+def test_http_model_reports_do_not_depend_on_backend_timing():
+    result, _ = _http_model_run()
+    expected = render_report_json(result.report)
+    assert sum(row["scores"] is not None for row in result.report["messages"]) >= 3
+    for salt in (1, 2, 3):
+        jittered, _ = _http_model_run(max_delay=0.004, salt=salt)
+        assert render_report_json(jittered.report) == expected
+
+
+def test_model_worker_threads_end_with_the_run():
+    _, transports = _http_model_run()
+    workers = {t for fake in transports for t in fake.threads} - {threading.main_thread()}
+    assert workers and all(t.name.startswith("smsflow-model") for t in workers)
+    for thread in workers:
+        thread.join(timeout=2)
+        assert not thread.is_alive()
+
+
+def test_scripted_models_run_serially_without_threads():
+    from smsflow.pipeline import build_pipeline
+
+    before = set(threading.enumerate())
+    pipeline = build_pipeline(load_config(default_config_path()), seed=0)
+    assert pipeline.executor is None
+    for entry in load_corpus(default_corpus_path()):
+        pipeline.ingest(entry["phone"], entry["text"])
+    assert pipeline.run_to_quiescence()
+    assert pipeline.pending_events() == []
+    assert set(threading.enumerate()) == before

@@ -1,6 +1,10 @@
 import json
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from fake_chat import chat_models
 
 from smsflow.llm import (
     BackendUnavailableError,
@@ -252,6 +256,85 @@ def test_retry_advances_the_fault_schedule(lexicon):
     assert first[0]["renew"] == []  # dropped on attempt 1
     assert second[0]["renew"] == ["1"]  # fresh draw on attempt 2
     assert first[1]["renew"] == second[1]["renew"] == ["1"]
+
+
+# -- overlapped model calls ----------------------------------------------------
+
+
+@pytest.fixture()
+def executor():
+    with ThreadPoolExecutor(1, thread_name_prefix="smsflow-model") as executor:
+        yield executor
+
+
+def test_stage_overlaps_the_two_extractions(lexicon, executor):
+    # Each call waits until the other has started, so serial calls break the barrier.
+    barrier = threading.Barrier(2, timeout=5)
+    models = chat_models(lexicon, barrier=barrier)
+    store, pool = RunStore(), MessagePool()
+    store.store_original("A1001", "Could you please do 1")
+    docs = run_llm_stage(_s002(), models, lexicon, FaultPlan(), store, pool, executor)
+    assert [d["renew"] for d in docs] == [["1"], ["1"]]
+    assert not barrier.broken
+
+
+def test_stage_output_follows_model_order_when_the_second_answers_first(lexicon, executor):
+    store, pool = RunStore(), MessagePool()
+    store.store_original("A1001", "Could you please do 1")
+    sub = pool.subscribe(AGENTS_TOPIC)
+    slow, fast = chat_models(lexicon, error=BackendUnavailableError("offline"))
+    slow._transport.delay = 0.02
+    run_llm_stage(_s002(), [slow, fast], lexicon, FaultPlan(), store, pool, executor)
+    assert [e.payload["model_id"] for e in sub.poll(10)] == ["alpha", "beta"]
+    notes = [r["note"] for r in store.get_history("A1001")]
+    assert notes == ["extraction-failure:alpha: offline", "extraction-failure:beta: offline"]
+
+
+class _RaisingModel:
+    def __init__(self, model_id):
+        self.model_id = model_id
+
+    def extract(self, *args, **kwargs):
+        raise TimeoutError(f"{self.model_id} timed out")
+
+
+class _SlowModel(ScriptedModel):
+    def __init__(self, model_id, delay):
+        super().__init__(model_id)
+        self.delay = delay
+        self.finished = threading.Event()
+
+    def extract(self, *args, **kwargs):
+        time.sleep(self.delay)
+        self.finished.set()
+        return super().extract(*args, **kwargs)
+
+
+@pytest.mark.parametrize("overlapped", [False, True])
+def test_unexpected_error_of_the_first_model_publishes_nothing(lexicon, executor, overlapped):
+    store, pool = RunStore(), MessagePool()
+    store.store_original("A1001", "Could you please do 1")
+    sub = pool.subscribe(AGENTS_TOPIC)
+    other = _SlowModel("beta", delay=0.05)
+    models = [_RaisingModel("alpha"), other]
+    with pytest.raises(TimeoutError, match="alpha"):
+        run_llm_stage(_s002(), models, lexicon, FaultPlan(), store, pool,
+                      executor if overlapped else None)
+    assert sub.poll(10) == []
+    # The overlapped call had ended before the error left the stage.
+    assert other.finished.is_set() is overlapped
+
+
+@pytest.mark.parametrize("overlapped", [False, True])
+def test_unexpected_error_of_the_second_model_follows_the_first_document(lexicon, executor, overlapped):
+    store, pool = RunStore(), MessagePool()
+    store.store_original("A1001", "Could you please do 1")
+    sub = pool.subscribe(AGENTS_TOPIC)
+    models = [_SlowModel("alpha", delay=0.02), _RaisingModel("beta")]
+    with pytest.raises(TimeoutError, match="beta"):
+        run_llm_stage(_s002(), models, lexicon, FaultPlan(), store, pool,
+                      executor if overlapped else None)
+    assert [e.payload["model_id"] for e in sub.poll(10)] == ["alpha"]
 
 
 # -- HTTP adapter seam --------------------------------------------------------

@@ -1,6 +1,9 @@
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from fake_chat import chat_models
 
 from smsflow.llm import LlmExtraction, ScriptedModel
 from smsflow.messages import DegreeOfConfidence, Metadata, RenewalProcessed
@@ -339,6 +342,16 @@ def test_failure_marker_scores_one(lexicon):
     assert verdict.chosen.model_id == "beta"
 
 
+def test_two_failure_markers_fail_without_judging(lexicon):
+    a = ModelResponse(model_id="alpha", failure="offline")
+    b = ModelResponse(model_id="beta", failure="offline")
+    models = {m.model_id: m for m in chat_models(lexicon, error=AssertionError("judged"))}
+    with ThreadPoolExecutor(1) as executor:
+        verdict = validate_extraction("text", a, b, models, ["alpha", "beta"], lexicon, "A1", executor)
+    assert verdict.outcome == EXTRACTION_FAIL
+    assert verdict.scores == {"alpha": 1, "beta": 1}
+
+
 def test_chosen_extraction_always_clears_the_bar(lexicon):
     rng = random.Random(61)
     for _ in range(100):
@@ -360,4 +373,23 @@ def test_scripted_cross_judging_end_to_end(lexicon):
     )
     assert verdict.outcome == EXTRACTION_ROUTE
     assert verdict.scores == {"alpha": 10, "beta": 10}
+    assert verdict.chosen.model_id == "alpha"
+
+
+def test_cross_judging_overlaps_the_two_judge_calls(lexicon):
+    original = "1. I want to book a flu shot. The taste is bad"
+    a = _resp("alpha", complaint=("The taste is bad",), request=("I want to book a flu shot",))
+    b = _resp("beta", request=("I want to book a flu shot",))
+    serial = validate_extraction(
+        original, a, b, {m.model_id: m for m in chat_models(lexicon)}, ["alpha", "beta"], lexicon
+    )
+    # Each judge call waits until the other has started, so serial calls break the barrier.
+    barrier = threading.Barrier(2, timeout=5)
+    models = {m.model_id: m for m in chat_models(lexicon, barrier=barrier)}
+    with ThreadPoolExecutor(1, thread_name_prefix="smsflow-model") as executor:
+        verdict = validate_extraction(
+            original, a, b, models, ["alpha", "beta"], lexicon, "A1", executor
+        )
+    assert not barrier.broken
+    assert verdict.scores == serial.scores == {"alpha": 10, "beta": 8}
     assert verdict.chosen.model_id == "alpha"
