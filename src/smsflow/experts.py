@@ -39,7 +39,9 @@ _SLOT_LINE_RE = re.compile(
 )
 _DATE_RE = re.compile(r"\b(\d{1,2})/(\d{1,2})/(\d{4})\b")
 
-_WEEKDAYS = {name.lower(): i for i, name in enumerate(calendar.day_name)}
+_WEEKDAYS = tuple(
+    (re.compile(rf"\b{name}\b", re.IGNORECASE), i) for i, name in enumerate(calendar.day_name)
+)
 _DAYPARTS = {"morning": range(9, 13), "afternoon": range(13, 18)}
 _DETERMINERS = {"the", "a", "an", "my", "your", "our", "this", "that", "these", "those",
                 "i", "we", "you", "it", "he", "she", "they", "do", "can", "could"}
@@ -47,7 +49,10 @@ _REQUEST_PREFIXES = (
     "i would like to ", "i want to ", "i need to ", "i just want to ",
     "can you ", "could you ", "do i need to ", "please ",
 )
-_SYNONYMS = {"medicine": "a medication"}
+_SYNONYMS = ((re.compile(r"\bmedicine\b"), "a medication"),)
+_NON_WORD_RUNS = re.compile(r"[^\w]+")
+_WHITESPACE_RUNS = re.compile(r"\s+")
+_CLAUSE_SPLIT = re.compile(r"\bor\b|;", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -68,18 +73,18 @@ class RoutingDecision:
 
 
 def _item_tokens(text: str) -> list[str]:
-    return [t for t in re.split(r"[^\w]+", text.lower()) if t]
+    return [t for t in _NON_WORD_RUNS.split(text.lower()) if t]
 
 
 def rephrase(item_text: str) -> str:
     """Normalize an item into a complaint or request template sentence."""
-    text = re.sub(r"\s+", " ", item_text).strip(" \t.,!?;")
+    text = _WHITESPACE_RUNS.sub(" ", item_text).strip(" \t.,!?;")
     tokens = set(_item_tokens(text))
     is_complaint = bool(tokens & {"bad", "complaint", "problem", "issue", "wrong", "terrible", "awful"})
 
     lowered = text[0].lower() + text[1:] if text else text
-    for synonym, replacement in _SYNONYMS.items():
-        lowered = re.sub(rf"\b{synonym}\b", replacement, lowered)
+    for synonym, replacement in _SYNONYMS:
+        lowered = synonym.sub(replacement, lowered)
 
     if is_complaint:
         first = lowered.split(" ", 1)[0] if lowered else ""
@@ -221,7 +226,7 @@ class ScriptedSchedulerModel:
 
     def propose(self, request_text: str, reference_date: date) -> list[str]:
         lines: list[str] = []
-        for clause in re.split(r"\bor\b|;", request_text, flags=re.IGNORECASE):
+        for clause in _CLAUSE_SPLIT.split(request_text):
             slot_date = self._clause_date(clause, reference_date)
             if slot_date is None:
                 continue
@@ -245,8 +250,8 @@ class ScriptedSchedulerModel:
                 return date(year, month, day)
             except ValueError:
                 return None
-        for name, weekday in _WEEKDAYS.items():
-            if re.search(rf"\b{name}\b", clause, re.IGNORECASE):
+        for pattern, weekday in _WEEKDAYS:
+            if pattern.search(clause):
                 ahead = (weekday - reference_date.weekday()) % 7
                 return reference_date + timedelta(days=ahead or 7)
         return None

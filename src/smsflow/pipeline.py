@@ -29,7 +29,6 @@ from .llm import ChatCompletionModel, FaultPlan, LlmAgent
 from .messages import (
     AGENTS_TOPIC,
     INCOMING_TOPIC,
-    OUTBOUND_TOPIC,
     STEP_PARSED,
     STEP_VALIDATED,
     get_path,
@@ -61,21 +60,6 @@ class MessageTrackingAgent:
         event_id = get_path(doc, "metadata.eventId") or ""
         step = get_path(doc, "metadata.stepId") or ""
         self.store.record_step(event_id, step, self.qualifier, "observed", payload=doc)
-
-
-class DeliverySink:
-    """Stub carrier: drains the outbound topic and counts deliveries."""
-
-    def __init__(self, pool: MessagePool):
-        self.subscription = pool.subscribe(OUTBOUND_TOPIC)
-        self.delivered = 0
-
-    def drain_one(self) -> bool:
-        batch = self.subscription.poll(1)
-        if not batch:
-            return False
-        self.delivered += 1
-        return True
 
 
 class Scheduler:
@@ -137,7 +121,6 @@ class Pipeline:
     pharmacy: PharmacyClient
     availability: AvailabilityStore
     scheduler: Scheduler
-    delivery: DeliverySink
     parsed_sub: object
     verdict_sub: object
     ingested: list = field(default_factory=list)
@@ -164,9 +147,10 @@ class Pipeline:
         ]
 
     def close(self) -> None:
-        """Wait for model calls in flight and stop the model executor."""
+        """Wait for model calls in flight, stop the model executor and close the logs."""
         if self.executor is not None:
             self.executor.shutdown(wait=True)
+        self.store.close()
 
 
 def build_pipeline(
@@ -244,8 +228,7 @@ def build_pipeline(
         store,
         invoke_always_on=True,
     )
-    delivery = DeliverySink(pool)
-    scheduler = Scheduler([orchestration, arbitration, delivery])
+    scheduler = Scheduler([orchestration, arbitration])
 
     return Pipeline(
         config=config,
@@ -256,7 +239,6 @@ def build_pipeline(
         pharmacy=pharmacy,
         availability=availability,
         scheduler=scheduler,
-        delivery=delivery,
         parsed_sub=parsed_sub,
         verdict_sub=verdict_sub,
         executor=executor,

@@ -3,7 +3,10 @@ sink, the pharmacy endpoint client, the per-step tracking history, and the
 original-message store.
 
 Every store is an append-only JSON-lines log, either in memory or under a
-run directory, so run outcomes can be asserted by reading files back.
+run directory, so run outcomes can be asserted by reading files back.  On
+disk each log keeps one file handle open for the whole run and flushes every
+record to the OS before ``append`` returns, so a reader sees it at once;
+``Pipeline.close()`` closes the handles through ``RunStore.close()``.
 """
 from __future__ import annotations
 
@@ -68,24 +71,32 @@ class LogicalClock:
 
 
 class JsonlLog:
-    """Append-only record log, optionally mirrored to a .jsonl file."""
+    """Append-only record log, optionally mirrored to a .jsonl file.
+
+    The file is truncated and opened once; after ``close()`` reads still
+    work and an append raises ``ValueError``.
+    """
 
     def __init__(self, path: Path | None = None):
         self._records: list[dict] = []
         self._lock = threading.Lock()
-        self._path = path
+        self._file = None
         if path is not None:
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text("")
+            self._file = path.open("w", encoding="utf-8")
 
     def append(self, record: dict) -> int:
         with self._lock:
+            if self._file is not None:
+                self._file.write(json.dumps(record, sort_keys=True) + "\n")
+                self._file.flush()
             self._records.append(record)
-            seq = len(self._records) - 1
-            if self._path is not None:
-                with self._path.open("a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
-            return seq
+            return len(self._records) - 1
+
+    def close(self) -> None:
+        with self._lock:
+            if self._file is not None:
+                self._file.close()
 
     def read_all(self) -> list[dict]:
         with self._lock:
@@ -123,8 +134,13 @@ class RunStore:
         self._seq = 0
         self._seq_lock = threading.Lock()
 
+        self._closed = False
+        self._logs: list[JsonlLog] = []
+
         def _log(name: str) -> JsonlLog:
-            return JsonlLog(self.root / name if self.root is not None else None)
+            log = JsonlLog(self.root / name if self.root is not None else None)
+            self._logs.append(log)
+            return log
 
         self.steps = _log("steps.jsonl")
         self._steps_by_event: dict[str, list[dict]] = {}
@@ -211,13 +227,27 @@ class RunStore:
     def queue(self, name: str) -> JsonlLog:
         with self._queues_lock:
             if name not in self._queues:
-                path = self.root / "queues" / f"{name}.jsonl" if self.root is not None else None
+                path = None
+                if self.root is not None:
+                    if self._closed:
+                        raise ValueError(f"run store {self.root} is closed; no new queue {name!r}")
+                    path = self.root / "queues" / f"{name}.jsonl"
                 self._queues[name] = JsonlLog(path)
             return self._queues[name]
 
     def queue_names(self) -> list[str]:
         with self._queues_lock:
             return sorted(self._queues)
+
+    # -- lifetime -------------------------------------------------------------
+
+    def close(self) -> None:
+        """Close every log's file; reads keep working, appends raise ValueError."""
+        with self._queues_lock:
+            self._closed = True
+            logs = self._logs + list(self._queues.values())
+        for log in logs:
+            log.close()
 
 
 @dataclass

@@ -1,7 +1,11 @@
+import gc
 import hashlib
 import json
+import os
 import random
+import sys
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -162,6 +166,68 @@ def test_demo_report_bytes_are_pinned():
     result = run_pipeline(config, corpus, seed=1, add_keyword_rate=0.1, drop_keyword_rate=0.1)
     rendered = render_report_json(result.report).encode("utf-8")
     assert hashlib.sha256(rendered).hexdigest() == DEMO_REPORT_SHA256
+
+
+# SHA-256 of every file run_pipeline writes for the demo corpus at seed 1
+# with add/drop rates 0.1.  Run directories must stay byte-identical.
+DEMO_RUN_DIR_SHA256 = {
+    "answers.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "auth_failures.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "bookings.jsonl": "b85e78808d943ee334858e68b75fa6d4e4e10c8f61afca715823ea07ccbacde9",
+    "originals.jsonl": "8fc21cbb85a8e3a3944343f9905a194a57d4eb8c2dd2d28f404cfdc37e262e14",
+    "outbound_sms.jsonl": "3b96e2bba6ba5131846f50dcf7a229b3df7ef18e88ed4e0192858c1fca36c894",
+    "pharmacy.jsonl": "d069dbfe4bf33af1480e6bc63b5a65421a96ee47fa6b24488f0b24c19349f16e",
+    "queues/pharmacist.jsonl": "e27007b1f68f38ff105c98376c8d236d10c4aa9f6cc3caaae00a18850c1ba920",
+    "report.json": DEMO_REPORT_SHA256,
+    "report.txt": "799139389a663a69bf2dd93ed0df78f36a7adb4c92109351840462bf001d35f6",
+    "steps.jsonl": "41dfdd82608ec808226e7a59ffe99471d506610b43f74c2475a4447d8f8aee7e",
+}
+
+
+def _demo_run(run_dir):
+    config = load_config(default_config_path())
+    corpus = load_corpus(default_corpus_path())
+    return run_pipeline(
+        config, corpus, seed=1, add_keyword_rate=0.1, drop_keyword_rate=0.1, run_dir=run_dir
+    )
+
+
+def test_demo_run_directory_bytes_are_pinned(tmp_path):
+    _demo_run(tmp_path)
+    digests = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.is_file()
+    }
+    assert digests == DEMO_RUN_DIR_SHA256
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+def test_run_pipeline_leaves_no_file_open_in_the_run_directory(tmp_path):
+    # The result keeps the pipeline alive, so only close() can have closed the logs.
+    result = _demo_run(tmp_path)
+    fd_dir = Path("/proc/self/fd")
+    open_paths = []
+    for fd in fd_dir.iterdir():
+        try:
+            open_paths.append(os.readlink(fd))
+        except OSError:  # closed since the listing
+            pass
+    root = str(tmp_path.resolve())
+    assert [p for p in open_paths if p == root or p.startswith(root + os.sep)] == []
+    assert result.quiescent
+
+
+def test_run_pipeline_leaves_no_file_for_the_finalizers(tmp_path, monkeypatch):
+    gc.collect()
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        result = _demo_run(tmp_path)
+        del result
+        gc.collect()
+    assert [str(u.exc_value) for u in unraisable] == []
 
 
 @pytest.mark.parametrize("seed", [1, 5])

@@ -195,3 +195,53 @@ def test_random_event_ids_mode():
     b = gateway.ingest_sms("+15550001", "x")
     assert a.metadata.event_id != b.metadata.event_id
     assert len(a.metadata.event_id) > 10
+
+
+def test_disk_records_are_readable_before_close(tmp_path):
+    store = RunStore(tmp_path)
+    store.record_step("E1", "S001", "A", "first")
+    assert [r["note"] for r in read_jsonl(tmp_path / "steps.jsonl")] == ["first"]
+    store.store_original("E1", "text")
+    assert read_jsonl(tmp_path / "originals.jsonl") == [{"eventId": "E1", "text": "text"}]
+    store.queue("pharmacist").append({"eventId": "E1"})
+    assert read_jsonl(tmp_path / "queues" / "pharmacist.jsonl") == [{"eventId": "E1"}]
+    store.record_step("E1", "S002", "A", "second")
+    assert [r["note"] for r in read_jsonl(tmp_path / "steps.jsonl")] == ["first", "second"]
+    store.close()
+
+
+def test_closed_store_keeps_reads_and_refuses_appends(tmp_path):
+    store = RunStore(tmp_path)
+    store.record_step("E1", "S001", "A", "x")
+    store.queue("pharmacist").append({"eventId": "E1"})
+    store.close()
+    store.close()
+
+    assert len(store.steps) == 1
+    assert [r["note"] for r in store.steps.read_all()] == ["x"]
+    assert [r["note"] for r in store.get_history("E1")] == ["x"]
+    assert store.queue("pharmacist").read_all() == [{"eventId": "E1"}]
+    with pytest.raises(ValueError):
+        store.record_step("E1", "S002", "A", "y")
+    with pytest.raises(ValueError):
+        store.queue("pharmacist").append({"eventId": "E2"})
+    with pytest.raises(ValueError):
+        store.queue("customer-support")
+
+    # Nothing was reopened or truncated, and the refused appends left no trace.
+    assert not (tmp_path / "queues" / "customer-support.jsonl").exists()
+    assert [r["note"] for r in read_jsonl(tmp_path / "steps.jsonl")] == ["x"]
+    assert read_jsonl(tmp_path / "queues" / "pharmacist.jsonl") == [{"eventId": "E1"}]
+    assert len(store.steps) == 1
+    assert store.queue_names() == ["pharmacist"]
+
+
+def test_jsonl_log_append_after_close_raises(tmp_path):
+    path = tmp_path / "things.jsonl"
+    log = JsonlLog(path)
+    log.append({"a": 1})
+    log.close()
+    with pytest.raises(ValueError):
+        log.append({"b": 2})
+    assert log.read_all() == [{"a": 1}]
+    assert read_jsonl(path) == [{"a": 1}]
