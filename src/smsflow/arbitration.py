@@ -20,6 +20,7 @@ from .messages import (
 )
 from .pool import Envelope, MessagePool
 from .store import (
+    CONTACT_SUPPORT_TEXT,
     OutboundSmsGateway,
     PharmacyAction,
     PharmacyClient,
@@ -33,10 +34,6 @@ log = logging.getLogger(__name__)
 ACTION_PROCESS_DIRECT = "processDirect"
 ACTION_FORWARD = "forwardToLLM"
 ACTION_FAIL = "fail"
-
-CONTACT_SUPPORT_TEXT = (
-    "We could not process your reply automatically. Please call customer support."
-)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Command-line harness.
 
 Exit codes: 0 success, 1 usage or lookup error, 2 soundness violation,
-3 pipeline did not reach quiescence.
+3 events were left pending.
 """
 from __future__ import annotations
 
@@ -86,8 +86,9 @@ def _cmd_run(args) -> int:
         )
     )
     print(render_report_table(result.report), end="")
-    if not result.quiescent:
-        print(f"deadlock: events still pending: {', '.join(result.pending)}", file=sys.stderr)
+    pending = result.pending
+    if pending or not result.quiescent:
+        print(f"events left pending: {', '.join(pending)}", file=sys.stderr)
         return EXIT_STUCK
     violations = soundness_violations(args.out)
     if violations:

@@ -1,10 +1,9 @@
 """Configuration-driven event dispatch.
 
-Each rule in the services configuration becomes one event service that
-forwards matching envelopes to a named worker agent.  A dispatcher owns one
-topic subscription plus the rule set for its stage; the arbitration-stage
-dispatcher additionally invokes an always-on set (the tracking agent) for
-every message it sees.
+Each rule in the services configuration forwards matching envelopes to a
+named worker agent.  A dispatcher owns one topic subscription plus the rule
+set for its stage; the arbitration-stage dispatcher additionally invokes an
+always-on set (the tracking agent) for every message it sees.
 """
 from __future__ import annotations
 
@@ -100,17 +99,6 @@ def matches(rule: ServiceRule, event_doc: dict) -> bool:
     return all(get_path(event_doc, key) == value for key, value in rule.conditions)
 
 
-class EventService:
-    """One rule bound to its worker agent."""
-
-    def __init__(self, rule: ServiceRule, registry: AgentRegistry):
-        self.rule = rule
-        self.agent = registry.resolve(rule.qualifier)
-
-    def accepts(self, event_doc: dict) -> bool:
-        return matches(self.rule, event_doc)
-
-
 class Dispatcher:
     """Routes envelopes from one subscription to matching worker agents."""
 
@@ -126,7 +114,7 @@ class Dispatcher:
         registry.validate_against(rules)
         self.name = name
         self.registry = registry
-        self.services = [EventService(rule, registry) for rule in rules]
+        self.rules = rules
         self.subscription = subscription
         self.store = store
         self.invoke_always_on = invoke_always_on
@@ -141,9 +129,9 @@ class Dispatcher:
         # Workers run in rule-declaration order (the invoked *set* is the
         # contract; the order is what makes scheduler runs reproducible).
         matched: list[str] = []
-        for svc in self.services:
-            if svc.accepts(doc) and svc.rule.qualifier not in matched:
-                matched.append(svc.rule.qualifier)
+        for rule in self.rules:
+            if matches(rule, doc) and rule.qualifier not in matched:
+                matched.append(rule.qualifier)
         invoked = set(matched)
         if self.invoke_always_on:
             invoked |= set(self.registry.always_on)

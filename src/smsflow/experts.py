@@ -16,6 +16,7 @@ import threading
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 
+from .llm import CueConfig
 from .messages import STEP_VALIDATED
 from .pool import Envelope
 from .store import (
@@ -80,7 +81,7 @@ def rephrase(item_text: str) -> str:
     """Normalize an item into a complaint or request template sentence."""
     text = _WHITESPACE_RUNS.sub(" ", item_text).strip(" \t.,!?;")
     tokens = set(_item_tokens(text))
-    is_complaint = bool(tokens & {"bad", "complaint", "problem", "issue", "wrong", "terrible", "awful"})
+    is_complaint = not tokens.isdisjoint(CueConfig.complaint)
 
     lowered = text[0].lower() + text[1:] if text else text
     for synonym, replacement in _SYNONYMS:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .config import PipelineConfig, load_config
 from .pipeline import Pipeline, build_pipeline
+from .renewal import KeywordLexicon, tokens_of
 from .store import (
     TERMINAL_AWAITING,
     TERMINAL_DONE,
@@ -35,6 +36,9 @@ REPORT_TEXT = "report.txt"
 
 # Step note of a model document the validator discarded: discarded:<model>:<reason>.
 DISCARD_NOTE = re.compile(r"^discarded:([^:]+):(.+)$")
+
+# Soundness tokenizes as the validator does, on the delimiters every configuration uses.
+_KEYWORD_FREE = KeywordLexicon(entries=())
 
 
 @dataclass
@@ -297,10 +301,6 @@ def trace_lines(run_dir: Path | str, event_id: str) -> list[str] | None:
     ]
 
 
-def _text_tokens(text: str) -> set[str]:
-    return {t.lower() for t in re.split(r"[\s,.!?;]+", text) if t}
-
-
 def soundness_violations(run_dir: Path | str) -> list[dict]:
     """Pharmacy-log keywords that do not occur in the originating SMS text."""
     root = Path(run_dir)
@@ -313,7 +313,7 @@ def soundness_violations(run_dir: Path | str) -> list[dict]:
         if original is None:
             violations.append({"eventId": record["eventId"], "keyword": record["keyword"],
                                "why": "no original text stored"})
-        elif record["keyword"].lower() not in _text_tokens(original):
+        elif record["keyword"].lower() not in tokens_of(original, _KEYWORD_FREE):
             violations.append({"eventId": record["eventId"], "keyword": record["keyword"],
                                "why": "keyword absent from original text"})
     return violations

@@ -23,7 +23,7 @@ from .messages import (
     RenewalProcessed,
 )
 from .pool import Envelope, MessagePool
-from .renewal import TOKEN_SEPARATORS, KeywordLexicon, tokens_of
+from .renewal import KeywordLexicon, sentence_tokens, split_sentences, tokens_of
 from .store import RunStore
 
 log = logging.getLogger(__name__)
@@ -129,17 +129,8 @@ class CueConfig:
     mood_negative: tuple[str, ...] = ("bad", "terrible", "awful", "angry", "unhappy")
 
 
-def split_sentences(text: str, lexicon: KeywordLexicon) -> list[str]:
-    parts = lexicon.segment_split.split(text)
-    return [p.strip() for p in parts if p.strip()]
-
-
-def _sentence_tokens(sentence: str) -> list[str]:
-    return [t for t in TOKEN_SEPARATORS.split(sentence) if t]
-
-
 def classify_sentence(sentence: str, cues: CueConfig) -> str:
-    tokens = {t.lower() for t in _sentence_tokens(sentence)}
+    tokens = {t.lower() for t in sentence_tokens(sentence)}
     if tokens & set(cues.complaint):
         return "complaint"
     if tokens & set(cues.request):
@@ -183,7 +174,7 @@ class ScriptedModel:
 
         for sentence in split_sentences(sms_text, lexicon):
             kind = classify_sentence(sentence, cues)
-            for token in _sentence_tokens(sentence):
+            for token in sentence_tokens(sentence):
                 lowered = token.lower()
                 if lowered in cues.mood_positive:
                     pos += 1
@@ -243,7 +234,7 @@ class ScriptedModel:
         """
         sentences = [
             s for s in split_sentences(original_sms, lexicon)
-            if not all(lexicon.match_token(t) for t in _sentence_tokens(s))
+            if not all(lexicon.match_token(t) for t in sentence_tokens(s))
         ]
         normalized_sentences = [_normalize_item(s) for s in sentences]
         items = [_normalize_item(i) for i in (list(extraction.complaint) + list(extraction.request))]

@@ -1,8 +1,7 @@
 """Wiring of the full pipeline: broker, stores, agents and dispatchers.
 
-The default scheduler is a deterministic round-robin over the stage
-subscriptions, which makes whole runs replayable; a free-threaded mode
-exists for stress-testing the declared thread-safety of the modules.
+The scheduler is a deterministic round-robin over the stage
+subscriptions, which makes whole runs replayable.
 
 When a model waits on an HTTP backend, the two model calls of one stage
 (the two extractions, then the two cross-judgements) overlap on the
@@ -16,7 +15,6 @@ in-memory campaign benchmark 19% of its throughput.
 from __future__ import annotations
 
 import logging
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,44 +80,12 @@ class Scheduler:
                 return True
         return not self.step()
 
-    def run_concurrent(self, threads: int, budget: int) -> bool:
-        """Stress mode: several workers race over the sources."""
-        idle = threading.Semaphore(0)
-        stop = threading.Event()
-
-        def worker():
-            quiet_sweeps = 0
-            for _ in range(budget):
-                if stop.is_set():
-                    break
-                if self.step():
-                    quiet_sweeps = 0
-                else:
-                    quiet_sweeps += 1
-                    if quiet_sweeps >= 3:
-                        break
-            idle.release()
-
-        pool = [threading.Thread(target=worker) for _ in range(threads)]
-        for t in pool:
-            t.start()
-        for _ in pool:
-            idle.acquire()
-        stop.set()
-        for t in pool:
-            t.join()
-        return not self.step()
-
 
 @dataclass
 class Pipeline:
-    config: PipelineConfig
     pool: MessagePool
     store: RunStore
     gateway: IncomingSmsGateway
-    outbound: OutboundSmsGateway
-    pharmacy: PharmacyClient
-    availability: AvailabilityStore
     scheduler: Scheduler
     parsed_sub: object
     verdict_sub: object
@@ -159,16 +125,14 @@ def build_pipeline(
     add_keyword_rate: float = 0.0,
     drop_keyword_rate: float = 0.0,
     run_dir: Path | str | None = None,
-    sequential_ids: bool = True,
 ) -> Pipeline:
     clock = LogicalClock()
     store = RunStore(run_dir, clock=clock)
     pool = MessagePool(clock=clock)
 
-    gateway = IncomingSmsGateway(config.auth, store, pool, sequential_ids=sequential_ids)
+    gateway = IncomingSmsGateway(config.auth, store, pool)
     outbound = OutboundSmsGateway(store, pool)
     pharmacy = PharmacyClient(store)
-    availability = AvailabilityStore(config.availability)
 
     models = config.build_models()
     executor = None
@@ -198,7 +162,8 @@ def build_pipeline(
             models, model_order, config.lexicon, risk, store, pool, pharmacy, outbound, executor
         ),
         "RouterAgent": RouterAgent(
-            config.experts, config.documents, availability, store, outbound
+            config.experts, config.documents, AvailabilityStore(config.availability),
+            store, outbound,
         ),
         "MessageTrackingAgent": MessageTrackingAgent(store),
     }
@@ -231,13 +196,9 @@ def build_pipeline(
     scheduler = Scheduler([orchestration, arbitration])
 
     return Pipeline(
-        config=config,
         pool=pool,
         store=store,
         gateway=gateway,
-        outbound=outbound,
-        pharmacy=pharmacy,
-        availability=availability,
         scheduler=scheduler,
         parsed_sub=parsed_sub,
         verdict_sub=verdict_sub,

@@ -101,11 +101,22 @@ def strip_politeness(text: str, lexicon: KeywordLexicon) -> str:
     return _BLANK_RUNS.sub(" ", result).strip()
 
 
+def split_sentences(text: str, lexicon: KeywordLexicon) -> list[str]:
+    """Non-blank sentences of the text, split on the lexicon's delimiters and stripped."""
+    parts = lexicon.segment_split.split(text)
+    return [p.strip() for p in parts if p.strip()]
+
+
+def sentence_tokens(sentence: str) -> list[str]:
+    """Whitespace/comma-separated tokens of one sentence."""
+    return [t for t in TOKEN_SEPARATORS.split(sentence) if t]
+
+
 def segment(text: str, lexicon: KeywordLexicon) -> list[list[str]]:
     """Sentence segments, each a list of whitespace/comma-separated tokens."""
     segments = []
-    for part in lexicon.segment_split.split(text):
-        tokens = [t for t in TOKEN_SEPARATORS.split(part) if t]
+    for sentence in split_sentences(text, lexicon):
+        tokens = sentence_tokens(sentence)
         if tokens:
             segments.append(tokens)
     return segments

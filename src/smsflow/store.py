@@ -31,6 +31,9 @@ from .pool import MessagePool
 log = logging.getLogger(__name__)
 
 SMS_KINDS = ("contact-support", "confirm-stop", "booking-confirmation", "generic")
+CONTACT_SUPPORT_TEXT = (
+    "We could not process your reply automatically. Please call customer support."
+)
 
 TERMINAL_DONE = "done"
 TERMINAL_FAILED = "contact-support SMS sent"

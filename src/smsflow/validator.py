@@ -26,6 +26,7 @@ from .messages import (
 from .pool import Envelope, MessagePool
 from .renewal import KeywordLexicon, tokens_of
 from .store import (
+    CONTACT_SUPPORT_TEXT,
     OutboundSmsGateway,
     PharmacyAction,
     PharmacyClient,
@@ -48,9 +49,6 @@ REASON_FAILURE_MARKER = "failure-marker"
 
 MIN_ACCEPTED_SCORE = 5
 
-CONTACT_SUPPORT_TEXT = (
-    "We could not process your reply automatically. Please call customer support."
-)
 CONFIRM_STOP_TEXT = (
     "You asked to stop a medication we consider important for you. "
     "Please reply CONFIRM if you really want to stop it."
@@ -277,30 +275,26 @@ class ValidatorAgent:
         self.pharmacy = pharmacy
         self.outbound = outbound
         self.executor = executor
-        self._parsed_docs: dict[str, dict] = {}
+        # eventId -> the parsed document under its step id, extractions under their model id.
         self._pending: dict[str, dict[str, dict]] = {}
 
     def handle(self, envelope: Envelope) -> None:
+        """Join an event's parsed document and extractions in any order; the last one in decides."""
         doc = envelope.payload
         step = doc["metadata"]["stepId"]
+        if step not in (STEP_LLM_REQUESTED, STEP_LLM_EXTRACTED):
+            return
+        key = doc["model_id"] if step == STEP_LLM_EXTRACTED else step
         event_id = doc["metadata"]["eventId"]
-        if step == STEP_LLM_REQUESTED:
-            self._parsed_docs[event_id] = doc
-            return
-        if step != STEP_LLM_EXTRACTED:
-            return
         with self.store.event_lock(event_id):
-            bucket = self._pending.setdefault(event_id, {})
-            bucket[doc["model_id"]] = doc
-            if len(bucket) < 2:
+            entry = self._pending.setdefault(event_id, {})
+            entry[key] = doc
+            if len(entry) <= len(self.model_order):
                 return
-            responses = self._pending.pop(event_id)
-            self._finalize(event_id, responses)
+            del self._pending[event_id]
+            self._finalize(event_id, entry.pop(STEP_LLM_REQUESTED), entry)
 
-    def _finalize(self, event_id: str, response_docs: dict[str, dict]) -> None:
-        parsed_doc = self._parsed_docs.get(event_id)
-        if parsed_doc is None:
-            raise RuntimeError(f"no parsed-stage document cached for event {event_id}")
+    def _finalize(self, event_id: str, parsed_doc: dict, response_docs: dict[str, dict]) -> None:
         original = self.store.fetch_original(event_id)  # MissingOriginalError is fatal by design
         ra = RenewalProcessed.from_doc(parsed_doc)
         ordered = [ModelResponse.from_doc(response_docs[m]) for m in self.model_order]

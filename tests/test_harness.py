@@ -14,7 +14,7 @@ from fake_chat import FakeChat
 
 from smsflow.cli import main
 from smsflow.config import default_config_path, default_corpus_path, load_config
-from smsflow.llm import ChatCompletionModel
+from smsflow.llm import ChatCompletionModel, ScriptedModel
 from smsflow.harness import (
     OUTCOME_NAMES,
     load_corpus,
@@ -114,6 +114,23 @@ def test_exhausted_budget_reports_a_deadlock(tmp_path):
     assert code == 3
 
 
+def test_events_left_pending_exit_three_even_when_quiescent(tmp_path, monkeypatch, capsys):
+    def extract(*args, **kwargs):
+        raise TimeoutError("model did not answer")
+
+    monkeypatch.setattr(ScriptedModel, "extract", extract)
+    code = main(
+        [
+            "run",
+            "--corpus", str(default_corpus_path()),
+            "--out", str(tmp_path / "run"),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "events left pending:" in err and "A1001" in err and "A1002" not in err
+
+
 def test_failed_event_trace_ends_with_the_support_note(tmp_path):
     bundle = yaml.safe_load(Path(default_config_path()).read_text())
     bundle["customers"]["profiles"]["C1006"] = {"tenure_years": 0, "purchases_12mo": 0}
@@ -164,6 +181,24 @@ def test_demo_report_bytes_are_pinned():
     config = load_config(default_config_path())
     corpus = load_corpus(default_corpus_path())
     result = run_pipeline(config, corpus, seed=1, add_keyword_rate=0.1, drop_keyword_rate=0.1)
+    rendered = render_report_json(result.report).encode("utf-8")
+    assert hashlib.sha256(rendered).hexdigest() == DEMO_REPORT_SHA256
+
+
+def test_demo_report_does_not_depend_on_the_validator_rule_order(tmp_path):
+    bundle = yaml.safe_load(Path(default_config_path()).read_text())
+    rules = bundle["arbitration"]["services"]["rules"]
+    snapshot = next(r for r in rules if r["name"] == "ValidatorParsedSnapshot")
+    rules.remove(snapshot)
+    rules.insert(1 + next(i for i, r in enumerate(rules) if r["name"] == "LlmExtractionStage"), snapshot)
+    names = [r["name"] for r in rules]
+    assert names.index("ValidatorParsedSnapshot") == names.index("LlmExtractionStage") + 1
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(yaml.safe_dump(bundle))
+    corpus = load_corpus(default_corpus_path())
+    result = run_pipeline(
+        load_config(config_path), corpus, seed=1, add_keyword_rate=0.1, drop_keyword_rate=0.1
+    )
     rendered = render_report_json(result.report).encode("utf-8")
     assert hashlib.sha256(rendered).hexdigest() == DEMO_REPORT_SHA256
 
@@ -346,24 +381,6 @@ def test_store_and_scheduling_experts_end_to_end():
     assert bookings[0]["slot"] == "year: 2025, month: 3, day: 22, hours: 15"
     assert rows["A1002"]["sms"] == ["booking-confirmation"]
     assert [p["keyword"] for p in rows["A1002"]["pharmacy"]] == ["2"]
-
-
-def test_concurrent_scheduler_mode_reaches_the_same_terminals():
-    from smsflow.pipeline import build_pipeline
-
-    config = load_config(default_config_path())
-    corpus = load_corpus(default_corpus_path())
-    pipeline = build_pipeline(config, seed=0)
-    for entry in corpus:
-        pipeline.ingest(entry["phone"], entry["text"])
-    assert pipeline.scheduler.run_concurrent(threads=4, budget=5000)
-    assert pipeline.pending_events() == []
-    terminals = {
-        e.metadata.event_id: pipeline.store.terminal_of(e.metadata.event_id)["note"]
-        for e in pipeline.ingested
-    }
-    assert terminals["A1002"] == "done"
-    assert terminals["A1010"] == "awaiting-confirmation"
 
 
 def _http_model_run(max_delay=0.0, salt=0):

@@ -173,6 +173,7 @@ def test_jsonl_log_mirrors_to_disk(tmp_path):
     log.append({"a": 1})
     log.append({"b": 2})
     assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
+    log.close()
 
 
 def test_run_store_writes_the_declared_layout(tmp_path):
@@ -185,6 +186,7 @@ def test_run_store_writes_the_declared_layout(tmp_path):
         assert (tmp_path / name).exists()
     assert (tmp_path / "queues" / "pharmacist.jsonl").exists()
     assert read_jsonl(tmp_path / "steps.jsonl")[0]["eventId"] == "E1"
+    store.close()
 
 
 def test_random_event_ids_mode():
