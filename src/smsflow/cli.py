@@ -10,11 +10,11 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, default_config_path
+from .config import ConfigError, default_config_path, load_config
 from .harness import (
-    RunConfig,
+    load_corpus,
     render_report_table,
-    run,
+    run_pipeline,
     soundness_violations,
     summarize_run,
     trace_lines,
@@ -73,17 +73,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_run(args) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
-    result = run(
-        RunConfig(
-            config_path=args.config,
-            corpus_path=args.corpus,
-            seed=args.seed,
-            add_keyword_rate=args.add_keyword_rate,
-            drop_keyword_rate=args.drop_keyword_rate,
-            out_dir=args.out,
-            budget=args.budget,
-        )
+    result = run_pipeline(
+        load_config(args.config),
+        load_corpus(args.corpus),
+        seed=args.seed,
+        add_keyword_rate=args.add_keyword_rate,
+        drop_keyword_rate=args.drop_keyword_rate,
+        run_dir=args.out,
+        budget=args.budget,
     )
     print(render_report_table(result.report), end="")
     pending = result.pending

@@ -281,6 +281,9 @@ def load_config_text(text: str) -> PipelineConfig:
     ]
     if len({e.qualifier for e in experts}) != len(experts):
         raise ConfigError("experts: duplicate qualifiers")
+    # Both model stages call each model once and the validator keys their documents by id.
+    if len({spec.model_id for spec in model_specs}) != 2 or len(model_specs) != 2:
+        raise ConfigError("llm.models: need exactly two models with distinct ids")
 
     documents = [
         StoreDocument(question=str(d["question"]), answer=str(d["answer"]))

@@ -2,8 +2,8 @@
 
 Each rule in the services configuration forwards matching envelopes to a
 named worker agent.  A dispatcher owns one topic subscription plus the rule
-set for its stage; the arbitration-stage dispatcher additionally invokes an
-always-on set (the tracking agent) for every message it sees.
+set for its stage, and invokes its registry's always-on set (at the
+arbitration stage, the tracking agent) for every message it sees.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import Protocol
 import yaml
 
 from .messages import get_path
-from .pool import Envelope, Subscription
+from .pool import Envelope, MetadataFilter, Subscription
 from .store import RunStore, TERMINAL_UNROUTED
 
 log = logging.getLogger(__name__)
@@ -94,11 +94,6 @@ def load_rules_from_data(services: dict) -> list[ServiceRule]:
     return rules
 
 
-def matches(rule: ServiceRule, event_doc: dict) -> bool:
-    """True iff every condition path exists on the event and string-equals."""
-    return all(get_path(event_doc, key) == value for key, value in rule.conditions)
-
-
 class Dispatcher:
     """Routes envelopes from one subscription to matching worker agents."""
 
@@ -109,15 +104,13 @@ class Dispatcher:
         registry: AgentRegistry,
         subscription: Subscription,
         store: RunStore,
-        invoke_always_on: bool = False,
     ):
         registry.validate_against(rules)
         self.name = name
         self.registry = registry
-        self.rules = rules
+        self.routes = [(MetadataFilter(rule.conditions), rule.qualifier) for rule in rules]
         self.subscription = subscription
         self.store = store
-        self.invoke_always_on = invoke_always_on
 
     def dispatch(self, envelope: Envelope) -> set[str]:
         """Invoke every matching agent (plus always-on); returns the set invoked.
@@ -129,18 +122,16 @@ class Dispatcher:
         # Workers run in rule-declaration order (the invoked *set* is the
         # contract; the order is what makes scheduler runs reproducible).
         matched: list[str] = []
-        for rule in self.rules:
-            if matches(rule, doc) and rule.qualifier not in matched:
-                matched.append(rule.qualifier)
-        invoked = set(matched)
-        if self.invoke_always_on:
-            invoked |= set(self.registry.always_on)
+        for condition, qualifier in self.routes:
+            if condition.matches(doc) and qualifier not in matched:
+                matched.append(qualifier)
+        always = sorted(set(self.registry.always_on))
+        workers = [q for q in matched if q not in always]
+        invoked = always + workers
 
         event_id = get_path(doc, "metadata.eventId") or ""
         step = get_path(doc, "metadata.stepId") or ""
-        always = [q for q in sorted(invoked) if q in self.registry.always_on]
-        workers = [q for q in matched if q not in self.registry.always_on]
-        for qualifier in always + workers:
+        for qualifier in invoked:
             agent = self.registry.resolve(qualifier)
             try:
                 agent.handle(envelope)
@@ -152,7 +143,7 @@ class Dispatcher:
             self.store.record_step(
                 event_id, step, self.name, TERMINAL_UNROUTED, terminal=True
             )
-        return invoked
+        return set(invoked)
 
     def drain_one(self) -> bool:
         batch = self.subscription.poll(1)

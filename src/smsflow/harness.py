@@ -3,15 +3,24 @@
 Runs are deterministic: a logical clock drives timestamps, event ids are
 sequential, and the fault plan is seeded, so identical run configurations
 produce byte-identical reports.
+
+One fold turns an event's step records, SMS and pharmacy actions into its
+report fields (:func:`_event_fields`), and one counter turns those rows into
+the summary (:func:`_summary`).  ``build_report`` feeds it each event's
+history from the store; ``summarize_run`` replays the run-directory logs
+through it, so ``smsflow report`` counts what the report counts.
 """
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig
 from .pipeline import Pipeline, build_pipeline
 from .renewal import KeywordLexicon, tokens_of
 from .store import (
@@ -42,17 +51,6 @@ _KEYWORD_FREE = KeywordLexicon(entries=())
 
 
 @dataclass
-class RunConfig:
-    config_path: Path
-    corpus_path: Path
-    seed: int = 0
-    add_keyword_rate: float = 0.0
-    drop_keyword_rate: float = 0.0
-    out_dir: Path | None = None
-    budget: int | None = None
-
-
-@dataclass
 class RunResult:
     report: dict
     pipeline: Pipeline
@@ -74,20 +72,6 @@ def load_corpus(path: Path | str) -> list[dict]:
             raise ValueError(f"{path}:{i}: corpus lines need 'phone' and 'text'")
         entries.append({"phone": doc["phone"], "text": doc["text"]})
     return entries
-
-
-def run(rc: RunConfig) -> RunResult:
-    config = load_config(rc.config_path)
-    corpus = load_corpus(rc.corpus_path)
-    return run_pipeline(
-        config,
-        corpus,
-        seed=rc.seed,
-        add_keyword_rate=rc.add_keyword_rate,
-        drop_keyword_rate=rc.drop_keyword_rate,
-        run_dir=rc.out_dir,
-        budget=rc.budget,
-    )
 
 
 def run_pipeline(
@@ -141,13 +125,7 @@ def build_report(
     verdict_by_event = _drain_by_event(pipeline.verdict_sub)
 
     store = pipeline.store
-    pharmacy_records = store.pharmacy.read_all()
-    pharmacy_by_event: dict[str, list[dict]] = {}
-    for r in pharmacy_records:
-        pharmacy_by_event.setdefault(r["eventId"], []).append({"keyword": r["keyword"], "action": r["action"]})
-    sms_by_event: dict[str, list[str]] = {}
-    for r in store.outbound_sms.read_all():
-        sms_by_event.setdefault(r["eventId"], []).append(r["kind"])
+    pharmacy_by_event, sms_by_event = _by_event(store.pharmacy.read_all(), store.outbound_sms.read_all())
 
     rows = []
     for entry, event in entries:
@@ -158,24 +136,11 @@ def build_report(
             )
             continue
         event_id = event.metadata.event_id
-        terminal = None
-        retries = 0
-        direct = False
-        discarded = []
-        routing = []
-        for record in store.get_history(event_id):
-            note = record["note"]
-            if record["terminal"]:
-                terminal = record
-            if note == "retry-requested":
-                retries += 1
-            elif note == "decision:processDirect":
-                direct = True
-            elif note.startswith("routed-to:"):
-                routing.append(note.split(":", 1)[1])
-            elif m := DISCARD_NOTE.match(note):
-                discarded.append({"model_id": m.group(1), "reason": m.group(2)})
-        outcome = OUTCOME_NAMES.get(terminal["note"], terminal["note"]) if terminal else "pending"
+        fields, direct = _event_fields(
+            store.get_history(event_id),
+            sms_by_event.get(event_id, []),
+            pharmacy_by_event.get(event_id, []),
+        )
 
         parsed = parsed_by_event.get(event_id)
         verdict = verdict_by_event.get(event_id)
@@ -197,7 +162,6 @@ def build_report(
                 "eventId": event_id,
                 "phone": entry["phone"],
                 "text": entry["text"],
-                "outcome": outcome,
                 "ra": (
                     {
                         "renew": parsed["renew"],
@@ -209,26 +173,10 @@ def build_report(
                 ),
                 "keyword_outcome": keyword_outcome,
                 "accepted": accepted,
-                "pharmacy": pharmacy_by_event.get(event_id, []),
-                "sms": sms_by_event.get(event_id, []),
-                "routing": routing,
-                "discarded": discarded,
-                "retries": retries,
                 "scores": scores,
+                **fields,
             }
         )
-
-    outcomes: dict[str, int] = {}
-    discard_reasons: dict[str, int] = {}
-    sms_kinds: dict[str, int] = {}
-    retries = 0
-    for row in rows:
-        outcomes[row["outcome"]] = outcomes.get(row["outcome"], 0) + 1
-        for d in row.get("discarded", ()):
-            discard_reasons[d["reason"]] = discard_reasons.get(d["reason"], 0) + 1
-        for kind in row.get("sms", ()):
-            sms_kinds[kind] = sms_kinds.get(kind, 0) + 1
-        retries += row.get("retries", 0)
 
     return {
         "seed": seed,
@@ -236,14 +184,75 @@ def build_report(
         "drop_keyword_rate": drop_rate,
         "quiescent": quiescent,
         "messages": rows,
-        "summary": {
-            "outcomes": outcomes,
-            "discard_reasons": discard_reasons,
-            "sms_kinds": sms_kinds,
-            "retries": retries,
-            "pharmacy_actions": len(pharmacy_records),
-        },
+        "summary": _summary(rows),
     }
+
+
+def _event_fields(history, sms: list[str], pharmacy: list[dict]) -> tuple[dict, bool]:
+    """Report fields of one event from its step records in order, its SMS kinds and pharmacy actions.
+
+    Also returns whether the evaluator took the direct path.  Without a
+    terminal step the outcome is ``pending``; with several, the last counts.
+    """
+    terminal = None
+    retries = 0
+    direct = False
+    discarded = []
+    routing = []
+    for record in history:
+        note = record["note"]
+        if record["terminal"]:
+            terminal = note
+        if note == "retry-requested":
+            retries += 1
+        elif note == "decision:processDirect":
+            direct = True
+        elif note.startswith("routed-to:"):
+            routing.append(note.split(":", 1)[1])
+        elif m := DISCARD_NOTE.match(note):
+            discarded.append({"model_id": m.group(1), "reason": m.group(2)})
+    fields = {
+        "outcome": "pending" if terminal is None else OUTCOME_NAMES.get(terminal, terminal),
+        "pharmacy": pharmacy,
+        "sms": sms,
+        "routing": routing,
+        "discarded": discarded,
+        "retries": retries,
+    }
+    return fields, direct
+
+
+def _summary(rows) -> dict:
+    """Summary counters over report rows (auth-rejected rows carry only an outcome)."""
+    outcomes, discard_reasons, sms_kinds = Counter(), Counter(), Counter()
+    retries = pharmacy_actions = 0
+    for row in rows:
+        outcomes[row["outcome"]] += 1
+        for d in row.get("discarded", ()):
+            discard_reasons[d["reason"]] += 1
+        for kind in row.get("sms", ()):
+            sms_kinds[kind] += 1
+        retries += row.get("retries", 0)
+        pharmacy_actions += len(row.get("pharmacy", ()))
+    # Plain dicts, in first-seen order, keep the rendered table unchanged.
+    return {
+        "outcomes": dict(outcomes),
+        "discard_reasons": dict(discard_reasons),
+        "sms_kinds": dict(sms_kinds),
+        "retries": retries,
+        "pharmacy_actions": pharmacy_actions,
+    }
+
+
+def _by_event(pharmacy_records: list[dict], sms_records: list[dict]) -> tuple[dict, dict]:
+    """Pharmacy actions and SMS kinds grouped by eventId, for the events that have any."""
+    pharmacy_by_event: dict[str, list[dict]] = {}
+    for r in pharmacy_records:
+        pharmacy_by_event.setdefault(r["eventId"], []).append({"keyword": r["keyword"], "action": r["action"]})
+    sms_by_event: dict[str, list[str]] = {}
+    for r in sms_records:
+        sms_by_event.setdefault(r["eventId"], []).append(r["kind"])
+    return pharmacy_by_event, sms_by_event
 
 
 def _drain_by_event(sub) -> dict[str, dict]:
@@ -320,29 +329,19 @@ def soundness_violations(run_dir: Path | str) -> list[dict]:
 
 
 def summarize_run(run_dir: Path | str) -> dict:
-    """Outcome/discard/SMS counters recomputed from the run-directory logs."""
+    """The report's summary recomputed from the run-directory logs.
+
+    Auth-rejected messages leave no step records, so ``outcomes`` has no
+    ``auth-rejected`` count.
+    """
     root = Path(run_dir)
+    pharmacy_by_event, sms_by_event = _by_event(
+        read_jsonl(root / "pharmacy.jsonl"), read_jsonl(root / "outbound_sms.jsonl")
+    )
     steps = read_jsonl(root / "steps.jsonl")
-    outcomes: dict[str, int] = {}
-    discard_reasons: dict[str, int] = {}
-    retries = 0
-    for record in steps:
-        if record.get("terminal"):
-            name = OUTCOME_NAMES.get(record["note"], record["note"])
-            outcomes[name] = outcomes.get(name, 0) + 1
-        m = DISCARD_NOTE.match(record["note"])
-        if m:
-            discard_reasons[m.group(2)] = discard_reasons.get(m.group(2), 0) + 1
-        if record["note"] == "retry-requested":
-            retries += 1
-    sms_kinds: dict[str, int] = {}
-    for record in read_jsonl(root / "outbound_sms.jsonl"):
-        sms_kinds[record["kind"]] = sms_kinds.get(record["kind"], 0) + 1
-    pharmacy = read_jsonl(root / "pharmacy.jsonl")
-    return {
-        "outcomes": outcomes,
-        "discard_reasons": discard_reasons,
-        "retries": retries,
-        "sms_kinds": sms_kinds,
-        "pharmacy_actions": len(pharmacy),
-    }
+    steps.sort(key=itemgetter("eventId"))  # stable: each event's records keep their order
+    rows = (
+        _event_fields(history, sms_by_event.get(event_id, []), pharmacy_by_event.get(event_id, []))[0]
+        for event_id, history in groupby(steps, key=itemgetter("eventId"))
+    )
+    return _summary(rows)

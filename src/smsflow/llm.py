@@ -14,7 +14,7 @@ import random
 import re
 import urllib.request
 from concurrent.futures import Executor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .messages import (
     AGENTS_TOPIC,
@@ -77,17 +77,6 @@ def model_results(call, items: list, executor: Executor | None = None):
 
 
 @dataclass(frozen=True)
-class JudgeScore:
-    score: int
-    judge_model: str
-    target_model: str
-
-    def __post_init__(self):
-        if not 1 <= self.score <= 10:
-            raise ValueError(f"judge score {self.score} outside 1..10")
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """Seeded schedule of injected extraction faults.
 
@@ -98,21 +87,15 @@ class FaultPlan:
     seed: int = 0
     add_keyword_rate: float = 0.0
     drop_keyword_rate: float = 0.0
-    per_model: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
-        for add, drop in [(self.add_keyword_rate, self.drop_keyword_rate), *self.per_model.values()]:
-            if not (0.0 <= add <= 1.0 and 0.0 <= drop <= 1.0):
-                raise ValueError("fault rates must lie in [0, 1]")
-
-    def rates_for(self, model_id: str) -> tuple[float, float]:
-        return self.per_model.get(model_id, (self.add_keyword_rate, self.drop_keyword_rate))
+        if not (0.0 <= self.add_keyword_rate <= 1.0 and 0.0 <= self.drop_keyword_rate <= 1.0):
+            raise ValueError("fault rates must lie in [0, 1]")
 
     def draws(self, event_id: str, model_id: str, attempt: int) -> tuple[bool, bool, random.Random]:
-        add_rate, drop_rate = self.rates_for(model_id)
         rng = random.Random(f"{self.seed}:{event_id}:{model_id}:{attempt}")
-        add_fires = rng.random() < add_rate
-        drop_fires = rng.random() < drop_rate
+        add_fires = rng.random() < self.add_keyword_rate
+        drop_fires = rng.random() < self.drop_keyword_rate
         return add_fires, drop_fires, rng
 
 
@@ -249,19 +232,6 @@ _WHITESPACE_RUNS = re.compile(r"\s+")
 
 def _normalize_item(text: str) -> str:
     return _WHITESPACE_RUNS.sub(" ", text).strip(" \t.,!?;").lower()
-
-
-def judge(
-    original_sms: str,
-    extraction: LlmExtraction,
-    model,
-    lexicon: KeywordLexicon,
-) -> JudgeScore:
-    """Score ``extraction`` with ``model`` acting as the judge."""
-    if model.model_id == extraction.model_id:
-        raise ValueError("a model must not judge its own extraction")
-    score = model.judge(original_sms, extraction, lexicon)
-    return JudgeScore(score=score, judge_model=model.model_id, target_model=extraction.model_id)
 
 
 class ChatCompletionModel:

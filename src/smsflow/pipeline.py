@@ -183,7 +183,6 @@ def build_pipeline(
         AgentRegistry({q: agents[q] for q in agents}, always_on=()),
         pool.subscribe(INCOMING_TOPIC),
         store,
-        invoke_always_on=False,
     )
     arbitration = Dispatcher(
         "ArbitrationDispatcher",
@@ -191,7 +190,6 @@ def build_pipeline(
         AgentRegistry({q: agents[q] for q in agents}, always_on=config.always_on),
         pool.subscribe(AGENTS_TOPIC),
         store,
-        invoke_always_on=True,
     )
     scheduler = Scheduler([orchestration, arbitration])
 

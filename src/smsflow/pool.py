@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from .messages import get_path
 
@@ -38,10 +38,10 @@ class Subscription:
     hand between threads.
     """
 
-    def __init__(self, pool: "MessagePool", topic: str, matcher: Callable[[Any], bool] | None):
+    def __init__(self, pool: "MessagePool", topic: str, filter: MetadataFilter | None):
         self._pool = pool
         self.topic = topic
-        self._matcher = matcher
+        self._filter = filter
         self.cursor = pool.head(topic) + 1
 
     def poll(self, max_n: int = 1) -> list[Envelope]:
@@ -75,11 +75,10 @@ class MessagePool:
             log.append(Envelope(topic=topic, offset=offset, payload=payload, published_at=self._now()))
             return offset
 
-    def subscribe(self, topic: str, filter: MetadataFilter | Callable[[Any], bool] | None = None) -> Subscription:
+    def subscribe(self, topic: str, filter: MetadataFilter | None = None) -> Subscription:
         """New-messages-only subscription; earlier traffic is never replayed."""
-        matcher = filter.matches if isinstance(filter, MetadataFilter) else filter
         with self._lock:
-            return Subscription(self, topic, matcher)
+            return Subscription(self, topic, filter)
 
     def _poll(self, sub: Subscription, max_n: int) -> list[Envelope]:
         out: list[Envelope] = []
@@ -88,7 +87,7 @@ class MessagePool:
             while sub.cursor < len(log) and len(out) < max_n:
                 env = log[sub.cursor]
                 sub.cursor += 1
-                if sub._matcher is None or sub._matcher(env.payload):
+                if sub._filter is None or sub._filter.matches(env.payload):
                     out.append(env)
         return out
 

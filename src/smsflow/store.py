@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import threading
-import uuid
 import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -267,23 +266,14 @@ class CustomerAuthTable:
 class IncomingSmsGateway:
     """Authenticates inbound SMS and publishes them to the incoming topic."""
 
-    def __init__(
-        self,
-        auth: CustomerAuthTable,
-        store: RunStore,
-        pool: MessagePool,
-        sequential_ids: bool = True,
-    ):
+    def __init__(self, auth: CustomerAuthTable, store: RunStore, pool: MessagePool):
         self.auth = auth
         self.store = store
         self.pool = pool
-        self.sequential_ids = sequential_ids
         self._counter = 1000
         self._lock = threading.Lock()
 
     def _next_event_id(self) -> str:
-        if not self.sequential_ids:
-            return "A" + uuid.uuid4().hex
         with self._lock:
             self._counter += 1
             return f"A{self._counter}"

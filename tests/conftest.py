@@ -1,11 +1,24 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
 from smsflow.config import default_config_path, load_config
 from smsflow.fuzzy import LinguisticVariable, MembershipFunction
+
+TESTS_DIR = Path(__file__).parent
+
+
+def pytest_collection_modifyitems(config, items):
+    """A file or socket a test leaves for the finalizers fails that test."""
+    for item in items:
+        if TESTS_DIR in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(
+                pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+            )
 
 
 @pytest.fixture(scope="session")

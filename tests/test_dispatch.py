@@ -8,9 +8,8 @@ from smsflow.dispatch import (
     Dispatcher,
     ServiceRule,
     load_rules,
-    matches,
 )
-from smsflow.pool import MessagePool
+from smsflow.pool import MessagePool, MetadataFilter
 from smsflow.store import RunStore
 
 SERVICES_YAML = """\
@@ -89,18 +88,18 @@ def test_invalid_yaml_reports_parse_error():
 
 
 def test_matches_on_type():
-    rule = load_rules(SERVICES_YAML)[0]
-    assert matches(rule, _doc(type="renewal"))
-    assert not matches(rule, _doc(type="reminder"))
-    assert not matches(rule, {"metadata": {"eventId": "A1"}})
+    condition = MetadataFilter(load_rules(SERVICES_YAML)[0].conditions)
+    assert condition.matches(_doc(type="renewal"))
+    assert not condition.matches(_doc(type="reminder"))
+    assert not condition.matches({"metadata": {"eventId": "A1"}})
 
 
-def _dispatcher(rules, agents, always_on=(), invoke_always_on=False):
+def _dispatcher(rules, agents, always_on=()):
     pool = MessagePool()
     store = RunStore()
     registry = AgentRegistry({a.qualifier: a for a in agents}, always_on=tuple(always_on))
     sub = pool.subscribe("t")
-    return Dispatcher("TestDispatcher", rules, registry, sub, store, invoke_always_on), pool, store
+    return Dispatcher("TestDispatcher", rules, registry, sub, store), pool, store
 
 
 class _Envelope:
@@ -131,9 +130,7 @@ def test_two_matching_rules_invoke_both_agents():
 def test_always_on_agent_joins_every_arbitration_dispatch():
     rules = [ServiceRule("Eval", "EvaluatorAgent", (("metadata.stepId", "S001"),))]
     evaluator, tracker = Recorder("EvaluatorAgent"), Recorder("MessageTrackingAgent")
-    dispatcher, _, _ = _dispatcher(
-        rules, [evaluator, tracker], always_on=("MessageTrackingAgent",), invoke_always_on=True
-    )
+    dispatcher, _, _ = _dispatcher(rules, [evaluator, tracker], always_on=("MessageTrackingAgent",))
     invoked = dispatcher.dispatch(_Envelope(_doc(stepId="S001")))
     assert invoked == {"EvaluatorAgent", "MessageTrackingAgent"}
     # Unmatched step still reaches the tracker.
@@ -199,7 +196,7 @@ def test_adding_a_rule_never_removes_matches():
             for i in range(n)
         ]
         event = {"metadata": {k.split(".")[1]: rng.choice(values) for k in keys}}
-        base = {r.qualifier for r in rules if matches(r, event)}
+        base = {r.qualifier for r in rules if MetadataFilter(r.conditions).matches(event)}
         extra = ServiceRule("extra", "Qx", ((rng.choice(keys), rng.choice(values)),))
-        grown = {r.qualifier for r in rules + [extra] if matches(r, event)}
+        grown = {r.qualifier for r in rules + [extra] if MetadataFilter(r.conditions).matches(event)}
         assert base <= grown

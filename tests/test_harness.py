@@ -77,6 +77,7 @@ def test_cli_usage_error_exits_one():
 def test_cli_missing_corpus_file_exits_one(tmp_path):
     code = main(["run", "--corpus", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "o")])
     assert code == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_soundness_detector_catches_a_forced_unvalidated_write(tmp_path, capsys):
@@ -299,13 +300,26 @@ def test_report_rows_match_a_scan_of_the_logs(seed):
     assert any(len(row["sms"]) > 1 for row in rows)
 
 
-def test_summary_counters_match_the_run(ten_message_run):
+def test_summary_counters_match_the_run(ten_message_run, tmp_path):
     result, out = ten_message_run
     summary = summarize_run(out)
     assert summary["outcomes"] == result.report["summary"]["outcomes"]
     assert summary["retries"] == 0
     assert summary["sms_kinds"].get("confirm-stop") == 1
     assert summary["pharmacy_actions"] == result.report["summary"]["pharmacy_actions"]
+
+    # summarize_run equals the report's summary less auth-rejected, also when
+    # a starved scheduler leaves events pending.
+    config = load_config(default_config_path())
+    corpus = load_corpus(default_corpus_path()) + [{"phone": "+10000000", "text": "1"}]
+    for budget, pending in ((None, 0), (3, 9)):
+        run_dir = tmp_path / f"budget-{budget}"
+        result = run_pipeline(config, corpus, seed=1, add_keyword_rate=0.1,
+                              drop_keyword_rate=0.1, run_dir=run_dir, budget=budget)
+        expected = result.report["summary"]
+        assert expected["outcomes"].pop("auth-rejected") == 1
+        assert expected["outcomes"].get("pending", 0) == pending
+        assert summarize_run(run_dir) == expected
 
 
 def test_corpus_lines_require_phone_and_text(tmp_path):

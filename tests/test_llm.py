@@ -4,16 +4,16 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+import yaml
 from fake_chat import chat_models
 
+from smsflow.config import ConfigError, default_config_path, load_config_text
 from smsflow.llm import (
     BackendUnavailableError,
     ChatCompletionModel,
     FaultPlan,
-    JudgeScore,
     MalformedOutputError,
     ScriptedModel,
-    judge,
     run_llm_stage,
 )
 from smsflow.messages import (
@@ -98,15 +98,19 @@ def test_fault_schedule_is_deterministic_and_keyed(lexicon):
     assert plan.draws("A1001", "alpha", 2)[:2] != first or plan.draws("A1002", "alpha", 1)[:2] != first
 
 
-def test_per_model_rate_overrides():
-    plan = FaultPlan(seed=1, add_keyword_rate=0.0, per_model={"beta": (1.0, 0.0)})
-    assert plan.rates_for("alpha") == (0.0, 0.0)
-    assert plan.rates_for("beta") == (1.0, 0.0)
-
-
 def test_rates_outside_unit_interval_rejected():
     with pytest.raises(ValueError):
         FaultPlan(add_keyword_rate=1.5)
+
+
+@pytest.mark.parametrize(
+    "ids", [["alpha", "alpha"], ["alpha"], ["alpha", "beta", "gamma"]], ids=["duplicate", "one", "three"]
+)
+def test_config_needs_two_models_with_distinct_ids(ids):
+    bundle = yaml.safe_load(default_config_path().read_text(encoding="utf-8"))
+    bundle["llm"]["models"] = [{"id": model_id, "backend": "scripted"} for model_id in ids]
+    with pytest.raises(ConfigError, match="two models with distinct ids"):
+        load_config_text(yaml.safe_dump(bundle))
 
 
 def test_zero_fault_extraction_is_sound(lexicon):
@@ -167,22 +171,6 @@ def test_judge_score_floors_at_one(lexicon):
     original = "a b. c d. e f. g h. i j. k l"
     extraction = LlmExtraction(model_id="alpha")
     assert model.judge(original, extraction, lexicon) == 1
-
-
-def test_judge_wrapper_forbids_self_judging(lexicon):
-    model = ScriptedModel("alpha")
-    extraction = LlmExtraction(model_id="alpha")
-    with pytest.raises(ValueError):
-        judge("text", extraction, model, lexicon)
-    score = judge("1", LlmExtraction(model_id="beta"), model, lexicon)
-    assert isinstance(score, JudgeScore) and score.judge_model == "alpha"
-
-
-def test_judge_score_bounds_enforced():
-    with pytest.raises(ValueError):
-        JudgeScore(score=0, judge_model="a", target_model="b")
-    with pytest.raises(ValueError):
-        JudgeScore(score=11, judge_model="a", target_model="b")
 
 
 def _s002(event_id="A1001"):
@@ -391,8 +379,10 @@ def test_http_adapter_judge_parses_score(lexicon):
 
 
 def test_http_adapter_judge_rejects_unparseable_reply(lexicon):
-    model = ChatCompletionModel(
-        "gamma", "http://example/v1", "m", transport=_transport_returning("no score here")
-    )
-    with pytest.raises(MalformedOutputError):
-        model.judge("text", LlmExtraction(model_id="other"), lexicon)
+    # Scores outside 1..10 are unparseable too.
+    for reply in ("no score here", "Score: 0", "Score: 11"):
+        model = ChatCompletionModel(
+            "gamma", "http://example/v1", "m", transport=_transport_returning(reply)
+        )
+        with pytest.raises(MalformedOutputError):
+            model.judge("text", LlmExtraction(model_id="other"), lexicon)

@@ -189,16 +189,6 @@ def test_run_store_writes_the_declared_layout(tmp_path):
     store.close()
 
 
-def test_random_event_ids_mode():
-    store, pool = RunStore(), MessagePool()
-    auth = CustomerAuthTable(phones={"+15550001": "C1001"})
-    gateway = IncomingSmsGateway(auth, store, pool, sequential_ids=False)
-    a = gateway.ingest_sms("+15550001", "x")
-    b = gateway.ingest_sms("+15550001", "x")
-    assert a.metadata.event_id != b.metadata.event_id
-    assert len(a.metadata.event_id) > 10
-
-
 def test_disk_records_are_readable_before_close(tmp_path):
     store = RunStore(tmp_path)
     store.record_step("E1", "S001", "A", "first")
