@@ -10,7 +10,6 @@ from .membership import (
     MembershipDefinitionError,
     MembershipFunction,
     canonical_label,
-    fuzzify,
 )
 from .ruleblock import (
     Rule,
@@ -36,7 +35,6 @@ __all__ = [
     "MembershipDefinitionError",
     "MembershipFunction",
     "canonical_label",
-    "fuzzify",
     "Rule",
     "RuleBlock",
     "RuleSyntaxError",

@@ -1,15 +1,15 @@
 """Mamdani inference (MIN conjunction, MIN activation, MAX accumulation)
 and exact center-of-gravity defuzzification.
 
-The aggregated output curve is built explicitly as a piecewise-linear
-envelope, so the centroid integrals are evaluated in closed form per linear
-segment rather than by sampling.
+Inference yields the rule strengths only.  The aggregated output curve is
+built when a centroid is asked for, as a piecewise-linear envelope whose
+centroid integrals are evaluated in closed form per segment, not sampled.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .membership import LinguisticVariable, MembershipFunction, canonical_label
+from .membership import LinguisticVariable, MembershipFunction
 from .ruleblock import RuleBlock
 
 
@@ -29,18 +29,15 @@ class FuzzyDefinitionError(ValueError):
 
 @dataclass(frozen=True)
 class FuzzyOutput:
-    """Per-label activations plus the aggregated curve they induce."""
+    """Per-label activations of one output variable."""
 
     variable: LinguisticVariable
     activations: dict[str, float]
-    aggregated: MembershipFunction
 
-
-def _canonical_inputs(inputs: dict[str, dict[str, float]]) -> dict[str, dict[str, float]]:
-    return {
-        var: {canonical_label(label): degree for label, degree in degrees.items()}
-        for var, degrees in inputs.items()
-    }
+    @property
+    def aggregated(self) -> MembershipFunction:
+        """The aggregated curve the activations induce, built on each access."""
+        return aggregate(self.variable, self.activations)
 
 
 def infer(
@@ -54,29 +51,21 @@ def infer(
     output label's activation is the MAX over the strengths of rules that
     conclude it.  Labels missing from an input map count as degree 0; a
     missing *variable* is an error.
-    """
-    degrees = _canonical_inputs(inputs)
-    activations = {label: 0.0 for label in output_var.labels}
 
+    Precondition (checked once by :class:`FuzzySystem`): every rule concludes
+    a label of ``output_var``.  Input labels must be canonical ("medium", not
+    "intermediate"), as :meth:`LinguisticVariable.fuzzify` returns them.
+    """
+    activations = {label: 0.0 for label in output_var.labels}
     for rule in block.rules:
         strength = 1.0
         for var, label in rule.antecedents:
-            if var not in degrees:
+            if var not in inputs:
                 raise MissingInputError(var)
-            strength = min(strength, degrees[var].get(label, 0.0))
-        out_var, out_label = rule.consequent
-        if out_var != output_var.name:
-            raise FuzzyDefinitionError(
-                f"rule {rule.index} concludes {out_var!r}, expected {output_var.name!r}"
-            )
-        if out_label not in activations:
-            raise FuzzyDefinitionError(
-                f"rule {rule.index} concludes unknown label {out_label!r} of {out_var!r}"
-            )
+            strength = min(strength, inputs[var].get(label, 0.0))
+        out_label = rule.consequent[1]
         activations[out_label] = max(activations[out_label], strength)
-
-    aggregated = aggregate(output_var, activations)
-    return FuzzyOutput(variable=output_var, activations=activations, aggregated=aggregated)
+    return FuzzyOutput(variable=output_var, activations=activations)
 
 
 def aggregate(var: LinguisticVariable, activations: dict[str, float]) -> MembershipFunction:
@@ -158,9 +147,9 @@ def defuzzify_cog(out: FuzzyOutput) -> float:
 class FuzzySystem:
     """A rule block bound to the variables it mentions.
 
+    Building one checks every rule reference once, so :func:`infer` does not.
     Antecedent variables may be fed either with crisp numbers (``run``) or
-    with ready-made label degrees (``infer``); the output variable's curves
-    drive aggregation and defuzzification.
+    with ready-made label degrees (``infer``).
     """
 
     variables: dict[str, LinguisticVariable]

@@ -5,8 +5,8 @@ import math
 from dataclasses import dataclass
 
 # The confidence vector is written with an "intermediate" middle label on the
-# wire, while rule text calls the same label "medium".  The engine stores the
-# canonical name and accepts either spelling on input.
+# wire, while rule text calls the same label "medium".  Variables and rule
+# blocks store the canonical name; ``DegreeOfConfidence`` maps the wire one.
 LABEL_ALIASES = {"intermediate": "medium"}
 
 
@@ -92,8 +92,3 @@ class LinguisticVariable:
             raise ValueError(f"crisp input for {self.name!r} must be finite, got {crisp}")
         x = self.clamp(crisp)
         return {label: mf.evaluate(x) for label, mf in self.labels.items()}
-
-
-def fuzzify(var: LinguisticVariable, crisp: float) -> dict[str, float]:
-    """Membership degree of every label of ``var`` at ``crisp`` (clamped)."""
-    return var.fuzzify(crisp)

@@ -58,9 +58,6 @@ class Rule:
 class RuleBlock:
     name: str
     rules: tuple[Rule, ...] = ()
-    and_op: str = "MIN"
-    act_op: str = "MIN"
-    accu_op: str = "MAX"
 
 
 def _strip_comment(line: str) -> str:
@@ -156,9 +153,7 @@ def _parse_statement(statement: str, line: int, rules: list[Rule]) -> None:
 def format_ruleblock(block: RuleBlock) -> str:
     """Render a block in the canonical source form accepted by the parser."""
     out = [f"RULEBLOCK {block.name}"]
-    out.append(f"  AND : {block.and_op};")
-    out.append(f"  ACT : {block.act_op};")
-    out.append(f"  ACCU : {block.accu_op};")
+    out.extend(f"  {op} : {value};" for op, value in _EXPECTED_OPERATORS.items())
     for rule in block.rules:
         conds = " AND ".join(f"{var} IS {label}" for var, label in rule.antecedents)
         out_var, out_label = rule.consequent

@@ -13,6 +13,7 @@ from typing import Any
 
 INCOMING_TOPIC = "incoming-sms"
 AGENTS_TOPIC = "agents"
+# Unused by the pipeline (outbound SMS live in the run store); kept for tracers.
 OUTBOUND_TOPIC = "outbound-sms"
 
 STEP_INGESTED = "S000"

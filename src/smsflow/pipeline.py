@@ -128,10 +128,10 @@ def build_pipeline(
 ) -> Pipeline:
     clock = LogicalClock()
     store = RunStore(run_dir, clock=clock)
-    pool = MessagePool(clock=clock)
+    pool = MessagePool()
 
     gateway = IncomingSmsGateway(config.auth, store, pool)
-    outbound = OutboundSmsGateway(store, pool)
+    outbound = OutboundSmsGateway(store)
     pharmacy = PharmacyClient(store)
 
     models = config.build_models()

@@ -1,8 +1,8 @@
 """In-process shared message pool.
 
-Named topics hold append-only logs with gapless offsets.  Subscriptions are
-independent cursors starting at the topic head, optionally filtered by
-equality tests on metadata paths; agents pull with ``poll``.
+Named topics hold append-only logs with gapless offsets and no timestamps.
+Subscriptions are independent cursors from the topic head, optionally
+filtered by equality tests on metadata paths; agents pull with ``poll``.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ class Envelope:
     topic: str
     offset: int
     payload: Any
-    published_at: str
 
 
 @dataclass(frozen=True)
@@ -53,13 +52,9 @@ class Subscription:
 class MessagePool:
     """Topic logs plus subscription bookkeeping; topics auto-create."""
 
-    def __init__(self, clock=None):
+    def __init__(self):
         self._topics: dict[str, list[Envelope]] = {}
         self._lock = threading.RLock()
-        self._clock = clock
-
-    def _now(self) -> str:
-        return self._clock.now_iso() if self._clock is not None else ""
 
     def head(self, topic: str) -> int:
         """Offset of the newest message, -1 for an empty or unknown topic."""
@@ -72,7 +67,7 @@ class MessagePool:
         with self._lock:
             log = self._topics.setdefault(topic, [])
             offset = len(log)
-            log.append(Envelope(topic=topic, offset=offset, payload=payload, published_at=self._now()))
+            log.append(Envelope(topic=topic, offset=offset, payload=payload))
             return offset
 
     def subscribe(self, topic: str, filter: MetadataFilter | None = None) -> Subscription:

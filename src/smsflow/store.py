@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .messages import (
     INCOMING_TOPIC,
-    OUTBOUND_TOPIC,
     STEP_INGESTED,
     Metadata,
     SmsEvent,
@@ -305,11 +304,10 @@ class IncomingSmsGateway:
 
 
 class OutboundSmsGateway:
-    """Records outbound SMS in the sink and mirrors them to the outbound topic."""
+    """Records outbound SMS in the run store's outbound log."""
 
-    def __init__(self, store: RunStore, pool: MessagePool):
+    def __init__(self, store: RunStore):
         self.store = store
-        self.pool = pool
 
     def send_sms(self, customer_id: str, text: str, kind: str, event_id: str = "") -> dict:
         if kind not in SMS_KINDS:
@@ -322,7 +320,6 @@ class OutboundSmsGateway:
             "sent_at": self.store.clock.now_iso(),
         }
         self.store.outbound_sms.append(record)
-        self.pool.publish(OUTBOUND_TOPIC, dict(record))
         if event_id:
             self.store.record_step(event_id, "", "OutboundSmsService", f"sms:{kind}")
         return record

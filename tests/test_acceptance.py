@@ -13,7 +13,7 @@ import pytest
 from smsflow.config import default_config_path, default_corpus_path, load_config
 from smsflow.experts import AvailabilityStore, ScriptedSchedulerModel, SlotCandidate, schedule
 from smsflow.fuzzy import defuzzify_cog
-from smsflow.fuzzy.inference import FuzzyOutput, aggregate
+from smsflow.fuzzy.inference import FuzzyOutput
 from smsflow.harness import load_corpus, render_report_json, run_pipeline
 from smsflow.llm import LlmExtraction, ScriptedModel
 from smsflow.renewal import segment, strip_politeness
@@ -136,11 +136,10 @@ def test_criterion_3_cog_matches_quadrature_oracle():
     while checked < 100:
         var = random_output_variable(rng)
         activations = {label: rng.random() for label in var.labels}
-        agg = aggregate(var, activations)
         expected = quadrature_cog(var, activations, samples=100_000)
         if expected is None:
             continue
-        got = defuzzify_cog(FuzzyOutput(variable=var, activations=activations, aggregated=agg))
+        got = defuzzify_cog(FuzzyOutput(variable=var, activations=activations))
         assert abs(got - expected) <= 1e-6 * max(abs(expected), 1e-12)
         checked += 1
     elapsed = time.monotonic() - started

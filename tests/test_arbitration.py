@@ -145,7 +145,7 @@ def _wiring(default_config):
     pool = MessagePool()
     s002 = pool.subscribe(AGENTS_TOPIC, MetadataFilter((("metadata.stepId", "S002"),)))
     pharmacy = PharmacyClient(store)
-    outbound = OutboundSmsGateway(store, pool)
+    outbound = OutboundSmsGateway(store)
     return store, pool, s002, pharmacy, outbound
 
 

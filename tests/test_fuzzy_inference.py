@@ -66,19 +66,6 @@ def test_missing_input_names_the_variable():
     assert "degreeOfConfidence" in str(err.value)
 
 
-def test_intermediate_input_degrees_are_accepted():
-    block = parse_ruleblock(ACTION_BLOCK)
-    out = infer(
-        block,
-        {
-            "customerImportance": _one_hot("medium"),
-            "degreeOfConfidence": {"high": 0.0, "intermediate": 1.0, "low": 0.0},
-        },
-        ACTION_VAR,
-    )
-    assert out.activations["forwardToLLM"] == 1.0
-
-
 def test_cog_of_symmetric_triangle_is_its_center():
     var = LinguisticVariable("out", (0.0, 1.0), {"mid": triangle(0.0, 0.5, 1.0)})
     out = infer(
@@ -200,7 +187,7 @@ def test_cog_lies_within_the_activated_region():
             continue
         region_min = min(p[0] for p, _ in active)
         region_max = max(q[0] for _, q in active)
-        out = FuzzyOutput(variable=var, activations=activations, aggregated=agg)
+        out = FuzzyOutput(variable=var, activations=activations)
         cog = defuzzify_cog(out)
         assert region_min <= cog <= region_max
 
@@ -250,7 +237,10 @@ def test_system_validates_rule_references():
 
 
 def test_infer_rejects_rules_for_other_outputs():
+    # The consequent check lives in FuzzySystem, the only way to reach
+    # inference with a checked rule block.
     block = parse_ruleblock("RULEBLOCK b\nRULE 1 : IF x IS on THEN other IS mid;\nEND_RULEBLOCK\n")
     var = LinguisticVariable("out", (0.0, 1.0), {"mid": triangle(0.0, 0.5, 1.0)})
-    with pytest.raises(FuzzyDefinitionError):
-        infer(block, {"x": {"on": 1.0}}, var)
+    x = LinguisticVariable("x", (0.0, 1.0), {"on": triangle(0.0, 0.5, 1.0)})
+    with pytest.raises(FuzzyDefinitionError, match="concludes 'other'"):
+        FuzzySystem(variables={"out": var, "x": x}, block=block, output="out")

@@ -6,7 +6,6 @@ from smsflow.fuzzy import (
     MembershipDefinitionError,
     MembershipFunction,
     canonical_label,
-    fuzzify,
 )
 
 from conftest import triangle
@@ -14,19 +13,19 @@ from conftest import triangle
 
 def test_triangle_peak():
     var = LinguisticVariable("v", (0.0, 1.0), {"mid": triangle(0.0, 0.5, 1.0)})
-    assert fuzzify(var, 0.5)["mid"] == 1.0
+    assert var.fuzzify(0.5)["mid"] == 1.0
 
 
 def test_triangle_interpolation_midpoint():
     var = LinguisticVariable("v", (0.0, 1.0), {"mid": triangle(0.0, 0.5, 1.0)})
-    assert fuzzify(var, 0.25)["mid"] == pytest.approx(0.5)
+    assert var.fuzzify(0.25)["mid"] == pytest.approx(0.5)
 
 
 def test_below_universe_clamps_to_leftmost_degree():
     mf = MembershipFunction(((0.2, 0.7), (0.8, 0.1)))
     var = LinguisticVariable("v", (0.0, 1.0), {"l": mf})
-    assert fuzzify(var, -42.0)["l"] == 0.7
-    assert fuzzify(var, 99.0)["l"] == 0.1
+    assert var.fuzzify(-42.0)["l"] == 0.7
+    assert var.fuzzify(99.0)["l"] == 0.1
 
 
 def test_evaluate_outside_span_returns_endpoint_degrees():
@@ -65,7 +64,7 @@ def test_intermediate_is_an_alias_of_medium():
 def test_non_finite_crisp_rejected():
     var = LinguisticVariable("v", (0.0, 1.0), {"mid": triangle(0.0, 0.5, 1.0)})
     with pytest.raises(ValueError):
-        fuzzify(var, float("nan"))
+        var.fuzzify(float("nan"))
 
 
 @given(

@@ -43,7 +43,6 @@ def test_action_block_parses_six_rules_with_source_indices():
         ("degreeOfConfidence", "medium"),
     )
     assert block.rules[5].consequent == ("action", "fail")
-    assert (block.and_op, block.act_op, block.accu_op) == ("MIN", "MIN", "MAX")
 
 
 def test_header_and_end_only_gives_empty_block():

@@ -12,9 +12,12 @@ import pytest
 import yaml
 from fake_chat import FakeChat
 
+import smsflow.fuzzy.inference as inference
+import smsflow.validator as validator
 from smsflow.cli import main
 from smsflow.config import default_config_path, default_corpus_path, load_config
 from smsflow.llm import ChatCompletionModel, ScriptedModel
+from smsflow.messages import OUTBOUND_TOPIC
 from smsflow.harness import (
     OUTCOME_NAMES,
     load_corpus,
@@ -236,6 +239,30 @@ def test_demo_run_directory_bytes_are_pinned(tmp_path):
         if path.is_file()
     }
     assert digests == DEMO_RUN_DIR_SHA256
+
+
+def test_demo_run_builds_an_output_curve_only_for_a_centroid(monkeypatch):
+    calls = {"aggregate": 0, "defuzzify_cog": 0}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(inference, "aggregate")
+    count(validator, "defuzzify_cog")
+    _demo_run(None)
+    assert calls == {"aggregate": 2, "defuzzify_cog": 2}
+
+
+def test_demo_run_publishes_nothing_to_the_outbound_topic():
+    pipeline = _demo_run(None).pipeline
+    assert pipeline.store.outbound_sms.read_all()
+    assert pipeline.pool.head(OUTBOUND_TOPIC) == -1
 
 
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")

@@ -1,6 +1,6 @@
 import pytest
 
-from smsflow.messages import INCOMING_TOPIC, OUTBOUND_TOPIC
+from smsflow.messages import INCOMING_TOPIC
 from smsflow.pool import MessagePool
 from smsflow.store import (
     CustomerAuthTable,
@@ -96,19 +96,17 @@ def test_overwriting_an_original_is_idempotent():
     assert store.fetch_original("E1") == "same"
 
 
-def test_send_sms_records_kind_and_publishes():
-    store, pool = RunStore(), MessagePool()
-    sub = pool.subscribe(OUTBOUND_TOPIC)
-    outbound = OutboundSmsGateway(store, pool)
+def test_send_sms_records_kind():
+    store = RunStore()
+    outbound = OutboundSmsGateway(store)
     outbound.send_sms("C1001", "call us", "contact-support", "E1")
     outbound.send_sms("C1001", "confirm?", "confirm-stop", "E1")
     records = store.outbound_sms.read_all()
     assert [r["kind"] for r in records] == ["contact-support", "confirm-stop"]
-    assert len(sub.poll(10)) == 2
 
 
 def test_unknown_sms_kind_rejected():
-    outbound = OutboundSmsGateway(RunStore(), MessagePool())
+    outbound = OutboundSmsGateway(RunStore())
     with pytest.raises(ValueError):
         outbound.send_sms("C1001", "hi", "postcard")
 
