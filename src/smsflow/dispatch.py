@@ -13,7 +13,7 @@ from typing import Protocol
 
 import yaml
 
-from .messages import get_path
+from .messages import event_and_step
 from .pool import Envelope, MetadataFilter, Subscription
 from .store import RunStore, TERMINAL_UNROUTED
 
@@ -109,6 +109,7 @@ class Dispatcher:
         self.name = name
         self.registry = registry
         self.routes = [(MetadataFilter(rule.conditions), rule.qualifier) for rule in rules]
+        self.always_on = sorted(set(registry.always_on))
         self.subscription = subscription
         self.store = store
 
@@ -125,12 +126,10 @@ class Dispatcher:
         for condition, qualifier in self.routes:
             if condition.matches(doc) and qualifier not in matched:
                 matched.append(qualifier)
-        always = sorted(set(self.registry.always_on))
-        workers = [q for q in matched if q not in always]
-        invoked = always + workers
+        workers = [q for q in matched if q not in self.always_on]
+        invoked = self.always_on + workers
 
-        event_id = get_path(doc, "metadata.eventId") or ""
-        step = get_path(doc, "metadata.stepId") or ""
+        event_id, step = event_and_step(doc)
         for qualifier in invoked:
             agent = self.registry.resolve(qualifier)
             try:

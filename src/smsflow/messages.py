@@ -38,8 +38,21 @@ def get_path(doc: Any, path: str) -> Any:
     return node
 
 
+def event_and_step(doc: Any) -> tuple[str, str]:
+    """The payload's ``metadata.eventId`` and ``metadata.stepId``, "" for each one missing."""
+    meta = doc.get("metadata") if isinstance(doc, dict) else None
+    if not isinstance(meta, dict):
+        return "", ""
+    return meta.get("eventId") or "", meta.get("stepId") or ""
+
+
+# One encoder for every digest: ``json.dumps`` with non-default options builds
+# a new one per call.  Encoding keeps no state between calls.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(doc)
 
 
 def payload_digest(doc: Any) -> str:

@@ -29,7 +29,7 @@ from .messages import (
     INCOMING_TOPIC,
     STEP_PARSED,
     STEP_VALIDATED,
-    get_path,
+    event_and_step,
 )
 from .pool import MessagePool, MetadataFilter
 from .renewal import RenewalAgent
@@ -55,8 +55,7 @@ class MessageTrackingAgent:
 
     def handle(self, envelope) -> None:
         doc = envelope.payload
-        event_id = get_path(doc, "metadata.eventId") or ""
-        step = get_path(doc, "metadata.stepId") or ""
+        event_id, step = event_and_step(doc)
         self.store.record_step(event_id, step, self.qualifier, "observed", payload=doc)
 
 

@@ -7,10 +7,8 @@ filtered by equality tests on metadata paths; agents pull with ``poll``.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
-
-from .messages import get_path
 
 
 @dataclass(frozen=True)
@@ -22,12 +20,31 @@ class Envelope:
 
 @dataclass(frozen=True)
 class MetadataFilter:
-    """Conjunction of string-equality tests on dotted payload paths."""
+    """Conjunction of string-equality tests on dotted payload paths.
+
+    Each path is split once, at construction.  ``matches`` agrees with
+    ``all(messages.get_path(payload, key) == value ...)``: a missing hop or a
+    non-dict node reads as None, so that test fails.
+    """
 
     conditions: tuple[tuple[str, str], ...]
+    _tests: tuple[tuple[tuple[str, ...], str], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_tests", tuple((tuple(key.split(".")), value) for key, value in self.conditions)
+        )
 
     def matches(self, payload: Any) -> bool:
-        return all(get_path(payload, key) == value for key, value in self.conditions)
+        for parts, value in self._tests:
+            node = payload
+            for part in parts:
+                node = node.get(part) if isinstance(node, dict) else None
+            if node != value:
+                return False
+        return True
 
 
 class Subscription:

@@ -61,11 +61,27 @@ class KeywordLexicon:
     # Compiled once here: every parsed SMS and every model reading splits on them.
     segment_split: re.Pattern = field(init=False, repr=False, compare=False)
     politeness_res: tuple[re.Pattern, ...] = field(init=False, repr=False, compare=False)
+    # Lowercased literal pattern -> index of its first entry, and the
+    # (index, entry) pairs of every other entry; see match_token.
+    literal_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    regex_entries: tuple[tuple[int, LexiconEntry], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         canonicals = [e.canonical for e in self.entries]
         if len(set(canonicals)) != len(canonicals):
             raise LexiconError("canonical keywords must be unique")
+        literal_index: dict[str, int] = {}
+        regex_entries = []
+        for i, entry in enumerate(self.entries):
+            p = entry.pattern
+            if p.isascii() and re.escape(p) == p:
+                literal_index.setdefault(p.lower(), i)
+            else:
+                regex_entries.append((i, entry))
+        object.__setattr__(self, "literal_index", literal_index)
+        object.__setattr__(self, "regex_entries", tuple(regex_entries))
         object.__setattr__(
             self, "segment_split", re.compile("[" + re.escape(self.delimiters) + "]")
         )
@@ -78,10 +94,27 @@ class KeywordLexicon:
         ))
 
     def match_token(self, token: str) -> LexiconEntry | None:
-        for entry in self.entries:
+        """The first entry whose pattern matches the whole token, case-insensitively.
+
+        First entry wins.  For an ASCII token, a literal entry (ASCII pattern
+        with no regex syntax) matches exactly when the lowercased token equals
+        its lowercased pattern, so those entries are one dict lookup and only
+        the regex entries before the hit are tried.  A non-ASCII token scans
+        every entry, because IGNORECASE folds case beyond ``lower()``: it
+        matches ``ſ`` to ``s`` and ``ı`` to ``i``.
+        """
+        if not token.isascii():
+            for entry in self.entries:
+                if entry.matches(token):
+                    return entry
+            return None
+        hit = self.literal_index.get(token.lower())
+        for i, entry in self.regex_entries:
+            if hit is not None and i > hit:
+                break
             if entry.matches(token):
                 return entry
-        return None
+        return None if hit is None else self.entries[hit]
 
     def canonicals(self) -> list[str]:
         return [e.canonical for e in self.entries]

@@ -71,6 +71,11 @@ class LogicalClock:
         return self._iso
 
 
+# Shared by every log, as ``json.dumps(record, sort_keys=True)`` would build
+# one encoder per record; encoding keeps no state between calls.
+_JSONL = json.JSONEncoder(sort_keys=True)
+
+
 class JsonlLog:
     """Append-only record log, optionally mirrored to a .jsonl file.
 
@@ -89,7 +94,7 @@ class JsonlLog:
     def append(self, record: dict) -> int:
         with self._lock:
             if self._file is not None:
-                self._file.write(json.dumps(record, sort_keys=True) + "\n")
+                self._file.write(_JSONL.encode(record) + "\n")
                 self._file.flush()
             self._records.append(record)
             return len(self._records) - 1

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smsflow.dispatch import (
     AgentRegistry,
@@ -9,6 +10,7 @@ from smsflow.dispatch import (
     ServiceRule,
     load_rules,
 )
+from smsflow.messages import get_path
 from smsflow.pool import MessagePool, MetadataFilter
 from smsflow.store import RunStore
 
@@ -200,3 +202,33 @@ def test_adding_a_rule_never_removes_matches():
         extra = ServiceRule("extra", "Qx", ((rng.choice(keys), rng.choice(values)),))
         grown = {r.qualifier for r in rules + [extra] if MetadataFilter(r.conditions).matches(event)}
         assert base <= grown
+
+
+_KEYS = st.sampled_from(["metadata", "stepId", "a"])
+_VALUES = ["S001", "1", "true"]
+_DOCS = st.recursive(
+    st.one_of(st.none(), st.integers(0, 2), st.booleans(), st.sampled_from(_VALUES),
+              st.lists(st.sampled_from(_VALUES), max_size=2)),
+    lambda children: st.dictionaries(_KEYS, children, max_size=3),
+    max_leaves=12,
+)
+_CONDITIONS = st.lists(
+    st.tuples(st.lists(_KEYS, min_size=1, max_size=3).map(".".join), st.sampled_from(_VALUES)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(conditions=_CONDITIONS, doc=_DOCS)
+def test_metadata_filter_agrees_with_get_path(conditions, doc):
+    expected = all(get_path(doc, key) == value for key, value in conditions)
+    assert MetadataFilter(tuple(conditions)).matches(doc) == expected
+
+
+def test_payload_without_metadata_is_dispatched_without_an_unrouted_step():
+    rules = [ServiceRule("A", "X", (("metadata.type", "renewal"),))]
+    dispatcher, _, store = _dispatcher(rules, [Recorder("X")])
+    for payload in ({}, {"metadata": "S001"}, {"type": "renewal"}, "text", None):
+        assert dispatcher.dispatch(_Envelope(payload)) == set()
+    assert store.steps.read_all() == []

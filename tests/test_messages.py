@@ -3,6 +3,7 @@ from smsflow.messages import (
     Metadata,
     RenewalProcessed,
     SmsEvent,
+    event_and_step,
     get_path,
     payload_digest,
     step_id,
@@ -32,6 +33,13 @@ def test_get_path_walks_nested_dicts():
     assert get_path(doc, "metadata.missing") is None
     assert get_path(doc, "metadata.type.deeper") is None
     assert get_path(doc, "nope") is None
+
+
+def test_event_and_step_read_the_metadata_ids():
+    assert event_and_step({"metadata": {"eventId": "A1", "stepId": "S001"}}) == ("A1", "S001")
+    assert event_and_step({"metadata": {"eventId": "A1", "stepId": None}}) == ("A1", "")
+    for doc in ({}, {"metadata": "A1"}, None, "text"):
+        assert event_and_step(doc) == ("", "")
 
 
 def test_parsed_document_uses_the_declared_field_names():

@@ -2,11 +2,12 @@ import random
 import string
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smsflow.messages import AGENTS_TOPIC, Metadata, SmsEvent
 from smsflow.pool import MessagePool
 from smsflow.renewal import (
+    POLARITIES,
     KeywordLexicon,
     LexiconEntry,
     LexiconError,
@@ -243,3 +244,32 @@ def test_full_match_iff_every_token_matches(words):
     conf = compute_confidence(result.matched, result.total, _CONFIG.confidence_var)
     all_match = all(lex.match_token(t) for seg in segments for t in seg)
     assert conf.is_full_match() == all_match
+
+
+# Literal patterns (plain text) and regex patterns, in mixed case: a regex
+# such as "st[o0]p" placed before the literal "stop" must still win.
+_PATTERNS = [
+    "stop", "STOP", "Stop", "renew", "RENEW", "k", "1", "enroll", "i",
+    r"st[o0]p", r"renew(al)?", r"\d", r"[a-z]{2,4}", r"S.*", "K+", "ſtop", "ı",
+]
+_TOKENS = st.one_of(
+    st.sampled_from(_PATTERNS).flatmap(
+        lambda p: st.sampled_from([p, p.upper(), p.lower(), p.swapcase(), p.title()])
+    ),
+    st.text(alphabet="sStTopPrReEnNwWkKiI10ſKıİ.", min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterns=st.lists(st.sampled_from(_PATTERNS), max_size=8), token=_TOKENS)
+@example(patterns=["stop"], token="ſtop")
+@example(patterns=["k"], token="\u212a")
+@example(patterns=["renew"], token="RENEW")
+@example(patterns=[r"st[o0]p", "stop"], token="STOP")
+@example(patterns=["i", "I"], token="ı")
+def test_match_token_agrees_with_a_linear_scan(patterns, token):
+    lex = KeywordLexicon(tuple(
+        LexiconEntry(p, f"kw{i}", POLARITIES[i % 2]) for i, p in enumerate(patterns)
+    ))
+    expected = next((e for e in lex.entries if e.matches(token)), None)
+    assert lex.match_token(token) is expected
