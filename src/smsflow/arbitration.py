@@ -22,7 +22,6 @@ from .pool import Envelope, MessagePool
 from .store import (
     CONTACT_SUPPORT_TEXT,
     OutboundSmsGateway,
-    PharmacyAction,
     PharmacyClient,
     RunStore,
     TERMINAL_DONE,
@@ -146,13 +145,7 @@ def evaluate(
             payload={"activations": decision.activations, "importance": decision.importance},
         )
         if decision.action == ACTION_PROCESS_DIRECT:
-            applied = []
-            for keyword in msg.renew:
-                pharmacy.apply(PharmacyAction(event_id, customer_id, keyword, "renew"))
-                applied.append(keyword)
-            for keyword in msg.stop:
-                pharmacy.apply(PharmacyAction(event_id, customer_id, keyword, "stop"))
-                applied.append(keyword)
+            applied = pharmacy.apply_keywords(event_id, customer_id, msg.renew, msg.stop)
             store.record_step(event_id, STEP_PARSED, "EvaluatorAgent", f"pharmacy-applied:{applied}")
             store.record_step(event_id, STEP_PARSED, "EvaluatorAgent", TERMINAL_DONE, terminal=True)
         elif decision.action == ACTION_FORWARD:

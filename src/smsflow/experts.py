@@ -149,9 +149,7 @@ class StoreDocument:
     answer: str
 
 
-def answer_store_question(
-    question: str, documents: list[StoreDocument], min_overlap: int = 1
-) -> str:
+def answer_store_question(question: str, documents: list[StoreDocument]) -> str:
     """Answer from the document with the best content-token overlap."""
     stop = {"what", "are", "your", "the", "of", "is", "a", "an", "do", "you", "have", "i", "my", "to"}
     q_tokens = set(_item_tokens(question)) - stop
@@ -162,7 +160,7 @@ def answer_store_question(
         if score > best_score:
             best_score = score
             best_doc = doc
-    if best_doc is None or best_score < min_overlap:
+    if best_doc is None:
         return REFERRAL_ANSWER
     return best_doc.answer
 
@@ -313,16 +311,14 @@ class RouterAgent:
         availability: AvailabilityStore,
         store: RunStore,
         outbound: OutboundSmsGateway,
-        router_model=None,
-        scheduler_model=None,
     ):
         self.registrations = registrations
         self.documents = documents
         self.availability = availability
         self.store = store
         self.outbound = outbound
-        self.router_model = router_model or ScriptedRouterModel()
-        self.scheduler_model = scheduler_model or ScriptedSchedulerModel()
+        self.router_model = ScriptedRouterModel()
+        self.scheduler_model = ScriptedSchedulerModel()
         self._by_qualifier = {r.qualifier: r for r in registrations}
 
     def handle(self, envelope: Envelope) -> None:

@@ -20,7 +20,7 @@ from .messages import (
     AGENTS_TOPIC,
     STEP_LLM_EXTRACTED,
     LlmExtraction,
-    RenewalProcessed,
+    Metadata,
 )
 from .pool import Envelope, MessagePool
 from .renewal import KeywordLexicon, sentence_tokens, split_sentences, tokens_of
@@ -353,49 +353,51 @@ class ChatCompletionModel:
 
 
 def run_llm_stage(
-    msg: RenewalProcessed,
+    parsed: dict,
     models: list,
     lexicon: KeywordLexicon,
     faults: FaultPlan,
     store: RunStore,
     pool: MessagePool,
     executor: Executor | None = None,
-) -> list[dict]:
-    """Run both configured models on one forwarded message.
+) -> dict:
+    """Run both configured models on one forwarded S002 document.
 
-    Always publishes exactly two stage-S003 documents: an extraction per
-    healthy model and an explicit failure marker otherwise, so the validator
-    can fail over without waiting.  Documents and step records follow the
-    model order, also when ``executor`` overlaps the two calls.
+    Publishes one stage-S003 document holding ``parsed`` as received, the
+    ``attempt`` the models ran at and ``responses``: per model, in model
+    order also when ``executor`` overlaps the two calls, an extraction or an
+    explicit failure marker.  The validator decides the event from that
+    document alone.  An exception other than a model error leaves the stage
+    before anything is published.
     """
     if len(models) != 2:
         raise ValueError(f"the extraction stage needs exactly two models, got {len(models)}")
-    event_id = msg.metadata.event_id
+    metadata = Metadata.from_doc(parsed["metadata"])
+    event_id = metadata.event_id
     attempt = 1 + store.retry_count(event_id)
     original = store.fetch_original(event_id)
 
     def extract(model):
         return model.extract(original, lexicon, event_id=event_id, attempt=attempt, faults=faults)
 
-    published = []
+    responses = []
     for model, extraction in model_results(extract, models, executor):
-        metadata = msg.metadata.at_step(STEP_LLM_EXTRACTED, last_update=store.clock.now_iso())
         if isinstance(extraction, MODEL_ERRORS):
-            doc = {
-                "metadata": metadata.to_doc(),
-                "model_id": model.model_id,
-                "failed": True,
-                "reason": str(extraction),
-            }
+            responses.append({"model_id": model.model_id, "failed": True, "reason": str(extraction)})
             store.record_step(
                 event_id, STEP_LLM_EXTRACTED, "LlmAgent",
                 f"extraction-failure:{model.model_id}: {extraction}",
             )
         else:
-            doc = {"metadata": metadata.to_doc(), "model_id": model.model_id, **extraction.to_doc()}
-        pool.publish(AGENTS_TOPIC, doc)
-        published.append(doc)
-    return published
+            responses.append({"model_id": model.model_id, **extraction.to_doc()})
+    doc = {
+        "metadata": metadata.at_step(STEP_LLM_EXTRACTED, last_update=store.clock.now_iso()).to_doc(),
+        "parsed": parsed,
+        "attempt": attempt,
+        "responses": responses,
+    }
+    pool.publish(AGENTS_TOPIC, doc)
+    return doc
 
 
 class LlmAgent:
@@ -420,7 +422,7 @@ class LlmAgent:
         self.executor = executor
 
     def handle(self, envelope: Envelope) -> None:
-        msg = RenewalProcessed.from_doc(envelope.payload)
         run_llm_stage(
-            msg, self.models, self.lexicon, self.faults, self.store, self.pool, self.executor
+            envelope.payload, self.models, self.lexicon, self.faults, self.store, self.pool,
+            self.executor,
         )

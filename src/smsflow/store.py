@@ -160,8 +160,6 @@ class RunStore:
         self.auth_failures = _log("auth_failures.jsonl")
         self._queues: dict[str, JsonlLog] = {}
         self._queues_lock = threading.Lock()
-        self._applied_actions: set[tuple[str, str]] = set()
-        self._pharmacy_lock = threading.Lock()
 
     # -- per-event serialization point ------------------------------------
 
@@ -343,13 +341,15 @@ class PharmacyClient:
 
     def __init__(self, store: RunStore):
         self.store = store
+        self._applied: set[tuple[str, str]] = set()
+        self._lock = threading.Lock()
 
     def apply(self, action: PharmacyAction) -> str:
         key = (action.event_id, action.keyword)
-        with self.store._pharmacy_lock:
-            if key in self.store._applied_actions:
+        with self._lock:
+            if key in self._applied:
                 return "duplicate"
-            self.store._applied_actions.add(key)
+            self._applied.add(key)
         self.store.pharmacy.append(
             {
                 "eventId": action.event_id,
@@ -360,6 +360,16 @@ class PharmacyClient:
             }
         )
         return "applied"
+
+    def apply_keywords(
+        self, event_id: str, customer_id: str, renew: list[str], stop: list[str]
+    ) -> list[str]:
+        """Apply every renew keyword, then every stop keyword; returns them in that order."""
+        for keyword in renew:
+            self.apply(PharmacyAction(event_id, customer_id, keyword, "renew"))
+        for keyword in stop:
+            self.apply(PharmacyAction(event_id, customer_id, keyword, "stop"))
+        return [*renew, *stop]
 
     def applied_keywords(self, event_id: str) -> list[str]:
         return [r["keyword"] for r in self.store.pharmacy.read_all() if r["eventId"] == event_id]

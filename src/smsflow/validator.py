@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import Executor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .fuzzy import FuzzySystem, ZeroActivationError, defuzzify_cog
@@ -17,18 +17,17 @@ from .llm import MODEL_ERRORS, model_results
 from .messages import (
     AGENTS_TOPIC,
     STEP_LLM_EXTRACTED,
-    STEP_LLM_REQUESTED,
     STEP_VALIDATED,
     LlmExtraction,
     Metadata,
     RenewalProcessed,
+    event_and_step,
 )
 from .pool import Envelope, MessagePool
 from .renewal import KeywordLexicon, tokens_of
 from .store import (
     CONTACT_SUPPORT_TEXT,
     OutboundSmsGateway,
-    PharmacyAction,
     PharmacyClient,
     RunStore,
 )
@@ -84,12 +83,6 @@ class KeywordVerdict:
     outcome: str
     risk: float | None = None
 
-    @property
-    def accepted_keywords(self) -> list[str]:
-        if self.accepted is None:
-            return []
-        return list(self.accepted[0]) + list(self.accepted[1])
-
 
 @dataclass(frozen=True)
 class StopRiskInputs:
@@ -142,8 +135,8 @@ class StopRiskAssessor:
 
     system: FuzzySystem
     threshold: float
-    by_keyword: dict[str, StopRiskInputs] = field(default_factory=dict)
-    default: StopRiskInputs = StopRiskInputs(criticality=8.0, duration_months=24.0, chronic=True)
+    by_keyword: dict[str, StopRiskInputs]
+    default: StopRiskInputs
 
     def inputs_for(self, canonical: str) -> StopRiskInputs:
         return self.by_keyword.get(canonical, self.default)
@@ -250,7 +243,12 @@ def validate_extraction(
 
 
 class ValidatorAgent:
-    """Collects the per-model stage outputs and issues the final verdicts."""
+    """Issues the final verdicts, one per S003 document of the extraction stage.
+
+    Each document carries all an event's verdict needs (the parsed claims,
+    the attempt and both model responses), so the agent keeps no per-event
+    state between calls.
+    """
 
     qualifier = "ValidatorAgent"
 
@@ -275,34 +273,24 @@ class ValidatorAgent:
         self.pharmacy = pharmacy
         self.outbound = outbound
         self.executor = executor
-        # eventId -> the parsed document under its step id, extractions under their model id.
-        self._pending: dict[str, dict[str, dict]] = {}
 
     def handle(self, envelope: Envelope) -> None:
-        """Join an event's parsed document and extractions in any order; the last one in decides."""
+        """Decide the event of an S003 document; any other document is ignored."""
         doc = envelope.payload
-        step = doc["metadata"]["stepId"]
-        if step not in (STEP_LLM_REQUESTED, STEP_LLM_EXTRACTED):
+        event_id, step = event_and_step(doc)
+        if step != STEP_LLM_EXTRACTED:
             return
-        key = doc["model_id"] if step == STEP_LLM_EXTRACTED else step
-        event_id = doc["metadata"]["eventId"]
         with self.store.event_lock(event_id):
-            entry = self._pending.setdefault(event_id, {})
-            entry[key] = doc
-            if len(entry) <= len(self.model_order):
-                return
-            del self._pending[event_id]
-            self._finalize(event_id, entry.pop(STEP_LLM_REQUESTED), entry)
+            self._decide(event_id, doc)
 
-    def _finalize(self, event_id: str, parsed_doc: dict, response_docs: dict[str, dict]) -> None:
+    def _decide(self, event_id: str, doc: dict) -> None:
         original = self.store.fetch_original(event_id)  # MissingOriginalError is fatal by design
-        ra = RenewalProcessed.from_doc(parsed_doc)
-        ordered = [ModelResponse.from_doc(response_docs[m]) for m in self.model_order]
-        attempt = 1 + self.store.retry_count(event_id)
+        ra = RenewalProcessed.from_doc(doc["parsed"])
+        a, b = (ModelResponse.from_doc(r) for r in doc["responses"])
+        attempt = doc["attempt"]
 
         verdict = validate_keywords(
-            ra, ordered[0], ordered[1], original, attempt,
-            lexicon=self.lexicon, stop_risk=self.risk.assess_keyword,
+            ra, a, b, original, attempt, lexicon=self.lexicon, stop_risk=self.risk.assess_keyword,
         )
         for discard in verdict.discarded:
             self.store.record_step(
@@ -312,7 +300,7 @@ class ValidatorAgent:
 
         if verdict.outcome == OUTCOME_RETRY:
             self.store.record_step(event_id, STEP_LLM_EXTRACTED, self.qualifier, "retry-requested")
-            self.pool.publish(AGENTS_TOPIC, parsed_doc)
+            self.pool.publish(AGENTS_TOPIC, doc["parsed"])
             return
 
         customer_id = ra.metadata.customer_id
@@ -321,14 +309,9 @@ class ValidatorAgent:
             self.outbound.send_sms(customer_id, CONTACT_SUPPORT_TEXT, "contact-support", event_id)
         else:
             if verdict.outcome == OUTCOME_PROCESS:
-                accepted_renew, accepted_stop = verdict.accepted
-                for keyword in accepted_renew:
-                    self.pharmacy.apply(PharmacyAction(event_id, customer_id, keyword, "renew"))
-                for keyword in accepted_stop:
-                    self.pharmacy.apply(PharmacyAction(event_id, customer_id, keyword, "stop"))
+                applied = self.pharmacy.apply_keywords(event_id, customer_id, *verdict.accepted)
                 self.store.record_step(
-                    event_id, STEP_VALIDATED, self.qualifier,
-                    f"pharmacy-applied:{verdict.accepted_keywords}",
+                    event_id, STEP_VALIDATED, self.qualifier, f"pharmacy-applied:{applied}"
                 )
             else:  # confirm-then-process
                 self.outbound.send_sms(customer_id, CONFIRM_STOP_TEXT, "confirm-stop", event_id)
@@ -337,8 +320,8 @@ class ValidatorAgent:
                     f"confirmation-requested risk={verdict.risk}",
                 )
             extraction_verdict = validate_extraction(
-                original, ordered[0], ordered[1],
-                self.models_by_id, self.model_order, self.lexicon, event_id, self.executor,
+                original, a, b, self.models_by_id, self.model_order, self.lexicon, event_id,
+                self.executor,
             )
             if extraction_verdict.outcome == EXTRACTION_FAIL:
                 self.outbound.send_sms(customer_id, CONTACT_SUPPORT_TEXT, "contact-support", event_id)

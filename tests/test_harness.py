@@ -190,21 +190,27 @@ def test_demo_report_bytes_are_pinned():
 
 
 def test_demo_report_does_not_depend_on_the_validator_rule_order(tmp_path):
-    bundle = yaml.safe_load(Path(default_config_path()).read_text())
-    rules = bundle["arbitration"]["services"]["rules"]
-    snapshot = next(r for r in rules if r["name"] == "ValidatorParsedSnapshot")
-    rules.remove(snapshot)
-    rules.insert(1 + next(i for i, r in enumerate(rules) if r["name"] == "LlmExtractionStage"), snapshot)
-    names = [r["name"] for r in rules]
-    assert names.index("ValidatorParsedSnapshot") == names.index("LlmExtractionStage") + 1
-    config_path = tmp_path / "config.yaml"
-    config_path.write_text(yaml.safe_dump(bundle))
+    # Older bundles also delivered the parsed document (S002) to the validator,
+    # before or after the extraction stage; the validator ignores it either way.
+    snapshot = {
+        "name": "ValidatorParsedSnapshot",
+        "qualifier": "ValidatorAgent",
+        "conditions": [{"key": "metadata.stepId", "value": "S002"}],
+    }
     corpus = load_corpus(default_corpus_path())
-    result = run_pipeline(
-        load_config(config_path), corpus, seed=1, add_keyword_rate=0.1, drop_keyword_rate=0.1
-    )
-    rendered = render_report_json(result.report).encode("utf-8")
-    assert hashlib.sha256(rendered).hexdigest() == DEMO_REPORT_SHA256
+    for offset in (0, 1):
+        bundle = yaml.safe_load(Path(default_config_path()).read_text())
+        rules = bundle["arbitration"]["services"]["rules"]
+        assert snapshot["name"] not in [r["name"] for r in rules]
+        stage = next(i for i, r in enumerate(rules) if r["name"] == "LlmExtractionStage")
+        rules.insert(stage + offset, snapshot)
+        config_path = tmp_path / f"config-{offset}.yaml"
+        config_path.write_text(yaml.safe_dump(bundle))
+        result = run_pipeline(
+            load_config(config_path), corpus, seed=1, add_keyword_rate=0.1, drop_keyword_rate=0.1
+        )
+        rendered = render_report_json(result.report).encode("utf-8")
+        assert hashlib.sha256(rendered).hexdigest() == DEMO_REPORT_SHA256
 
 
 # SHA-256 of every file run_pipeline writes for the demo corpus at seed 1
@@ -219,7 +225,7 @@ DEMO_RUN_DIR_SHA256 = {
     "queues/pharmacist.jsonl": "e27007b1f68f38ff105c98376c8d236d10c4aa9f6cc3caaae00a18850c1ba920",
     "report.json": DEMO_REPORT_SHA256,
     "report.txt": "799139389a663a69bf2dd93ed0df78f36a7adb4c92109351840462bf001d35f6",
-    "steps.jsonl": "41dfdd82608ec808226e7a59ffe99471d506610b43f74c2475a4447d8f8aee7e",
+    "steps.jsonl": "3b37338e72f783b872825088ab9e2c931b64eb18872c9f859ed7416587ca0919",
 }
 
 
@@ -395,7 +401,10 @@ def test_retried_event_shows_two_extraction_rounds():
     history = result.pipeline.store.get_history("A1001")
     observed = [r["stepId"] for r in history if r["note"] == "observed"]
     assert observed.count("S002") == 2
-    assert observed.count("S003") == 4
+    assert observed.count("S003") == 2
+    # The retry republishes the parsed document unchanged.
+    parsed = {r["digest"] for r in history if r["note"] == "observed" and r["stepId"] == "S002"}
+    assert len(parsed) == 1
 
 
 def test_store_and_scheduling_experts_end_to_end():

@@ -23,7 +23,7 @@ from smsflow.messages import (
     Metadata,
     RenewalProcessed,
 )
-from smsflow.pool import MessagePool, MetadataFilter
+from smsflow.pool import MessagePool
 from smsflow.store import RunStore
 
 MSG1 = (
@@ -186,7 +186,7 @@ def _s002(event_id="A1001"):
         renew=["1"],
         stop=[],
         confidence=DegreeOfConfidence(0.0, 0.0, 1.0),
-    )
+    ).to_doc()
 
 
 class UnavailableModel:
@@ -196,16 +196,18 @@ class UnavailableModel:
         raise BackendUnavailableError("offline")
 
 
-def test_stage_publishes_two_documents(lexicon):
+def test_stage_publishes_one_document(lexicon):
     store, pool = RunStore(), MessagePool()
     store.store_original("A1001", "Could you please do 1")
-    sub = pool.subscribe(AGENTS_TOPIC, MetadataFilter((("metadata.stepId", "S003"),)))
-    run_llm_stage(_s002(), [ScriptedModel("alpha"), ScriptedModel("beta")],
+    sub = pool.subscribe(AGENTS_TOPIC)
+    parsed = _s002()
+    run_llm_stage(parsed, [ScriptedModel("alpha"), ScriptedModel("beta")],
                   lexicon, FaultPlan(), store, pool)
-    docs = [e.payload for e in sub.poll(10)]
-    assert [d["model_id"] for d in docs] == ["alpha", "beta"]
-    assert all(d["metadata"]["stepId"] == "S003" for d in docs)
-    assert all(d["renew"] == ["1"] for d in docs)
+    [doc] = [e.payload for e in sub.poll(10)]
+    assert doc["metadata"]["stepId"] == "S003" and doc["metadata"]["eventId"] == "A1001"
+    assert doc["parsed"] is parsed and doc["attempt"] == 1
+    assert [r["model_id"] for r in doc["responses"]] == ["alpha", "beta"]
+    assert all(r["renew"] == ["1"] for r in doc["responses"])
 
 
 def test_stage_needs_exactly_two_models(lexicon):
@@ -221,10 +223,10 @@ def test_model_failure_publishes_an_explicit_marker(lexicon):
     sub = pool.subscribe(AGENTS_TOPIC)
     run_llm_stage(_s002(), [ScriptedModel("alpha"), UnavailableModel()],
                   lexicon, FaultPlan(), store, pool)
-    docs = [e.payload for e in sub.poll(10)]
-    assert len(docs) == 2
-    marker = docs[1]
-    assert marker["failed"] is True and marker["model_id"] == "beta"
+    [doc] = [e.payload for e in sub.poll(10)]
+    extraction, marker = doc["responses"]
+    assert extraction["model_id"] == "alpha" and "failed" not in extraction
+    assert marker == {"model_id": "beta", "failed": True, "reason": "offline"}
 
 
 def test_retry_advances_the_fault_schedule(lexicon):
@@ -236,14 +238,16 @@ def test_retry_advances_the_fault_schedule(lexicon):
     models = [ScriptedModel("alpha"), ScriptedModel("beta")]
 
     run_llm_stage(_s002(), models, lexicon, plan, store, pool)
-    first = [e.payload for e in sub.poll(10)]
+    [first] = [e.payload for e in sub.poll(10)]
     store.record_step("A1001", "S003", "ValidatorAgent", "retry-requested")
     run_llm_stage(_s002(), models, lexicon, plan, store, pool)
-    second = [e.payload for e in sub.poll(10)]
+    [second] = [e.payload for e in sub.poll(10)]
 
-    assert first[0]["renew"] == []  # dropped on attempt 1
-    assert second[0]["renew"] == ["1"]  # fresh draw on attempt 2
-    assert first[1]["renew"] == second[1]["renew"] == ["1"]
+    assert (first["attempt"], second["attempt"]) == (1, 2)
+    (alpha1, beta1), (alpha2, beta2) = first["responses"], second["responses"]
+    assert alpha1["renew"] == []  # dropped on attempt 1
+    assert alpha2["renew"] == ["1"]  # fresh draw on attempt 2
+    assert beta1["renew"] == beta2["renew"] == ["1"]
 
 
 # -- overlapped model calls ----------------------------------------------------
@@ -261,8 +265,8 @@ def test_stage_overlaps_the_two_extractions(lexicon, executor):
     models = chat_models(lexicon, barrier=barrier)
     store, pool = RunStore(), MessagePool()
     store.store_original("A1001", "Could you please do 1")
-    docs = run_llm_stage(_s002(), models, lexicon, FaultPlan(), store, pool, executor)
-    assert [d["renew"] for d in docs] == [["1"], ["1"]]
+    doc = run_llm_stage(_s002(), models, lexicon, FaultPlan(), store, pool, executor)
+    assert [r["renew"] for r in doc["responses"]] == [["1"], ["1"]]
     assert not barrier.broken
 
 
@@ -273,7 +277,8 @@ def test_stage_output_follows_model_order_when_the_second_answers_first(lexicon,
     slow, fast = chat_models(lexicon, error=BackendUnavailableError("offline"))
     slow._transport.delay = 0.02
     run_llm_stage(_s002(), [slow, fast], lexicon, FaultPlan(), store, pool, executor)
-    assert [e.payload["model_id"] for e in sub.poll(10)] == ["alpha", "beta"]
+    [doc] = [e.payload for e in sub.poll(10)]
+    assert [r["model_id"] for r in doc["responses"]] == ["alpha", "beta"]
     notes = [r["note"] for r in store.get_history("A1001")]
     assert notes == ["extraction-failure:alpha: offline", "extraction-failure:beta: offline"]
 
@@ -314,15 +319,17 @@ def test_unexpected_error_of_the_first_model_publishes_nothing(lexicon, executor
 
 
 @pytest.mark.parametrize("overlapped", [False, True])
-def test_unexpected_error_of_the_second_model_follows_the_first_document(lexicon, executor, overlapped):
+def test_unexpected_error_of_the_second_model_publishes_nothing(lexicon, executor, overlapped):
     store, pool = RunStore(), MessagePool()
     store.store_original("A1001", "Could you please do 1")
     sub = pool.subscribe(AGENTS_TOPIC)
-    models = [_SlowModel("alpha", delay=0.02), _RaisingModel("beta")]
+    first = _SlowModel("alpha", delay=0.02)
+    models = [first, _RaisingModel("beta")]
     with pytest.raises(TimeoutError, match="beta"):
         run_llm_stage(_s002(), models, lexicon, FaultPlan(), store, pool,
                       executor if overlapped else None)
-    assert [e.payload["model_id"] for e in sub.poll(10)] == ["alpha"]
+    assert sub.poll(10) == []
+    assert first.finished.is_set()
 
 
 # -- HTTP adapter seam --------------------------------------------------------
