@@ -13,6 +13,7 @@ from pathlib import Path
 from .config import ConfigError, default_config_path, load_config
 from .harness import (
     load_corpus,
+    render_report_json,
     render_report_table,
     run_pipeline,
     soundness_violations,
@@ -109,7 +110,7 @@ def _cmd_report(args) -> int:
         print(f"no run found at {args.run}", file=sys.stderr)
         return EXIT_USAGE
     summary = summarize_run(args.run)
-    print(json.dumps(summary, sort_keys=True, indent=2))
+    sys.stdout.write(render_report_json(summary))
     violations = soundness_violations(args.run)
     if violations:
         print(f"soundness violations: {json.dumps(violations)}", file=sys.stderr)

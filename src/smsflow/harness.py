@@ -109,7 +109,60 @@ def run_pipeline(
 
 
 def render_report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The report as JSON plus a newline, byte-identical to ``json.dumps``
+    with ``sort_keys=True`` and ``indent=2``.
+
+    With an indent, ``json.dumps`` leaves its C encoder for a pure-Python
+    one that runs a generator per container; here containers are joined
+    directly and leaves go through ``json``'s own C string encoder and
+    number spellings.  A value of any other type raises ``TypeError``, as
+    ``json.dumps`` does.
+    """
+    return _render(report, "\n") + "\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _render(value, newline: str) -> str:
+    """One JSON value at the indent that ``newline`` ends with, in ``json``'s type order."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (json.encoder.INFINITY, -json.encoder.INFINITY):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_render(v, inner) for v in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_encode_str(_key_str(k)) + ": " + _render(v, inner) for k, v in sorted(value.items())]
+        ) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key_str(key) -> str:
+    """A dict key as ``json`` spells it; keys are converted after sorting, as ``json`` does."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):  # bool is an int
+        return _render(key, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def build_report(

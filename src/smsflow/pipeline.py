@@ -138,7 +138,6 @@ def build_pipeline(
     if len(models) > 1 and any(isinstance(m, ChatCompletionModel) for m in models):
         # Its workers start with the first model call, not here.
         executor = ThreadPoolExecutor(len(models) - 1, thread_name_prefix="smsflow-model")
-    model_order = [spec.model_id for spec in config.model_specs]
     faults = FaultPlan(
         seed=seed, add_keyword_rate=add_keyword_rate, drop_keyword_rate=drop_keyword_rate
     )
@@ -158,7 +157,7 @@ def build_pipeline(
         ),
         "LlmAgent": LlmAgent(models, config.lexicon, faults, store, pool, executor),
         "ValidatorAgent": ValidatorAgent(
-            models, model_order, config.lexicon, risk, store, pool, pharmacy, outbound, executor
+            models, config.lexicon, risk, store, pool, pharmacy, outbound, executor
         ),
         "RouterAgent": RouterAgent(
             config.experts, config.documents, AvailabilityStore(config.availability),

@@ -114,13 +114,21 @@ class JsonlLog:
 
 
 def read_jsonl(path: Path) -> list[dict]:
-    out = []
-    with path.open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+    """The records of a JSON-lines file: one value per non-blank line, checked.
+
+    The non-blank lines are parsed with one ``json.loads`` call, as the
+    items of one array.  A line that does not parse, or a record count that
+    differs from the line count (a line holding two values, or a value
+    spread over two lines), raises ``ValueError`` naming the file.
+    """
+    lines = [line for raw in path.read_text(encoding="utf-8").split("\n") if (line := raw.strip())]
+    try:
+        records = json.loads("[" + ",".join(lines) + "]")
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not one JSON value per line: {exc}") from exc
+    if len(records) != len(lines):
+        raise ValueError(f"{path}: {len(records)} JSON values on {len(lines)} non-blank lines")
+    return records
 
 
 class RunStore:
@@ -370,6 +378,3 @@ class PharmacyClient:
         for keyword in stop:
             self.apply(PharmacyAction(event_id, customer_id, keyword, "stop"))
         return [*renew, *stop]
-
-    def applied_keywords(self, event_id: str) -> list[str]:
-        return [r["keyword"] for r in self.store.pharmacy.read_all() if r["eventId"] == event_id]

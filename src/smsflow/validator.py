@@ -255,7 +255,6 @@ class ValidatorAgent:
     def __init__(
         self,
         models: list,
-        model_order: list[str],
         lexicon: KeywordLexicon,
         risk: StopRiskAssessor,
         store: RunStore,
@@ -265,7 +264,7 @@ class ValidatorAgent:
         executor: Executor | None = None,
     ):
         self.models_by_id = {m.model_id: m for m in models}
-        self.model_order = model_order
+        self.model_order = [m.model_id for m in models]  # the stage-2 tie-break order
         self.lexicon = lexicon
         self.risk = risk
         self.store = store

@@ -157,7 +157,7 @@ def test_evaluate_process_direct_calls_pharmacy_per_keyword(default_config):
         store, pool, pharmacy, outbound,
     )
     assert decision.action == ACTION_PROCESS_DIRECT
-    assert pharmacy.applied_keywords("A1001") == ["1", "unenroll"]
+    assert [r["keyword"] for r in store.pharmacy.read_all() if r["eventId"] == "A1001"] == ["1", "unenroll"]
     assert store.terminal_of("A1001")["note"] == "done"
     assert s002.poll(5) == []  # bypass: never forwarded
 
@@ -173,7 +173,7 @@ def test_evaluate_forward_republishes_at_next_step(default_config):
     assert len(docs) == 1
     assert docs[0]["metadata"]["stepId"] == "S002"
     assert docs[0]["renew"] == ["1"]
-    assert pharmacy.applied_keywords("A1001") == []
+    assert [r["keyword"] for r in store.pharmacy.read_all() if r["eventId"] == "A1001"] == []
     assert store.terminal_of("A1001") is None
 
 

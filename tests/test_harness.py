@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 import yaml
 from fake_chat import FakeChat
+from hypothesis import example, given, settings, strategies as st
 
 import smsflow.fuzzy.inference as inference
 import smsflow.validator as validator
@@ -60,7 +61,8 @@ def test_cli_run_trace_and_report_happy_path(tmp_path, capsys):
 
     assert main(["report", "--run", str(out)]) == 0
     report_out = capsys.readouterr().out
-    assert "soundness: ok" in report_out
+    summary_json = json.dumps(summarize_run(out), sort_keys=True, indent=2) + "\n"
+    assert report_out == summary_json + "soundness: ok\n"
 
 
 def test_cli_trace_unknown_event_exits_nonzero(ten_message_run):
@@ -245,6 +247,59 @@ def test_demo_run_directory_bytes_are_pinned(tmp_path):
         if path.is_file()
     }
     assert digests == DEMO_RUN_DIR_SHA256
+
+
+def test_demo_report_renders_without_the_pure_python_json_encoder(tmp_path, monkeypatch):
+    # json.dumps(indent=2) would build its Python encoder here.
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    result = _demo_run(tmp_path)
+    rendered = render_report_json(result.report).encode("utf-8")
+    assert hashlib.sha256(rendered).hexdigest() == DEMO_REPORT_SHA256
+    assert (tmp_path / "report.json").read_bytes() == rendered
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.integers(min_value=-(2**200), max_value=-(2**64))
+    | st.floats()  # NaN, infinities and -0.0 included
+    | st.text()  # non-ASCII and control characters included
+)
+
+
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4)
+        | st.dictionaries(st.integers(), inner, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@example({"a": [], "b": {}, "c": [{}, [[]], ()], "d": ({"e": []},)})
+@example([-0.0, float("nan"), float("inf"), float("-inf"), 10**40, -(10**40), 1e300, 5e-324])
+@example({"\u00e9\u4e2d\U0001f600": "\x00\x1f\x7f\u2028\ud800", "": "\"\\/\b\f\n\r\t"})
+@example({10: "ten", -1: "minus one", 2: {3: [True, False, None]}})
+@given(_JSON_VALUES)
+def test_render_report_json_matches_json_dumps(value):
+    assert render_report_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"bytes", [b"bytes"], {"k": {1}}, {(1, 2): 0}])
+def test_render_report_json_raises_type_error_where_json_dumps_does(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        render_report_json(value)
 
 
 def test_demo_run_builds_an_output_curve_only_for_a_centroid(monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from smsflow.messages import INCOMING_TOPIC
@@ -127,7 +129,7 @@ def test_pharmacy_records_one_row_per_keyword():
     client = PharmacyClient(store)
     client.apply(PharmacyAction("E1", "C1001", "1", "renew"))
     client.apply(PharmacyAction("E1", "C1001", "unenroll", "stop"))
-    assert client.applied_keywords("E1") == ["1", "unenroll"]
+    assert [r["keyword"] for r in store.pharmacy.read_all() if r["eventId"] == "E1"] == ["1", "unenroll"]
 
 
 def test_logical_clock_only_advances_when_told():
@@ -235,3 +237,33 @@ def test_jsonl_log_append_after_close_raises(tmp_path):
         log.append({"b": 2})
     assert log.read_all() == [{"a": 1}]
     assert read_jsonl(path) == [{"a": 1}]
+
+
+def test_read_jsonl_skips_blank_and_whitespace_only_lines(tmp_path):
+    path = tmp_path / "things.jsonl"
+    path.write_text('\n{"a": 1}\n   \n\t\n{"b": 2}\n\n', encoding="utf-8")
+    assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
+
+
+def test_read_jsonl_reads_a_last_line_without_a_newline(tmp_path):
+    path = tmp_path / "things.jsonl"
+    path.write_text('{"a": 1}\n{"b": 2}', encoding="utf-8")
+    assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
+
+
+def test_read_jsonl_reads_an_empty_file_as_no_records(tmp_path):
+    path = tmp_path / "things.jsonl"
+    path.write_text("", encoding="utf-8")
+    assert read_jsonl(path) == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"a":1},{"b":2}\n', "[1,\n2]\n"],
+    ids=["two-values-on-one-line", "one-value-over-two-lines"],
+)
+def test_read_jsonl_refuses_anything_but_one_value_per_line(tmp_path, text):
+    path = tmp_path / "things.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_jsonl(path)
