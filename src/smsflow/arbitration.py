@@ -68,13 +68,13 @@ def decide(
     importance_system: FuzzySystem,
     action_system: FuzzySystem,
 ) -> ArbitrationDecision:
-    """Pure decision: processDirect on full confidence, else run the rules.
+    """Pure decision: processDirect on a full match, else run the rules.
 
     The action is the label with the highest aggregated activation; a tie or
     an all-zero outcome falls back to the conservative fail branch.
     """
     event_id = msg.metadata.event_id
-    if msg.confidence.is_full_match():
+    if msg.full_match:
         return ArbitrationDecision(event_id=event_id, action=ACTION_PROCESS_DIRECT)
 
     importance = compute_importance(profile, importance_system)
@@ -143,6 +143,7 @@ def evaluate(
         store.record_step(
             event_id, STEP_PARSED, "EvaluatorAgent", f"decision:{decision.action}",
             payload={"activations": decision.activations, "importance": decision.importance},
+            ra={"renew": msg.renew, "stop": msg.stop, "confidence": msg.confidence.to_doc()},
         )
         if decision.action == ACTION_PROCESS_DIRECT:
             applied = pharmacy.apply_keywords(event_id, customer_id, msg.renew, msg.stop)

@@ -16,7 +16,6 @@ import threading
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 
-from .llm import CueConfig
 from .messages import STEP_VALIDATED
 from .pool import Envelope
 from .store import (
@@ -77,17 +76,14 @@ def _item_tokens(text: str) -> list[str]:
     return [t for t in _NON_WORD_RUNS.split(text.lower()) if t]
 
 
-def rephrase(item_text: str) -> str:
-    """Normalize an item into a complaint or request template sentence."""
+def rephrase(item_text: str, kind: str) -> str:
+    """Normalize an item of ``kind`` ("complaint" or "request") into its template sentence."""
     text = _WHITESPACE_RUNS.sub(" ", item_text).strip(" \t.,!?;")
-    tokens = set(_item_tokens(text))
-    is_complaint = not tokens.isdisjoint(CueConfig.complaint)
-
     lowered = text[0].lower() + text[1:] if text else text
     for synonym, replacement in _SYNONYMS:
         lowered = synonym.sub(replacement, lowered)
 
-    if is_complaint:
+    if kind == "complaint":
         first = lowered.split(" ", 1)[0] if lowered else ""
         if first not in _DETERMINERS:
             lowered = "the " + lowered
@@ -106,7 +102,7 @@ def rephrase(item_text: str) -> str:
 class ScriptedRouterModel:
     """Cue-overlap destination choice with template rephrasing."""
 
-    def route(self, item_text: str, registrations: list[ExpertRegistration]) -> RoutingDecision:
+    def route(self, item_text: str, registrations: list[ExpertRegistration], kind: str) -> RoutingDecision:
         tokens = set(_item_tokens(item_text))
         scores = {reg.qualifier: len(tokens & set(c.lower() for c in reg.cues)) for reg in registrations}
         best = max(scores.values()) if scores else 0
@@ -115,14 +111,14 @@ class ScriptedRouterModel:
             destination = CATCH_ALL if any(r.qualifier == CATCH_ALL for r in registrations) else winners[0]
         else:
             destination = winners[0]
-        return RoutingDecision(destination=destination, next_inputs=rephrase(item_text))
+        return RoutingDecision(destination=destination, next_inputs=rephrase(item_text, kind))
 
 
-def route(item_text: str, registrations: list[ExpertRegistration], model) -> RoutingDecision:
-    """Pick the expert for one item; unmatched items go to the catch-all."""
+def route(item_text: str, registrations: list[ExpertRegistration], model, kind: str) -> RoutingDecision:
+    """Pick the expert for one item of ``kind``; unmatched items go to the catch-all."""
     if not registrations:
         raise ValueError("at least one expert registration is required")
-    decision = model.route(item_text, registrations)
+    decision = model.route(item_text, registrations, kind)
     if decision.destination not in {r.qualifier for r in registrations}:
         log.warning("model chose unregistered expert %r; using catch-all", decision.destination)
         decision = RoutingDecision(destination=CATCH_ALL, next_inputs=decision.next_inputs)
@@ -335,38 +331,38 @@ class RouterAgent:
         replies: dict[str, list[str]] = {}
         if not failed and extraction is not None and extraction["outcome"] == "route":
             chosen = extraction["chosen"] or {}
-            for item in list(chosen.get("complaint", [])) + list(chosen.get("request", [])):
-                for kind, text in self._route_item(event_id, item):
-                    replies.setdefault(kind, []).append(text)
-                routed += 1
+            for item_kind in ("complaint", "request"):
+                for item in chosen.get(item_kind, ()):
+                    for kind, text in self._route_item(event_id, item, item_kind):
+                        replies.setdefault(kind, []).append(text)
+                    routed += 1
         # One SMS per kind per event, whatever the item count.
         for kind, texts in replies.items():
             self.outbound.send_sms(customer_id, "\n".join(texts), kind, event_id)
 
+        if failed:
+            terminal = TERMINAL_FAILED
+        elif keywords["outcome"] == "confirm-then-process":
+            terminal = TERMINAL_AWAITING
+        elif routed:
+            terminal = TERMINAL_ROUTED
+        else:
+            terminal = TERMINAL_DONE
+        # The verdict's facts ride on the terminal record, for the report.
         with self.store.event_lock(event_id):
-            if failed:
-                self.store.record_step(
-                    event_id, STEP_VALIDATED, self.qualifier, TERMINAL_FAILED, terminal=True
-                )
-            elif keywords["outcome"] == "confirm-then-process":
-                self.store.record_step(
-                    event_id, STEP_VALIDATED, self.qualifier, TERMINAL_AWAITING, terminal=True
-                )
-            elif routed:
-                self.store.record_step(
-                    event_id, STEP_VALIDATED, self.qualifier, TERMINAL_ROUTED, terminal=True
-                )
-            else:
-                self.store.record_step(
-                    event_id, STEP_VALIDATED, self.qualifier, TERMINAL_DONE, terminal=True
-                )
+            self.store.record_step(
+                event_id, STEP_VALIDATED, self.qualifier, terminal, terminal=True,
+                keyword_outcome=keywords["outcome"], accepted=keywords["accepted"],
+                scores=extraction["scores"] if extraction is not None else None,
+            )
 
-    def _route_item(self, event_id: str, item: str) -> list[tuple[str, str]]:
-        """Hand one item to its expert; returns (kind, text) replies to send."""
-        decision = route(item, self.registrations, self.router_model)
+    def _route_item(self, event_id: str, item: str, item_kind: str) -> list[tuple[str, str]]:
+        """Hand one complaint or request to its expert; returns (SMS kind, text) replies to send."""
+        decision = route(item, self.registrations, self.router_model, item_kind)
         self.store.record_step(
             event_id, STEP_VALIDATED, self.qualifier,
             f"routed-to:{decision.destination}", payload=decision.to_doc(),
+            destination=decision.destination,
         )
         registration = self._by_qualifier[decision.destination]
         if registration.queue:

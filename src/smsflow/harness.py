@@ -4,22 +4,24 @@ Runs are deterministic: a logical clock drives timestamps, event ids are
 sequential, and the fault plan is seeded, so identical run configurations
 produce byte-identical reports.
 
-One fold turns an event's step records, SMS and pharmacy actions into its
-report fields (:func:`_event_fields`), and one counter turns those rows into
-the summary (:func:`_summary`).  ``build_report`` feeds it each event's
-history from the store; ``summarize_run`` replays the run-directory logs
-through it, so ``smsflow report`` counts what the report counts.
+One fold builds every report row from the event's step records, SMS kinds
+and pharmacy actions (:func:`_fold`, which :func:`_event_fields` runs over
+one history), reading the typed fields of step records, never a note's
+text; one counter turns rows into the summary (:func:`_summary`).
+``build_report`` folds each event's history from the store;
+``summarize_run`` folds the run directory's ``steps.jsonl`` as it reads it,
+so ``smsflow report`` counts what the report counts.
 """
 from __future__ import annotations
 
 import json
-import re
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 
+from .arbitration import ACTION_PROCESS_DIRECT
 from .config import PipelineConfig
 from .pipeline import Pipeline, build_pipeline
 from .renewal import KeywordLexicon, tokens_of
@@ -40,11 +42,13 @@ OUTCOME_NAMES = {
     TERMINAL_UNROUTED: "unrouted",
 }
 
+# The evaluator's decision note when it applies the parser's claims itself.
+DIRECT_NOTE = f"decision:{ACTION_PROCESS_DIRECT}"
+# The verdict fields of the router's terminal record.
+_VERDICT = itemgetter("keyword_outcome", "accepted", "scores")
+
 REPORT_JSON = "report.json"
 REPORT_TEXT = "report.txt"
-
-# Step note of a model document the validator discarded: discarded:<model>:<reason>.
-DISCARD_NOTE = re.compile(r"^discarded:([^:]+):(.+)$")
 
 # Soundness tokenizes as the validator does, on the delimiters every configuration uses.
 _KEYWORD_FREE = KeywordLexicon(entries=())
@@ -174,62 +178,20 @@ def build_report(
     quiescent: bool,
 ) -> dict:
     """One row per corpus entry plus summary counters, linear in messages and log records."""
-    parsed_by_event = _drain_by_event(pipeline.parsed_sub)
-    verdict_by_event = _drain_by_event(pipeline.verdict_sub)
-
     store = pipeline.store
     pharmacy_by_event, sms_by_event = _by_event(store.pharmacy.read_all(), store.outbound_sms.read_all())
 
     rows = []
     for entry, event in entries:
-        if event is None:
-            rows.append(
-                {"eventId": None, "phone": entry["phone"], "text": entry["text"],
-                 "outcome": "auth-rejected"}
-            )
-            continue
-        event_id = event.metadata.event_id
-        fields, direct = _event_fields(
-            store.get_history(event_id),
-            sms_by_event.get(event_id, []),
-            pharmacy_by_event.get(event_id, []),
-        )
-
-        parsed = parsed_by_event.get(event_id)
-        verdict = verdict_by_event.get(event_id)
-        keyword_outcome = ""
-        accepted = None
-        scores = None
-        if direct:
-            keyword_outcome = "direct"
-            if parsed:
-                accepted = {"renew": parsed["renew"], "stop": parsed["stop"]}
-        elif verdict:
-            keyword_outcome = verdict["keywords"]["outcome"]
-            accepted = verdict["keywords"]["accepted"]
-            if verdict.get("extraction"):
-                scores = verdict["extraction"]["scores"]
-
-        rows.append(
-            {
-                "eventId": event_id,
-                "phone": entry["phone"],
-                "text": entry["text"],
-                "ra": (
-                    {
-                        "renew": parsed["renew"],
-                        "stop": parsed["stop"],
-                        "confidence": parsed["degreeOfConfidence"],
-                    }
-                    if parsed
-                    else None
-                ),
-                "keyword_outcome": keyword_outcome,
-                "accepted": accepted,
-                "scores": scores,
-                **fields,
-            }
-        )
+        event_id = event.metadata.event_id if event is not None else None
+        row = {"eventId": event_id, "phone": entry["phone"], "text": entry["text"]}
+        if event_id is None:
+            row["outcome"] = "auth-rejected"
+        else:
+            row.update(_event_fields(
+                store.get_history(event_id), sms_by_event.get(event_id, []), pharmacy_by_event.get(event_id, [])
+            ))
+        rows.append(row)
 
     return {
         "seed": seed,
@@ -241,38 +203,43 @@ def build_report(
     }
 
 
-def _event_fields(history, sms: list[str], pharmacy: list[dict]) -> tuple[dict, bool]:
-    """Report fields of one event from its step records in order, its SMS kinds and pharmacy actions.
-
-    Also returns whether the evaluator took the direct path.  Without a
-    terminal step the outcome is ``pending``; with several, the last counts.
-    """
-    terminal = None
-    retries = 0
-    direct = False
-    discarded = []
-    routing = []
+def _event_fields(history, sms: list[str], pharmacy: list[dict]) -> dict:
+    """An event's report row but for its id, phone and text, from its step
+    records in order, its SMS kinds and its pharmacy actions."""
+    row = _empty_row(sms, pharmacy)
     for record in history:
-        note = record["note"]
-        if record["terminal"]:
-            terminal = note
-        if note == "retry-requested":
-            retries += 1
-        elif note == "decision:processDirect":
-            direct = True
-        elif note.startswith("routed-to:"):
-            routing.append(note.split(":", 1)[1])
-        elif m := DISCARD_NOTE.match(note):
-            discarded.append({"model_id": m.group(1), "reason": m.group(2)})
-    fields = {
-        "outcome": "pending" if terminal is None else OUTCOME_NAMES.get(terminal, terminal),
-        "pharmacy": pharmacy,
-        "sms": sms,
-        "routing": routing,
-        "discarded": discarded,
-        "retries": retries,
-    }
-    return fields, direct
+        _fold(row, record)
+    return row
+
+
+def _empty_row(sms: list[str], pharmacy: list[dict]) -> dict:
+    return {"ra": None, "keyword_outcome": "", "accepted": None, "scores": None, "outcome": "pending",
+            "pharmacy": pharmacy, "sms": sms, "routing": [], "discarded": [], "retries": 0}
+
+
+def _fold(row: dict, record: dict) -> None:
+    """Fold the event's next step record into its report row.
+
+    A row shows only what was recorded: no ``ra`` before the evaluator's
+    decision, no verdict before the router's terminal record.  Without a
+    terminal step the outcome stays ``pending``; with several, the last counts.
+    """
+    note = record["note"]
+    if record["terminal"]:
+        row["outcome"] = OUTCOME_NAMES.get(note, note)
+        if "keyword_outcome" in record:
+            row["keyword_outcome"], row["accepted"], row["scores"] = _VERDICT(record)
+    if note == "retry-requested":
+        row["retries"] += 1
+    elif "ra" in record:
+        ra = row["ra"] = record["ra"]
+        if note == DIRECT_NOTE:
+            row["keyword_outcome"] = "direct"
+            row["accepted"] = {"renew": ra["renew"], "stop": ra["stop"]}
+    elif "destination" in record:
+        row["routing"].append(record["destination"])
+    elif "reason" in record:
+        row["discarded"].append({"model_id": record["model_id"], "reason": record["reason"]})
 
 
 def _summary(rows) -> dict:
@@ -297,7 +264,7 @@ def _summary(rows) -> dict:
     }
 
 
-def _by_event(pharmacy_records: list[dict], sms_records: list[dict]) -> tuple[dict, dict]:
+def _by_event(pharmacy_records: Iterable[dict], sms_records: Iterable[dict]) -> tuple[dict, dict]:
     """Pharmacy actions and SMS kinds grouped by eventId, for the events that have any."""
     pharmacy_by_event: dict[str, list[dict]] = {}
     for r in pharmacy_records:
@@ -306,15 +273,6 @@ def _by_event(pharmacy_records: list[dict], sms_records: list[dict]) -> tuple[di
     for r in sms_records:
         sms_by_event.setdefault(r["eventId"], []).append(r["kind"])
     return pharmacy_by_event, sms_by_event
-
-
-def _drain_by_event(sub) -> dict[str, dict]:
-    """Poll a subscription dry and keep the last payload per eventId."""
-    by_event: dict[str, dict] = {}
-    while batch := sub.poll(64):
-        for env in batch:
-            by_event[env.payload["metadata"]["eventId"]] = env.payload
-    return by_event
 
 
 def render_report_table(report: dict) -> str:
@@ -384,17 +342,19 @@ def soundness_violations(run_dir: Path | str) -> list[dict]:
 def summarize_run(run_dir: Path | str) -> dict:
     """The report's summary recomputed from the run-directory logs.
 
-    Auth-rejected messages leave no step records, so ``outcomes`` has no
-    ``auth-rejected`` count.
+    Each step record is folded into its event's row as it is read, so only
+    the rows are held.  Auth-rejected messages leave no step records, so
+    ``outcomes`` has no ``auth-rejected`` count.
     """
     root = Path(run_dir)
     pharmacy_by_event, sms_by_event = _by_event(
         read_jsonl(root / "pharmacy.jsonl"), read_jsonl(root / "outbound_sms.jsonl")
     )
-    steps = read_jsonl(root / "steps.jsonl")
-    steps.sort(key=itemgetter("eventId"))  # stable: each event's records keep their order
-    rows = (
-        _event_fields(history, sms_by_event.get(event_id, []), pharmacy_by_event.get(event_id, []))[0]
-        for event_id, history in groupby(steps, key=itemgetter("eventId"))
-    )
-    return _summary(rows)
+    rows: dict[str, dict] = {}
+    for record in read_jsonl(root / "steps.jsonl"):
+        event_id = record["eventId"]
+        row = rows.get(event_id)
+        if row is None:
+            row = rows[event_id] = _empty_row(sms_by_event.get(event_id, []), pharmacy_by_event.get(event_id, []))
+        _fold(row, record)
+    return _summary(rows.values())

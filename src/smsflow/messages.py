@@ -23,11 +23,6 @@ STEP_LLM_EXTRACTED = "S003"
 STEP_VALIDATED = "S004"
 
 
-def step_id(n: int) -> str:
-    """Numeric step n as its wire form, e.g. 1 -> "S001"."""
-    return f"S{n:03d}"
-
-
 def get_path(doc: Any, path: str) -> Any:
     """Dotted-path lookup into nested dicts; None when any hop is missing."""
     node = doc
@@ -133,26 +128,28 @@ class DegreeOfConfidence:
     def as_degrees(self) -> dict[str, float]:
         return {"high": self.high, "medium": self.medium, "low": self.low}
 
-    def is_full_match(self) -> bool:
-        # Exact equality on purpose: the full-match branch of the parser agent
-        # produces these literals, never a rounded float.
-        return self.high == 1.0 and self.medium == 0.0 and self.low == 0.0
-
 
 @dataclass
 class RenewalProcessed:
+    """The parser's reading of one SMS.  ``full_match``: at least one token,
+    and all matched; on the wire ``"fullMatch": true``, left out when false."""
+
     metadata: Metadata
     renew: list[str]
     stop: list[str]
     confidence: DegreeOfConfidence
+    full_match: bool = False
 
     def to_doc(self) -> dict:
-        return {
+        doc = {
             "metadata": self.metadata.to_doc(),
             "renew": list(self.renew),
             "stop": list(self.stop),
             "degreeOfConfidence": self.confidence.to_doc(),
         }
+        if self.full_match:
+            doc["fullMatch"] = True
+        return doc
 
     @classmethod
     def from_doc(cls, doc: dict) -> "RenewalProcessed":
@@ -161,6 +158,7 @@ class RenewalProcessed:
             renew=list(doc["renew"]),
             stop=list(doc["stop"]),
             confidence=DegreeOfConfidence.from_doc(doc["degreeOfConfidence"]),
+            full_match=doc.get("fullMatch", False),
         )
 
 

@@ -24,14 +24,8 @@ from .config import PipelineConfig
 from .dispatch import AgentRegistry, Dispatcher
 from .experts import AvailabilityStore, RouterAgent
 from .llm import ChatCompletionModel, FaultPlan, LlmAgent
-from .messages import (
-    AGENTS_TOPIC,
-    INCOMING_TOPIC,
-    STEP_PARSED,
-    STEP_VALIDATED,
-    event_and_step,
-)
-from .pool import MessagePool, MetadataFilter
+from .messages import AGENTS_TOPIC, INCOMING_TOPIC, event_and_step
+from .pool import MessagePool
 from .renewal import RenewalAgent
 from .store import (
     IncomingSmsGateway,
@@ -86,8 +80,6 @@ class Pipeline:
     store: RunStore
     gateway: IncomingSmsGateway
     scheduler: Scheduler
-    parsed_sub: object
-    verdict_sub: object
     ingested: list = field(default_factory=list)
     executor: ThreadPoolExecutor | None = None
 
@@ -166,15 +158,6 @@ def build_pipeline(
         "MessageTrackingAgent": MessageTrackingAgent(store),
     }
 
-    # Report-side subscriptions are created before any traffic exists so the
-    # harness can read back every parsed document and final verdict.
-    parsed_sub = pool.subscribe(
-        AGENTS_TOPIC, MetadataFilter((("metadata.stepId", STEP_PARSED),))
-    )
-    verdict_sub = pool.subscribe(
-        AGENTS_TOPIC, MetadataFilter((("metadata.stepId", STEP_VALIDATED),))
-    )
-
     orchestration = Dispatcher(
         "OrchestrationDispatcher",
         config.orchestration_rules,
@@ -196,7 +179,5 @@ def build_pipeline(
         store=store,
         gateway=gateway,
         scheduler=scheduler,
-        parsed_sub=parsed_sub,
-        verdict_sub=verdict_sub,
         executor=executor,
     )

@@ -170,6 +170,10 @@ class KeywordExtraction:
     def claimed(self) -> list[str]:
         return list(self.renew) + list(self.stop)
 
+    def full_match(self) -> bool:
+        """At least one token, and the lexicon matched every one."""
+        return self.matched == self.total > 0
+
 
 def extract(segments: list[list[str]], lexicon: KeywordLexicon) -> KeywordExtraction:
     """Claim keywords from pure segments; count matches everywhere.
@@ -200,8 +204,10 @@ def compute_confidence(
 ) -> DegreeOfConfidence:
     """Confidence vector from the matched/total ratio.
 
-    A full match is the exact literal {high: 1, medium: 0, low: 0}; anything
-    else is fuzzified on the confidence variable.
+    A ratio of 1 (an empty text counts as one) is the exact literal {high: 1,
+    medium: 0, low: 0}; anything else is fuzzified on the confidence
+    variable, where 0.9 already gives that literal, so the direct path reads
+    :meth:`KeywordExtraction.full_match` instead.
     """
     if total < 0 or matched > total:
         raise ValueError(f"bad counts matched={matched} total={total}")
@@ -240,6 +246,7 @@ def process(
         renew=extraction.renew,
         stop=extraction.stop,
         confidence=confidence,
+        full_match=extraction.full_match(),
     )
     # Publication is recorded by the tracking agent observing the topic.
     pool.publish(AGENTS_TOPIC, result.to_doc())

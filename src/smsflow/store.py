@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import threading
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -38,6 +39,9 @@ TERMINAL_FAILED = "contact-support SMS sent"
 TERMINAL_AWAITING = "awaiting-confirmation"
 TERMINAL_ROUTED = "routed"
 TERMINAL_UNROUTED = "unrouted"
+
+# The keys of every step record; a typed step field may not reuse one.
+STEP_KEYS = frozenset(("seq", "eventId", "stepId", "agent", "note", "digest", "recorded_at", "terminal"))
 
 
 class MissingOriginalError(KeyError):
@@ -113,22 +117,30 @@ class JsonlLog:
             return len(self._records)
 
 
-def read_jsonl(path: Path) -> list[dict]:
-    """The records of a JSON-lines file: one value per non-blank line, checked.
+# ``json``'s C scanner: the value at an index and the index after it, without
+# the wrapper work that ``json.loads`` adds per call.
+_scan_value = json.JSONDecoder().scan_once
 
-    The non-blank lines are parsed with one ``json.loads`` call, as the
-    items of one array.  A line that does not parse, or a record count that
-    differs from the line count (a line holding two values, or a value
-    spread over two lines), raises ``ValueError`` naming the file.
+
+def read_jsonl(path: Path) -> Iterator[dict]:
+    """Yield a JSON-lines file's records, reading and parsing each stripped non-blank line on its own.
+
+    A line that is not one whole JSON value (it does not parse, holds a
+    second value, or is part of a value spread over lines) raises
+    ``ValueError`` naming the file and the line.
     """
-    lines = [line for raw in path.read_text(encoding="utf-8").split("\n") if (line := raw.strip())]
-    try:
-        records = json.loads("[" + ",".join(lines) + "]")
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not one JSON value per line: {exc}") from exc
-    if len(records) != len(lines):
-        raise ValueError(f"{path}: {len(records)} JSON values on {len(lines)} non-blank lines")
-    return records
+    with path.open(encoding="utf-8") as lines:
+        for number, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                value, end = _scan_value(line, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            if end != len(line):
+                raise ValueError(f"{path}:{number}: not one JSON value: {line[:80]!r}")
+            yield value
 
 
 class RunStore:
@@ -187,7 +199,16 @@ class RunStore:
         note: str,
         payload=None,
         terminal: bool = False,
+        **fields,
     ) -> dict:
+        """Append one step record and return it.
+
+        ``fields`` are typed facts the report reads instead of the note, such
+        as a discard's ``model_id`` and ``reason``.  No field may shadow a
+        base key (``STEP_KEYS``): one that would raises ``ValueError``.
+        """
+        if fields and not STEP_KEYS.isdisjoint(fields):
+            raise ValueError(f"step fields {sorted(STEP_KEYS & fields.keys())} shadow base keys")
         with self._seq_lock:
             self._seq += 1
             seq = self._seq
@@ -201,6 +222,7 @@ class RunStore:
             "recorded_at": self.clock.now_iso(),
             "terminal": terminal,
         }
+        record.update(fields)
         self.steps.append(record)
         with self._steps_index_lock:
             self._steps_by_event.setdefault(event_id, []).append(record)

@@ -295,6 +295,7 @@ class ValidatorAgent:
             self.store.record_step(
                 event_id, STEP_LLM_EXTRACTED, self.qualifier,
                 f"discarded:{discard.model_id}:{discard.reason}",
+                model_id=discard.model_id, reason=discard.reason,
             )
 
         if verdict.outcome == OUTCOME_RETRY:

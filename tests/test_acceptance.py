@@ -249,7 +249,9 @@ def test_criterion_6_full_match_bypass(config, fuzzed_run):
     for event in fuzzed_run.pipeline.ingested:
         stripped = strip_politeness(event.body, config.lexicon)
         segments = segment(stripped, config.lexicon)
-        all_match = all(config.lexicon.match_token(t) for seg in segments for t in seg)
+        all_match = bool(segments) and all(
+            config.lexicon.match_token(t) for seg in segments for t in seg
+        )
         history = store.get_history(event.metadata.event_id)
         seen_forward = any(r["stepId"] == "S002" for r in history)
         if all_match:

@@ -24,7 +24,7 @@ from smsflow.store import OutboundSmsGateway, PharmacyClient, RunStore
 from conftest import brute_force_activations
 
 
-def _msg(confidence, renew=("1",), stop=(), event_id="A1001", step="S001"):
+def _msg(confidence, renew=("1",), stop=(), event_id="A1001", step="S001", full_match=False):
     return RenewalProcessed(
         metadata=Metadata(
             type="renewal",
@@ -37,6 +37,7 @@ def _msg(confidence, renew=("1",), stop=(), event_id="A1001", step="S001"):
         renew=list(renew),
         stop=list(stop),
         confidence=confidence,
+        full_match=full_match,
     )
 
 
@@ -74,18 +75,22 @@ def test_mid_profile_matches_brute_force_oracle(default_config):
 
 def test_full_confidence_decides_process_direct(default_config):
     decision = decide(
-        _msg(FULL), _profile(0, 0), default_config.importance_system, default_config.action_system
+        _msg(FULL, full_match=True), _profile(0, 0),
+        default_config.importance_system, default_config.action_system,
     )
     assert decision.action == ACTION_PROCESS_DIRECT
     assert decision.activations == {}
 
 
-def test_process_direct_requires_the_exact_literal(default_config):
-    nearly = DegreeOfConfidence(1.0 - 1e-12, 0.0, 0.0)
-    decision = decide(
-        _msg(nearly), _profile(10, 5000), default_config.importance_system, default_config.action_system
-    )
-    assert decision.action != ACTION_PROCESS_DIRECT
+def test_process_direct_requires_a_full_match(default_config):
+    # A ratio of 0.9 fuzzifies to the ratio-1 vector, so the vector alone
+    # must not send a message down the direct path.
+    for confidence in (FULL, DegreeOfConfidence(1.0 - 1e-12, 0.0, 0.0)):
+        decision = decide(
+            _msg(confidence), _profile(10, 5000),
+            default_config.importance_system, default_config.action_system,
+        )
+        assert decision.action == ACTION_FORWARD
 
 
 @pytest.mark.parametrize(
@@ -152,7 +157,7 @@ def _wiring(default_config):
 def test_evaluate_process_direct_calls_pharmacy_per_keyword(default_config):
     store, pool, s002, pharmacy, outbound = _wiring(default_config)
     decision = evaluate(
-        _msg(FULL, renew=("1",), stop=("unenroll",)), _profile(0, 0),
+        _msg(FULL, renew=("1",), stop=("unenroll",), full_match=True), _profile(0, 0),
         default_config.importance_system, default_config.action_system,
         store, pool, pharmacy, outbound,
     )

@@ -2,9 +2,12 @@ import random
 import string
 from concurrent.futures import ThreadPoolExecutor
 from datetime import date
+from pathlib import Path
 
 import pytest
+import yaml
 
+from smsflow.config import default_config_path, load_config
 from smsflow.experts import (
     CALL_US_REPLY,
     REFERRAL_ANSWER,
@@ -16,9 +19,11 @@ from smsflow.experts import (
     answer_store_question,
     forward_to_queue,
     parse_slot_line,
+    rephrase,
     route,
     schedule,
 )
+from smsflow.harness import run_pipeline
 from smsflow.store import RunStore
 
 
@@ -33,7 +38,7 @@ def documents(default_config):
 
 
 def test_medicine_complaint_routes_to_pharmacy_with_rephrasing(registrations):
-    decision = route("bad taste of medicine", registrations, ScriptedRouterModel())
+    decision = route("bad taste of medicine", registrations, ScriptedRouterModel(), "complaint")
     assert decision.to_doc() == {
         "destination": "Pharmacy",
         "next_inputs": "I have a complaint about the bad taste of a medication.",
@@ -42,20 +47,21 @@ def test_medicine_complaint_routes_to_pharmacy_with_rephrasing(registrations):
 
 def test_vaccine_reservation_routes_to_scheduling(registrations):
     decision = route(
-        "I want to reserve a reservation for the flu vaccine", registrations, ScriptedRouterModel()
+        "I want to reserve a reservation for the flu vaccine", registrations, ScriptedRouterModel(),
+        "request",
     )
     assert decision.destination == "Scheduling"
     assert decision.next_inputs == "I would like to reserve a reservation for the flu vaccine."
 
 
 def test_cueless_item_falls_back_to_the_complaint_department(registrations):
-    decision = route("qwerty asdf zxcv", registrations, ScriptedRouterModel())
+    decision = route("qwerty asdf zxcv", registrations, ScriptedRouterModel(), "request")
     assert decision.destination == "ComplaintDepartment"
 
 
 def test_route_requires_registrations():
     with pytest.raises(ValueError):
-        route("anything", [], ScriptedRouterModel())
+        route("anything", [], ScriptedRouterModel(), "request")
 
 
 def test_route_is_total_over_random_text(registrations):
@@ -66,21 +72,39 @@ def test_route_is_total_over_random_text(registrations):
             "".join(rng.choice(string.ascii_lowercase) for _ in range(rng.randint(1, 8)))
             for _ in range(rng.randint(1, 10))
         )
-        assert route(text, registrations, ScriptedRouterModel()).destination in qualifiers
+        assert route(text, registrations, ScriptedRouterModel(), "request").destination in qualifiers
 
 
 def test_unregistered_model_choice_is_corrected_to_catch_all(registrations):
     class WildModel:
-        def route(self, item_text, regs):
+        def route(self, item_text, regs, kind):
             return RoutingDecision(destination="Nonexistent", next_inputs=item_text)
 
-    decision = route("anything", registrations, WildModel())
+    decision = route("anything", registrations, WildModel(), "request")
     assert decision.destination == "ComplaintDepartment"
+
+
+def test_an_item_is_rephrased_as_the_kind_of_its_list():
+    # "late" is no complaint cue of the defaults; the item's list decides.
+    assert rephrase("My order is late", "complaint") == "I have a complaint about my order is late."
+    assert rephrase("I want to book a flu shot", "request") == "I would like to book a flu shot."
+
+
+def test_a_bundle_complaint_without_a_default_cue_reaches_its_expert_as_a_complaint(tmp_path):
+    bundle = yaml.safe_load(Path(default_config_path()).read_text())
+    bundle["llm"]["cues"]["complaint"] = ["late"]
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(yaml.safe_dump(bundle))
+    corpus = [{"phone": "+15550001", "text": "1. My order is late"}]
+    result = run_pipeline(load_config(config_path), corpus)
+    assert result.report["messages"][0]["routing"] == ["ComplaintDepartment"]
+    [entry] = result.pipeline.store.queue("customer-support").read_all()
+    assert entry["next_inputs"] == "I have a complaint about my order is late."
 
 
 def test_forward_to_queue_appends_verbatim(registrations):
     store = RunStore()
-    decision = route("bad taste of medicine", registrations, ScriptedRouterModel())
+    decision = route("bad taste of medicine", registrations, ScriptedRouterModel(), "complaint")
     entry_id = forward_to_queue(store, "pharmacist", "A1001", decision)
     records = store.queue("pharmacist").read_all()
     assert records[entry_id]["next_inputs"] == decision.next_inputs

@@ -21,6 +21,7 @@ from smsflow.llm import ChatCompletionModel, ScriptedModel
 from smsflow.messages import OUTBOUND_TOPIC
 from smsflow.harness import (
     OUTCOME_NAMES,
+    _event_fields,
     load_corpus,
     render_report_json,
     run_pipeline,
@@ -28,6 +29,7 @@ from smsflow.harness import (
     summarize_run,
     trace_lines,
 )
+from smsflow.store import read_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +229,7 @@ DEMO_RUN_DIR_SHA256 = {
     "queues/pharmacist.jsonl": "e27007b1f68f38ff105c98376c8d236d10c4aa9f6cc3caaae00a18850c1ba920",
     "report.json": DEMO_REPORT_SHA256,
     "report.txt": "799139389a663a69bf2dd93ed0df78f36a7adb4c92109351840462bf001d35f6",
-    "steps.jsonl": "3b37338e72f783b872825088ab9e2c931b64eb18872c9f859ed7416587ca0919",
+    "steps.jsonl": "459b74ac6d3ddb6b2c8cf35becdabea4344fcab94b13b413995f0fe832a6e80a",
 }
 
 
@@ -247,6 +249,63 @@ def test_demo_run_directory_bytes_are_pinned(tmp_path):
         if path.is_file()
     }
     assert digests == DEMO_RUN_DIR_SHA256
+
+
+@pytest.mark.parametrize("budget", [3, None])
+def test_report_rows_replay_from_the_run_directory_logs(tmp_path, budget):
+    # Every row but an auth-rejected one is the fold of the event's step
+    # records, SMS kinds and pharmacy actions as the logs hold them.  At
+    # budget 3 some events are still pending: their rows show only what was
+    # recorded, not documents published but never consumed.
+    config = load_config(default_config_path())
+    corpus = load_corpus(default_corpus_path())
+    result = run_pipeline(config, corpus, seed=1, add_keyword_rate=0.1, drop_keyword_rate=0.1,
+                          run_dir=tmp_path, budget=budget)
+    steps, sms, pharmacy = {}, {}, {}
+    for record in read_jsonl(tmp_path / "steps.jsonl"):
+        steps.setdefault(record["eventId"], []).append(record)
+    for record in read_jsonl(tmp_path / "outbound_sms.jsonl"):
+        sms.setdefault(record["eventId"], []).append(record["kind"])
+    for record in read_jsonl(tmp_path / "pharmacy.jsonl"):
+        pharmacy.setdefault(record["eventId"], []).append(
+            {"keyword": record["keyword"], "action": record["action"]})
+    rows = [row for row in result.report["messages"] if row["outcome"] != "auth-rejected"]
+    assert len(rows) == len(result.pipeline.ingested) > 0
+    for row in rows:
+        event_id = row["eventId"]
+        replayed = _event_fields(steps[event_id], sms.get(event_id, []), pharmacy.get(event_id, []))
+        assert {"eventId": event_id, "phone": row["phone"], "text": row["text"], **replayed} == row
+    pending = [row for row in rows if row["outcome"] == "pending"]
+    if budget is None:
+        assert pending == []
+    else:
+        by_id = {row["eventId"]: row for row in pending}
+        # Parsed but not evaluated: no recorded claims.
+        assert by_id["A1003"]["ra"] is None
+        # Verdict published but not routed: claims, but no recorded verdict.
+        assert by_id["A1001"]["ra"] is not None
+        assert (by_id["A1001"]["keyword_outcome"], by_id["A1001"]["accepted"]) == ("", None)
+
+
+# Not full matches, although each one's confidence vector is the ratio-1
+# literal: 9 of 10 tokens matched, no token at all, courtesy words only.
+# Each reaches the model stage; the value is the validator's keyword outcome.
+NEAR_FULL_TEXTS = {
+    "renew stop 1 2 enroll renew stop 1 2 call": "confirm-then-process",
+    "": "process",
+    "thank you": "process",
+    "1 1 1 1 1 1 1 1 1 thank": "process",
+}
+
+
+def test_near_full_and_empty_texts_reach_the_model_stage():
+    config = load_config(default_config_path())
+    corpus = [{"phone": "+15550001", "text": text} for text in NEAR_FULL_TEXTS]
+    result = run_pipeline(config, corpus, seed=1)
+    for row in result.report["messages"]:
+        history = result.pipeline.store.get_history(row["eventId"])
+        assert any(r["stepId"] == "S002" for r in history)
+        assert row["keyword_outcome"] == NEAR_FULL_TEXTS[row["text"]]
 
 
 def test_demo_report_renders_without_the_pure_python_json_encoder(tmp_path, monkeypatch):

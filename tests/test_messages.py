@@ -6,7 +6,6 @@ from smsflow.messages import (
     event_and_step,
     get_path,
     payload_digest,
-    step_id,
 )
 
 
@@ -19,12 +18,6 @@ def _metadata(step="S001"):
         customer_event_time="2025-01-15T10:48:46Z",
         last_update_time="2025-01-15T10:49:08Z",
     )
-
-
-def test_step_id_wire_convention():
-    assert step_id(1) == "S001"
-    assert step_id(2) == "S002"
-    assert step_id(12) == "S012"
 
 
 def test_get_path_walks_nested_dicts():

@@ -91,16 +91,19 @@ def test_extract_dedupes_keeping_first_occurrence(lexicon):
 def test_full_match_confidence_is_the_exact_literal(confidence_var):
     conf = compute_confidence(3, 3, confidence_var)
     assert (conf.high, conf.medium, conf.low) == (1.0, 0.0, 0.0)
-    assert conf.is_full_match()
 
 
 def test_zero_match_confidence_is_low_dominant(confidence_var):
     conf = compute_confidence(0, 6, confidence_var)
-    assert conf.low == 1.0 and conf.high == 0.0 and not conf.is_full_match()
+    assert conf.low == 1.0 and conf.high == 0.0
 
 
-def test_empty_message_counts_as_full_match(confidence_var):
-    assert compute_confidence(0, 0, confidence_var).is_full_match()
+def test_empty_message_is_not_a_full_match(lexicon, confidence_var):
+    # An empty text still gets the ratio-1 confidence vector, but the
+    # evaluator reads fullMatch, which needs at least one token.
+    conf = compute_confidence(0, 0, confidence_var)
+    assert (conf.high, conf.medium, conf.low) == (1.0, 0.0, 0.0)
+    assert not extract([], lexicon).full_match()
 
 
 def test_partial_vector_shape_serializes_intermediate(confidence_var):
@@ -150,10 +153,11 @@ def test_process_full_match_message(lexicon, confidence_var):
     store, pool, sub = _pipeline_bits()
     result = process(_sms("1, unenroll. Thank you"), lexicon, confidence_var, store, pool)
     assert result.renew == ["1"] and result.stop == ["unenroll"]
-    assert result.confidence.is_full_match()
+    assert result.full_match
     assert result.metadata.step_id == "S001"
     docs = [e.payload for e in sub.poll(10)]
     assert len(docs) == 1 and docs[0]["degreeOfConfidence"]["high"] == 1.0
+    assert docs[0]["fullMatch"] is True
     assert store.fetch_original("A1001") == "1, unenroll. Thank you"
 
 
@@ -163,7 +167,7 @@ def test_process_partial_message_keeps_pure_claims(lexicon, confidence_var):
         _sms("Thank you for your great service. 1, renew."), lexicon, confidence_var, store, pool
     )
     assert result.renew == ["1", "renew"]
-    assert not result.confidence.is_full_match()
+    assert not result.full_match
 
 
 def test_process_claims_pure_code_segment(lexicon, confidence_var):
@@ -172,7 +176,7 @@ def test_process_claims_pure_code_segment(lexicon, confidence_var):
         _sms("Could you please execute the following. 1"), lexicon, confidence_var, store, pool
     )
     assert result.renew == ["1"] and result.stop == []
-    assert not result.confidence.is_full_match()
+    assert not result.full_match
 
 
 def test_process_rejects_non_renewal_events(lexicon, confidence_var):
@@ -235,15 +239,14 @@ def test_claims_are_sound_and_disjoint(words, seed):
 
 @settings(max_examples=200, deadline=None)
 @given(words=_WORDS)
+@example(words="1 1 1 1 1 1 1 1 1 thank".split())  # ratio 0.9 fuzzifies to the ratio-1 vector
 def test_full_match_iff_every_token_matches(words):
     lex = _CONFIG.lexicon
     text = " ".join(words)
-    stripped = strip_politeness(text, lex)
-    segments = segment(stripped, lex)
-    result = extract(segments, lex)
-    conf = compute_confidence(result.matched, result.total, _CONFIG.confidence_var)
+    segments = segment(strip_politeness(text, lex), lex)
+    result = process(_sms(text), lex, _CONFIG.confidence_var, RunStore(), MessagePool())
     all_match = all(lex.match_token(t) for seg in segments for t in seg)
-    assert conf.is_full_match() == all_match
+    assert result.full_match == (bool(segments) and all_match)
 
 
 # Literal patterns (plain text) and regex patterns, in mixed case: a regex

@@ -172,7 +172,7 @@ def test_jsonl_log_mirrors_to_disk(tmp_path):
     log = JsonlLog(path)
     log.append({"a": 1})
     log.append({"b": 2})
-    assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
+    assert list(read_jsonl(path)) == [{"a": 1}, {"b": 2}]
     log.close()
 
 
@@ -185,7 +185,7 @@ def test_run_store_writes_the_declared_layout(tmp_path):
                  "pharmacy.jsonl", "bookings.jsonl", "answers.jsonl"):
         assert (tmp_path / name).exists()
     assert (tmp_path / "queues" / "pharmacist.jsonl").exists()
-    assert read_jsonl(tmp_path / "steps.jsonl")[0]["eventId"] == "E1"
+    assert list(read_jsonl(tmp_path / "steps.jsonl"))[0]["eventId"] == "E1"
     store.close()
 
 
@@ -194,9 +194,9 @@ def test_disk_records_are_readable_before_close(tmp_path):
     store.record_step("E1", "S001", "A", "first")
     assert [r["note"] for r in read_jsonl(tmp_path / "steps.jsonl")] == ["first"]
     store.store_original("E1", "text")
-    assert read_jsonl(tmp_path / "originals.jsonl") == [{"eventId": "E1", "text": "text"}]
+    assert list(read_jsonl(tmp_path / "originals.jsonl")) == [{"eventId": "E1", "text": "text"}]
     store.queue("pharmacist").append({"eventId": "E1"})
-    assert read_jsonl(tmp_path / "queues" / "pharmacist.jsonl") == [{"eventId": "E1"}]
+    assert list(read_jsonl(tmp_path / "queues" / "pharmacist.jsonl")) == [{"eventId": "E1"}]
     store.record_step("E1", "S002", "A", "second")
     assert [r["note"] for r in read_jsonl(tmp_path / "steps.jsonl")] == ["first", "second"]
     store.close()
@@ -223,7 +223,7 @@ def test_closed_store_keeps_reads_and_refuses_appends(tmp_path):
     # Nothing was reopened or truncated, and the refused appends left no trace.
     assert not (tmp_path / "queues" / "customer-support.jsonl").exists()
     assert [r["note"] for r in read_jsonl(tmp_path / "steps.jsonl")] == ["x"]
-    assert read_jsonl(tmp_path / "queues" / "pharmacist.jsonl") == [{"eventId": "E1"}]
+    assert list(read_jsonl(tmp_path / "queues" / "pharmacist.jsonl")) == [{"eventId": "E1"}]
     assert len(store.steps) == 1
     assert store.queue_names() == ["pharmacist"]
 
@@ -236,34 +236,53 @@ def test_jsonl_log_append_after_close_raises(tmp_path):
     with pytest.raises(ValueError):
         log.append({"b": 2})
     assert log.read_all() == [{"a": 1}]
-    assert read_jsonl(path) == [{"a": 1}]
+    assert list(read_jsonl(path)) == [{"a": 1}]
 
 
 def test_read_jsonl_skips_blank_and_whitespace_only_lines(tmp_path):
     path = tmp_path / "things.jsonl"
     path.write_text('\n{"a": 1}\n   \n\t\n{"b": 2}\n\n', encoding="utf-8")
-    assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
+    assert list(read_jsonl(path)) == [{"a": 1}, {"b": 2}]
 
 
 def test_read_jsonl_reads_a_last_line_without_a_newline(tmp_path):
     path = tmp_path / "things.jsonl"
     path.write_text('{"a": 1}\n{"b": 2}', encoding="utf-8")
-    assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
+    assert list(read_jsonl(path)) == [{"a": 1}, {"b": 2}]
 
 
 def test_read_jsonl_reads_an_empty_file_as_no_records(tmp_path):
     path = tmp_path / "things.jsonl"
     path.write_text("", encoding="utf-8")
-    assert read_jsonl(path) == []
+    assert list(read_jsonl(path)) == []
 
 
 @pytest.mark.parametrize(
     "text",
-    ['{"a":1},{"b":2}\n', "[1,\n2]\n"],
-    ids=["two-values-on-one-line", "one-value-over-two-lines"],
+    ['{"a":1},{"b":2}\n', "[1,\n2]\n", "1,2\n[3\n4]\n", "nul\n"],
+    ids=["two-values-on-one-line", "one-value-over-two-lines", "the-two-cancel-out", "no-value"],
 )
 def test_read_jsonl_refuses_anything_but_one_value_per_line(tmp_path, text):
     path = tmp_path / "things.jsonl"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(str(path))):
-        read_jsonl(path)
+        list(read_jsonl(path))
+
+
+def test_record_step_keeps_typed_fields_on_the_record(tmp_path):
+    store = RunStore(tmp_path)
+    accepted = {"renew": ["1"], "stop": []}
+    record = store.record_step("E1", "S004", "R", "done", terminal=True, accepted=accepted, scores=None)
+    assert record["accepted"] is accepted  # the agent's own dict, not a copy
+    assert store.get_history("E1")[0]["scores"] is None
+    store.close()
+    [written] = read_jsonl(tmp_path / "steps.jsonl")
+    assert written["accepted"] == accepted and written["scores"] is None
+
+
+@pytest.mark.parametrize("key", ["seq", "eventId", "stepId", "digest", "recorded_at"])
+def test_record_step_refuses_a_field_that_shadows_a_base_key(key):
+    store = RunStore()
+    with pytest.raises(ValueError, match=key):
+        store.record_step("E1", "S001", "A", "x", **{key: "forged"})
+    assert store.get_history("E1") == [] and len(store.steps) == 0
