@@ -48,7 +48,6 @@ class CustomerProfile:
 
 @dataclass
 class ArbitrationDecision:
-    event_id: str
     action: str
     activations: dict[str, float] = field(default_factory=dict)
     importance: dict[str, float] = field(default_factory=dict)
@@ -73,9 +72,8 @@ def decide(
     The action is the label with the highest aggregated activation; a tie or
     an all-zero outcome falls back to the conservative fail branch.
     """
-    event_id = msg.metadata.event_id
     if msg.full_match:
-        return ArbitrationDecision(event_id=event_id, action=ACTION_PROCESS_DIRECT)
+        return ArbitrationDecision(action=ACTION_PROCESS_DIRECT)
 
     importance = compute_importance(profile, importance_system)
     output = action_system.infer(
@@ -91,9 +89,7 @@ def decide(
         action = ACTION_FORWARD
     else:
         action = ACTION_FAIL
-    return ArbitrationDecision(
-        event_id=event_id, action=action, activations=activations, importance=importance
-    )
+    return ArbitrationDecision(action=action, activations=activations, importance=importance)
 
 
 class CustomerRelationshipAgent:

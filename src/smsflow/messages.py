@@ -23,16 +23,6 @@ STEP_LLM_EXTRACTED = "S003"
 STEP_VALIDATED = "S004"
 
 
-def get_path(doc: Any, path: str) -> Any:
-    """Dotted-path lookup into nested dicts; None when any hop is missing."""
-    node = doc
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return None
-        node = node[part]
-    return node
-
-
 def event_and_step(doc: Any) -> tuple[str, str]:
     """The payload's ``metadata.eventId`` and ``metadata.stepId``, "" for each one missing."""
     meta = doc.get("metadata") if isinstance(doc, dict) else None

@@ -1,12 +1,16 @@
 """In-process shared message pool.
 
-Named topics hold append-only logs with gapless offsets and no timestamps.
-Subscriptions are independent cursors from the topic head, optionally
-filtered by equality tests on metadata paths; agents pull with ``poll``.
+Named topics number messages with gapless offsets and no timestamps, but keep
+no log: ``publish`` appends each envelope to the queue of every live
+subscription, and agents pull from their own queue with ``poll``, optionally
+filtered by equality tests on metadata paths.  An envelope is freed once every
+subscription live at its publish has polled it or been dropped.
 """
 from __future__ import annotations
 
 import threading
+import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -22,9 +26,8 @@ class Envelope:
 class MetadataFilter:
     """Conjunction of string-equality tests on dotted payload paths.
 
-    Each path is split once, at construction.  ``matches`` agrees with
-    ``all(messages.get_path(payload, key) == value ...)``: a missing hop or a
-    non-dict node reads as None, so that test fails.
+    Each path is split once, at construction.  A missing hop or a non-dict
+    node along a path reads as None, so that test fails.
     """
 
     conditions: tuple[tuple[str, str], ...]
@@ -48,17 +51,19 @@ class MetadataFilter:
 
 
 class Subscription:
-    """A single consumer's cursor over one topic.
+    """A single consumer's queue of the envelopes published since it subscribed.
 
-    Owned by one consumer at a time; the pool's lock makes the cursor safe to
-    hand between threads.
+    The queue takes every envelope; ``poll`` pops it and only then applies the
+    filter.  The pool refers to a subscription weakly, so one the consumer
+    drops stops receiving and frees its queue.  Owned by one consumer at a
+    time; the pool's lock makes it safe to hand between threads.
     """
 
     def __init__(self, pool: "MessagePool", topic: str, filter: MetadataFilter | None):
         self._pool = pool
         self.topic = topic
         self._filter = filter
-        self.cursor = pool.head(topic) + 1
+        self._queue: deque[Envelope] = deque()
 
     def poll(self, max_n: int = 1) -> list[Envelope]:
         if max_n < 1:
@@ -67,43 +72,55 @@ class Subscription:
 
 
 class MessagePool:
-    """Topic logs plus subscription bookkeeping; topics auto-create."""
+    """Per topic, the next offset and weak references to its subscriptions.
+
+    Holds no envelope itself; topics auto-create.
+    """
 
     def __init__(self):
-        self._topics: dict[str, list[Envelope]] = {}
+        self._next_offset: dict[str, int] = {}
+        # Tuples, replaced only under the lock: a subscription collected while
+        # ``publish`` walks one leaves a dead reference, which it skips.
+        self._subscribers: dict[str, tuple[weakref.ref, ...]] = {}
         self._lock = threading.RLock()
 
     def head(self, topic: str) -> int:
         """Offset of the newest message, -1 for an empty or unknown topic."""
         with self._lock:
-            return len(self._topics.get(topic, ())) - 1
+            return self._next_offset.get(topic, 0) - 1
 
     def publish(self, topic: str, payload: Any) -> int:
         if not topic:
             raise ValueError("topic name must be nonempty")
         with self._lock:
-            log = self._topics.setdefault(topic, [])
-            offset = len(log)
-            log.append(Envelope(topic=topic, offset=offset, payload=payload))
+            offset = self._next_offset.get(topic, 0)
+            self._next_offset[topic] = offset + 1
+            env = Envelope(topic=topic, offset=offset, payload=payload)
+            for ref in self._subscribers.get(topic, ()):
+                sub = ref()
+                if sub is not None:
+                    sub._queue.append(env)
             return offset
 
     def subscribe(self, topic: str, filter: MetadataFilter | None = None) -> Subscription:
         """New-messages-only subscription; earlier traffic is never replayed."""
+        sub = Subscription(self, topic, filter)
         with self._lock:
-            return Subscription(self, topic, filter)
+            live = tuple(r for r in self._subscribers.get(topic, ()) if r() is not None)
+            self._subscribers[topic] = (*live, weakref.ref(sub))
+        return sub
 
     def _poll(self, sub: Subscription, max_n: int) -> list[Envelope]:
         out: list[Envelope] = []
+        queue, keep = sub._queue, sub._filter
         with self._lock:
-            log = self._topics.get(sub.topic, ())
-            while sub.cursor < len(log) and len(out) < max_n:
-                env = log[sub.cursor]
-                sub.cursor += 1
-                if sub._filter is None or sub._filter.matches(env.payload):
+            while queue and len(out) < max_n:
+                env = queue.popleft()
+                if keep is None or keep.matches(env.payload):
                     out.append(env)
         return out
 
     def lag(self, sub: Subscription) -> int:
         """Messages (matching or not) the subscription has not yet scanned."""
         with self._lock:
-            return len(self._topics.get(sub.topic, ())) - sub.cursor
+            return len(sub._queue)

@@ -77,7 +77,6 @@ class Discard:
 
 @dataclass
 class KeywordVerdict:
-    event_id: str
     accepted: tuple[list[str], list[str]] | None
     discarded: list[Discard]
     outcome: str
@@ -97,7 +96,6 @@ class StopRiskInputs:
 
 @dataclass
 class ExtractionVerdict:
-    event_id: str
     chosen: LlmExtraction | None
     scores: dict[str, int]
     outcome: str
@@ -181,16 +179,15 @@ def validate_keywords(
             continue
         survivors.append(response)
 
-    event_id = ra.metadata.event_id
     if not survivors:
-        return KeywordVerdict(event_id, accepted=None, discarded=discarded, outcome=OUTCOME_FAIL)
+        return KeywordVerdict(accepted=None, discarded=discarded, outcome=OUTCOME_FAIL)
 
     first = survivors[0].extraction
     if len(survivors) == 2:
         second = survivors[1].extraction
         if set(first.renew) != set(second.renew) or set(first.stop) != set(second.stop):
             outcome = OUTCOME_RETRY if attempt == 1 else OUTCOME_FAIL
-            return KeywordVerdict(event_id, accepted=None, discarded=discarded, outcome=outcome)
+            return KeywordVerdict(accepted=None, discarded=discarded, outcome=outcome)
 
     accepted = (list(first.renew), list(first.stop))
     extra_stop = [kw for kw in accepted[1] if kw not in ra_stop]
@@ -201,7 +198,7 @@ def validate_keywords(
         risk = crisp if risk is None else max(risk, crisp)
         if over:
             outcome = OUTCOME_CONFIRM
-    return KeywordVerdict(event_id, accepted=accepted, discarded=discarded, outcome=outcome, risk=risk)
+    return KeywordVerdict(accepted=accepted, discarded=discarded, outcome=outcome, risk=risk)
 
 
 def validate_extraction(
@@ -211,7 +208,6 @@ def validate_extraction(
     models_by_id: dict,
     model_order: list[str],
     lexicon: KeywordLexicon,
-    event_id: str = "",
     executor: Executor | None = None,
 ) -> ExtractionVerdict:
     """Stage-2 cross-judging: each model scores the other's reading.
@@ -234,12 +230,12 @@ def validate_extraction(
             scores[target.model_id] = score
     candidates = [r for r in (a, b) if r.extraction is not None and scores[r.model_id] >= MIN_ACCEPTED_SCORE]
     if not candidates:
-        return ExtractionVerdict(event_id, chosen=None, scores=scores, outcome=EXTRACTION_FAIL)
+        return ExtractionVerdict(chosen=None, scores=scores, outcome=EXTRACTION_FAIL)
 
     best = max(scores[r.model_id] for r in candidates)
     by_order = sorted(candidates, key=lambda r: model_order.index(r.model_id))
     chosen = next(r for r in by_order if scores[r.model_id] == best)
-    return ExtractionVerdict(event_id, chosen=chosen.extraction, scores=scores, outcome=EXTRACTION_ROUTE)
+    return ExtractionVerdict(chosen=chosen.extraction, scores=scores, outcome=EXTRACTION_ROUTE)
 
 
 class ValidatorAgent:
@@ -320,8 +316,7 @@ class ValidatorAgent:
                     f"confirmation-requested risk={verdict.risk}",
                 )
             extraction_verdict = validate_extraction(
-                original, a, b, self.models_by_id, self.model_order, self.lexicon, event_id,
-                self.executor,
+                original, a, b, self.models_by_id, self.model_order, self.lexicon, self.executor
             )
             if extraction_verdict.outcome == EXTRACTION_FAIL:
                 self.outbound.send_sms(customer_id, CONTACT_SUPPORT_TEXT, "contact-support", event_id)

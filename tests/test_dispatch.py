@@ -10,7 +10,6 @@ from smsflow.dispatch import (
     ServiceRule,
     load_rules,
 )
-from smsflow.messages import get_path
 from smsflow.pool import MessagePool, MetadataFilter
 from smsflow.store import RunStore
 
@@ -202,6 +201,24 @@ def test_adding_a_rule_never_removes_matches():
         extra = ServiceRule("extra", "Qx", ((rng.choice(keys), rng.choice(values)),))
         grown = {r.qualifier for r in rules + [extra] if MetadataFilter(r.conditions).matches(event)}
         assert base <= grown
+
+
+def get_path(doc, path):
+    """Reference lookup for MetadataFilter: None when any hop is missing or not a dict."""
+    node = doc
+    for part in path.split("."):
+        if not isinstance(node, dict) or part not in node:
+            return None
+        node = node[part]
+    return node
+
+
+def test_get_path_walks_nested_dicts():
+    doc = {"metadata": {"type": "renewal", "stepId": "S001"}}
+    assert get_path(doc, "metadata.type") == "renewal"
+    assert get_path(doc, "metadata.missing") is None
+    assert get_path(doc, "metadata.type.deeper") is None
+    assert get_path(doc, "nope") is None
 
 
 _KEYS = st.sampled_from(["metadata", "stepId", "a"])

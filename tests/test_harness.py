@@ -5,6 +5,7 @@ import os
 import random
 import sys
 import threading
+import types
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,8 @@ import smsflow.validator as validator
 from smsflow.cli import main
 from smsflow.config import default_config_path, default_corpus_path, load_config
 from smsflow.llm import ChatCompletionModel, ScriptedModel
-from smsflow.messages import OUTBOUND_TOPIC
+from smsflow.messages import AGENTS_TOPIC, OUTBOUND_TOPIC
+from smsflow.pool import Envelope
 from smsflow.harness import (
     OUTCOME_NAMES,
     _event_fields,
@@ -383,6 +385,25 @@ def test_demo_run_publishes_nothing_to_the_outbound_topic():
     pipeline = _demo_run(None).pipeline
     assert pipeline.store.outbound_sms.read_all()
     assert pipeline.pool.head(OUTBOUND_TOPIC) == -1
+
+
+def test_pool_holds_no_envelope_once_the_run_is_quiescent():
+    pipeline = _demo_run(None).pipeline
+    pool = pipeline.pool
+    subs = [source.subscription for source in pipeline.scheduler.sources]
+    assert [pool.lag(sub) for sub in subs] == [0, 0]
+    # Walk the pool's object graph and its subscriptions' (queues included),
+    # without following classes, functions or modules into the rest of the heap.
+    seen, todo, held = set(), [pool, *subs], 0
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.FunctionType, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        held += isinstance(obj, Envelope)
+        todo.extend(gc.get_referents(obj))
+    assert held == 0
+    assert pool.head(AGENTS_TOPIC) > 0
 
 
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")

@@ -4,7 +4,6 @@ from smsflow.messages import (
     RenewalProcessed,
     SmsEvent,
     event_and_step,
-    get_path,
     payload_digest,
 )
 
@@ -18,14 +17,6 @@ def _metadata(step="S001"):
         customer_event_time="2025-01-15T10:48:46Z",
         last_update_time="2025-01-15T10:49:08Z",
     )
-
-
-def test_get_path_walks_nested_dicts():
-    doc = {"metadata": {"type": "renewal", "stepId": "S001"}}
-    assert get_path(doc, "metadata.type") == "renewal"
-    assert get_path(doc, "metadata.missing") is None
-    assert get_path(doc, "metadata.type.deeper") is None
-    assert get_path(doc, "nope") is None
 
 
 def test_event_and_step_read_the_metadata_ids():

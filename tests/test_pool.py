@@ -1,5 +1,8 @@
+import gc
 import random
+import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -168,3 +171,85 @@ def test_subscription_handoff_between_threads():
     for t in threads:
         t.join()
     assert sorted(e.offset for e in got) == list(range(10))
+
+
+class _Doc(dict):
+    """A payload that supports weak references (a plain dict does not)."""
+
+
+def _published(pool):
+    """Publish a fresh payload to topic "t" and return a weak reference to it."""
+    doc = _Doc(_event("S001", 0))
+    pool.publish("t", doc)
+    return weakref.ref(doc)
+
+
+def test_envelope_is_freed_once_the_only_subscription_polls_it():
+    pool = MessagePool()
+    sub = pool.subscribe("t")
+    ref = _published(pool)
+    assert ref() is not None
+    assert [e.offset for e in sub.poll(10)] == [0]
+    assert ref() is None
+
+
+def test_envelope_is_held_until_the_slower_subscription_polls_it():
+    pool = MessagePool()
+    fast = pool.subscribe("t")
+    slow = pool.subscribe("t", MetadataFilter((("metadata.stepId", "S009"),)))
+    ref = _published(pool)
+    assert len(fast.poll(10)) == 1
+    assert ref() is not None and pool.lag(slow) == 1
+    assert slow.poll(10) == []
+    assert ref() is None and pool.lag(slow) == 0
+
+
+def test_topic_without_subscription_holds_nothing_but_counts_offsets():
+    pool = MessagePool()
+    refs = [_published(pool) for _ in range(3)]
+    assert all(ref() is None for ref in refs)
+    assert pool.head("t") == 2
+
+
+def test_dropped_subscription_neither_receives_nor_pins_envelopes():
+    pool = MessagePool()
+    kept = pool.subscribe("t")
+    dropped = pool.subscribe("t")
+    held = _published(pool)
+    del dropped
+    gc.collect()
+    assert held() is not None  # only the kept subscription still needs it
+    kept.poll(10)
+    assert held() is None
+    later = _published(pool)
+    assert [e.offset for e in kept.poll(10)] == [1]
+    assert later() is None
+
+
+def test_concurrent_producers_reach_every_subscription_once_in_order():
+    pool = MessagePool()
+    subs = [pool.subscribe("t"), pool.subscribe("t")]
+    producers, per_producer = 4, 300
+
+    def produce(p):
+        for n in range(per_producer):
+            pool.publish("t", {"producer": p, "n": n})
+            if n % 50 == 0:
+                pool.subscribe("t")  # dropped at once, while other threads publish
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=produce, args=(p,)) for p in range(producers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for sub in subs:
+        got = sub.poll(producers * per_producer + 1)
+        assert sorted(e.offset for e in got) == list(range(producers * per_producer))
+        for p in range(producers):
+            assert [e.payload["n"] for e in got if e.payload["producer"] == p] == list(range(per_producer))

@@ -312,7 +312,7 @@ def _judged(scores, lexicon, a=None, b=None):
         "alpha": FixedJudge("alpha", scores),
         "beta": FixedJudge("beta", scores),
     }
-    return validate_extraction("text", a, b, models, ["alpha", "beta"], lexicon, "A1")
+    return validate_extraction("text", a, b, models, ["alpha", "beta"], lexicon)
 
 
 def test_sub_five_score_discards_that_extraction(lexicon):
@@ -349,7 +349,7 @@ def test_two_failure_markers_fail_without_judging(lexicon):
     b = ModelResponse(model_id="beta", failure="offline")
     models = {m.model_id: m for m in chat_models(lexicon, error=AssertionError("judged"))}
     with ThreadPoolExecutor(1) as executor:
-        verdict = validate_extraction("text", a, b, models, ["alpha", "beta"], lexicon, "A1", executor)
+        verdict = validate_extraction("text", a, b, models, ["alpha", "beta"], lexicon, executor)
     assert verdict.outcome == EXTRACTION_FAIL
     assert verdict.scores == {"alpha": 1, "beta": 1}
 
@@ -371,7 +371,7 @@ def test_scripted_cross_judging_end_to_end(lexicon):
     a = ModelResponse("alpha", alpha.extract(original, lexicon))
     b = ModelResponse("beta", beta.extract(original, lexicon))
     verdict = validate_extraction(
-        original, a, b, {"alpha": alpha, "beta": beta}, ["alpha", "beta"], lexicon, "A1"
+        original, a, b, {"alpha": alpha, "beta": beta}, ["alpha", "beta"], lexicon
     )
     assert verdict.outcome == EXTRACTION_ROUTE
     assert verdict.scores == {"alpha": 10, "beta": 10}
@@ -390,7 +390,7 @@ def test_cross_judging_overlaps_the_two_judge_calls(lexicon):
     models = {m.model_id: m for m in chat_models(lexicon, barrier=barrier)}
     with ThreadPoolExecutor(1, thread_name_prefix="smsflow-model") as executor:
         verdict = validate_extraction(
-            original, a, b, models, ["alpha", "beta"], lexicon, "A1", executor
+            original, a, b, models, ["alpha", "beta"], lexicon, executor
         )
     assert not barrier.broken
     assert verdict.scores == serial.scores == {"alpha": 10, "beta": 8}
