@@ -101,16 +101,15 @@ class CustomerRelationshipAgent:
         self.default = default
         self.store = store
 
-    def profile_for(self, customer_id: str, event_id: str = "") -> CustomerProfile:
+    def profile_for(self, customer_id: str, event_id: str) -> CustomerProfile:
         profile = self.profiles.get(customer_id)
         if profile is not None:
             return profile
         log.warning("no profile for customer %s; using lowest-importance default", customer_id)
-        if event_id:
-            self.store.record_step(
-                event_id, STEP_PARSED, "CustomerRelationshipAgent",
-                f"data-quality: missing profile for {customer_id}",
-            )
+        self.store.record_step(
+            event_id, STEP_PARSED, "CustomerRelationshipAgent",
+            f"data-quality: missing profile for {customer_id}",
+        )
         return CustomerProfile(
             customer_id=customer_id,
             tenure_years=self.default.tenure_years,

@@ -273,7 +273,6 @@ def load_config_text(text: str) -> PipelineConfig:
     experts = [
         ExpertRegistration(
             qualifier=str(e["qualifier"]),
-            expertise=str(e.get("expertise", "")),
             cues=tuple(str(c) for c in e.get("cues", ())),
             queue=str(e.get("queue", "")),
         )

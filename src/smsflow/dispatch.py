@@ -1,20 +1,20 @@
-"""Configuration-driven event dispatch.
+"""Configuration-driven event dispatch: the one place metadata is matched.
 
 Each rule in the services configuration forwards matching envelopes to a
-named worker agent.  A dispatcher owns one topic subscription plus the rule
-set for its stage, and invokes its registry's always-on set (at the
-arbitration stage, the tracking agent) for every message it sees.
+named worker agent; its conditions are a :class:`MetadataFilter`.  A
+dispatcher owns one topic subscription, which hands it every envelope
+published there, plus the rule set for its stage, and invokes its registry's
+always-on set (at the arbitration stage, the tracking agent) for every
+message it sees.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Protocol
-
-import yaml
+from dataclasses import dataclass, field
+from typing import Any, Protocol
 
 from .messages import event_and_step
-from .pool import Envelope, MetadataFilter, Subscription
+from .pool import Envelope, Subscription
 from .store import RunStore, TERMINAL_UNROUTED
 
 log = logging.getLogger(__name__)
@@ -22,6 +22,34 @@ log = logging.getLogger(__name__)
 
 class DispatchConfigError(ValueError):
     """Malformed services configuration."""
+
+
+@dataclass(frozen=True)
+class MetadataFilter:
+    """Conjunction of string-equality tests on dotted payload paths.
+
+    Each path is split once, at construction.  A missing hop or a non-dict
+    node along a path reads as None, so that test fails.
+    """
+
+    conditions: tuple[tuple[str, str], ...]
+    _tests: tuple[tuple[tuple[str, ...], str], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_tests", tuple((tuple(key.split(".")), value) for key, value in self.conditions)
+        )
+
+    def matches(self, payload: Any) -> bool:
+        for parts, value in self._tests:
+            node = payload
+            for part in parts:
+                node = node.get(part) if isinstance(node, dict) else None
+            if node != value:
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -42,9 +70,6 @@ class AgentRegistry:
     agents: dict[str, Agent]
     always_on: tuple[str, ...] = ()
 
-    def resolve(self, qualifier: str) -> Agent:
-        return self.agents[qualifier]
-
     def validate_against(self, rules: list[ServiceRule]) -> None:
         needed = {r.qualifier for r in rules} | set(self.always_on)
         missing = sorted(needed - set(self.agents))
@@ -52,18 +77,8 @@ class AgentRegistry:
             raise DispatchConfigError(f"unresolved agent qualifiers: {', '.join(missing)}")
 
 
-def load_rules(config_text: str) -> list[ServiceRule]:
-    """Parse the services YAML (``services.rules[*]``) into rule objects."""
-    try:
-        data = yaml.safe_load(config_text)
-    except yaml.YAMLError as exc:
-        raise DispatchConfigError(f"invalid YAML: {exc}") from exc
-    if not isinstance(data, dict) or "services" not in data:
-        raise DispatchConfigError("missing top-level 'services' section")
-    return load_rules_from_data(data["services"])
-
-
 def load_rules_from_data(services: dict) -> list[ServiceRule]:
+    """Rule objects from one stage's parsed ``services`` mapping (its ``rules`` list)."""
     if not isinstance(services, dict) or "rules" not in services:
         raise DispatchConfigError("missing 'rules' list under services")
     entries = services["rules"] or []
@@ -131,7 +146,7 @@ class Dispatcher:
 
         event_id, step = event_and_step(doc)
         for qualifier in invoked:
-            agent = self.registry.resolve(qualifier)
+            agent = self.registry.agents[qualifier]
             try:
                 agent.handle(envelope)
             except Exception as exc:  # noqa: BLE001 - per-agent fault isolation

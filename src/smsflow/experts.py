@@ -19,6 +19,7 @@ from datetime import date, timedelta
 from .messages import STEP_VALIDATED
 from .pool import Envelope
 from .store import (
+    CONTACT_SUPPORT_TEXT,
     OutboundSmsGateway,
     RunStore,
     TERMINAL_AWAITING,
@@ -58,7 +59,6 @@ _CLAUSE_SPLIT = re.compile(r"\bor\b|;", re.IGNORECASE)
 @dataclass(frozen=True)
 class ExpertRegistration:
     qualifier: str
-    expertise: str
     cues: tuple[str, ...]
     queue: str = ""
 
@@ -339,6 +339,10 @@ class RouterAgent:
         # One SMS per kind per event, whatever the item count.
         for kind, texts in replies.items():
             self.outbound.send_sms(customer_id, "\n".join(texts), kind, event_id)
+        if not (failed or routed or keywords["accepted"]["renew"] or keywords["accepted"]["stop"]):
+            # Nothing to apply and nothing to route: the reply is not understood.
+            self.outbound.send_sms(customer_id, CONTACT_SUPPORT_TEXT, "contact-support", event_id)
+            failed = True
 
         if failed:
             terminal = TERMINAL_FAILED

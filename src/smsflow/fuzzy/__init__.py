@@ -16,7 +16,6 @@ from .ruleblock import (
     RuleBlock,
     RuleSyntaxError,
     UnsupportedOperatorError,
-    format_ruleblock,
     parse_ruleblock,
 )
 from .inference import (
@@ -39,7 +38,6 @@ __all__ = [
     "RuleBlock",
     "RuleSyntaxError",
     "UnsupportedOperatorError",
-    "format_ruleblock",
     "parse_ruleblock",
     "FuzzyDefinitionError",
     "FuzzyOutput",

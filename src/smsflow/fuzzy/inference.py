@@ -34,11 +34,6 @@ class FuzzyOutput:
     variable: LinguisticVariable
     activations: dict[str, float]
 
-    @property
-    def aggregated(self) -> MembershipFunction:
-        """The aggregated curve the activations induce, built on each access."""
-        return aggregate(self.variable, self.activations)
-
 
 def infer(
     block: RuleBlock,
@@ -133,7 +128,7 @@ def defuzzify_cog(out: FuzzyOutput) -> float:
     """
     area = 0.0
     moment = 0.0
-    vs = out.aggregated.vertices
+    vs = aggregate(out.variable, out.activations).vertices
     for (x0, y0), (x1, y1) in zip(vs, vs[1:]):
         dx = x1 - x0
         area += dx * (y0 + y1) / 2.0

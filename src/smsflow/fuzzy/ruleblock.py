@@ -149,14 +149,3 @@ def _parse_statement(statement: str, line: int, rules: list[Rule]) -> None:
 
     raise RuleSyntaxError(f"unrecognized statement: {statement!r}", line)
 
-
-def format_ruleblock(block: RuleBlock) -> str:
-    """Render a block in the canonical source form accepted by the parser."""
-    out = [f"RULEBLOCK {block.name}"]
-    out.extend(f"  {op} : {value};" for op, value in _EXPECTED_OPERATORS.items())
-    for rule in block.rules:
-        conds = " AND ".join(f"{var} IS {label}" for var, label in rule.antecedents)
-        out_var, out_label = rule.consequent
-        out.append(f"  RULE {rule.index} : IF {conds} THEN {out_var} IS {out_label};")
-    out.append("END_RULEBLOCK")
-    return "\n".join(out) + "\n"

@@ -50,7 +50,7 @@ _VERDICT = itemgetter("keyword_outcome", "accepted", "scores")
 REPORT_JSON = "report.json"
 REPORT_TEXT = "report.txt"
 
-# Soundness tokenizes as the validator does, on the delimiters every configuration uses.
+# Soundness tokenizes as the validator does; tokenizing reads no lexicon entry.
 _KEYWORD_FREE = KeywordLexicon(entries=())
 
 
@@ -66,14 +66,18 @@ class RunResult:
 
 
 def load_corpus(path: Path | str) -> list[dict]:
+    """The corpus entries of a JSON-lines file; a malformed line raises ``ValueError`` naming it."""
     entries = []
     for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        doc = json.loads(line)
-        if "phone" not in doc or "text" not in doc:
-            raise ValueError(f"{path}:{i}: corpus lines need 'phone' and 'text'")
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{i}: not JSON: {exc}") from exc
+        if not isinstance(doc, dict) or not all(isinstance(doc.get(k), str) for k in ("phone", "text")):
+            raise ValueError(f"{path}:{i}: corpus lines are objects with string 'phone' and 'text'")
         entries.append({"phone": doc["phone"], "text": doc["text"]})
     return entries
 

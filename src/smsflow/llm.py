@@ -347,9 +347,15 @@ class ChatCompletionModel:
             text = fence.group(1).strip()
         try:
             doc = json.loads(text)
-            return LlmExtraction.from_doc(doc)
+            lists = [doc[key] for key in ("renew", "stop", "complaint", "request")]
+            mood = doc["mood"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise MalformedOutputError(f"reply is not the expected document: {reply!r}") from exc
+        # Untrusted output: the validator lowercases every keyword, the judge normalizes every item.
+        strings = all(isinstance(items, list) and all(isinstance(i, str) for i in items) for items in lists)
+        if not (strings and isinstance(mood, str)):
+            raise MalformedOutputError(f"reply is not lists of strings and a string mood: {reply!r}")
+        return LlmExtraction.from_doc(doc)
 
 
 def run_llm_stage(

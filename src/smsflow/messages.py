@@ -112,8 +112,7 @@ class DegreeOfConfidence:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "DegreeOfConfidence":
-        medium = doc["intermediate"] if "intermediate" in doc else doc["medium"]
-        return cls(high=doc["high"], medium=medium, low=doc["low"])
+        return cls(high=doc["high"], medium=doc["intermediate"], low=doc["low"])
 
     def as_degrees(self) -> dict[str, float]:
         return {"high": self.high, "medium": self.medium, "low": self.low}

@@ -27,13 +27,7 @@ from .llm import ChatCompletionModel, FaultPlan, LlmAgent
 from .messages import AGENTS_TOPIC, INCOMING_TOPIC, event_and_step
 from .pool import MessagePool
 from .renewal import RenewalAgent
-from .store import (
-    IncomingSmsGateway,
-    LogicalClock,
-    OutboundSmsGateway,
-    PharmacyClient,
-    RunStore,
-)
+from .store import IncomingSmsGateway, OutboundSmsGateway, PharmacyClient, RunStore
 from .validator import StopRiskAssessor, ValidatorAgent
 
 log = logging.getLogger(__name__)
@@ -117,8 +111,7 @@ def build_pipeline(
     drop_keyword_rate: float = 0.0,
     run_dir: Path | str | None = None,
 ) -> Pipeline:
-    clock = LogicalClock()
-    store = RunStore(run_dir, clock=clock)
+    store = RunStore(run_dir)
     pool = MessagePool()
 
     gateway = IncomingSmsGateway(config.auth, store, pool)
@@ -161,14 +154,14 @@ def build_pipeline(
     orchestration = Dispatcher(
         "OrchestrationDispatcher",
         config.orchestration_rules,
-        AgentRegistry({q: agents[q] for q in agents}, always_on=()),
+        AgentRegistry(agents),
         pool.subscribe(INCOMING_TOPIC),
         store,
     )
     arbitration = Dispatcher(
         "ArbitrationDispatcher",
         config.arbitration_rules,
-        AgentRegistry({q: agents[q] for q in agents}, always_on=config.always_on),
+        AgentRegistry(agents, always_on=config.always_on),
         pool.subscribe(AGENTS_TOPIC),
         store,
     )

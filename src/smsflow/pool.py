@@ -2,16 +2,17 @@
 
 Named topics number messages with gapless offsets and no timestamps, but keep
 no log: ``publish`` appends each envelope to the queue of every live
-subscription, and agents pull from their own queue with ``poll``, optionally
-filtered by equality tests on metadata paths.  An envelope is freed once every
-subscription live at its publish has polled it or been dropped.
+subscription, and agents pull every envelope from their own queue with
+``poll``; choosing what to act on is the dispatcher's job.  An envelope is
+freed once every subscription live at its publish has polled it or been
+dropped.
 """
 from __future__ import annotations
 
 import threading
 import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 
@@ -22,47 +23,17 @@ class Envelope:
     payload: Any
 
 
-@dataclass(frozen=True)
-class MetadataFilter:
-    """Conjunction of string-equality tests on dotted payload paths.
-
-    Each path is split once, at construction.  A missing hop or a non-dict
-    node along a path reads as None, so that test fails.
-    """
-
-    conditions: tuple[tuple[str, str], ...]
-    _tests: tuple[tuple[tuple[str, ...], str], ...] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_tests", tuple((tuple(key.split(".")), value) for key, value in self.conditions)
-        )
-
-    def matches(self, payload: Any) -> bool:
-        for parts, value in self._tests:
-            node = payload
-            for part in parts:
-                node = node.get(part) if isinstance(node, dict) else None
-            if node != value:
-                return False
-        return True
-
-
 class Subscription:
     """A single consumer's queue of the envelopes published since it subscribed.
 
-    The queue takes every envelope; ``poll`` pops it and only then applies the
-    filter.  The pool refers to a subscription weakly, so one the consumer
-    drops stops receiving and frees its queue.  Owned by one consumer at a
-    time; the pool's lock makes it safe to hand between threads.
+    The pool refers to a subscription weakly, so one the consumer drops stops
+    receiving and frees its queue.  Owned by one consumer at a time; the
+    pool's lock makes it safe to hand between threads.
     """
 
-    def __init__(self, pool: "MessagePool", topic: str, filter: MetadataFilter | None):
+    def __init__(self, pool: "MessagePool", topic: str):
         self._pool = pool
         self.topic = topic
-        self._filter = filter
         self._queue: deque[Envelope] = deque()
 
     def poll(self, max_n: int = 1) -> list[Envelope]:
@@ -102,25 +73,20 @@ class MessagePool:
                     sub._queue.append(env)
             return offset
 
-    def subscribe(self, topic: str, filter: MetadataFilter | None = None) -> Subscription:
+    def subscribe(self, topic: str) -> Subscription:
         """New-messages-only subscription; earlier traffic is never replayed."""
-        sub = Subscription(self, topic, filter)
+        sub = Subscription(self, topic)
         with self._lock:
             live = tuple(r for r in self._subscribers.get(topic, ()) if r() is not None)
             self._subscribers[topic] = (*live, weakref.ref(sub))
         return sub
 
     def _poll(self, sub: Subscription, max_n: int) -> list[Envelope]:
-        out: list[Envelope] = []
-        queue, keep = sub._queue, sub._filter
+        queue = sub._queue
         with self._lock:
-            while queue and len(out) < max_n:
-                env = queue.popleft()
-                if keep is None or keep.matches(env.payload):
-                    out.append(env)
-        return out
+            return [queue.popleft() for _ in range(min(max_n, len(queue)))]
 
     def lag(self, sub: Subscription) -> int:
-        """Messages (matching or not) the subscription has not yet scanned."""
+        """Messages the subscription has not yet polled."""
         with self._lock:
             return len(sub._queue)

@@ -57,7 +57,6 @@ class LexiconEntry:
 class KeywordLexicon:
     entries: tuple[LexiconEntry, ...]
     politeness: tuple[str, ...] = ()
-    delimiters: str = SEGMENT_DELIMITERS
     # Compiled once here: every parsed SMS and every model reading splits on them.
     segment_split: re.Pattern = field(init=False, repr=False, compare=False)
     politeness_res: tuple[re.Pattern, ...] = field(init=False, repr=False, compare=False)
@@ -83,7 +82,7 @@ class KeywordLexicon:
         object.__setattr__(self, "literal_index", literal_index)
         object.__setattr__(self, "regex_entries", tuple(regex_entries))
         object.__setattr__(
-            self, "segment_split", re.compile("[" + re.escape(self.delimiters) + "]")
+            self, "segment_split", re.compile("[" + re.escape(SEGMENT_DELIMITERS) + "]")
         )
         object.__setattr__(self, "politeness_res", tuple(
             re.compile(
@@ -135,7 +134,7 @@ def strip_politeness(text: str, lexicon: KeywordLexicon) -> str:
 
 
 def split_sentences(text: str, lexicon: KeywordLexicon) -> list[str]:
-    """Non-blank sentences of the text, split on the lexicon's delimiters and stripped."""
+    """Non-blank sentences of the text, split on ``SEGMENT_DELIMITERS`` and stripped."""
     parts = lexicon.segment_split.split(text)
     return [p.strip() for p in parts if p.strip()]
 
@@ -166,9 +165,6 @@ class KeywordExtraction:
     stop: list[str]
     matched: int
     total: int
-
-    def claimed(self) -> list[str]:
-        return list(self.renew) + list(self.stop)
 
     def full_match(self) -> bool:
         """At least one token, and the lexicon matched every one."""

@@ -149,12 +149,12 @@ class RunStore:
     Layout under a run directory: steps.jsonl, originals.jsonl,
     outbound_sms.jsonl, pharmacy.jsonl, bookings.jsonl, answers.jsonl,
     auth_failures.jsonl and queues/<name>.jsonl.  With ``root=None``
-    everything stays in memory.
+    everything stays in memory.  Its :class:`LogicalClock` starts at the epoch.
     """
 
-    def __init__(self, root: Path | str | None = None, clock=None):
+    def __init__(self, root: Path | str | None = None):
         self.root = Path(root) if root is not None else None
-        self.clock = clock or LogicalClock()
+        self.clock = LogicalClock()
         self._event_locks: dict[str, threading.RLock] = {}
         self._locks_guard = threading.Lock()
         self._seq = 0
@@ -342,7 +342,7 @@ class OutboundSmsGateway:
     def __init__(self, store: RunStore):
         self.store = store
 
-    def send_sms(self, customer_id: str, text: str, kind: str, event_id: str = "") -> dict:
+    def send_sms(self, customer_id: str, text: str, kind: str, event_id: str) -> dict:
         if kind not in SMS_KINDS:
             raise ValueError(f"unknown SMS kind {kind!r}")
         record = {
@@ -353,8 +353,7 @@ class OutboundSmsGateway:
             "sent_at": self.store.clock.now_iso(),
         }
         self.store.outbound_sms.append(record)
-        if event_id:
-            self.store.record_step(event_id, "", "OutboundSmsService", f"sms:{kind}")
+        self.store.record_step(event_id, "", "OutboundSmsService", f"sms:{kind}")
         return record
 
 

@@ -206,7 +206,6 @@ def validate_extraction(
     a: ModelResponse,
     b: ModelResponse,
     models_by_id: dict,
-    model_order: list[str],
     lexicon: KeywordLexicon,
     executor: Executor | None = None,
 ) -> ExtractionVerdict:
@@ -214,8 +213,9 @@ def validate_extraction(
 
     Failure markers (and judge failures) count as score 1.  Scores below 5
     discard the extraction; among the rest the highest score wins, with ties
-    going to the first configured model.  ``executor`` overlaps the two
-    judge calls.
+    going to ``a``, which the stage document lists first because it comes
+    from the first configured model.  ``executor`` overlaps the two judge
+    calls.
     """
     def cross_score(pair: tuple[ModelResponse, str]) -> int:
         target, judge_model_id = pair
@@ -232,9 +232,7 @@ def validate_extraction(
     if not candidates:
         return ExtractionVerdict(chosen=None, scores=scores, outcome=EXTRACTION_FAIL)
 
-    best = max(scores[r.model_id] for r in candidates)
-    by_order = sorted(candidates, key=lambda r: model_order.index(r.model_id))
-    chosen = next(r for r in by_order if scores[r.model_id] == best)
+    chosen = max(candidates, key=lambda r: scores[r.model_id])  # the first of equals
     return ExtractionVerdict(chosen=chosen.extraction, scores=scores, outcome=EXTRACTION_ROUTE)
 
 
@@ -260,7 +258,6 @@ class ValidatorAgent:
         executor: Executor | None = None,
     ):
         self.models_by_id = {m.model_id: m for m in models}
-        self.model_order = [m.model_id for m in models]  # the stage-2 tie-break order
         self.lexicon = lexicon
         self.risk = risk
         self.store = store
@@ -316,7 +313,7 @@ class ValidatorAgent:
                     f"confirmation-requested risk={verdict.risk}",
                 )
             extraction_verdict = validate_extraction(
-                original, a, b, self.models_by_id, self.model_order, self.lexicon, self.executor
+                original, a, b, self.models_by_id, self.lexicon, self.executor
             )
             if extraction_verdict.outcome == EXTRACTION_FAIL:
                 self.outbound.send_sms(customer_id, CONTACT_SUPPORT_TEXT, "contact-support", event_id)

@@ -297,7 +297,7 @@ def test_criterion_7_stage_two_judging(config):
         a = ModelResponse("alpha", LlmExtraction(complaint=["x"], model_id="alpha"))
         b = ModelResponse("beta", LlmExtraction(complaint=["y"], model_id="beta"))
         models = {"alpha": FixedJudge("alpha", table), "beta": FixedJudge("beta", table)}
-        return validate_extraction("text", a, b, models, ["alpha", "beta"], lexicon)
+        return validate_extraction("text", a, b, models, lexicon)
 
     assert verdict({"alpha": 7, "beta": 3}).chosen.model_id == "alpha"
     assert verdict({"alpha": 6, "beta": 9}).chosen.model_id == "beta"

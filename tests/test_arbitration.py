@@ -18,7 +18,7 @@ from smsflow.messages import (
     Metadata,
     RenewalProcessed,
 )
-from smsflow.pool import MessagePool, MetadataFilter
+from smsflow.pool import MessagePool
 from smsflow.store import OutboundSmsGateway, PharmacyClient, RunStore
 
 from conftest import brute_force_activations
@@ -148,14 +148,14 @@ def test_raising_importance_never_flips_forward_to_fail(default_config):
 def _wiring(default_config):
     store = RunStore()
     pool = MessagePool()
-    s002 = pool.subscribe(AGENTS_TOPIC, MetadataFilter((("metadata.stepId", "S002"),)))
+    agents = pool.subscribe(AGENTS_TOPIC)
     pharmacy = PharmacyClient(store)
     outbound = OutboundSmsGateway(store)
-    return store, pool, s002, pharmacy, outbound
+    return store, pool, agents, pharmacy, outbound
 
 
 def test_evaluate_process_direct_calls_pharmacy_per_keyword(default_config):
-    store, pool, s002, pharmacy, outbound = _wiring(default_config)
+    store, pool, agents, pharmacy, outbound = _wiring(default_config)
     decision = evaluate(
         _msg(FULL, renew=("1",), stop=("unenroll",), full_match=True), _profile(0, 0),
         default_config.importance_system, default_config.action_system,
@@ -164,17 +164,17 @@ def test_evaluate_process_direct_calls_pharmacy_per_keyword(default_config):
     assert decision.action == ACTION_PROCESS_DIRECT
     assert [r["keyword"] for r in store.pharmacy.read_all() if r["eventId"] == "A1001"] == ["1", "unenroll"]
     assert store.terminal_of("A1001")["note"] == "done"
-    assert s002.poll(5) == []  # bypass: never forwarded
+    assert agents.poll(5) == []  # bypass: never forwarded
 
 
 def test_evaluate_forward_republishes_at_next_step(default_config):
-    store, pool, s002, pharmacy, outbound = _wiring(default_config)
+    store, pool, agents, pharmacy, outbound = _wiring(default_config)
     evaluate(
         _msg(LOW), _profile(10, 5000),
         default_config.importance_system, default_config.action_system,
         store, pool, pharmacy, outbound,
     )
-    docs = [e.payload for e in s002.poll(5)]
+    docs = [e.payload for e in agents.poll(5)]
     assert len(docs) == 1
     assert docs[0]["metadata"]["stepId"] == "S002"
     assert docs[0]["renew"] == ["1"]
@@ -183,7 +183,7 @@ def test_evaluate_forward_republishes_at_next_step(default_config):
 
 
 def test_evaluate_fail_sends_support_sms(default_config):
-    store, pool, s002, pharmacy, outbound = _wiring(default_config)
+    store, pool, agents, pharmacy, outbound = _wiring(default_config)
     decision = evaluate(
         _msg(LOW), _profile(0, 0),
         default_config.importance_system, default_config.action_system,
@@ -193,7 +193,7 @@ def test_evaluate_fail_sends_support_sms(default_config):
     sms = store.outbound_sms.read_all()
     assert len(sms) == 1 and sms[0]["kind"] == "contact-support"
     assert store.terminal_of("A1001")["note"] == "contact-support SMS sent"
-    assert s002.poll(5) == []
+    assert agents.poll(5) == []
 
 
 def test_evaluate_rejects_wrong_step(default_config):

@@ -1,16 +1,18 @@
 import random
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from smsflow.dispatch import (
     AgentRegistry,
     DispatchConfigError,
     Dispatcher,
+    MetadataFilter,
     ServiceRule,
-    load_rules,
+    load_rules_from_data,
 )
-from smsflow.pool import MessagePool, MetadataFilter
+from smsflow.pool import MessagePool
 from smsflow.store import RunStore
 
 SERVICES_YAML = """\
@@ -27,6 +29,17 @@ services:
         - key: "metadata.type"
           value: "reminder"
 """
+
+
+def load_rules(config_text: str) -> list[ServiceRule]:
+    """Parse a standalone services YAML (``services.rules[*]``) into rule objects."""
+    try:
+        data = yaml.safe_load(config_text)
+    except yaml.YAMLError as exc:
+        raise DispatchConfigError(f"invalid YAML: {exc}") from exc
+    if not isinstance(data, dict) or "services" not in data:
+        raise DispatchConfigError("missing top-level 'services' section")
+    return load_rules_from_data(data["services"])
 
 
 class Recorder:

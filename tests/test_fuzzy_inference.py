@@ -13,6 +13,7 @@ from smsflow.fuzzy import (
     infer,
     parse_ruleblock,
 )
+from smsflow.fuzzy.inference import aggregate
 
 from conftest import brute_force_activations, quadrature_cog, random_output_variable, triangle
 from test_fuzzy_ruleblock import ACTION_BLOCK
@@ -116,7 +117,7 @@ def test_inference_is_pure():
     a = infer(block, inputs, ACTION_VAR)
     b = infer(block, inputs, ACTION_VAR)
     assert a.activations == b.activations
-    assert a.aggregated == b.aggregated
+    assert aggregate(ACTION_VAR, a.activations) == aggregate(ACTION_VAR, b.activations)
     assert defuzzify_cog(a) == defuzzify_cog(b)
 
 
@@ -138,7 +139,7 @@ def test_aggregated_curve_equals_clipped_max_pointwise():
             expected = max(
                 min(activations[label], mf.evaluate(x)) for label, mf in var.labels.items()
             )
-            assert out.aggregated.evaluate(x) == pytest.approx(expected, abs=1e-9)
+            assert aggregate(var, out.activations).evaluate(x) == pytest.approx(expected, abs=1e-9)
 
 
 def test_activations_match_brute_force_and_stay_in_unit_interval():

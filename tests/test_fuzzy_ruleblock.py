@@ -6,9 +6,20 @@ from smsflow.fuzzy import (
     RuleBlock,
     RuleSyntaxError,
     UnsupportedOperatorError,
-    format_ruleblock,
     parse_ruleblock,
 )
+
+
+def format_ruleblock(block: RuleBlock) -> str:
+    """Render a block in the canonical source form accepted by the parser."""
+    out = [f"RULEBLOCK {block.name}", "  AND : MIN;", "  ACT : MIN;", "  ACCU : MAX;"]
+    for rule in block.rules:
+        conds = " AND ".join(f"{var} IS {label}" for var, label in rule.antecedents)
+        out_var, out_label = rule.consequent
+        out.append(f"  RULE {rule.index} : IF {conds} THEN {out_var} IS {out_label};")
+    out.append("END_RULEBLOCK")
+    return "\n".join(out) + "\n"
+
 
 ACTION_BLOCK = """\
 RULEBLOCK No2

@@ -291,12 +291,16 @@ def test_report_rows_replay_from_the_run_directory_logs(tmp_path, budget):
 
 # Not full matches, although each one's confidence vector is the ratio-1
 # literal: 9 of 10 tokens matched, no token at all, courtesy words only.
-# Each reaches the model stage; the value is the validator's keyword outcome.
+# Each reaches the model stage; the value is the validator's keyword outcome,
+# the event's outcome and its SMS kinds.  A reply with nothing to apply and
+# nothing to route gets the contact-support SMS.
 NEAR_FULL_TEXTS = {
-    "renew stop 1 2 enroll renew stop 1 2 call": "confirm-then-process",
-    "": "process",
-    "thank you": "process",
-    "1 1 1 1 1 1 1 1 1 thank": "process",
+    "renew stop 1 2 enroll renew stop 1 2 call": (
+        "confirm-then-process", "awaiting-confirmation", ["confirm-stop"]
+    ),
+    "": ("process", "failed", ["contact-support"]),
+    "thank you": ("process", "failed", ["contact-support"]),
+    "1 1 1 1 1 1 1 1 1 thank": ("process", "processed", []),
 }
 
 
@@ -307,7 +311,7 @@ def test_near_full_and_empty_texts_reach_the_model_stage():
     for row in result.report["messages"]:
         history = result.pipeline.store.get_history(row["eventId"])
         assert any(r["stepId"] == "S002" for r in history)
-        assert row["keyword_outcome"] == NEAR_FULL_TEXTS[row["text"]]
+        assert (row["keyword_outcome"], row["outcome"], row["sms"]) == NEAR_FULL_TEXTS[row["text"]]
 
 
 def test_demo_report_renders_without_the_pure_python_json_encoder(tmp_path, monkeypatch):
@@ -490,11 +494,15 @@ def test_summary_counters_match_the_run(ten_message_run, tmp_path):
         assert summarize_run(run_dir) == expected
 
 
-def test_corpus_lines_require_phone_and_text(tmp_path):
+def test_corpus_lines_require_phone_and_text(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"phone": "+1"}\n')
-    with pytest.raises(ValueError):
-        load_corpus(bad)
+    good = '{"phone": "+15550001", "text": "1"}\n'
+    for line in ('{"phone": "+1"}', "123", '{"phone": "+15550001", "text": null}', "[1"):
+        bad.write_text(good + line + "\n")
+        with pytest.raises(ValueError, match="bad.jsonl:2: "):
+            load_corpus(bad)
+        assert main(["run", "--corpus", str(bad), "--out", str(tmp_path / "run")]) == 1
+        assert "bad.jsonl:2: " in capsys.readouterr().err
 
 
 def test_tracking_agent_observes_every_arbitration_message(ten_message_run):

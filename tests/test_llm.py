@@ -7,7 +7,8 @@ import pytest
 import yaml
 from fake_chat import chat_models
 
-from smsflow.config import ConfigError, default_config_path, load_config_text
+from smsflow.config import ConfigError, default_config_path, load_config, load_config_text
+from smsflow.harness import run_pipeline
 from smsflow.llm import (
     BackendUnavailableError,
     ChatCompletionModel,
@@ -376,6 +377,40 @@ def test_http_adapter_recovers_on_reprompt(lexicon):
         "gamma", "http://example/v1", "m", transport=_transport_returning("garbage", good)
     )
     assert model.extract("hello", lexicon).mood == "neutral"
+
+
+_STRING_FIELDS = {"renew": [], "stop": [], "complaint": [], "request": [], "mood": "neutral"}
+NON_STRING_REPLIES = [
+    {**_STRING_FIELDS, "renew": [1]},
+    {**_STRING_FIELDS, "complaint": [None]},
+    {**_STRING_FIELDS, "stop": "unenroll"},
+    {**_STRING_FIELDS, "mood": 3},
+]
+
+
+@pytest.mark.parametrize("doc", NON_STRING_REPLIES)
+def test_http_adapter_rejects_fields_that_are_not_strings(lexicon, doc):
+    reply = json.dumps(doc)
+    model = ChatCompletionModel(
+        "gamma", "http://example/v1", "m", transport=_transport_returning(reply, reply)
+    )
+    with pytest.raises(MalformedOutputError):
+        model.extract("1 unenroll", lexicon)
+
+
+def test_a_reply_with_a_number_for_a_keyword_still_ends_its_event():
+    config = load_config(default_config_path())
+    reply = json.dumps(NON_STRING_REPLIES[0])
+    models = [
+        ChatCompletionModel(spec.model_id, "http://fake/v1", "fake", transport=lambda body: reply)
+        for spec in config.model_specs
+    ]
+    config.build_models = lambda: models
+    result = run_pipeline(config, [{"phone": "+15550001", "text": "1 is what I mean"}])
+    assert result.pending == []
+    [row] = result.report["messages"]
+    assert row["outcome"] == "failed" and row["sms"] == ["contact-support"]
+    assert [d["reason"] for d in row["discarded"]] == ["failure-marker", "failure-marker"]
 
 
 def test_http_adapter_judge_parses_score(lexicon):

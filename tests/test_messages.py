@@ -1,3 +1,5 @@
+import pytest
+
 from smsflow.messages import (
     DegreeOfConfidence,
     Metadata,
@@ -52,10 +54,13 @@ def test_parsed_document_round_trips():
 
 
 def test_confidence_parses_either_middle_label_spelling():
+    # "intermediate" on the wire, "medium" in the engine; the wire has only its own spelling.
     wire = DegreeOfConfidence.from_doc({"high": 0.1, "intermediate": 0.2, "low": 0.3})
-    engine = DegreeOfConfidence.from_doc({"high": 0.1, "medium": 0.2, "low": 0.3})
-    assert wire == engine
+    assert wire == DegreeOfConfidence(high=0.1, medium=0.2, low=0.3)
     assert wire.as_degrees() == {"high": 0.1, "medium": 0.2, "low": 0.3}
+    assert DegreeOfConfidence.from_doc(wire.to_doc()) == wire
+    with pytest.raises(KeyError):
+        DegreeOfConfidence.from_doc({"high": 0.1, "medium": 0.2, "low": 0.3})
 
 
 def test_sms_event_round_trips():

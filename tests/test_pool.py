@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from smsflow.pool import MessagePool, MetadataFilter
+from smsflow.pool import MessagePool
 
 
 def _event(step, n):
@@ -49,15 +49,6 @@ def test_subscribe_then_publish_three_matching_fifo():
     assert [e.offset for e in got] == [0, 1, 2]
 
 
-def test_metadata_filter_selects_by_step():
-    pool = MessagePool()
-    sub = pool.subscribe("t", MetadataFilter((("metadata.stepId", "S002"),)))
-    for i, step in enumerate(["S001", "S002", "S003", "S002"]):
-        pool.publish("t", _event(step, i))
-    got = sub.poll(10)
-    assert [e.payload["metadata"]["eventId"] for e in got] == ["A1", "A3"]
-
-
 def test_two_subscriptions_fan_out_independently():
     pool = MessagePool()
     sub_a = pool.subscribe("t")
@@ -92,15 +83,6 @@ def test_max_n_must_be_positive():
         sub.poll(0)
 
 
-def test_nonmatching_messages_advance_cursor_silently():
-    pool = MessagePool()
-    sub = pool.subscribe("t", MetadataFilter((("metadata.stepId", "S009"),)))
-    for i in range(3):
-        pool.publish("t", _event("S001", i))
-    assert sub.poll(10) == []
-    assert pool.lag(sub) == 0
-
-
 def test_interleaved_producers_preserve_per_producer_order():
     pool = MessagePool()
     sub = pool.subscribe("t")
@@ -131,16 +113,14 @@ def test_no_message_loss_across_random_interleavings():
     rng = random.Random(17)
     for _ in range(20):
         pool = MessagePool()
-        sub = pool.subscribe("t", MetadataFilter((("metadata.stepId", "S001"),)))
+        sub = pool.subscribe("t")
         published = []
         delivered = []
         for i in range(rng.randint(5, 40)):
             if rng.random() < 0.7:
-                step = rng.choice(["S001", "S002"])
-                doc = _event(step, i)
+                doc = _event(rng.choice(["S001", "S002"]), i)
                 pool.publish("t", doc)
-                if step == "S001":
-                    published.append(doc["metadata"]["eventId"])
+                published.append(doc["metadata"]["eventId"])
             else:
                 delivered.extend(
                     e.payload["metadata"]["eventId"] for e in sub.poll(rng.randint(1, 5))
@@ -196,11 +176,11 @@ def test_envelope_is_freed_once_the_only_subscription_polls_it():
 def test_envelope_is_held_until_the_slower_subscription_polls_it():
     pool = MessagePool()
     fast = pool.subscribe("t")
-    slow = pool.subscribe("t", MetadataFilter((("metadata.stepId", "S009"),)))
+    slow = pool.subscribe("t")
     ref = _published(pool)
     assert len(fast.poll(10)) == 1
     assert ref() is not None and pool.lag(slow) == 1
-    assert slow.poll(10) == []
+    assert len(slow.poll(10)) == 1
     assert ref() is None and pool.lag(slow) == 0
 
 

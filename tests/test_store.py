@@ -110,7 +110,7 @@ def test_send_sms_records_kind():
 def test_unknown_sms_kind_rejected():
     outbound = OutboundSmsGateway(RunStore())
     with pytest.raises(ValueError):
-        outbound.send_sms("C1001", "hi", "postcard")
+        outbound.send_sms("C1001", "hi", "postcard", "E1")
 
 
 def test_pharmacy_apply_is_idempotent_per_event_and_keyword():
@@ -140,7 +140,8 @@ def test_logical_clock_only_advances_when_told():
     assert clock.now_iso() > first
 
     # The stamp is cached per tick; it must always equal a fresh format.
-    clock = LogicalClock()
+    store = RunStore()
+    clock = store.clock
     advanced = 0
     for target in (0, 1, 1000):
         while advanced < target:
@@ -149,7 +150,6 @@ def test_logical_clock_only_advances_when_told():
         assert clock.now_iso() == clock.now().strftime("%Y-%m-%dT%H:%M:%SZ")
     assert clock.now_iso() == "2025-01-01T00:16:40Z"
 
-    store = RunStore(clock=clock)
     before = store.record_step("E1", "S000", "Agent", "before")["recorded_at"]
     clock.advance()
     after = store.record_step("E1", "S000", "Agent", "after")["recorded_at"]

@@ -7,8 +7,10 @@ from fake_chat import chat_models
 
 from smsflow.config import default_corpus_path
 from smsflow.harness import load_corpus, run_pipeline
-from smsflow.llm import LlmExtraction, ScriptedModel
-from smsflow.messages import DegreeOfConfidence, Metadata, RenewalProcessed
+from smsflow.llm import FaultPlan, LlmExtraction, ScriptedModel, run_llm_stage
+from smsflow.messages import AGENTS_TOPIC, DegreeOfConfidence, Metadata, RenewalProcessed
+from smsflow.pool import Envelope, MessagePool
+from smsflow.store import OutboundSmsGateway, PharmacyClient, RunStore
 from smsflow.validator import (
     EXTRACTION_FAIL,
     EXTRACTION_ROUTE,
@@ -22,6 +24,7 @@ from smsflow.validator import (
     ModelResponse,
     StopRiskAssessor,
     StopRiskInputs,
+    ValidatorAgent,
     assess_stop_risk,
     validate_extraction,
     validate_keywords,
@@ -312,7 +315,7 @@ def _judged(scores, lexicon, a=None, b=None):
         "alpha": FixedJudge("alpha", scores),
         "beta": FixedJudge("beta", scores),
     }
-    return validate_extraction("text", a, b, models, ["alpha", "beta"], lexicon)
+    return validate_extraction("text", a, b, models, lexicon)
 
 
 def test_sub_five_score_discards_that_extraction(lexicon):
@@ -332,6 +335,28 @@ def test_tie_goes_to_first_configured_model(lexicon):
     assert verdict.chosen.model_id == "alpha"
 
 
+def test_tie_goes_to_the_model_the_stage_document_lists_first(default_config):
+    lexicon = default_config.lexicon
+    store, pool = RunStore(), MessagePool()
+    published = pool.subscribe(AGENTS_TOPIC)
+    store.store_original("A1001", "1. I want to book a flu shot")
+    parsed = _ra(renew=("1",)).to_doc()
+    parsed["metadata"]["stepId"] = "S002"
+    models = [ScriptedModel("beta"), ScriptedModel("alpha")]  # configured in this order
+    s003 = run_llm_stage(parsed, models, lexicon, FaultPlan(), store, pool)
+    risk = StopRiskAssessor(
+        default_config.risk_system, default_config.risk_threshold,
+        default_config.medication_by_keyword, default_config.medication_default,
+    )
+    validator = ValidatorAgent(
+        models, lexicon, risk, store, pool, PharmacyClient(store), OutboundSmsGateway(store)
+    )
+    validator.handle(Envelope(AGENTS_TOPIC, 0, s003))
+    [s004] = [e.payload for e in published.poll(10) if e.payload["metadata"]["stepId"] == "S004"]
+    assert s004["extraction"]["scores"] == {"beta": 10, "alpha": 10}
+    assert s004["extraction"]["chosen_model"] == "beta"
+
+
 def test_higher_score_wins_regardless_of_order(lexicon):
     verdict = _judged({"alpha": 6, "beta": 9}, lexicon)
     assert verdict.chosen.model_id == "beta"
@@ -349,7 +374,7 @@ def test_two_failure_markers_fail_without_judging(lexicon):
     b = ModelResponse(model_id="beta", failure="offline")
     models = {m.model_id: m for m in chat_models(lexicon, error=AssertionError("judged"))}
     with ThreadPoolExecutor(1) as executor:
-        verdict = validate_extraction("text", a, b, models, ["alpha", "beta"], lexicon, executor)
+        verdict = validate_extraction("text", a, b, models, lexicon, executor)
     assert verdict.outcome == EXTRACTION_FAIL
     assert verdict.scores == {"alpha": 1, "beta": 1}
 
@@ -371,7 +396,7 @@ def test_scripted_cross_judging_end_to_end(lexicon):
     a = ModelResponse("alpha", alpha.extract(original, lexicon))
     b = ModelResponse("beta", beta.extract(original, lexicon))
     verdict = validate_extraction(
-        original, a, b, {"alpha": alpha, "beta": beta}, ["alpha", "beta"], lexicon
+        original, a, b, {"alpha": alpha, "beta": beta}, lexicon
     )
     assert verdict.outcome == EXTRACTION_ROUTE
     assert verdict.scores == {"alpha": 10, "beta": 10}
@@ -383,14 +408,14 @@ def test_cross_judging_overlaps_the_two_judge_calls(lexicon):
     a = _resp("alpha", complaint=("The taste is bad",), request=("I want to book a flu shot",))
     b = _resp("beta", request=("I want to book a flu shot",))
     serial = validate_extraction(
-        original, a, b, {m.model_id: m for m in chat_models(lexicon)}, ["alpha", "beta"], lexicon
+        original, a, b, {m.model_id: m for m in chat_models(lexicon)}, lexicon
     )
     # Each judge call waits until the other has started, so serial calls break the barrier.
     barrier = threading.Barrier(2, timeout=5)
     models = {m.model_id: m for m in chat_models(lexicon, barrier=barrier)}
     with ThreadPoolExecutor(1, thread_name_prefix="smsflow-model") as executor:
         verdict = validate_extraction(
-            original, a, b, models, ["alpha", "beta"], lexicon, executor
+            original, a, b, models, lexicon, executor
         )
     assert not barrier.broken
     assert verdict.scores == serial.scores == {"alpha": 10, "beta": 8}
