@@ -28,6 +28,10 @@ class ConfigError(ValueError):
     """Invalid or incomplete configuration bundle."""
 
 
+# libyaml parses the bundle about seven times faster than PyYAML's pure-Python
+# parser; PyYAML built without libyaml has only the latter.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 DEFAULT_CONFIG_RESOURCE = "default_config.yaml"
 DEFAULT_CORPUS_RESOURCE = "corpus_ten.jsonl"
 
@@ -135,7 +139,7 @@ def load_config(path: Path | str) -> PipelineConfig:
 
 def load_config_text(text: str) -> PipelineConfig:
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}") from exc
     if not isinstance(data, dict):
@@ -151,6 +155,7 @@ def load_config_text(text: str) -> PipelineConfig:
     always_on = tuple(arbitration.get("always_on", ()))
 
     lex = _require(data, "lexicon", "bundle")
+    keywords = _require(lex, "keywords", "lexicon")
     try:
         lexicon = KeywordLexicon(
             entries=tuple(
@@ -159,7 +164,7 @@ def load_config_text(text: str) -> PipelineConfig:
                     canonical=str(e["canonical"]),
                     polarity=str(e["polarity"]),
                 )
-                for e in _require(lex, "keywords", "lexicon")
+                for e in keywords
             ),
             politeness=tuple(str(p) for p in lex.get("politeness", ())),
         )
@@ -207,26 +212,39 @@ def load_config_text(text: str) -> PipelineConfig:
         _require(risk, "ruleblock", "fuzzy.risk"),
         "fuzzy.risk",
     )
-    risk_threshold = float(_require(risk, "threshold", "fuzzy.risk"))
+    threshold = _require(risk, "threshold", "fuzzy.risk")
+    try:
+        risk_threshold = float(threshold)
+    except ValueError as exc:
+        raise ConfigError(f"fuzzy.risk.threshold: {exc}") from exc
 
     customers = _require(data, "customers", "bundle")
+    phones = _require(customers, "auth", "customers")
+    if not isinstance(phones, dict):
+        raise ConfigError("customers.auth: must map phone numbers to customer ids")
     auth = CustomerAuthTable(
-        phones={str(k): str(v) for k, v in _require(customers, "auth", "customers").items()},
+        phones={str(k): str(v) for k, v in phones.items()},
         campaign_type=str(customers.get("campaign_type", "renewal")),
     )
-    profiles = {}
-    for customer_id, pd in customers.get("profiles", {}).items():
+
+    def _profile(customer_id: str, pd: dict, where: str) -> CustomerProfile:
         try:
-            profiles[str(customer_id)] = CustomerProfile(
-                customer_id=str(customer_id),
+            return CustomerProfile(
+                customer_id=customer_id,
                 tenure_years=float(pd["tenure_years"]),
                 purchases_12mo=float(pd["purchases_12mo"]),
             )
         except (KeyError, ValueError) as exc:
-            raise ConfigError(f"customers.profiles.{customer_id}: {exc}") from exc
-    dp = customers.get("default_profile", {"tenure_years": 0, "purchases_12mo": 0})
-    default_profile = CustomerProfile(
-        customer_id="", tenure_years=float(dp["tenure_years"]), purchases_12mo=float(dp["purchases_12mo"])
+            raise ConfigError(f"{where}: {exc}") from exc
+
+    profiles = {
+        str(customer_id): _profile(str(customer_id), pd, f"customers.profiles.{customer_id}")
+        for customer_id, pd in customers.get("profiles", {}).items()
+    }
+    default_profile = _profile(
+        "",
+        customers.get("default_profile", {"tenure_years": 0, "purchases_12mo": 0}),
+        "customers.default_profile",
     )
 
     def _risk_inputs(rd: dict, where: str) -> StopRiskInputs:
@@ -250,9 +268,9 @@ def load_config_text(text: str) -> PipelineConfig:
     }
 
     llm = _require(data, "llm", "bundle")
-    model_specs = []
-    for m in _require(llm, "models", "llm"):
-        model_specs.append(
+    models = _require(llm, "models", "llm")
+    try:
+        model_specs = [
             ModelSpec(
                 model_id=str(m["id"]),
                 backend=str(m.get("backend", "scripted")),
@@ -261,7 +279,10 @@ def load_config_text(text: str) -> PipelineConfig:
                 api_key_env=str(m.get("api_key_env", "")),
                 timeout=float(m.get("timeout", 30.0)),
             )
-        )
+            for m in models
+        ]
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"llm.models: {exc}") from exc
     cue_data = llm.get("cues", {})
     cues = CueConfig(
         complaint=tuple(cue_data.get("complaint", CueConfig.complaint)),
@@ -270,24 +291,30 @@ def load_config_text(text: str) -> PipelineConfig:
         mood_negative=tuple(cue_data.get("mood_negative", CueConfig.mood_negative)),
     )
 
-    experts = [
-        ExpertRegistration(
-            qualifier=str(e["qualifier"]),
-            cues=tuple(str(c) for c in e.get("cues", ())),
-            queue=str(e.get("queue", "")),
-        )
-        for e in data.get("experts", [])
-    ]
+    try:
+        experts = [
+            ExpertRegistration(
+                qualifier=str(e["qualifier"]),
+                cues=tuple(str(c) for c in e.get("cues", ())),
+                queue=str(e.get("queue", "")),
+            )
+            for e in data.get("experts", [])
+        ]
+    except KeyError as exc:
+        raise ConfigError(f"experts: missing {exc}") from exc
     if len({e.qualifier for e in experts}) != len(experts):
         raise ConfigError("experts: duplicate qualifiers")
     # Both model stages call each model once and the validator keys their documents by id.
     if len({spec.model_id for spec in model_specs}) != 2 or len(model_specs) != 2:
         raise ConfigError("llm.models: need exactly two models with distinct ids")
 
-    documents = [
-        StoreDocument(question=str(d["question"]), answer=str(d["answer"]))
-        for d in data.get("documents", [])
-    ]
+    try:
+        documents = [
+            StoreDocument(question=str(d["question"]), answer=str(d["answer"]))
+            for d in data.get("documents", [])
+        ]
+    except KeyError as exc:
+        raise ConfigError(f"documents: missing {exc}") from exc
 
     availability = {}
     for s in data.get("availability", []):

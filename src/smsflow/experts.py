@@ -61,6 +61,11 @@ class ExpertRegistration:
     qualifier: str
     cues: tuple[str, ...]
     queue: str = ""
+    # Lowercased once here: the router scores every item against it.
+    cue_set: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cue_set", frozenset(c.lower() for c in self.cues))
 
 
 @dataclass(frozen=True)
@@ -102,24 +107,27 @@ def rephrase(item_text: str, kind: str) -> str:
 class ScriptedRouterModel:
     """Cue-overlap destination choice with template rephrasing."""
 
-    def route(self, item_text: str, registrations: list[ExpertRegistration], kind: str) -> RoutingDecision:
+    def route(self, item_text: str, experts: dict[str, ExpertRegistration], kind: str) -> RoutingDecision:
         tokens = set(_item_tokens(item_text))
-        scores = {reg.qualifier: len(tokens & set(c.lower() for c in reg.cues)) for reg in registrations}
+        scores = {q: len(tokens & reg.cue_set) for q, reg in experts.items()}
         best = max(scores.values()) if scores else 0
         winners = [q for q, s in scores.items() if s == best]
         if best == 0 or len(winners) > 1:
-            destination = CATCH_ALL if any(r.qualifier == CATCH_ALL for r in registrations) else winners[0]
+            destination = CATCH_ALL if CATCH_ALL in experts else winners[0]
         else:
             destination = winners[0]
         return RoutingDecision(destination=destination, next_inputs=rephrase(item_text, kind))
 
 
-def route(item_text: str, registrations: list[ExpertRegistration], model, kind: str) -> RoutingDecision:
-    """Pick the expert for one item of ``kind``; unmatched items go to the catch-all."""
-    if not registrations:
+def route(item_text: str, experts: dict[str, ExpertRegistration], model, kind: str) -> RoutingDecision:
+    """Pick the expert for one item of ``kind``; unmatched items go to the catch-all.
+
+    ``experts`` maps each qualifier to its registration.
+    """
+    if not experts:
         raise ValueError("at least one expert registration is required")
-    decision = model.route(item_text, registrations, kind)
-    if decision.destination not in {r.qualifier for r in registrations}:
+    decision = model.route(item_text, experts, kind)
+    if decision.destination not in experts:
         log.warning("model chose unregistered expert %r; using catch-all", decision.destination)
         decision = RoutingDecision(destination=CATCH_ALL, next_inputs=decision.next_inputs)
     return decision
@@ -308,7 +316,6 @@ class RouterAgent:
         store: RunStore,
         outbound: OutboundSmsGateway,
     ):
-        self.registrations = registrations
         self.documents = documents
         self.availability = availability
         self.store = store
@@ -362,7 +369,7 @@ class RouterAgent:
 
     def _route_item(self, event_id: str, item: str, item_kind: str) -> list[tuple[str, str]]:
         """Hand one complaint or request to its expert; returns (SMS kind, text) replies to send."""
-        decision = route(item, self.registrations, self.router_model, item_kind)
+        decision = route(item, self._by_qualifier, self.router_model, item_kind)
         self.store.record_step(
             event_id, STEP_VALIDATED, self.qualifier,
             f"routed-to:{decision.destination}", payload=decision.to_doc(),

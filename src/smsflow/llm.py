@@ -14,7 +14,7 @@ import random
 import re
 import urllib.request
 from concurrent.futures import Executor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .messages import (
     AGENTS_TOPIC,
@@ -110,13 +110,20 @@ class CueConfig:
     request: tuple[str, ...] = ("want", "need", "reserve", "book", "appointment", "schedule")
     mood_positive: tuple[str, ...] = ("thank", "thanks", "great", "good", "appreciate")
     mood_negative: tuple[str, ...] = ("bad", "terrible", "awful", "angry", "unhappy")
+    # Built once here: classify_sentence intersects every sentence's tokens with them.
+    complaint_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    request_set: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "complaint_set", frozenset(self.complaint))
+        object.__setattr__(self, "request_set", frozenset(self.request))
 
 
 def classify_sentence(sentence: str, cues: CueConfig) -> str:
     tokens = {t.lower() for t in sentence_tokens(sentence)}
-    if tokens & set(cues.complaint):
+    if not tokens.isdisjoint(cues.complaint_set):
         return "complaint"
-    if tokens & set(cues.request):
+    if not tokens.isdisjoint(cues.request_set):
         return "request"
     return "other"
 
@@ -192,10 +199,9 @@ class ScriptedModel:
         add_fires, drop_fires, rng = faults.draws(event_id, self.model_id, attempt)
         if add_fires:
             present = tokens_of(sms_text, lexicon)
-            absent = [c for c in lexicon.canonicals() if c.lower() not in present]
-            if absent:
-                canonical = absent[0]
-                target = extraction.renew if lexicon.polarity_of(canonical) == "renew" else extraction.stop
+            canonical = next((c for c in lexicon.polarities if c.lower() not in present), None)
+            if canonical is not None:
+                target = extraction.renew if lexicon.polarities[canonical] == "renew" else extraction.stop
                 if canonical not in extraction.keywords():
                     target.append(canonical)
         if drop_fires:
@@ -232,6 +238,12 @@ _WHITESPACE_RUNS = re.compile(r"\s+")
 
 def _normalize_item(text: str) -> str:
     return _WHITESPACE_RUNS.sub(" ", text).strip(" \t.,!?;").lower()
+
+
+# A judge reply may name the scale ("1 to 10", "1-10") or a denominator
+# ("/10", "out of 10"); neither is the score.
+_SCORE_SCALE = re.compile(r"\b1\s*(?:to|-|\u2013)\s*10\b|/\s*10\b|\bout\s+of\s+10\b", re.IGNORECASE)
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?")
 
 
 class ChatCompletionModel:
@@ -315,10 +327,10 @@ class ChatCompletionModel:
             f"Requests: {json.dumps(list(extraction.request))}\n"
         )
         reply = self._complete(prompt)
-        match = re.search(r"\b(10|[1-9])\b", reply)
-        if not match:
-            raise MalformedOutputError(f"no 1..10 score in reply: {reply!r}")
-        return int(match.group(1))
+        numbers = _NUMBER.findall(_SCORE_SCALE.sub(" ", reply))
+        if len(numbers) != 1 or not numbers[0].isdigit() or not 1 <= int(numbers[0]) <= 10:
+            raise MalformedOutputError(f"no single 1..10 score in reply: {reply!r}")
+        return int(numbers[0])
 
     def _extraction_prompt(self, sms_text: str, lexicon: KeywordLexicon) -> str:
         keywords = ", ".join(f"{e.canonical} ({e.polarity})" for e in lexicon.entries)

@@ -66,11 +66,14 @@ class KeywordLexicon:
     regex_entries: tuple[tuple[int, LexiconEntry], ...] = field(
         init=False, repr=False, compare=False
     )
+    # Canonical keyword -> its polarity, in entry order.
+    polarities: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        canonicals = [e.canonical for e in self.entries]
-        if len(set(canonicals)) != len(canonicals):
+        polarities = {e.canonical: e.polarity for e in self.entries}
+        if len(polarities) != len(self.entries):
             raise LexiconError("canonical keywords must be unique")
+        object.__setattr__(self, "polarities", polarities)
         literal_index: dict[str, int] = {}
         regex_entries = []
         for i, entry in enumerate(self.entries):
@@ -114,15 +117,6 @@ class KeywordLexicon:
             if entry.matches(token):
                 return entry
         return None if hit is None else self.entries[hit]
-
-    def canonicals(self) -> list[str]:
-        return [e.canonical for e in self.entries]
-
-    def polarity_of(self, canonical: str) -> str | None:
-        for entry in self.entries:
-            if entry.canonical == canonical:
-                return entry.polarity
-        return None
 
 
 def strip_politeness(text: str, lexicon: KeywordLexicon) -> str:

@@ -1,0 +1,97 @@
+import pytest
+import yaml
+
+import smsflow.config as config
+from smsflow.cli import main
+from smsflow.config import ConfigError, default_config_path, load_config_text
+
+
+def _default_bundle() -> dict:
+    return yaml.safe_load(default_config_path().read_text(encoding="utf-8"))
+
+
+def _drop_model_id(bundle):
+    del bundle["llm"]["models"][0]["id"]
+
+
+def _drop_expert_qualifier(bundle):
+    del bundle["experts"][0]["qualifier"]
+
+
+def _drop_document_answer(bundle):
+    del bundle["documents"][0]["answer"]
+
+
+def _auth_as_list(bundle):
+    bundle["customers"]["auth"] = sorted(bundle["customers"]["auth"])
+
+
+def _word_threshold(bundle):
+    bundle["fuzzy"]["risk"]["threshold"] = "high"
+
+
+def _drop_lexicon_keywords(bundle):
+    del bundle["lexicon"]["keywords"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_model_id, "llm.models: "),
+        (_drop_expert_qualifier, "experts: "),
+        (_drop_document_answer, "documents: "),
+        (_auth_as_list, "customers.auth: "),
+        (_word_threshold, "fuzzy.risk.threshold: "),
+        (_drop_lexicon_keywords, "lexicon: missing 'keywords'$"),
+    ],
+    ids=["model-without-id", "expert-without-qualifier", "document-without-answer",
+         "auth-as-list", "word-threshold", "lexicon-without-keywords"],
+)
+def test_malformed_bundle_error_names_its_section(edit, message):
+    bundle = _default_bundle()
+    edit(bundle)
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        load_config_text(yaml.safe_dump(bundle))
+
+
+def test_cli_reports_a_malformed_bundle_without_a_traceback(tmp_path, capsys):
+    bundle = _default_bundle()
+    _drop_model_id(bundle)
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(yaml.safe_dump(bundle), encoding="utf-8")
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text('{"phone": "+15550001", "text": "1"}\n', encoding="utf-8")
+    code = main(["run", "--config", str(config_path), "--corpus", str(corpus_path),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: llm.models: ")
+    assert "Traceback" not in err
+
+
+def _edited_bundle_text() -> str:
+    bundle = _default_bundle()
+    bundle["customers"]["auth"]["+15559999"] = "C9999"
+    bundle["customers"]["profiles"]["C9999"] = {"tenure_years": 2.5, "purchases_12mo": 7}
+    bundle["lexicon"]["politeness"].append("kind regards")
+    bundle["fuzzy"]["risk"]["threshold"] = 0.55
+    return yaml.safe_dump(bundle)
+
+
+# PyYAML built without libyaml has only yaml.SafeLoader, so both loaders stay tested.
+@pytest.mark.parametrize("text", [
+    pytest.param(default_config_path().read_text(encoding="utf-8"), id="default"),
+    pytest.param(_edited_bundle_text(), id="edited"),
+])
+def test_both_loaders_read_a_bundle_alike(monkeypatch, text):
+    assert yaml.load(text, Loader=config.YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+    expected = load_config_text(text)
+    monkeypatch.setattr(config, "YAML_LOADER", yaml.SafeLoader)
+    assert load_config_text(text) == expected
+
+
+@pytest.mark.parametrize("loader", [yaml.SafeLoader, config.YAML_LOADER], ids=["pure", "module"])
+def test_malformed_yaml_is_a_config_error_under_both_loaders(monkeypatch, loader):
+    monkeypatch.setattr(config, "YAML_LOADER", loader)
+    with pytest.raises(ConfigError, match="^invalid YAML"):
+        load_config_text("orchestration: [services\nlexicon: {")

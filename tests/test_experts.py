@@ -29,7 +29,7 @@ from smsflow.store import RunStore
 
 @pytest.fixture()
 def registrations(default_config):
-    return default_config.experts
+    return {r.qualifier: r for r in default_config.experts}
 
 
 @pytest.fixture()
@@ -61,12 +61,12 @@ def test_cueless_item_falls_back_to_the_complaint_department(registrations):
 
 def test_route_requires_registrations():
     with pytest.raises(ValueError):
-        route("anything", [], ScriptedRouterModel(), "request")
+        route("anything", {}, ScriptedRouterModel(), "request")
 
 
 def test_route_is_total_over_random_text(registrations):
     rng = random.Random(7)
-    qualifiers = {r.qualifier for r in registrations}
+    qualifiers = set(registrations)
     for _ in range(100):
         text = " ".join(
             "".join(rng.choice(string.ascii_lowercase) for _ in range(rng.randint(1, 8)))

@@ -420,9 +420,20 @@ def test_http_adapter_judge_parses_score(lexicon):
     assert model.judge("text", LlmExtraction(model_id="other"), lexicon) == 7
 
 
+@pytest.mark.parametrize(
+    "reply, score",
+    [("On a scale of 1 to 10, I would give it 8.", 8), ("Score: 7/10", 7), ("8 out of 10", 8)],
+)
+def test_http_adapter_judge_ignores_the_scale_and_denominator(lexicon, reply, score):
+    model = ChatCompletionModel(
+        "gamma", "http://example/v1", "m", transport=_transport_returning(reply)
+    )
+    assert model.judge("text", LlmExtraction(model_id="other"), lexicon) == score
+
+
 def test_http_adapter_judge_rejects_unparseable_reply(lexicon):
-    # Scores outside 1..10 are unparseable too.
-    for reply in ("no score here", "Score: 0", "Score: 11"):
+    # Scores outside 1..10, and replies giving two scores, are unparseable too.
+    for reply in ("no score here", "Score: 0", "Score: 11", "7 or 8"):
         model = ChatCompletionModel(
             "gamma", "http://example/v1", "m", transport=_transport_returning(reply)
         )
