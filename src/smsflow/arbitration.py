@@ -53,12 +53,23 @@ class ArbitrationDecision:
     importance: dict[str, float] = field(default_factory=dict)
 
 
-def compute_importance(profile: CustomerProfile, system: FuzzySystem) -> dict[str, float]:
-    """Per-label customer-importance activations from the profile numbers."""
-    output = system.run(
-        {"tenureYears": profile.tenure_years, "purchases12mo": profile.purchases_12mo}
-    )
-    return output.activations
+def compute_importance(
+    profile: CustomerProfile,
+    system: FuzzySystem,
+    memo: dict[tuple[float, float], dict[str, float]] | None = None,
+) -> dict[str, float]:
+    """Per-label customer-importance activations from the profile numbers.
+
+    With a ``memo``, the system runs once per distinct (tenure, purchases)
+    pair and each call gets its own copy of the activations.
+    """
+    key = (profile.tenure_years, profile.purchases_12mo)
+    if memo is not None and key in memo:
+        return dict(memo[key])
+    activations = system.run({"tenureYears": key[0], "purchases12mo": key[1]}).activations
+    if memo is not None:
+        memo[key] = dict(activations)
+    return activations
 
 
 def decide(
@@ -66,6 +77,7 @@ def decide(
     profile: CustomerProfile,
     importance_system: FuzzySystem,
     action_system: FuzzySystem,
+    importance_memo: dict | None = None,
 ) -> ArbitrationDecision:
     """Pure decision: processDirect on a full match, else run the rules.
 
@@ -75,7 +87,7 @@ def decide(
     if msg.full_match:
         return ArbitrationDecision(action=ACTION_PROCESS_DIRECT)
 
-    importance = compute_importance(profile, importance_system)
+    importance = compute_importance(profile, importance_system, importance_memo)
     output = action_system.infer(
         {
             "customerImportance": importance,
@@ -126,11 +138,12 @@ def evaluate(
     pool: MessagePool,
     pharmacy: PharmacyClient,
     outbound: OutboundSmsGateway,
+    importance_memo: dict | None = None,
 ) -> ArbitrationDecision:
     """Decide and carry out the side effects for one parsed message."""
     if msg.metadata.step_id != STEP_PARSED:
         raise ValueError(f"evaluator expects {STEP_PARSED} messages, got {msg.metadata.step_id}")
-    decision = decide(msg, profile, importance_system, action_system)
+    decision = decide(msg, profile, importance_system, action_system, importance_memo)
     event_id = msg.metadata.event_id
     customer_id = msg.metadata.customer_id
 
@@ -180,6 +193,9 @@ class EvaluatorAgent:
         self.pool = pool
         self.pharmacy = pharmacy
         self.outbound = outbound
+        # (tenure, purchases) -> importance activations, filled on first use:
+        # a campaign has far fewer distinct profiles than messages.
+        self.importance_memo: dict[tuple[float, float], dict[str, float]] = {}
 
     def handle(self, envelope: Envelope) -> None:
         msg = RenewalProcessed.from_doc(envelope.payload)
@@ -195,4 +211,5 @@ class EvaluatorAgent:
             self.pool,
             self.pharmacy,
             self.outbound,
+            self.importance_memo,
         )

@@ -102,6 +102,19 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {value!r}")
+    return value
+
+
+def _mappings(entries, where: str) -> list[dict]:
+    """A bundle list whose every entry is a mapping."""
+    if not isinstance(entries, list):
+        raise ConfigError(f"{where}: expected a list, got {entries!r}")
+    return [_mapping(entry, where) for entry in entries]
+
+
 def _membership(vertices, where: str) -> MembershipFunction:
     try:
         return MembershipFunction(tuple((float(x), float(d)) for x, d in vertices))
@@ -155,7 +168,7 @@ def load_config_text(text: str) -> PipelineConfig:
     always_on = tuple(arbitration.get("always_on", ()))
 
     lex = _require(data, "lexicon", "bundle")
-    keywords = _require(lex, "keywords", "lexicon")
+    keywords = _mappings(_require(lex, "keywords", "lexicon"), "lexicon.keywords")
     try:
         lexicon = KeywordLexicon(
             entries=tuple(
@@ -228,6 +241,7 @@ def load_config_text(text: str) -> PipelineConfig:
     )
 
     def _profile(customer_id: str, pd: dict, where: str) -> CustomerProfile:
+        _mapping(pd, where)
         try:
             return CustomerProfile(
                 customer_id=customer_id,
@@ -239,7 +253,7 @@ def load_config_text(text: str) -> PipelineConfig:
 
     profiles = {
         str(customer_id): _profile(str(customer_id), pd, f"customers.profiles.{customer_id}")
-        for customer_id, pd in customers.get("profiles", {}).items()
+        for customer_id, pd in _mapping(customers.get("profiles", {}), "customers.profiles").items()
     }
     default_profile = _profile(
         "",
@@ -248,6 +262,7 @@ def load_config_text(text: str) -> PipelineConfig:
     )
 
     def _risk_inputs(rd: dict, where: str) -> StopRiskInputs:
+        _mapping(rd, where)
         try:
             return StopRiskInputs(
                 criticality=float(rd["criticality"]),
@@ -257,18 +272,18 @@ def load_config_text(text: str) -> PipelineConfig:
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
 
-    medications = data.get("medications", {})
+    medications = _mapping(data.get("medications", {}), "medications")
     medication_default = _risk_inputs(
         medications.get("default", {"criticality": 8, "duration_months": 24, "chronic": True}),
         "medications.default",
     )
     medication_by_keyword = {
         str(k): _risk_inputs(v, f"medications.by_keyword.{k}")
-        for k, v in medications.get("by_keyword", {}).items()
+        for k, v in _mapping(medications.get("by_keyword", {}), "medications.by_keyword").items()
     }
 
     llm = _require(data, "llm", "bundle")
-    models = _require(llm, "models", "llm")
+    models = _mappings(_require(llm, "models", "llm"), "llm.models")
     try:
         model_specs = [
             ModelSpec(
@@ -298,7 +313,7 @@ def load_config_text(text: str) -> PipelineConfig:
                 cues=tuple(str(c) for c in e.get("cues", ())),
                 queue=str(e.get("queue", "")),
             )
-            for e in data.get("experts", [])
+            for e in _mappings(data.get("experts", []), "experts")
         ]
     except KeyError as exc:
         raise ConfigError(f"experts: missing {exc}") from exc
@@ -311,13 +326,13 @@ def load_config_text(text: str) -> PipelineConfig:
     try:
         documents = [
             StoreDocument(question=str(d["question"]), answer=str(d["answer"]))
-            for d in data.get("documents", [])
+            for d in _mappings(data.get("documents", []), "documents")
         ]
     except KeyError as exc:
         raise ConfigError(f"documents: missing {exc}") from exc
 
     availability = {}
-    for s in data.get("availability", []):
+    for s in _mappings(data.get("availability", []), "availability"):
         try:
             slot = SlotCandidate(int(s["year"]), int(s["month"]), int(s["day"]), int(s["hours"]))
         except (KeyError, ValueError) as exc:

@@ -1,7 +1,8 @@
 """Configuration-driven event dispatch: the one place metadata is matched.
 
 Each rule in the services configuration forwards matching envelopes to a
-named worker agent; its conditions are a :class:`MetadataFilter`.  A
+named worker agent; its conditions are string-equality tests on dotted
+payload paths, looked up in an index built once per dispatcher.  A
 dispatcher owns one topic subscription, which hands it every envelope
 published there, plus the rule set for its stage, and invokes its registry's
 always-on set (at the arbitration stage, the tracking agent) for every
@@ -110,7 +111,13 @@ def load_rules_from_data(services: dict) -> list[ServiceRule]:
 
 
 class Dispatcher:
-    """Routes envelopes from one subscription to matching worker agents."""
+    """Routes envelopes from one subscription to matching worker agents.
+
+    Rules are indexed at construction by the path and value of their first
+    condition, so an envelope costs one walk per distinct first path and one
+    dict lookup on it; only the rules found there test their other
+    conditions, with a :class:`MetadataFilter`.
+    """
 
     def __init__(
         self,
@@ -123,7 +130,19 @@ class Dispatcher:
         registry.validate_against(rules)
         self.name = name
         self.registry = registry
-        self.routes = [(MetadataFilter(rule.conditions), rule.qualifier) for rule in rules]
+        index: dict[tuple[str, ...], dict[Any, list]] = {}
+        for position, rule in enumerate(rules):
+            if not rule.conditions:
+                raise DispatchConfigError(f"rule {rule.name!r} has no conditions")
+            (key, value), rest = rule.conditions[0], rule.conditions[1:]
+            index.setdefault(tuple(key.split(".")), {}).setdefault(value, []).append(
+                (position, MetadataFilter(rest) if rest else None, rule.qualifier)
+            )
+        # (path parts, value -> (declaration position, other conditions, qualifier)).
+        self._index = tuple(
+            (parts, {value: tuple(hits) for value, hits in table.items()})
+            for parts, table in index.items()
+        )
         self.always_on = sorted(set(registry.always_on))
         self.subscription = subscription
         self.store = store
@@ -135,11 +154,24 @@ class Dispatcher:
         still run.
         """
         doc = envelope.payload
+        hits: list = []
+        for parts, table in self._index:
+            node = doc
+            for part in parts:
+                node = node.get(part) if isinstance(node, dict) else None
+            try:
+                found = table.get(node)
+            except TypeError:  # unhashable, so equal to no condition value
+                continue
+            if found:
+                hits += found
+        if len(self._index) > 1:
+            hits.sort(key=lambda hit: hit[0])
         # Workers run in rule-declaration order (the invoked *set* is the
         # contract; the order is what makes scheduler runs reproducible).
         matched: list[str] = []
-        for condition, qualifier in self.routes:
-            if condition.matches(doc) and qualifier not in matched:
+        for _, rest, qualifier in hits:
+            if qualifier not in matched and (rest is None or rest.matches(doc)):
                 matched.append(qualifier)
         workers = [q for q in matched if q not in self.always_on]
         invoked = self.always_on + workers

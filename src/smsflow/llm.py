@@ -12,7 +12,6 @@ import json
 import logging
 import random
 import re
-import urllib.request
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
 
@@ -271,6 +270,10 @@ class ChatCompletionModel:
         self._transport = transport or self._http_transport
 
     def _http_transport(self, body: dict) -> str:
+        # Imported here: it pulls in http.client, email and ssl, which a
+        # pipeline on scripted models or an injected transport never needs.
+        import urllib.request
+
         request = urllib.request.Request(
             self.endpoint,
             data=json.dumps(body).encode("utf-8"),

@@ -31,13 +31,25 @@ def event_and_step(doc: Any) -> tuple[str, str]:
     return meta.get("eventId") or "", meta.get("stepId") or ""
 
 
-# One encoder for every digest: ``json.dumps`` with non-default options builds
-# a new one per call.  Encoding keeps no state between calls.
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+def sorted_json_encoder(item_separator: str, key_separator: str):
+    """CPython's C encoder for ``json.dumps(doc, sort_keys=True)`` with these separators.
+
+    ``json.dumps`` with non-default options builds a new encoder per call;
+    this one is built once.  Called as ``encode(doc, 0)``, it returns chunks
+    to join.  It keeps no state between calls: it does not check for
+    circular references, so a cyclic value raises ``RecursionError``.
+    """
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+        key_separator, item_separator, True, False, True,
+    )
+
+
+_canonical_chunks = sorted_json_encoder(",", ":")
 
 
 def canonical_json(doc: Any) -> str:
-    return _CANONICAL.encode(doc)
+    return "".join(_canonical_chunks(doc, 0))
 
 
 def payload_digest(doc: Any) -> str:

@@ -23,6 +23,8 @@ from .pool import Envelope, MessagePool
 from .store import RunStore
 
 SEGMENT_DELIMITERS = ".!?;"
+# Most distinct SMS texts whose reading one RenewalAgent keeps.
+READING_MEMO_SIZE = 1024
 POLARITIES = ("renew", "stop")
 TOKEN_SEPARATORS = re.compile(r"[\s,]+")
 _BLANK_RUNS = re.compile(r"[ \t]+")
@@ -212,31 +214,51 @@ def compute_confidence(
     )
 
 
+Reading = tuple[tuple[str, ...], tuple[str, ...], DegreeOfConfidence, bool]
+
+
+def read_text(text: str, lexicon: KeywordLexicon, confidence_var: LinguisticVariable) -> Reading:
+    """The parser's reading of one SMS text: renew, stop, confidence, full match."""
+    extraction = extract(segment(strip_politeness(text, lexicon), lexicon), lexicon)
+    confidence = compute_confidence(extraction.matched, extraction.total, confidence_var)
+    return tuple(extraction.renew), tuple(extraction.stop), confidence, extraction.full_match()
+
+
 def process(
     sms: SmsEvent,
     lexicon: KeywordLexicon,
     confidence_var: LinguisticVariable,
     store: RunStore,
     pool: MessagePool,
+    readings: dict[str, Reading] | None = None,
 ) -> RenewalProcessed:
     """Full parse of one SMS: persist the original, then publish the result.
 
     The original text is stored before publication so that downstream
-    validation can never observe an event whose text is missing.
+    validation can never observe an event whose text is missing.  With a
+    ``readings`` memo, each distinct text is read once while it holds at most
+    ``READING_MEMO_SIZE`` texts (the oldest goes first); every result still
+    gets its own lists and confidence.
     """
     if sms.metadata.type != "renewal":
         raise ValueError(f"renewal parser got a {sms.metadata.type!r} event")
-    stripped = strip_politeness(sms.body, lexicon)
-    extraction = extract(segment(stripped, lexicon), lexicon)
-    confidence = compute_confidence(extraction.matched, extraction.total, confidence_var)
+    text = sms.body
+    reading = readings.get(text) if readings is not None else None
+    if reading is None:
+        reading = read_text(text, lexicon, confidence_var)
+        if readings is not None:
+            if len(readings) >= READING_MEMO_SIZE:
+                del readings[next(iter(readings))]
+            readings[text] = reading
+    renew, stop, confidence, full_match = reading
 
-    store.store_original(sms.metadata.event_id, sms.body)
+    store.store_original(sms.metadata.event_id, text)
     result = RenewalProcessed(
         metadata=sms.metadata.at_step(STEP_PARSED, last_update=store.clock.now_iso()),
-        renew=extraction.renew,
-        stop=extraction.stop,
-        confidence=confidence,
-        full_match=extraction.full_match(),
+        renew=list(renew),
+        stop=list(stop),
+        confidence=DegreeOfConfidence(confidence.high, confidence.medium, confidence.low),
+        full_match=full_match,
     )
     # Publication is recorded by the tracking agent observing the topic.
     pool.publish(AGENTS_TOPIC, result.to_doc())
@@ -259,7 +281,9 @@ class RenewalAgent:
         self.confidence_var = confidence_var
         self.store = store
         self.pool = pool
+        # SMS text -> its reading; see process.
+        self.readings: dict[str, Reading] = {}
 
     def handle(self, envelope: Envelope) -> None:
         sms = SmsEvent.from_doc(envelope.payload)
-        process(sms, self.lexicon, self.confidence_var, self.store, self.pool)
+        process(sms, self.lexicon, self.confidence_var, self.store, self.pool, self.readings)

@@ -24,6 +24,7 @@ from .messages import (
     Metadata,
     SmsEvent,
     payload_digest,
+    sorted_json_encoder,
 )
 from .pool import MessagePool
 
@@ -75,9 +76,8 @@ class LogicalClock:
         return self._iso
 
 
-# Shared by every log, as ``json.dumps(record, sort_keys=True)`` would build
-# one encoder per record; encoding keeps no state between calls.
-_JSONL = json.JSONEncoder(sort_keys=True)
+# ``json.dumps(record, sort_keys=True)``, with its C encoder built once.
+_jsonl_chunks = sorted_json_encoder(", ", ": ")
 
 
 class JsonlLog:
@@ -98,7 +98,7 @@ class JsonlLog:
     def append(self, record: dict) -> int:
         with self._lock:
             if self._file is not None:
-                self._file.write(_JSONL.encode(record) + "\n")
+                self._file.write("".join(_jsonl_chunks(record, 0)) + "\n")
                 self._file.flush()
             self._records.append(record)
             return len(self._records) - 1
@@ -158,7 +158,9 @@ class RunStore:
         self._event_locks: dict[str, threading.RLock] = {}
         self._locks_guard = threading.Lock()
         self._seq = 0
-        self._seq_lock = threading.Lock()
+        # Held across the seq number, the log append and the per-event index,
+        # so the step log and each history are in seq order.
+        self._steps_lock = threading.Lock()
 
         self._closed = False
         self._logs: list[JsonlLog] = []
@@ -170,7 +172,6 @@ class RunStore:
 
         self.steps = _log("steps.jsonl")
         self._steps_by_event: dict[str, list[dict]] = {}
-        self._steps_index_lock = threading.Lock()
         self.originals = _log("originals.jsonl")
         self._originals_by_event: dict[str, str] = {}
         self.outbound_sms = _log("outbound_sms.jsonl")
@@ -209,38 +210,38 @@ class RunStore:
         """
         if fields and not STEP_KEYS.isdisjoint(fields):
             raise ValueError(f"step fields {sorted(STEP_KEYS & fields.keys())} shadow base keys")
-        with self._seq_lock:
+        digest = payload_digest(payload) if payload is not None else ""
+        recorded_at = self.clock.now_iso()
+        with self._steps_lock:
             self._seq += 1
-            seq = self._seq
-        record = {
-            "seq": seq,
-            "eventId": event_id,
-            "stepId": step_id,
-            "agent": agent,
-            "note": note,
-            "digest": payload_digest(payload) if payload is not None else "",
-            "recorded_at": self.clock.now_iso(),
-            "terminal": terminal,
-        }
-        record.update(fields)
-        self.steps.append(record)
-        with self._steps_index_lock:
+            record = {
+                "seq": self._seq,
+                "eventId": event_id,
+                "stepId": step_id,
+                "agent": agent,
+                "note": note,
+                "digest": digest,
+                "recorded_at": recorded_at,
+                "terminal": terminal,
+            }
+            record.update(fields)
+            self.steps.append(record)
             self._steps_by_event.setdefault(event_id, []).append(record)
         return record
 
     def get_history(self, event_id: str) -> list[dict]:
-        with self._steps_index_lock:
+        with self._steps_lock:
             return [dict(r) for r in self._steps_by_event.get(event_id, ())]
 
     def terminal_of(self, event_id: str) -> dict | None:
-        with self._steps_index_lock:
+        with self._steps_lock:
             for record in reversed(self._steps_by_event.get(event_id, ())):
                 if record["terminal"]:
                     return dict(record)
         return None
 
     def retry_count(self, event_id: str) -> int:
-        with self._steps_index_lock:
+        with self._steps_lock:
             return sum(
                 1 for r in self._steps_by_event.get(event_id, ()) if r["note"] == "retry-requested"
             )

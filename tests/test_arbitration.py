@@ -8,6 +8,7 @@ from smsflow.arbitration import (
     ACTION_PROCESS_DIRECT,
     CustomerProfile,
     CustomerRelationshipAgent,
+    EvaluatorAgent,
     compute_importance,
     decide,
     evaluate,
@@ -17,19 +18,21 @@ from smsflow.messages import (
     DegreeOfConfidence,
     Metadata,
     RenewalProcessed,
+    payload_digest,
 )
-from smsflow.pool import MessagePool
+from smsflow.pool import Envelope, MessagePool
 from smsflow.store import OutboundSmsGateway, PharmacyClient, RunStore
 
 from conftest import brute_force_activations
 
 
-def _msg(confidence, renew=("1",), stop=(), event_id="A1001", step="S001", full_match=False):
+def _msg(confidence, renew=("1",), stop=(), event_id="A1001", step="S001", full_match=False,
+         customer_id="C1001"):
     return RenewalProcessed(
         metadata=Metadata(
             type="renewal",
             event_id=event_id,
-            customer_id="C1001",
+            customer_id=customer_id,
             step_id=step,
             customer_event_time="2025-01-01T00:00:00Z",
             last_update_time="2025-01-01T00:00:00Z",
@@ -220,3 +223,41 @@ def test_missing_profile_uses_lowest_default_and_records_warning(default_config)
 def test_profiles_must_be_nonnegative():
     with pytest.raises(ValueError):
         CustomerProfile(customer_id="C1", tenure_years=-1, purchases_12mo=0)
+
+
+def test_evaluator_runs_importance_once_per_distinct_profile(default_config, monkeypatch):
+    system = default_config.importance_system
+    run = system.run
+    calls = []
+
+    def counting_run(inputs):
+        calls.append(dict(inputs))
+        return run(inputs)
+
+    profiles = {
+        "C1": CustomerProfile("C1", 10, 5000),
+        "C2": CustomerProfile("C2", 10, 5000),
+        "C3": CustomerProfile("C3", 3, 800),
+    }
+    customers = ["C1", "C2", "C3", "C8", "C9", "C1", "C3", "C8"]  # C8 and C9 are unknown
+    messages = [_msg(MEDIUM, event_id=f"A{i}", customer_id=c) for i, c in enumerate(customers)]
+
+    expected = []
+    for msg in messages:
+        profile = profiles.get(msg.metadata.customer_id, default_config.default_profile)
+        expected.append(decide(msg, profile, system, default_config.action_system))
+
+    monkeypatch.setattr(system, "run", counting_run)
+    store, pool, _, pharmacy, outbound = _wiring(default_config)
+    relationship = CustomerRelationshipAgent(profiles, default_config.default_profile, store)
+    agent = EvaluatorAgent(relationship, system, default_config.action_system,
+                           store, pool, pharmacy, outbound)
+    for msg in messages:
+        agent.handle(Envelope("agents", 0, msg.to_doc()))
+    recorded = [r for r in store.steps.read_all() if r["note"].startswith("decision:")]
+    assert [(c["tenureYears"], c["purchases12mo"]) for c in calls] == [(10, 5000), (3, 800), (0, 0)]
+    assert len(agent.importance_memo) == 3
+    assert [r["note"] for r in recorded] == [f"decision:{d.action}" for d in expected]
+    assert [r["digest"] for r in recorded] == [
+        payload_digest({"activations": d.activations, "importance": d.importance}) for d in expected
+    ]

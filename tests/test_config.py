@@ -34,6 +34,43 @@ def _drop_lexicon_keywords(bundle):
     del bundle["lexicon"]["keywords"]
 
 
+# List entries given as scalars.
+def _models_as_names(bundle):
+    bundle["llm"]["models"] = ["alpha", "beta"]
+
+
+def _experts_as_names(bundle):
+    bundle["experts"] = ["Pharmacy"]
+
+
+def _keywords_as_words(bundle):
+    bundle["lexicon"]["keywords"] = ["renew"]
+
+
+def _scalar_medication_default(bundle):
+    bundle["medications"]["default"] = "critical"
+
+
+def _availability_as_words(bundle):
+    bundle["availability"] = ["x"]
+
+
+def _scalar_profile(bundle):
+    bundle["customers"]["profiles"]["C1001"] = "loyal"
+
+
+SCALAR_ENTRIES = [
+    (_models_as_names, "llm.models: expected a mapping"),
+    (_experts_as_names, "experts: expected a mapping"),
+    (_keywords_as_words, "lexicon.keywords: expected a mapping"),
+    (_scalar_medication_default, "medications.default: expected a mapping"),
+    (_availability_as_words, "availability: expected a mapping"),
+    (_scalar_profile, "customers.profiles.C1001: expected a mapping"),
+]
+SCALAR_IDS = ["models-as-names", "experts-as-names", "keywords-as-words",
+              "scalar-medication-default", "availability-as-words", "scalar-profile"]
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -43,9 +80,10 @@ def _drop_lexicon_keywords(bundle):
         (_auth_as_list, "customers.auth: "),
         (_word_threshold, "fuzzy.risk.threshold: "),
         (_drop_lexicon_keywords, "lexicon: missing 'keywords'$"),
+        *SCALAR_ENTRIES,
     ],
     ids=["model-without-id", "expert-without-qualifier", "document-without-answer",
-         "auth-as-list", "word-threshold", "lexicon-without-keywords"],
+         "auth-as-list", "word-threshold", "lexicon-without-keywords", *SCALAR_IDS],
 )
 def test_malformed_bundle_error_names_its_section(edit, message):
     bundle = _default_bundle()
@@ -54,18 +92,34 @@ def test_malformed_bundle_error_names_its_section(edit, message):
         load_config_text(yaml.safe_dump(bundle))
 
 
-def test_cli_reports_a_malformed_bundle_without_a_traceback(tmp_path, capsys):
-    bundle = _default_bundle()
-    _drop_model_id(bundle)
+def _run_cli(tmp_path, bundle) -> int:
     config_path = tmp_path / "config.yaml"
     config_path.write_text(yaml.safe_dump(bundle), encoding="utf-8")
     corpus_path = tmp_path / "corpus.jsonl"
     corpus_path.write_text('{"phone": "+15550001", "text": "1"}\n', encoding="utf-8")
     code = main(["run", "--config", str(config_path), "--corpus", str(corpus_path),
                  "--out", str(tmp_path / "out")])
+    return code
+
+
+def test_cli_reports_a_malformed_bundle_without_a_traceback(tmp_path, capsys):
+    bundle = _default_bundle()
+    _drop_model_id(bundle)
+    code = _run_cli(tmp_path, bundle)
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: llm.models: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, message", SCALAR_ENTRIES, ids=SCALAR_IDS)
+def test_cli_reports_a_scalar_list_entry_without_a_traceback(tmp_path, capsys, edit, message):
+    bundle = _default_bundle()
+    edit(bundle)
+    code = _run_cli(tmp_path, bundle)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
 
 

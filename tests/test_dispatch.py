@@ -2,7 +2,7 @@ import random
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smsflow.dispatch import (
     AgentRegistry,
@@ -254,6 +254,63 @@ _CONDITIONS = st.lists(
 def test_metadata_filter_agrees_with_get_path(conditions, doc):
     expected = all(get_path(doc, key) == value for key, value in conditions)
     assert MetadataFilter(tuple(conditions)).matches(doc) == expected
+
+
+class _Ordered:
+    """Agent that notes its qualifier in a shared list each time it runs."""
+
+    def __init__(self, qualifier, log):
+        self.qualifier = qualifier
+        self.log = log
+
+    def handle(self, envelope):
+        self.log.append(self.qualifier)
+
+
+_QUALIFIERS = st.sampled_from(["Q0", "Q1", "Q2", "Track"])
+# Few paths and values, so that rules on different paths match one payload;
+# "metadata" reads a dict and "metadata.stepId.a" walks through a string.
+_RULE_CONDITIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["metadata.stepId", "metadata.type", "a"] * 2
+                        + ["metadata", "metadata.stepId.a"]),
+        st.sampled_from(_VALUES[:2]),
+    ),
+    min_size=1,
+    max_size=2,
+)
+_LEAF = st.sampled_from(_VALUES[:2])
+_ROUTABLE = st.fixed_dictionaries(
+    {"metadata": st.fixed_dictionaries({"stepId": _LEAF, "type": _LEAF}), "a": _LEAF}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rules=st.lists(st.tuples(_QUALIFIERS, _RULE_CONDITIONS), max_size=6),
+    always_on=st.lists(st.sampled_from(["Q0", "Track"]), max_size=3),
+    docs=st.lists(st.one_of(_ROUTABLE, _DOCS), min_size=1, max_size=4),
+)
+@example(  # rules on two first paths, interleaved in declaration order
+    rules=[("Q0", [("a", "S001")]), ("Q1", [("metadata.stepId", "S001")]), ("Q2", [("a", "S001")])],
+    always_on=[],
+    docs=[{"a": "S001", "metadata": {"stepId": "S001"}}],
+)
+def test_dispatch_invokes_what_a_loop_over_every_filter_would(rules, always_on, docs):
+    rules = [ServiceRule(f"R{i}", q, tuple(c)) for i, (q, c) in enumerate(rules)]
+    log = []
+    agents = [_Ordered(q, log) for q in ("Q0", "Q1", "Q2", "Track")]
+    dispatcher, _, _ = _dispatcher(rules, agents, always_on=always_on)
+    for doc in docs:
+        matched = []
+        for rule in rules:
+            if MetadataFilter(rule.conditions).matches(doc) and rule.qualifier not in matched:
+                matched.append(rule.qualifier)
+        first = sorted(set(always_on))
+        expected = first + [q for q in matched if q not in first]
+        log.clear()
+        assert dispatcher.dispatch(_Envelope(doc)) == set(expected)
+        assert log == expected
 
 
 def test_payload_without_metadata_is_dispatched_without_an_unrouted_step():

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 import yaml
 from fake_chat import chat_models
+
+import smsflow
 
 from smsflow.config import ConfigError, default_config_path, load_config, load_config_text
 from smsflow.harness import run_pipeline
@@ -439,3 +445,12 @@ def test_http_adapter_judge_rejects_unparseable_reply(lexicon):
         )
         with pytest.raises(MalformedOutputError):
             model.judge("text", LlmExtraction(model_id="other"), lexicon)
+
+
+def test_the_http_client_is_imported_only_when_a_model_calls_it():
+    # urllib.request pulls in http.client, email and ssl: megabytes of
+    # modules that scripted models and injected transports never use.
+    env = {**os.environ, "PYTHONPATH": str(Path(smsflow.__file__).parents[1])}
+    code = "import sys, smsflow.harness, smsflow.cli; print('urllib.request' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr

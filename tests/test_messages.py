@@ -1,13 +1,20 @@
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smsflow.messages import (
     DegreeOfConfidence,
     Metadata,
     RenewalProcessed,
     SmsEvent,
+    canonical_json,
     event_and_step,
     payload_digest,
 )
+from smsflow.store import JsonlLog
 
 
 def _metadata(step="S001"):
@@ -80,3 +87,44 @@ def test_metadata_at_step_rewrites_only_step_and_update_time():
 def test_payload_digest_is_stable_under_key_order():
     assert payload_digest({"a": 1, "b": 2}) == payload_digest({"b": 2, "a": 1})
     assert payload_digest({"a": 1}) != payload_digest({"a": 2})
+
+
+_JSON = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(),
+        st.sampled_from([1e-05, 1e16, -0.0, 0.1, 2.5e-300]), st.text(),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(st.text(max_size=6), children, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_JSON)
+def test_prebuilt_encoders_match_json_dumps(value):
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        log = JsonlLog(path)
+        log.append({"v": value})
+        log.close()
+        assert path.read_text(encoding="utf-8") == json.dumps({"v": value}, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("bad", [object(), {1, 2}, b"bytes", [1, {"a": object()}]],
+                         ids=["object", "set", "bytes", "nested-object"])
+def test_prebuilt_encoders_still_refuse_unserializable_values(tmp_path, bad):
+    path = tmp_path / "log.jsonl"
+    log = JsonlLog(path)
+    with pytest.raises(TypeError):
+        canonical_json({"a": bad})
+    with pytest.raises(TypeError):
+        log.append({"a": bad})
+    # A refusal leaves nothing behind for the next value.
+    assert canonical_json({"a": [1]}) == '{"a":[1]}'
+    log.append({"a": [1]})
+    log.close()
+    assert log.read_all() == [{"a": [1]}]
+    assert path.read_text(encoding="utf-8") == '{"a": [1]}\n'

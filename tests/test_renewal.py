@@ -8,6 +8,7 @@ from smsflow.messages import AGENTS_TOPIC, Metadata, SmsEvent
 from smsflow.pool import MessagePool
 from smsflow.renewal import (
     POLARITIES,
+    READING_MEMO_SIZE,
     KeywordLexicon,
     LexiconEntry,
     LexiconError,
@@ -190,6 +191,33 @@ def test_process_is_idempotent_per_event(lexicon, confidence_var):
     first = process(_sms("1, unenroll"), lexicon, confidence_var, store, pool)
     second = process(_sms("1, unenroll"), lexicon, confidence_var, store, pool)
     assert first.to_doc() == second.to_doc()
+
+
+def test_same_text_gets_equal_but_independent_readings(lexicon, confidence_var):
+    store, pool, _ = _pipeline_bits()
+    readings = {}
+    text = "1, renew. stop please"
+    first = process(_sms(text, "A1"), lexicon, confidence_var, store, pool, readings)
+    second = process(_sms(text, "A2"), lexicon, confidence_var, store, pool, readings)
+    assert len(readings) == 1
+    assert (first.renew, first.stop) == (second.renew, second.stop) == (["1", "renew"], ["stop"])
+    assert first.confidence == second.confidence
+    first.renew.append("enroll")
+    first.stop.clear()
+    first.confidence.high = 0.0
+    third = process(_sms(text, "A3"), lexicon, confidence_var, store, pool, readings)
+    unmemoized = process(_sms(text, "A3"), lexicon, confidence_var, store, pool)
+    assert third.to_doc() == unmemoized.to_doc()
+
+
+def test_reading_memo_keeps_at_most_its_bound(lexicon, confidence_var):
+    store, pool, _ = _pipeline_bits()
+    readings = {}
+    texts = [f"renew {i}" for i in range(READING_MEMO_SIZE + 5)]
+    for i, text in enumerate(texts):
+        process(_sms(text, f"A{i}"), lexicon, confidence_var, store, pool, readings)
+    assert len(readings) == READING_MEMO_SIZE
+    assert list(readings) == texts[5:]  # the oldest texts went first
 
 
 def test_store_failure_aborts_publication(lexicon, confidence_var):

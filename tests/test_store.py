@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 
 import pytest
 
@@ -65,6 +67,32 @@ def test_step_history_preserves_append_order():
     assert [r["note"] for r in history] == ["first", "second"]
     times = [r["recorded_at"] for r in history]
     assert times == sorted(times)
+
+
+def test_concurrent_recording_keeps_the_step_log_and_histories_in_seq_order():
+    store = RunStore()
+    start = threading.Barrier(4, timeout=30)
+
+    def record(worker):
+        start.wait()
+        for i in range(3000):
+            store.record_step(f"E{i % 7}", "S001", f"Agent{worker}", "x")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        threads = [threading.Thread(target=record, args=(w,)) for w in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [r["seq"] for r in store.steps.read_all()] == list(range(1, 12001))
+    for event in range(7):
+        seqs = [r["seq"] for r in store.get_history(f"E{event}")]
+        assert seqs == sorted(seqs)
 
 
 def test_unknown_event_has_empty_history():
