@@ -8,6 +8,7 @@ customer support.
 """
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -19,6 +20,7 @@ from .messages import (
     RenewalProcessed,
 )
 from .pool import Envelope, MessagePool
+from .renewal import READING_MEMO_SIZE
 from .store import (
     CONTACT_SUPPORT_TEXT,
     OutboundSmsGateway,
@@ -54,54 +56,10 @@ class ArbitrationDecision:
 
 
 def compute_importance(
-    profile: CustomerProfile,
-    system: FuzzySystem,
-    memo: dict[tuple[float, float], dict[str, float]] | None = None,
+    tenure_years: float, purchases_12mo: float, system: FuzzySystem
 ) -> dict[str, float]:
-    """Per-label customer-importance activations from the profile numbers.
-
-    With a ``memo``, the system runs once per distinct (tenure, purchases)
-    pair and each call gets its own copy of the activations.
-    """
-    key = (profile.tenure_years, profile.purchases_12mo)
-    if memo is not None and key in memo:
-        return dict(memo[key])
-    activations = system.run({"tenureYears": key[0], "purchases12mo": key[1]}).activations
-    if memo is not None:
-        memo[key] = dict(activations)
-    return activations
-
-
-def decide(
-    msg: RenewalProcessed,
-    profile: CustomerProfile,
-    importance_system: FuzzySystem,
-    action_system: FuzzySystem,
-    importance_memo: dict | None = None,
-) -> ArbitrationDecision:
-    """Pure decision: processDirect on a full match, else run the rules.
-
-    The action is the label with the highest aggregated activation; a tie or
-    an all-zero outcome falls back to the conservative fail branch.
-    """
-    if msg.full_match:
-        return ArbitrationDecision(action=ACTION_PROCESS_DIRECT)
-
-    importance = compute_importance(profile, importance_system, importance_memo)
-    output = action_system.infer(
-        {
-            "customerImportance": importance,
-            "degreeOfConfidence": msg.confidence.as_degrees(),
-        }
-    )
-    activations = output.activations
-    forward = activations.get(ACTION_FORWARD, 0.0)
-    fail = activations.get(ACTION_FAIL, 0.0)
-    if forward > fail:
-        action = ACTION_FORWARD
-    else:
-        action = ACTION_FAIL
-    return ArbitrationDecision(action=action, activations=activations, importance=importance)
+    """Per-label customer-importance activations from the profile numbers."""
+    return system.run({"tenureYears": tenure_years, "purchases12mo": purchases_12mo}).activations
 
 
 class CustomerRelationshipAgent:
@@ -129,51 +87,14 @@ class CustomerRelationshipAgent:
         )
 
 
-def evaluate(
-    msg: RenewalProcessed,
-    profile: CustomerProfile,
-    importance_system: FuzzySystem,
-    action_system: FuzzySystem,
-    store: RunStore,
-    pool: MessagePool,
-    pharmacy: PharmacyClient,
-    outbound: OutboundSmsGateway,
-    importance_memo: dict | None = None,
-) -> ArbitrationDecision:
-    """Decide and carry out the side effects for one parsed message."""
-    if msg.metadata.step_id != STEP_PARSED:
-        raise ValueError(f"evaluator expects {STEP_PARSED} messages, got {msg.metadata.step_id}")
-    decision = decide(msg, profile, importance_system, action_system, importance_memo)
-    event_id = msg.metadata.event_id
-    customer_id = msg.metadata.customer_id
-
-    with store.event_lock(event_id):
-        store.record_step(
-            event_id, STEP_PARSED, "EvaluatorAgent", f"decision:{decision.action}",
-            payload={"activations": decision.activations, "importance": decision.importance},
-            ra={"renew": msg.renew, "stop": msg.stop, "confidence": msg.confidence.to_doc()},
-        )
-        if decision.action == ACTION_PROCESS_DIRECT:
-            applied = pharmacy.apply_keywords(event_id, customer_id, msg.renew, msg.stop)
-            store.record_step(event_id, STEP_PARSED, "EvaluatorAgent", f"pharmacy-applied:{applied}")
-            store.record_step(event_id, STEP_PARSED, "EvaluatorAgent", TERMINAL_DONE, terminal=True)
-        elif decision.action == ACTION_FORWARD:
-            forwarded = RenewalProcessed(
-                metadata=msg.metadata.at_step(STEP_LLM_REQUESTED, last_update=store.clock.now_iso()),
-                renew=msg.renew,
-                stop=msg.stop,
-                confidence=msg.confidence,
-            )
-            pool.publish(AGENTS_TOPIC, forwarded.to_doc())
-        else:
-            outbound.send_sms(customer_id, CONTACT_SUPPORT_TEXT, "contact-support", event_id)
-            store.record_step(
-                event_id, STEP_PARSED, "EvaluatorAgent", TERMINAL_FAILED, terminal=True
-            )
-    return decision
-
-
 class EvaluatorAgent:
+    """Decides each parsed message and carries out the decision.
+
+    Customer importance depends on the profile numbers alone, so the agent
+    runs it once per distinct (tenure, purchases) pair while its cache holds
+    at most ``READING_MEMO_SIZE`` pairs; each decision gets its own copy.
+    """
+
     qualifier = "EvaluatorAgent"
 
     def __init__(
@@ -187,29 +108,74 @@ class EvaluatorAgent:
         outbound: OutboundSmsGateway,
     ):
         self.relationship = relationship
-        self.importance_system = importance_system
         self.action_system = action_system
         self.store = store
         self.pool = pool
         self.pharmacy = pharmacy
         self.outbound = outbound
-        # (tenure, purchases) -> importance activations, filled on first use:
-        # a campaign has far fewer distinct profiles than messages.
-        self.importance_memo: dict[tuple[float, float], dict[str, float]] = {}
+        # (tenure, purchases) -> importance activations; see compute_importance.
+        self.importance = functools.lru_cache(maxsize=READING_MEMO_SIZE)(
+            functools.partial(compute_importance, system=importance_system)
+        )
+
+    def decide(self, msg: RenewalProcessed, profile: CustomerProfile) -> ArbitrationDecision:
+        """The decision alone, without side effects: processDirect on a full
+        match, else run the rules.
+
+        The action is the label with the highest aggregated activation; a tie
+        or an all-zero outcome falls back to the conservative fail branch.
+        """
+        if msg.full_match:
+            return ArbitrationDecision(action=ACTION_PROCESS_DIRECT)
+
+        importance = dict(self.importance(profile.tenure_years, profile.purchases_12mo))
+        output = self.action_system.infer(
+            {
+                "customerImportance": importance,
+                "degreeOfConfidence": msg.confidence.as_degrees(),
+            }
+        )
+        activations = output.activations
+        forward = activations.get(ACTION_FORWARD, 0.0)
+        fail = activations.get(ACTION_FAIL, 0.0)
+        if forward > fail:
+            action = ACTION_FORWARD
+        else:
+            action = ACTION_FAIL
+        return ArbitrationDecision(action=action, activations=activations, importance=importance)
+
+    def evaluate(self, msg: RenewalProcessed, profile: CustomerProfile) -> ArbitrationDecision:
+        """Decide and carry out the side effects for one parsed message."""
+        if msg.metadata.step_id != STEP_PARSED:
+            raise ValueError(f"evaluator expects {STEP_PARSED} messages, got {msg.metadata.step_id}")
+        decision = self.decide(msg, profile)
+        event_id = msg.metadata.event_id
+        customer_id = msg.metadata.customer_id
+        store = self.store
+
+        store.record_step(
+            event_id, STEP_PARSED, self.qualifier, f"decision:{decision.action}",
+            payload={"activations": decision.activations, "importance": decision.importance},
+            ra={"renew": msg.renew, "stop": msg.stop, "confidence": msg.confidence.to_doc()},
+        )
+        if decision.action == ACTION_PROCESS_DIRECT:
+            applied = self.pharmacy.apply_keywords(event_id, customer_id, msg.renew, msg.stop)
+            store.record_step(event_id, STEP_PARSED, self.qualifier, f"pharmacy-applied:{applied}")
+            store.record_step(event_id, STEP_PARSED, self.qualifier, TERMINAL_DONE, terminal=True)
+        elif decision.action == ACTION_FORWARD:
+            forwarded = RenewalProcessed(
+                metadata=msg.metadata.at_step(STEP_LLM_REQUESTED, last_update=store.clock.now_iso()),
+                renew=msg.renew,
+                stop=msg.stop,
+                confidence=msg.confidence,
+            )
+            self.pool.publish(AGENTS_TOPIC, forwarded.to_doc())
+        else:
+            self.outbound.send_sms(customer_id, CONTACT_SUPPORT_TEXT, "contact-support", event_id)
+            store.record_step(event_id, STEP_PARSED, self.qualifier, TERMINAL_FAILED, terminal=True)
+        return decision
 
     def handle(self, envelope: Envelope) -> None:
         msg = RenewalProcessed.from_doc(envelope.payload)
-        profile = self.relationship.profile_for(
-            msg.metadata.customer_id, msg.metadata.event_id
-        )
-        evaluate(
-            msg,
-            profile,
-            self.importance_system,
-            self.action_system,
-            self.store,
-            self.pool,
-            self.pharmacy,
-            self.outbound,
-            self.importance_memo,
-        )
+        profile = self.relationship.profile_for(msg.metadata.customer_id, msg.metadata.event_id)
+        self.evaluate(msg, profile)

@@ -115,6 +115,13 @@ def _mappings(entries, where: str) -> list[dict]:
     return [_mapping(entry, where) for entry in entries]
 
 
+def _strings(value, where: str) -> tuple[str, ...]:
+    """A bundle list of strings; a scalar would otherwise read as its characters."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
+    return tuple(str(x) for x in value)
+
+
 def _membership(vertices, where: str) -> MembershipFunction:
     try:
         return MembershipFunction(tuple((float(x), float(d)) for x, d in vertices))
@@ -165,10 +172,11 @@ def load_config_text(text: str) -> PipelineConfig:
         arbitration_rules = load_rules_from_data(_require(arbitration, "services", "arbitration"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    always_on = tuple(arbitration.get("always_on", ()))
+    always_on = _strings(arbitration.get("always_on", ()), "arbitration.always_on")
 
     lex = _require(data, "lexicon", "bundle")
     keywords = _mappings(_require(lex, "keywords", "lexicon"), "lexicon.keywords")
+    politeness = _strings(lex.get("politeness", ()), "lexicon.politeness")
     try:
         lexicon = KeywordLexicon(
             entries=tuple(
@@ -179,7 +187,7 @@ def load_config_text(text: str) -> PipelineConfig:
                 )
                 for e in keywords
             ),
-            politeness=tuple(str(p) for p in lex.get("politeness", ())),
+            politeness=politeness,
         )
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"lexicon: {exc}") from exc
@@ -298,19 +306,17 @@ def load_config_text(text: str) -> PipelineConfig:
         ]
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"llm.models: {exc}") from exc
-    cue_data = llm.get("cues", {})
-    cues = CueConfig(
-        complaint=tuple(cue_data.get("complaint", CueConfig.complaint)),
-        request=tuple(cue_data.get("request", CueConfig.request)),
-        mood_positive=tuple(cue_data.get("mood_positive", CueConfig.mood_positive)),
-        mood_negative=tuple(cue_data.get("mood_negative", CueConfig.mood_negative)),
-    )
+    cue_data = _mapping(llm.get("cues", {}), "llm.cues")
+    cues = CueConfig(**{
+        name: _strings(cue_data.get(name, getattr(CueConfig, name)), f"llm.cues.{name}")
+        for name in ("complaint", "request", "mood_positive", "mood_negative")
+    })
 
     try:
         experts = [
             ExpertRegistration(
                 qualifier=str(e["qualifier"]),
-                cues=tuple(str(c) for c in e.get("cues", ())),
+                cues=_strings(e.get("cues", ()), "experts.cues"),
                 queue=str(e.get("queue", "")),
             )
             for e in _mappings(data.get("experts", []), "experts")

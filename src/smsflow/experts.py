@@ -360,12 +360,11 @@ class RouterAgent:
         else:
             terminal = TERMINAL_DONE
         # The verdict's facts ride on the terminal record, for the report.
-        with self.store.event_lock(event_id):
-            self.store.record_step(
-                event_id, STEP_VALIDATED, self.qualifier, terminal, terminal=True,
-                keyword_outcome=keywords["outcome"], accepted=keywords["accepted"],
-                scores=extraction["scores"] if extraction is not None else None,
-            )
+        self.store.record_step(
+            event_id, STEP_VALIDATED, self.qualifier, terminal, terminal=True,
+            keyword_outcome=keywords["outcome"], accepted=keywords["accepted"],
+            scores=extraction["scores"] if extraction is not None else None,
+        )
 
     def _route_item(self, event_id: str, item: str, item_kind: str) -> list[tuple[str, str]]:
         """Hand one complaint or request to its expert; returns (SMS kind, text) replies to send."""

@@ -5,15 +5,22 @@ scripted model used by the test harness (with seeded fault injection so
 hallucination handling can be reproduced exactly), and an HTTP
 chat-completion adapter for real deployments.  :func:`model_results` runs
 one stage's model calls, one after the other or overlapped on an executor.
+
+A scripted model caches its reading of each distinct text, which serves
+both its extractions and its judgements, bounded by ``READING_MEMO_SIZE``;
+the cache lives and dies with the model.  The HTTP adapter caches nothing:
+a retry must ask the backend again.
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import random
 import re
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .messages import (
     AGENTS_TOPIC,
@@ -22,7 +29,7 @@ from .messages import (
     Metadata,
 )
 from .pool import Envelope, MessagePool
-from .renewal import KeywordLexicon, sentence_tokens, split_sentences, tokens_of
+from .renewal import READING_MEMO_SIZE, KeywordLexicon, sentence_tokens, split_sentences
 from .store import RunStore
 
 log = logging.getLogger(__name__)
@@ -135,11 +142,20 @@ class ScriptedModel:
     part of that sentence rather than as instructions (numeric codes are
     claimed everywhere).  This is intentionally more permissive than the
     parser agent: it also claims keywords from mixed sentences.
+
+    What both answers take from the text depends on the text alone, so each
+    model reads a distinct text once while its cache holds at most
+    ``READING_MEMO_SIZE`` texts.  Faults are drawn per call, on a fresh
+    extraction built from the cached reading.
     """
 
     def __init__(self, model_id: str, cues: CueConfig | None = None):
         self.model_id = model_id
         self.cues = cues or CueConfig()
+        # (text, lexicon) -> the fault-free reading; see scripted_reading.
+        self.reading = functools.lru_cache(maxsize=READING_MEMO_SIZE)(
+            functools.partial(scripted_reading, cues=self.cues)
+        )
 
     def extract(
         self,
@@ -149,60 +165,16 @@ class ScriptedModel:
         attempt: int = 1,
         faults: FaultPlan = ZERO_FAULTS,
     ) -> LlmExtraction:
-        cues = self.cues
-        renew: list[str] = []
-        stop: list[str] = []
-        complaint: list[str] = []
-        request: list[str] = []
-        pos = neg = 0
-
-        def claim(entry):
-            target = renew if entry.polarity == "renew" else stop
-            if entry.canonical not in renew and entry.canonical not in stop:
-                target.append(entry.canonical)
-
-        for sentence in split_sentences(sms_text, lexicon):
-            kind = classify_sentence(sentence, cues)
-            for token in sentence_tokens(sentence):
-                lowered = token.lower()
-                if lowered in cues.mood_positive:
-                    pos += 1
-                if lowered in cues.mood_negative:
-                    neg += 1
-                entry = lexicon.match_token(token)
-                if entry is None:
-                    continue
-                if kind == "other" or entry.canonical.isdigit():
-                    claim(entry)
-            if kind == "complaint":
-                complaint.append(sentence)
-            elif kind == "request":
-                request.append(sentence)
-
-        mood = "positive" if pos > neg else "negative" if neg > pos else "neutral"
+        reading = self.reading(sms_text, lexicon)
         extraction = LlmExtraction(
-            renew=renew, stop=stop, complaint=complaint, request=request,
-            mood=mood, model_id=self.model_id,
+            renew=list(reading.renew), stop=list(reading.stop), complaint=list(reading.complaint),
+            request=list(reading.request), mood=reading.mood, model_id=self.model_id,
         )
-        return self._apply_faults(extraction, sms_text, lexicon, event_id, attempt, faults)
-
-    def _apply_faults(
-        self,
-        extraction: LlmExtraction,
-        sms_text: str,
-        lexicon: KeywordLexicon,
-        event_id: str,
-        attempt: int,
-        faults: FaultPlan,
-    ) -> LlmExtraction:
         add_fires, drop_fires, rng = faults.draws(event_id, self.model_id, attempt)
-        if add_fires:
-            present = tokens_of(sms_text, lexicon)
-            canonical = next((c for c in lexicon.polarities if c.lower() not in present), None)
-            if canonical is not None:
-                target = extraction.renew if lexicon.polarities[canonical] == "renew" else extraction.stop
-                if canonical not in extraction.keywords():
-                    target.append(canonical)
+        absent = reading.absent
+        if add_fires and absent is not None and absent not in reading.renew + reading.stop:
+            target = extraction.renew if lexicon.polarities[absent] == "renew" else extraction.stop
+            target.append(absent)
         if drop_fires:
             claimed = extraction.keywords()
             if claimed:
@@ -220,16 +192,71 @@ class ScriptedModel:
         the original costs 3, each free-text sentence with no matching item
         costs 2.
         """
-        sentences = [
-            s for s in split_sentences(original_sms, lexicon)
-            if not all(lexicon.match_token(t) for t in sentence_tokens(s))
-        ]
-        normalized_sentences = [_normalize_item(s) for s in sentences]
-        items = [_normalize_item(i) for i in (list(extraction.complaint) + list(extraction.request))]
+        sentences = self.reading(original_sms, lexicon).free_text
+        items = [_normalize_item(i) for i in (*extraction.complaint, *extraction.request)]
 
-        fabricated = sum(1 for item in items if item not in normalized_sentences)
-        missed = sum(1 for s in normalized_sentences if s not in items)
+        fabricated = sum(1 for item in items if item not in sentences)
+        missed = sum(1 for s in sentences if s not in items)
         return max(1, min(10, 10 - 3 * fabricated - 2 * missed))
+
+
+class ScriptedReading(NamedTuple):
+    """A scripted model's fault-free reading of one text."""
+
+    renew: tuple[str, ...]
+    stop: tuple[str, ...]
+    complaint: tuple[str, ...]
+    request: tuple[str, ...]
+    mood: str
+    # The first lexicon canonical whose lowercased form is none of the text's
+    # tokens, or None: what the add-keyword fault claims.
+    absent: str | None
+    # Normalized sentences not made of lexicon tokens alone: what judge scores against.
+    free_text: tuple[str, ...]
+
+
+def scripted_reading(text: str, lexicon: KeywordLexicon, cues: CueConfig) -> ScriptedReading:
+    """The scripted model's fault-free reading of one text."""
+    renew: list[str] = []
+    stop: list[str] = []
+    complaint: list[str] = []
+    request: list[str] = []
+    free_text: list[str] = []
+    present: set[str] = set()
+    pos = neg = 0
+    for sentence in split_sentences(text, lexicon):
+        kind = classify_sentence(sentence, cues)
+        all_keywords = True
+        for token in sentence_tokens(sentence):
+            lowered = token.lower()
+            present.add(lowered)
+            if lowered in cues.mood_positive:
+                pos += 1
+            if lowered in cues.mood_negative:
+                neg += 1
+            entry = lexicon.match_token(token)
+            if entry is None:
+                all_keywords = False
+                continue
+            if (kind == "other" or entry.canonical.isdigit()) and (
+                entry.canonical not in renew and entry.canonical not in stop
+            ):
+                (renew if entry.polarity == "renew" else stop).append(entry.canonical)
+        if kind == "complaint":
+            complaint.append(sentence)
+        elif kind == "request":
+            request.append(sentence)
+        if not all_keywords:
+            free_text.append(_normalize_item(sentence))
+    return ScriptedReading(
+        renew=tuple(renew),
+        stop=tuple(stop),
+        complaint=tuple(complaint),
+        request=tuple(request),
+        mood="positive" if pos > neg else "negative" if neg > pos else "neutral",
+        absent=next((c for c in lexicon.polarities if c.lower() not in present), None),
+        free_text=tuple(free_text),
+    )
 
 
 _WHITESPACE_RUNS = re.compile(r"\s+")

@@ -4,10 +4,13 @@ The parser strips politeness phrases, splits the text into sentence
 segments, and matches tokens against an anchored keyword lexicon.  Keywords
 are claimed only from segments made up entirely of lexicon tokens, which is
 what makes every claim verbatim-correct; the fraction of matched tokens
-feeds the fuzzy degree-of-confidence.
+feeds the fuzzy degree-of-confidence.  The reading depends on the text
+alone, so :class:`RenewalAgent` caches it per distinct text, bounded by
+``READING_MEMO_SIZE``.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -23,7 +26,7 @@ from .pool import Envelope, MessagePool
 from .store import RunStore
 
 SEGMENT_DELIMITERS = ".!?;"
-# Most distinct SMS texts whose reading one RenewalAgent keeps.
+# Most entries in any cache one agent or scripted model keeps per text or profile.
 READING_MEMO_SIZE = 1024
 POLARITIES = ("renew", "stop")
 TOKEN_SEPARATORS = re.compile(r"[\s,]+")
@@ -224,49 +227,13 @@ def read_text(text: str, lexicon: KeywordLexicon, confidence_var: LinguisticVari
     return tuple(extraction.renew), tuple(extraction.stop), confidence, extraction.full_match()
 
 
-def process(
-    sms: SmsEvent,
-    lexicon: KeywordLexicon,
-    confidence_var: LinguisticVariable,
-    store: RunStore,
-    pool: MessagePool,
-    readings: dict[str, Reading] | None = None,
-) -> RenewalProcessed:
-    """Full parse of one SMS: persist the original, then publish the result.
-
-    The original text is stored before publication so that downstream
-    validation can never observe an event whose text is missing.  With a
-    ``readings`` memo, each distinct text is read once while it holds at most
-    ``READING_MEMO_SIZE`` texts (the oldest goes first); every result still
-    gets its own lists and confidence.
-    """
-    if sms.metadata.type != "renewal":
-        raise ValueError(f"renewal parser got a {sms.metadata.type!r} event")
-    text = sms.body
-    reading = readings.get(text) if readings is not None else None
-    if reading is None:
-        reading = read_text(text, lexicon, confidence_var)
-        if readings is not None:
-            if len(readings) >= READING_MEMO_SIZE:
-                del readings[next(iter(readings))]
-            readings[text] = reading
-    renew, stop, confidence, full_match = reading
-
-    store.store_original(sms.metadata.event_id, text)
-    result = RenewalProcessed(
-        metadata=sms.metadata.at_step(STEP_PARSED, last_update=store.clock.now_iso()),
-        renew=list(renew),
-        stop=list(stop),
-        confidence=DegreeOfConfidence(confidence.high, confidence.medium, confidence.low),
-        full_match=full_match,
-    )
-    # Publication is recorded by the tracking agent observing the topic.
-    pool.publish(AGENTS_TOPIC, result.to_doc())
-    return result
-
-
 class RenewalAgent:
-    """Worker agent wrapping :func:`process` for dispatched SMS envelopes."""
+    """Parser agent: reads each dispatched renewal SMS and publishes the result.
+
+    It reads each distinct text once while its cache holds at most
+    ``READING_MEMO_SIZE`` texts, the least recently used going first; every
+    result still gets its own lists and confidence.
+    """
 
     qualifier = "RenewalAgent"
 
@@ -277,13 +244,35 @@ class RenewalAgent:
         store: RunStore,
         pool: MessagePool,
     ):
-        self.lexicon = lexicon
-        self.confidence_var = confidence_var
         self.store = store
         self.pool = pool
-        # SMS text -> its reading; see process.
-        self.readings: dict[str, Reading] = {}
+        # SMS text -> the parser's reading; see read_text.
+        self.reading = functools.lru_cache(maxsize=READING_MEMO_SIZE)(
+            functools.partial(read_text, lexicon=lexicon, confidence_var=confidence_var)
+        )
+
+    def process(self, sms: SmsEvent) -> RenewalProcessed:
+        """Full parse of one SMS: persist the original, then publish the result.
+
+        The original text is stored before publication so that downstream
+        validation can never observe an event whose text is missing.
+        """
+        if sms.metadata.type != "renewal":
+            raise ValueError(f"renewal parser got a {sms.metadata.type!r} event")
+        text = sms.body
+        renew, stop, confidence, full_match = self.reading(text)
+
+        self.store.store_original(sms.metadata.event_id, text)
+        result = RenewalProcessed(
+            metadata=sms.metadata.at_step(STEP_PARSED, last_update=self.store.clock.now_iso()),
+            renew=list(renew),
+            stop=list(stop),
+            confidence=DegreeOfConfidence(confidence.high, confidence.medium, confidence.low),
+            full_match=full_match,
+        )
+        # Publication is recorded by the tracking agent observing the topic.
+        self.pool.publish(AGENTS_TOPIC, result.to_doc())
+        return result
 
     def handle(self, envelope: Envelope) -> None:
-        sms = SmsEvent.from_doc(envelope.payload)
-        process(sms, self.lexicon, self.confidence_var, self.store, self.pool, self.readings)
+        self.process(SmsEvent.from_doc(envelope.payload))

@@ -155,8 +155,6 @@ class RunStore:
     def __init__(self, root: Path | str | None = None):
         self.root = Path(root) if root is not None else None
         self.clock = LogicalClock()
-        self._event_locks: dict[str, threading.RLock] = {}
-        self._locks_guard = threading.Lock()
         self._seq = 0
         # Held across the seq number, the log append and the per-event index,
         # so the step log and each history are in seq order.
@@ -181,14 +179,6 @@ class RunStore:
         self.auth_failures = _log("auth_failures.jsonl")
         self._queues: dict[str, JsonlLog] = {}
         self._queues_lock = threading.Lock()
-
-    # -- per-event serialization point ------------------------------------
-
-    def event_lock(self, event_id: str) -> threading.RLock:
-        with self._locks_guard:
-            if event_id not in self._event_locks:
-                self._event_locks[event_id] = threading.RLock()
-            return self._event_locks[event_id]
 
     # -- step tracking ------------------------------------------------------
 
@@ -269,10 +259,6 @@ class RunStore:
                     path = self.root / "queues" / f"{name}.jsonl"
                 self._queues[name] = JsonlLog(path)
             return self._queues[name]
-
-    def queue_names(self) -> list[str]:
-        with self._queues_lock:
-            return sorted(self._queues)
 
     # -- lifetime -------------------------------------------------------------
 

@@ -272,10 +272,6 @@ class ValidatorAgent:
         event_id, step = event_and_step(doc)
         if step != STEP_LLM_EXTRACTED:
             return
-        with self.store.event_lock(event_id):
-            self._decide(event_id, doc)
-
-    def _decide(self, event_id: str, doc: dict) -> None:
         original = self.store.fetch_original(event_id)  # MissingOriginalError is fatal by design
         ra = RenewalProcessed.from_doc(doc["parsed"])
         a, b = (ModelResponse.from_doc(r) for r in doc["responses"])

@@ -10,8 +10,6 @@ from smsflow.arbitration import (
     CustomerRelationshipAgent,
     EvaluatorAgent,
     compute_importance,
-    decide,
-    evaluate,
 )
 from smsflow.messages import (
     AGENTS_TOPIC,
@@ -21,6 +19,7 @@ from smsflow.messages import (
     payload_digest,
 )
 from smsflow.pool import Envelope, MessagePool
+from smsflow.renewal import READING_MEMO_SIZE
 from smsflow.store import OutboundSmsGateway, PharmacyClient, RunStore
 
 from conftest import brute_force_activations
@@ -54,18 +53,18 @@ MEDIUM = DegreeOfConfidence(0.0, 1.0, 0.0)
 
 
 def test_new_customer_is_fully_low_importance(default_config):
-    importance = compute_importance(_profile(0, 0), default_config.importance_system)
+    importance = compute_importance(0, 0, default_config.importance_system)
     assert importance == {"low": 1.0, "medium": 0.0, "high": 0.0}
 
 
 def test_veteran_big_spender_is_fully_high_importance(default_config):
-    importance = compute_importance(_profile(10, 5000), default_config.importance_system)
+    importance = compute_importance(10, 5000, default_config.importance_system)
     assert importance["high"] == 1.0 and importance["low"] == 0.0 and importance["medium"] == 0.0
 
 
 def test_mid_profile_matches_brute_force_oracle(default_config):
     system = default_config.importance_system
-    got = compute_importance(_profile(3, 800), system)
+    got = compute_importance(3, 800, system)
     inputs = {
         "tenureYears": system.variables["tenureYears"].fuzzify(3),
         "purchases12mo": system.variables["purchases12mo"].fuzzify(800),
@@ -77,10 +76,7 @@ def test_mid_profile_matches_brute_force_oracle(default_config):
 
 
 def test_full_confidence_decides_process_direct(default_config):
-    decision = decide(
-        _msg(FULL, full_match=True), _profile(0, 0),
-        default_config.importance_system, default_config.action_system,
-    )
+    decision = _evaluator(default_config).decide(_msg(FULL, full_match=True), _profile(0, 0))
     assert decision.action == ACTION_PROCESS_DIRECT
     assert decision.activations == {}
 
@@ -89,10 +85,7 @@ def test_process_direct_requires_a_full_match(default_config):
     # A ratio of 0.9 fuzzifies to the ratio-1 vector, so the vector alone
     # must not send a message down the direct path.
     for confidence in (FULL, DegreeOfConfidence(1.0 - 1e-12, 0.0, 0.0)):
-        decision = decide(
-            _msg(confidence), _profile(10, 5000),
-            default_config.importance_system, default_config.action_system,
-        )
+        decision = _evaluator(default_config).decide(_msg(confidence), _profile(10, 5000))
         assert decision.action == ACTION_FORWARD
 
 
@@ -111,58 +104,53 @@ def test_process_direct_requires_a_full_match(default_config):
     ],
 )
 def test_crisp_truth_table(default_config, importance, confidence, expected):
-    decision = decide(
-        _msg(confidence),
-        _profile(*importance),
-        default_config.importance_system,
-        default_config.action_system,
-    )
+    decision = _evaluator(default_config).decide(_msg(confidence), _profile(*importance))
     assert decision.action == expected
 
 
 def test_all_zero_confidence_fails_conservatively(default_config):
-    decision = decide(
-        _msg(DegreeOfConfidence(0.0, 0.0, 0.0)),
-        _profile(0, 0),
-        default_config.importance_system,
-        default_config.action_system,
+    decision = _evaluator(default_config).decide(
+        _msg(DegreeOfConfidence(0.0, 0.0, 0.0)), _profile(0, 0)
     )
     assert decision.action == ACTION_FAIL
 
 
 def test_raising_importance_never_flips_forward_to_fail(default_config):
     rng = random.Random(41)
+    evaluator = _evaluator(default_config)
     for _ in range(100):
         confidence = DegreeOfConfidence(0.0, rng.random(), rng.random())
         tenure, purchases = rng.uniform(0, 12), rng.uniform(0, 4000)
-        base = decide(
-            _msg(confidence), _profile(tenure, purchases),
-            default_config.importance_system, default_config.action_system,
-        )
-        richer = decide(
+        base = evaluator.decide(_msg(confidence), _profile(tenure, purchases))
+        richer = evaluator.decide(
             _msg(confidence),
             _profile(tenure + rng.uniform(0, 10), purchases + rng.uniform(0, 4000)),
-            default_config.importance_system, default_config.action_system,
         )
         if base.action == ACTION_FORWARD:
             assert richer.action == ACTION_FORWARD
 
 
-def _wiring(default_config):
+def _wiring(default_config, profiles=None):
+    """An evaluator on fresh stores, its run store and a subscription to its topic."""
     store = RunStore()
     pool = MessagePool()
     agents = pool.subscribe(AGENTS_TOPIC)
-    pharmacy = PharmacyClient(store)
-    outbound = OutboundSmsGateway(store)
-    return store, pool, agents, pharmacy, outbound
+    relationship = CustomerRelationshipAgent(profiles or {}, default_config.default_profile, store)
+    evaluator = EvaluatorAgent(
+        relationship, default_config.importance_system, default_config.action_system,
+        store, pool, PharmacyClient(store), OutboundSmsGateway(store),
+    )
+    return evaluator, store, agents
+
+
+def _evaluator(default_config):
+    return _wiring(default_config)[0]
 
 
 def test_evaluate_process_direct_calls_pharmacy_per_keyword(default_config):
-    store, pool, agents, pharmacy, outbound = _wiring(default_config)
-    decision = evaluate(
-        _msg(FULL, renew=("1",), stop=("unenroll",), full_match=True), _profile(0, 0),
-        default_config.importance_system, default_config.action_system,
-        store, pool, pharmacy, outbound,
+    evaluator, store, agents = _wiring(default_config)
+    decision = evaluator.evaluate(
+        _msg(FULL, renew=("1",), stop=("unenroll",), full_match=True), _profile(0, 0)
     )
     assert decision.action == ACTION_PROCESS_DIRECT
     assert [r["keyword"] for r in store.pharmacy.read_all() if r["eventId"] == "A1001"] == ["1", "unenroll"]
@@ -171,12 +159,8 @@ def test_evaluate_process_direct_calls_pharmacy_per_keyword(default_config):
 
 
 def test_evaluate_forward_republishes_at_next_step(default_config):
-    store, pool, agents, pharmacy, outbound = _wiring(default_config)
-    evaluate(
-        _msg(LOW), _profile(10, 5000),
-        default_config.importance_system, default_config.action_system,
-        store, pool, pharmacy, outbound,
-    )
+    evaluator, store, agents = _wiring(default_config)
+    evaluator.evaluate(_msg(LOW), _profile(10, 5000))
     docs = [e.payload for e in agents.poll(5)]
     assert len(docs) == 1
     assert docs[0]["metadata"]["stepId"] == "S002"
@@ -186,12 +170,8 @@ def test_evaluate_forward_republishes_at_next_step(default_config):
 
 
 def test_evaluate_fail_sends_support_sms(default_config):
-    store, pool, agents, pharmacy, outbound = _wiring(default_config)
-    decision = evaluate(
-        _msg(LOW), _profile(0, 0),
-        default_config.importance_system, default_config.action_system,
-        store, pool, pharmacy, outbound,
-    )
+    evaluator, store, agents = _wiring(default_config)
+    decision = evaluator.evaluate(_msg(LOW), _profile(0, 0))
     assert decision.action == ACTION_FAIL
     sms = store.outbound_sms.read_all()
     assert len(sms) == 1 and sms[0]["kind"] == "contact-support"
@@ -200,13 +180,9 @@ def test_evaluate_fail_sends_support_sms(default_config):
 
 
 def test_evaluate_rejects_wrong_step(default_config):
-    store, pool, _, pharmacy, outbound = _wiring(default_config)
+    evaluator, _, _ = _wiring(default_config)
     with pytest.raises(ValueError):
-        evaluate(
-            _msg(LOW, step="S002"), _profile(0, 0),
-            default_config.importance_system, default_config.action_system,
-            store, pool, pharmacy, outbound,
-        )
+        evaluator.evaluate(_msg(LOW, step="S002"), _profile(0, 0))
 
 
 def test_missing_profile_uses_lowest_default_and_records_warning(default_config):
@@ -245,19 +221,20 @@ def test_evaluator_runs_importance_once_per_distinct_profile(default_config, mon
     expected = []
     for msg in messages:
         profile = profiles.get(msg.metadata.customer_id, default_config.default_profile)
-        expected.append(decide(msg, profile, system, default_config.action_system))
+        expected.append(_evaluator(default_config).decide(msg, profile))  # a fresh cache each
 
     monkeypatch.setattr(system, "run", counting_run)
-    store, pool, _, pharmacy, outbound = _wiring(default_config)
-    relationship = CustomerRelationshipAgent(profiles, default_config.default_profile, store)
-    agent = EvaluatorAgent(relationship, system, default_config.action_system,
-                           store, pool, pharmacy, outbound)
+    agent, store, _ = _wiring(default_config, profiles)
     for msg in messages:
         agent.handle(Envelope("agents", 0, msg.to_doc()))
     recorded = [r for r in store.steps.read_all() if r["note"].startswith("decision:")]
     assert [(c["tenureYears"], c["purchases12mo"]) for c in calls] == [(10, 5000), (3, 800), (0, 0)]
-    assert len(agent.importance_memo) == 3
+    assert agent.importance.cache_info().currsize == 3
+    assert agent.importance.cache_info().maxsize == READING_MEMO_SIZE
     assert [r["note"] for r in recorded] == [f"decision:{d.action}" for d in expected]
+    # Each decision gets its own copy of the cached importance.
+    agent.decide(messages[0], profiles["C1"]).importance["low"] = 9.0
+    assert agent.decide(messages[0], profiles["C1"]).importance == expected[0].importance
     assert [r["digest"] for r in recorded] == [
         payload_digest({"activations": d.activations, "importance": d.importance}) for d in expected
     ]

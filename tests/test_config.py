@@ -59,6 +59,22 @@ def _scalar_profile(bundle):
     bundle["customers"]["profiles"]["C1001"] = "loyal"
 
 
+def _scalar_always_on(bundle):
+    bundle["arbitration"]["always_on"] = "MessageTrackingAgent"
+
+
+def _scalar_politeness(bundle):
+    bundle["lexicon"]["politeness"] = "thank you"
+
+
+def _scalar_expert_cues(bundle):
+    bundle["experts"][0]["cues"] = "medication"
+
+
+def _scalar_llm_cue(bundle):
+    bundle["llm"]["cues"]["complaint"] = "bad"
+
+
 SCALAR_ENTRIES = [
     (_models_as_names, "llm.models: expected a mapping"),
     (_experts_as_names, "experts: expected a mapping"),
@@ -66,9 +82,14 @@ SCALAR_ENTRIES = [
     (_scalar_medication_default, "medications.default: expected a mapping"),
     (_availability_as_words, "availability: expected a mapping"),
     (_scalar_profile, "customers.profiles.C1001: expected a mapping"),
+    (_scalar_always_on, "arbitration.always_on: expected a list"),
+    (_scalar_politeness, "lexicon.politeness: expected a list"),
+    (_scalar_expert_cues, "experts.cues: expected a list"),
+    (_scalar_llm_cue, "llm.cues.complaint: expected a list"),
 ]
 SCALAR_IDS = ["models-as-names", "experts-as-names", "keywords-as-words",
-              "scalar-medication-default", "availability-as-words", "scalar-profile"]
+              "scalar-medication-default", "availability-as-words", "scalar-profile",
+              "scalar-always-on", "scalar-politeness", "scalar-expert-cues", "scalar-llm-cue"]
 
 
 @pytest.mark.parametrize(

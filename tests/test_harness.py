@@ -519,11 +519,11 @@ def test_tracking_agent_observes_every_arbitration_message(ten_message_run):
 
 
 def test_every_routed_item_lands_in_exactly_one_intake(ten_message_run):
-    result, _ = ten_message_run
+    result, out = ten_message_run
     store = result.pipeline.store
     routed = sum(len(r["routing"]) for r in result.report["messages"])
     intake = (
-        sum(len(store.queue(q).read_all()) for q in store.queue_names())
+        sum(len(list(read_jsonl(path))) for path in (out / "queues").glob("*.jsonl"))
         + len(store.answers.read_all())
         + len(store.bookings.read_all())
     )

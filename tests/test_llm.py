@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 import yaml
-from fake_chat import chat_models
+from fake_chat import FakeChat, chat_models
+from hypothesis import given, settings, strategies as st
 
 import smsflow
 
@@ -31,6 +32,7 @@ from smsflow.messages import (
     RenewalProcessed,
 )
 from smsflow.pool import MessagePool
+from smsflow.renewal import READING_MEMO_SIZE
 from smsflow.store import RunStore
 
 MSG1 = (
@@ -178,6 +180,100 @@ def test_judge_score_floors_at_one(lexicon):
     original = "a b. c d. e f. g h. i j. k l"
     extraction = LlmExtraction(model_id="alpha")
     assert model.judge(original, extraction, lexicon) == 1
+
+
+# -- per-text caches of the scripted model ------------------------------------
+
+_CACHE_TEXTS = [MSG1, "1, unenroll. Thank you", "Please stop sending me text messages", "2; renew!"]
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.1, 1.0])
+def test_cached_extraction_equals_a_fresh_model_per_call(lexicon, rate):
+    faults = FaultPlan(seed=5, add_keyword_rate=rate, drop_keyword_rate=rate)
+    model = ScriptedModel("alpha")
+    for text in _CACHE_TEXTS:
+        for event_id in ("A1", "A2"):
+            for attempt in (1, 2):
+                got = model.extract(text, lexicon, event_id=event_id, attempt=attempt, faults=faults)
+                fresh = ScriptedModel("alpha").extract(
+                    text, lexicon, event_id=event_id, attempt=attempt, faults=faults
+                )
+                assert got == fresh
+    assert model.reading.cache_info().currsize == len(_CACHE_TEXTS)
+
+
+def test_mutating_an_extraction_leaves_the_next_one_alone(lexicon):
+    model = ScriptedModel("alpha")
+    first = model.extract(MSG1, lexicon)
+    expected = LlmExtraction.from_doc(first.to_doc(), model_id="alpha")
+    for items in (first.renew, first.stop, first.complaint, first.request):
+        items.append("added")
+    first.renew.clear()
+    assert model.extract(MSG1, lexicon) == expected
+
+
+def test_scripted_cache_keeps_at_most_its_bound(lexicon):
+    model = ScriptedModel("alpha")
+    extraction = LlmExtraction(request=["I want it"])
+    for i in range(READING_MEMO_SIZE + 5):
+        model.extract(f"{i}. I want it", lexicon)
+        model.judge(f"{i}. I want it", extraction, lexicon)
+        model.judge(f"{i}. I need it", extraction, lexicon)
+        assert model.reading.cache_info().currsize <= READING_MEMO_SIZE
+    assert model.reading.cache_info().currsize == READING_MEMO_SIZE
+
+
+def test_cached_judgement_equals_a_fresh_models(lexicon):
+    model = ScriptedModel("beta")
+    extractions = [
+        LlmExtraction(request=["Do I need to call my doctor or can you renew it for me"]),
+        LlmExtraction(complaint=["I just want to know if it is normal for the medication to taste so bad"]),
+        LlmExtraction(complaint=["the pharmacist was rude"], request=["book me"]),
+    ]
+    for _ in range(2):
+        for extraction in extractions:
+            fresh = ScriptedModel("beta").judge(MSG1, extraction, lexicon)
+            assert model.judge(MSG1, extraction, lexicon) == fresh
+    assert model.reading.cache_info().currsize == 1
+
+
+_CUE_WORDS = ["bad", "problem", "want", "need", "thank", "great", "terrible", "angry", "you", "the"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    words=st.lists(
+        st.tuples(
+            st.sampled_from(["1", "2", "renew", "enroll", "unenroll", "stop", "RENEW"] + _CUE_WORDS),
+            st.sampled_from([" ", ", ", ". ", "! ", "? ", "; "]),
+        ),
+        max_size=14,
+    ),
+    rate=st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_cached_model_reads_and_judges_like_a_fresh_one(default_config, words, rate):
+    lexicon = default_config.lexicon
+    text = "".join(word + sep for word, sep in words)
+    faults = FaultPlan(seed=7, add_keyword_rate=rate, drop_keyword_rate=rate)
+    model = ScriptedModel("alpha", default_config.cues)
+    for event_id, attempt in (("A1", 1), ("A1", 2), ("A2", 1)):
+        got = model.extract(text, lexicon, event_id=event_id, attempt=attempt, faults=faults)
+        fresh = ScriptedModel("alpha", default_config.cues).extract(
+            text, lexicon, event_id=event_id, attempt=attempt, faults=faults
+        )
+        assert got == fresh
+        for judged in (got, LlmExtraction(complaint=["bad"], request=list(got.complaint))):
+            assert model.judge(text, judged, lexicon) == ScriptedModel("beta").judge(text, judged, lexicon)
+
+
+def test_http_model_asks_the_backend_on_every_call(lexicon):
+    fake = FakeChat("alpha", lexicon)
+    model = ChatCompletionModel("alpha", "http://fake/v1", "fake-alpha", transport=fake)
+    first = model.extract(MSG1, lexicon, event_id="A1", attempt=1)
+    again = model.extract(MSG1, lexicon, event_id="A1", attempt=2)
+    assert first == again and len(fake.threads) == 2
+    assert model.judge(MSG1, first, lexicon) == model.judge(MSG1, first, lexicon)
+    assert len(fake.threads) == 4
 
 
 def _s002(event_id="A1001"):

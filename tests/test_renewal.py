@@ -12,9 +12,9 @@ from smsflow.renewal import (
     KeywordLexicon,
     LexiconEntry,
     LexiconError,
+    RenewalAgent,
     compute_confidence,
     extract,
-    process,
     segment,
     strip_politeness,
 )
@@ -143,16 +143,16 @@ def test_patterns_are_anchored_to_whole_tokens(lexicon):
     assert lexicon.match_token("renewal") is None
 
 
-def _pipeline_bits():
-    store = RunStore()
+def _parser(lexicon, confidence_var, store=None):
+    store = store if store is not None else RunStore()
     pool = MessagePool()
     sub = pool.subscribe(AGENTS_TOPIC)
-    return store, pool, sub
+    return RenewalAgent(lexicon, confidence_var, store, pool), store, sub
 
 
 def test_process_full_match_message(lexicon, confidence_var):
-    store, pool, sub = _pipeline_bits()
-    result = process(_sms("1, unenroll. Thank you"), lexicon, confidence_var, store, pool)
+    agent, store, sub = _parser(lexicon, confidence_var)
+    result = agent.process(_sms("1, unenroll. Thank you"))
     assert result.renew == ["1"] and result.stop == ["unenroll"]
     assert result.full_match
     assert result.metadata.step_id == "S001"
@@ -163,61 +163,60 @@ def test_process_full_match_message(lexicon, confidence_var):
 
 
 def test_process_partial_message_keeps_pure_claims(lexicon, confidence_var):
-    store, pool, _ = _pipeline_bits()
-    result = process(
-        _sms("Thank you for your great service. 1, renew."), lexicon, confidence_var, store, pool
-    )
+    agent, _, _ = _parser(lexicon, confidence_var)
+    result = agent.process(_sms("Thank you for your great service. 1, renew."))
     assert result.renew == ["1", "renew"]
     assert not result.full_match
 
 
 def test_process_claims_pure_code_segment(lexicon, confidence_var):
-    store, pool, _ = _pipeline_bits()
-    result = process(
-        _sms("Could you please execute the following. 1"), lexicon, confidence_var, store, pool
-    )
+    agent, _, _ = _parser(lexicon, confidence_var)
+    result = agent.process(_sms("Could you please execute the following. 1"))
     assert result.renew == ["1"] and result.stop == []
     assert not result.full_match
 
 
 def test_process_rejects_non_renewal_events(lexicon, confidence_var):
-    store, pool, _ = _pipeline_bits()
+    agent, _, _ = _parser(lexicon, confidence_var)
     with pytest.raises(ValueError):
-        process(_sms("1", type_="reminder"), lexicon, confidence_var, store, pool)
+        agent.process(_sms("1", type_="reminder"))
 
 
 def test_process_is_idempotent_per_event(lexicon, confidence_var):
-    store, pool, _ = _pipeline_bits()
-    first = process(_sms("1, unenroll"), lexicon, confidence_var, store, pool)
-    second = process(_sms("1, unenroll"), lexicon, confidence_var, store, pool)
+    agent, _, _ = _parser(lexicon, confidence_var)
+    first = agent.process(_sms("1, unenroll"))
+    second = agent.process(_sms("1, unenroll"))
     assert first.to_doc() == second.to_doc()
 
 
 def test_same_text_gets_equal_but_independent_readings(lexicon, confidence_var):
-    store, pool, _ = _pipeline_bits()
-    readings = {}
+    agent, _, _ = _parser(lexicon, confidence_var)
     text = "1, renew. stop please"
-    first = process(_sms(text, "A1"), lexicon, confidence_var, store, pool, readings)
-    second = process(_sms(text, "A2"), lexicon, confidence_var, store, pool, readings)
-    assert len(readings) == 1
+    first = agent.process(_sms(text, "A1"))
+    second = agent.process(_sms(text, "A2"))
+    assert agent.reading.cache_info().currsize == 1
     assert (first.renew, first.stop) == (second.renew, second.stop) == (["1", "renew"], ["stop"])
     assert first.confidence == second.confidence
     first.renew.append("enroll")
     first.stop.clear()
     first.confidence.high = 0.0
-    third = process(_sms(text, "A3"), lexicon, confidence_var, store, pool, readings)
-    unmemoized = process(_sms(text, "A3"), lexicon, confidence_var, store, pool)
-    assert third.to_doc() == unmemoized.to_doc()
+    third = agent.process(_sms(text, "A3"))
+    uncached = _parser(lexicon, confidence_var)[0].process(_sms(text, "A3"))
+    assert third.to_doc() == uncached.to_doc()
 
 
 def test_reading_memo_keeps_at_most_its_bound(lexicon, confidence_var):
-    store, pool, _ = _pipeline_bits()
-    readings = {}
+    agent, _, _ = _parser(lexicon, confidence_var)
     texts = [f"renew {i}" for i in range(READING_MEMO_SIZE + 5)]
     for i, text in enumerate(texts):
-        process(_sms(text, f"A{i}"), lexicon, confidence_var, store, pool, readings)
-    assert len(readings) == READING_MEMO_SIZE
-    assert list(readings) == texts[5:]  # the oldest texts went first
+        agent.process(_sms(text, f"A{i}"))
+    assert agent.reading.cache_info().currsize == READING_MEMO_SIZE
+    # The oldest texts went first: the newest is still read from the cache, the first is read again.
+    agent.process(_sms(texts[-1], "B1"))
+    assert agent.reading.cache_info().hits == 1
+    agent.process(_sms(texts[0], "B2"))
+    assert agent.reading.cache_info().hits == 1
+    assert agent.reading.cache_info().currsize == READING_MEMO_SIZE
 
 
 def test_store_failure_aborts_publication(lexicon, confidence_var):
@@ -225,11 +224,10 @@ def test_store_failure_aborts_publication(lexicon, confidence_var):
         def store_original(self, event_id, text):
             raise OSError("disk gone")
 
-    store = FailingStore()
-    pool = MessagePool()
+    agent, _, _ = _parser(lexicon, confidence_var, FailingStore())
     with pytest.raises(OSError):
-        process(_sms("1"), lexicon, confidence_var, store, pool)
-    assert pool.head(AGENTS_TOPIC) == -1  # nothing published
+        agent.process(_sms("1"))
+    assert agent.pool.head(AGENTS_TOPIC) == -1  # nothing published
 
 
 from smsflow.config import default_config_path, load_config
@@ -273,7 +271,7 @@ def test_full_match_iff_every_token_matches(words):
     lex = _CONFIG.lexicon
     text = " ".join(words)
     segments = segment(strip_politeness(text, lex), lex)
-    result = process(_sms(text), lex, _CONFIG.confidence_var, RunStore(), MessagePool())
+    result = RenewalAgent(lex, _CONFIG.confidence_var, RunStore(), MessagePool()).process(_sms(text))
     all_match = all(lex.match_token(t) for seg in segments for t in seg)
     assert result.full_match == (bool(segments) and all_match)
 

@@ -253,7 +253,7 @@ def test_closed_store_keeps_reads_and_refuses_appends(tmp_path):
     assert [r["note"] for r in read_jsonl(tmp_path / "steps.jsonl")] == ["x"]
     assert list(read_jsonl(tmp_path / "queues" / "pharmacist.jsonl")) == [{"eventId": "E1"}]
     assert len(store.steps) == 1
-    assert store.queue_names() == ["pharmacist"]
+    assert [p.name for p in (tmp_path / "queues").iterdir()] == ["pharmacist.jsonl"]
 
 
 def test_jsonl_log_append_after_close_raises(tmp_path):
