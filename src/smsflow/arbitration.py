@@ -18,6 +18,7 @@ from .messages import (
     STEP_LLM_REQUESTED,
     STEP_PARSED,
     RenewalProcessed,
+    restamped,
 )
 from .pool import Envelope, MessagePool
 from .renewal import READING_MEMO_SIZE
@@ -48,7 +49,7 @@ class CustomerProfile:
             raise ValueError("profile fields must be nonnegative")
 
 
-@dataclass
+@dataclass(slots=True)
 class ArbitrationDecision:
     action: str
     activations: dict[str, float] = field(default_factory=dict)
@@ -144,8 +145,9 @@ class EvaluatorAgent:
             action = ACTION_FAIL
         return ArbitrationDecision(action=action, activations=activations, importance=importance)
 
-    def evaluate(self, msg: RenewalProcessed, profile: CustomerProfile) -> ArbitrationDecision:
-        """Decide and carry out the side effects for one parsed message."""
+    def evaluate(self, doc: dict, profile: CustomerProfile) -> ArbitrationDecision:
+        """Decide and carry out the side effects for one parsed (S001) document."""
+        msg = RenewalProcessed.from_doc(doc)
         if msg.metadata.step_id != STEP_PARSED:
             raise ValueError(f"evaluator expects {STEP_PARSED} messages, got {msg.metadata.step_id}")
         decision = self.decide(msg, profile)
@@ -163,19 +165,15 @@ class EvaluatorAgent:
             store.record_step(event_id, STEP_PARSED, self.qualifier, f"pharmacy-applied:{applied}")
             store.record_step(event_id, STEP_PARSED, self.qualifier, TERMINAL_DONE, terminal=True)
         elif decision.action == ACTION_FORWARD:
-            forwarded = RenewalProcessed(
-                metadata=msg.metadata.at_step(STEP_LLM_REQUESTED, last_update=store.clock.now_iso()),
-                renew=msg.renew,
-                stop=msg.stop,
-                confidence=msg.confidence,
-            )
-            self.pool.publish(AGENTS_TOPIC, forwarded.to_doc())
+            self.pool.publish(AGENTS_TOPIC, {
+                **doc, "metadata": restamped(doc["metadata"], STEP_LLM_REQUESTED, store.clock.now_iso()),
+            })
         else:
             self.outbound.send_sms(customer_id, CONTACT_SUPPORT_TEXT, "contact-support", event_id)
             store.record_step(event_id, STEP_PARSED, self.qualifier, TERMINAL_FAILED, terminal=True)
         return decision
 
     def handle(self, envelope: Envelope) -> None:
-        msg = RenewalProcessed.from_doc(envelope.payload)
-        profile = self.relationship.profile_for(msg.metadata.customer_id, msg.metadata.event_id)
-        self.evaluate(msg, profile)
+        doc = envelope.payload
+        meta = doc["metadata"]
+        self.evaluate(doc, self.relationship.profile_for(meta["customerId"], meta["eventId"]))

@@ -7,6 +7,10 @@ dispatcher owns one topic subscription, which hands it every envelope
 published there, plus the rule set for its stage, and invokes its registry's
 always-on set (at the arbitration stage, the tracking agent) for every
 message it sees.
+
+Agents and the dispatcher's methods are looked up at each call, never bound
+ahead, so a wrapper set on an instance after the pipeline is built sees
+every call.
 """
 from __future__ import annotations
 
@@ -114,9 +118,10 @@ class Dispatcher:
     """Routes envelopes from one subscription to matching worker agents.
 
     Rules are indexed at construction by the path and value of their first
-    condition, so an envelope costs one walk per distinct first path and one
-    dict lookup on it; only the rules found there test their other
-    conditions, with a :class:`MetadataFilter`.
+    condition, each value's rules in declaration order and without those an
+    earlier unconditional rule there already covers; so the shipped rule sets
+    cost one path walk and one dict lookup per envelope, and only rules with
+    other conditions test them, with a :class:`MetadataFilter`.
     """
 
     def __init__(
@@ -135,9 +140,9 @@ class Dispatcher:
             if not rule.conditions:
                 raise DispatchConfigError(f"rule {rule.name!r} has no conditions")
             (key, value), rest = rule.conditions[0], rule.conditions[1:]
-            index.setdefault(tuple(key.split(".")), {}).setdefault(value, []).append(
-                (position, MetadataFilter(rest) if rest else None, rule.qualifier)
-            )
+            hits = index.setdefault(tuple(key.split(".")), {}).setdefault(value, [])
+            if not any(q == rule.qualifier and r is None for _, r, q in hits):
+                hits.append((position, MetadataFilter(rest) if rest else None, rule.qualifier))
         # (path parts, value -> (declaration position, other conditions, qualifier)).
         self._index = tuple(
             (parts, {value: tuple(hits) for value, hits in table.items()})
@@ -154,7 +159,7 @@ class Dispatcher:
         still run.
         """
         doc = envelope.payload
-        hits: list = []
+        hits = ()
         for parts, table in self._index:
             node = doc
             for part in parts:
@@ -164,28 +169,28 @@ class Dispatcher:
             except TypeError:  # unhashable, so equal to no condition value
                 continue
             if found:
-                hits += found
-        if len(self._index) > 1:
-            hits.sort(key=lambda hit: hit[0])
-        # Workers run in rule-declaration order (the invoked *set* is the
-        # contract; the order is what makes scheduler runs reproducible).
-        matched: list[str] = []
+                # Declaration positions are distinct, so hits sort by them alone.
+                hits = sorted([*hits, *found]) if hits else found
+        # Always-on agents, then workers in rule-declaration order (the invoked
+        # *set* is the contract; the order is what makes runs reproducible).
+        invoked = list(self.always_on)
+        routed = False
         for _, rest, qualifier in hits:
-            if qualifier not in matched and (rest is None or rest.matches(doc)):
-                matched.append(qualifier)
-        workers = [q for q in matched if q not in self.always_on]
-        invoked = self.always_on + workers
+            if rest is None or rest.matches(doc):
+                routed = True
+                if qualifier not in invoked:
+                    invoked.append(qualifier)
 
         event_id, step = event_and_step(doc)
+        agents = self.registry.agents
         for qualifier in invoked:
-            agent = self.registry.agents[qualifier]
             try:
-                agent.handle(envelope)
+                agents[qualifier].handle(envelope)
             except Exception as exc:  # noqa: BLE001 - per-agent fault isolation
                 log.exception("%s: agent %s failed on event %s", self.name, qualifier, event_id)
                 self.store.record_step(event_id, step, qualifier, f"agent-failure: {exc}")
 
-        if not matched and event_id:
+        if not routed and event_id:
             self.store.record_step(
                 event_id, step, self.name, TERMINAL_UNROUTED, terminal=True
             )

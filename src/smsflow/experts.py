@@ -68,7 +68,7 @@ class ExpertRegistration:
         object.__setattr__(self, "cue_set", frozenset(c.lower() for c in self.cues))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RoutingDecision:
     destination: str
     next_inputs: str
@@ -206,14 +206,6 @@ class AvailabilityStore:
         for slot, capacity in self._slots.items():
             if capacity < 0:
                 raise ValueError(f"negative capacity for {slot}")
-
-    def capacity(self, slot: SlotCandidate) -> int:
-        with self._lock:
-            return self._slots.get(slot, 0)
-
-    def total_capacity(self) -> int:
-        with self._lock:
-            return sum(self._slots.values())
 
     def book(self, slot: SlotCandidate) -> bool:
         with self._lock:

@@ -27,7 +27,7 @@ class FuzzyDefinitionError(ValueError):
     """A rule references a variable or label that the system does not define."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FuzzyOutput:
     """Per-label activations of one output variable."""
 

@@ -8,7 +8,8 @@ One fold builds every report row from the event's step records, SMS kinds
 and pharmacy actions (:func:`_fold`, which :func:`_event_fields` runs over
 one history), reading the typed fields of step records, never a note's
 text; one counter turns rows into the summary (:func:`_summary`).
-``build_report`` folds each event's history from the store;
+``build_report`` folds each event's records as the store holds them,
+without copying them (:meth:`RunStore.steps_of`);
 ``summarize_run`` folds the run directory's ``steps.jsonl`` as it reads it,
 so ``smsflow report`` counts what the report counts.
 """
@@ -193,7 +194,7 @@ def build_report(
             row["outcome"] = "auth-rejected"
         else:
             row.update(_event_fields(
-                store.get_history(event_id), sms_by_event.get(event_id, []), pharmacy_by_event.get(event_id, [])
+                store.steps_of(event_id), sms_by_event.get(event_id, []), pharmacy_by_event.get(event_id, [])
             ))
         rows.append(row)
 
@@ -227,6 +228,8 @@ def _fold(row: dict, record: dict) -> None:
     A row shows only what was recorded: no ``ra`` before the evaluator's
     decision, no verdict before the router's terminal record.  Without a
     terminal step the outcome stays ``pending``; with several, the last counts.
+    The record is the store's own (:meth:`RunStore.steps_of`), so the fold
+    changes nothing in it or in the values it holds.
     """
     note = record["note"]
     if record["terminal"]:

@@ -26,7 +26,7 @@ from .messages import (
     AGENTS_TOPIC,
     STEP_LLM_EXTRACTED,
     LlmExtraction,
-    Metadata,
+    restamped,
 )
 from .pool import Envelope, MessagePool
 from .renewal import READING_MEMO_SIZE, KeywordLexicon, sentence_tokens, split_sentences
@@ -400,54 +400,6 @@ class ChatCompletionModel:
         return LlmExtraction.from_doc(doc)
 
 
-def run_llm_stage(
-    parsed: dict,
-    models: list,
-    lexicon: KeywordLexicon,
-    faults: FaultPlan,
-    store: RunStore,
-    pool: MessagePool,
-    executor: Executor | None = None,
-) -> dict:
-    """Run both configured models on one forwarded S002 document.
-
-    Publishes one stage-S003 document holding ``parsed`` as received, the
-    ``attempt`` the models ran at and ``responses``: per model, in model
-    order also when ``executor`` overlaps the two calls, an extraction or an
-    explicit failure marker.  The validator decides the event from that
-    document alone.  An exception other than a model error leaves the stage
-    before anything is published.
-    """
-    if len(models) != 2:
-        raise ValueError(f"the extraction stage needs exactly two models, got {len(models)}")
-    metadata = Metadata.from_doc(parsed["metadata"])
-    event_id = metadata.event_id
-    attempt = 1 + store.retry_count(event_id)
-    original = store.fetch_original(event_id)
-
-    def extract(model):
-        return model.extract(original, lexicon, event_id=event_id, attempt=attempt, faults=faults)
-
-    responses = []
-    for model, extraction in model_results(extract, models, executor):
-        if isinstance(extraction, MODEL_ERRORS):
-            responses.append({"model_id": model.model_id, "failed": True, "reason": str(extraction)})
-            store.record_step(
-                event_id, STEP_LLM_EXTRACTED, "LlmAgent",
-                f"extraction-failure:{model.model_id}: {extraction}",
-            )
-        else:
-            responses.append({"model_id": model.model_id, **extraction.to_doc()})
-    doc = {
-        "metadata": metadata.at_step(STEP_LLM_EXTRACTED, last_update=store.clock.now_iso()).to_doc(),
-        "parsed": parsed,
-        "attempt": attempt,
-        "responses": responses,
-    }
-    pool.publish(AGENTS_TOPIC, doc)
-    return doc
-
-
 class LlmAgent:
     """Fan-out consumer for forwarded messages; one coordinator, two models."""
 
@@ -470,7 +422,44 @@ class LlmAgent:
         self.executor = executor
 
     def handle(self, envelope: Envelope) -> None:
-        run_llm_stage(
-            envelope.payload, self.models, self.lexicon, self.faults, self.store, self.pool,
-            self.executor,
-        )
+        self.run(envelope.payload)
+
+    def run(self, parsed: dict) -> dict:
+        """Run both configured models on one forwarded S002 document.
+
+        Publishes one stage-S003 document holding ``parsed`` as received, the
+        ``attempt`` the models ran at and ``responses``: per model, in model
+        order also when ``executor`` overlaps the two calls, an extraction or
+        an explicit failure marker.  The validator decides the event from that
+        document alone.  An exception other than a model error leaves the
+        stage before anything is published.
+        """
+        if len(self.models) != 2:
+            raise ValueError(f"the extraction stage needs exactly two models, got {len(self.models)}")
+        store = self.store
+        metadata = parsed["metadata"]
+        event_id = metadata["eventId"]
+        attempt = 1 + store.retry_count(event_id)
+        original = store.fetch_original(event_id)
+
+        def extract(model):
+            return model.extract(original, self.lexicon, event_id=event_id, attempt=attempt, faults=self.faults)
+
+        responses = []
+        for model, extraction in model_results(extract, self.models, self.executor):
+            if isinstance(extraction, MODEL_ERRORS):
+                responses.append({"model_id": model.model_id, "failed": True, "reason": str(extraction)})
+                store.record_step(
+                    event_id, STEP_LLM_EXTRACTED, self.qualifier,
+                    f"extraction-failure:{model.model_id}: {extraction}",
+                )
+            else:
+                responses.append({"model_id": model.model_id, **extraction.to_doc()})
+        doc = {
+            "metadata": restamped(metadata, STEP_LLM_EXTRACTED, store.clock.now_iso()),
+            "parsed": parsed,
+            "attempt": attempt,
+            "responses": responses,
+        }
+        self.pool.publish(AGENTS_TOPIC, doc)
+        return doc

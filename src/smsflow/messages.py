@@ -1,8 +1,11 @@
 """Wire documents exchanged on the message-pool topics.
 
 All payloads travelling between agents are plain JSON documents (dicts).
-The dataclasses here are the typed views used inside agents; ``to_doc`` /
-``from_doc`` convert to and from the wire shape.
+The dataclasses here are the typed views agents build to read a message:
+the gateway's event, the parser's reading, the evaluator's and validator's
+inputs and each model's extraction.  One is built per message, so they are
+slotted, not frozen; ``to_doc`` / ``from_doc`` convert to and from the wire
+shape.  A stage that only passes a document on re-stamps its metadata.
 """
 from __future__ import annotations
 
@@ -31,6 +34,11 @@ def event_and_step(doc: Any) -> tuple[str, str]:
     return meta.get("eventId") or "", meta.get("stepId") or ""
 
 
+def restamped(metadata: dict, step: str, last_update: str) -> dict:
+    """A copy of a document's ``metadata`` at ``step``, last updated at ``last_update``."""
+    return {**metadata, "stepId": step, "lastUpdateTime": last_update}
+
+
 def sorted_json_encoder(item_separator: str, key_separator: str):
     """CPython's C encoder for ``json.dumps(doc, sort_keys=True)`` with these separators.
 
@@ -56,7 +64,7 @@ def payload_digest(doc: Any) -> str:
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()[:12]
 
 
-@dataclass
+@dataclass(slots=True)
 class Metadata:
     type: str
     event_id: str
@@ -97,7 +105,7 @@ class Metadata:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class SmsEvent:
     metadata: Metadata
     body: str
@@ -110,7 +118,7 @@ class SmsEvent:
         return cls(metadata=Metadata.from_doc(doc["metadata"]), body=doc["body"])
 
 
-@dataclass
+@dataclass(slots=True)
 class DegreeOfConfidence:
     """Three-label confidence vector; the middle label is serialized as
     "intermediate" on the wire while the engine calls it "medium"."""
@@ -130,7 +138,7 @@ class DegreeOfConfidence:
         return {"high": self.high, "medium": self.medium, "low": self.low}
 
 
-@dataclass
+@dataclass(slots=True)
 class RenewalProcessed:
     """The parser's reading of one SMS.  ``full_match``: at least one token,
     and all matched; on the wire ``"fullMatch": true``, left out when false."""
@@ -163,7 +171,7 @@ class RenewalProcessed:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class LlmExtraction:
     renew: list[str] = field(default_factory=list)
     stop: list[str] = field(default_factory=list)

@@ -13,8 +13,9 @@ interpreter lock runs one thread at a time, and overlapping them cost the
 in-memory campaign benchmark 19% of its throughput.
 
 What depends on one SMS text alone is computed once per distinct text: the
-parser's reading, and each scripted model's reading and judgement.  The
-evaluator runs customer importance once per distinct profile.  Each of
+parser's reading, and each scripted model's reading, which serves both its
+extractions and its judgements.  The evaluator runs customer importance once
+per distinct profile.  Each of
 these caches is owned by one agent or model of one pipeline, holds at most
 ``READING_MEMO_SIZE`` entries, and goes when the pipeline goes.  Replies
 from an HTTP model are never cached.

@@ -6,18 +6,19 @@ subscription, and agents pull every envelope from their own queue with
 ``poll``; choosing what to act on is the dispatcher's job.  An envelope is
 freed once every subscription live at its publish has polled it or been
 dropped.
+Each envelope is one named tuple, shared by every queue it enters.
 """
 from __future__ import annotations
 
 import threading
 import weakref
 from collections import deque
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
+    """One published message: immutable, positional as ``(topic, offset, payload)``."""
+
     topic: str
     offset: int
     payload: Any
@@ -39,7 +40,11 @@ class Subscription:
     def poll(self, max_n: int = 1) -> list[Envelope]:
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
-        return self._pool._poll(self, max_n)
+        queue = self._queue
+        with self._pool._lock:
+            if max_n == 1:  # the scheduler's call
+                return [queue.popleft()] if queue else []
+            return [queue.popleft() for _ in range(min(max_n, len(queue)))]
 
 
 class MessagePool:
@@ -53,7 +58,8 @@ class MessagePool:
         # Tuples, replaced only under the lock: a subscription collected while
         # ``publish`` walks one leaves a dead reference, which it skips.
         self._subscribers: dict[str, tuple[weakref.ref, ...]] = {}
-        self._lock = threading.RLock()
+        # Nothing called under it takes it again.
+        self._lock = threading.Lock()
 
     def head(self, topic: str) -> int:
         """Offset of the newest message, -1 for an empty or unknown topic."""
@@ -66,7 +72,7 @@ class MessagePool:
         with self._lock:
             offset = self._next_offset.get(topic, 0)
             self._next_offset[topic] = offset + 1
-            env = Envelope(topic=topic, offset=offset, payload=payload)
+            env = Envelope(topic, offset, payload)
             for ref in self._subscribers.get(topic, ()):
                 sub = ref()
                 if sub is not None:
@@ -80,11 +86,6 @@ class MessagePool:
             live = tuple(r for r in self._subscribers.get(topic, ()) if r() is not None)
             self._subscribers[topic] = (*live, weakref.ref(sub))
         return sub
-
-    def _poll(self, sub: Subscription, max_n: int) -> list[Envelope]:
-        queue = sub._queue
-        with self._lock:
-            return [queue.popleft() for _ in range(min(max_n, len(queue)))]
 
     def lag(self, sub: Subscription) -> int:
         """Messages the subscription has not yet polled."""

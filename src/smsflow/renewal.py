@@ -73,8 +73,11 @@ class KeywordLexicon:
     )
     # Canonical keyword -> its polarity, in entry order.
     polarities: dict[str, str] = field(init=False, repr=False, compare=False)
+    # Caches keyed by (text, lexicon) hash it on every lookup.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.entries, self.politeness)))
         polarities = {e.canonical: e.polarity for e in self.entries}
         if len(polarities) != len(self.entries):
             raise LexiconError("canonical keywords must be unique")
@@ -99,6 +102,9 @@ class KeywordLexicon:
             )
             for phrase in sorted(self.politeness, key=len, reverse=True)
         ))
+
+    def __hash__(self) -> int:  # kept by the dataclass, which would hash every entry
+        return self._hash
 
     def match_token(self, token: str) -> LexiconEntry | None:
         """The first entry whose pattern matches the whole token, case-insensitively.

@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import threading
 import json
+from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -169,7 +170,7 @@ class RunStore:
             return log
 
         self.steps = _log("steps.jsonl")
-        self._steps_by_event: dict[str, list[dict]] = {}
+        self._steps_by_event: defaultdict[str, list[dict]] = defaultdict(list)
         self.originals = _log("originals.jsonl")
         self._originals_by_event: dict[str, str] = {}
         self.outbound_sms = _log("outbound_sms.jsonl")
@@ -214,14 +215,19 @@ class RunStore:
                 "recorded_at": recorded_at,
                 "terminal": terminal,
             }
-            record.update(fields)
+            if fields:
+                record.update(fields)
             self.steps.append(record)
-            self._steps_by_event.setdefault(event_id, []).append(record)
+            self._steps_by_event[event_id].append(record)
         return record
 
     def get_history(self, event_id: str) -> list[dict]:
+        return [dict(r) for r in self.steps_of(event_id)]
+
+    def steps_of(self, event_id: str) -> tuple[dict, ...]:
+        """The event's step records themselves, uncopied: read-only by contract."""
         with self._steps_lock:
-            return [dict(r) for r in self._steps_by_event.get(event_id, ())]
+            return tuple(self._steps_by_event.get(event_id, ()))
 
     def terminal_of(self, event_id: str) -> dict | None:
         with self._steps_lock:
@@ -344,7 +350,7 @@ class OutboundSmsGateway:
         return record
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PharmacyAction:
     event_id: str
     customer_id: str

@@ -19,9 +19,9 @@ from .messages import (
     STEP_LLM_EXTRACTED,
     STEP_VALIDATED,
     LlmExtraction,
-    Metadata,
     RenewalProcessed,
     event_and_step,
+    restamped,
 )
 from .pool import Envelope, MessagePool
 from .renewal import KeywordLexicon, tokens_of
@@ -54,7 +54,7 @@ CONFIRM_STOP_TEXT = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ModelResponse:
     """One model's stage output: an extraction or an explicit failure marker."""
 
@@ -69,13 +69,13 @@ class ModelResponse:
         return cls(model_id=doc["model_id"], extraction=LlmExtraction.from_doc(doc, doc["model_id"]))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Discard:
     model_id: str
     reason: str
 
 
-@dataclass
+@dataclass(slots=True)
 class KeywordVerdict:
     accepted: tuple[list[str], list[str]] | None
     discarded: list[Discard]
@@ -94,7 +94,7 @@ class StopRiskInputs:
             raise ValueError("duration must be nonnegative")
 
 
-@dataclass
+@dataclass(slots=True)
 class ExtractionVerdict:
     chosen: LlmExtraction | None
     scores: dict[str, int]
@@ -314,17 +314,9 @@ class ValidatorAgent:
             if extraction_verdict.outcome == EXTRACTION_FAIL:
                 self.outbound.send_sms(customer_id, CONTACT_SUPPORT_TEXT, "contact-support", event_id)
 
-        self._publish_verdict(ra.metadata, verdict, extraction_verdict, attempt)
-
-    def _publish_verdict(
-        self,
-        metadata: Metadata,
-        verdict: KeywordVerdict,
-        extraction_verdict: ExtractionVerdict | None,
-        attempt: int,
-    ) -> None:
-        doc = {
-            "metadata": metadata.at_step(STEP_VALIDATED, last_update=self.store.clock.now_iso()).to_doc(),
+        # The verdict publication itself is observed by the tracking agent.
+        self.pool.publish(AGENTS_TOPIC, {
+            "metadata": restamped(doc["parsed"]["metadata"], STEP_VALIDATED, self.store.clock.now_iso()),
             "keywords": {
                 "accepted": (
                     {"renew": verdict.accepted[0], "stop": verdict.accepted[1]}
@@ -347,6 +339,4 @@ class ValidatorAgent:
                 if extraction_verdict is not None
                 else None
             ),
-        }
-        # The verdict publication itself is observed by the tracking agent.
-        self.pool.publish(AGENTS_TOPIC, doc)
+        })

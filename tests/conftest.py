@@ -90,3 +90,13 @@ def brute_force_activations(block, inputs, output_var) -> dict[str, float]:
         if strength is not None and strength > activations[out_label]:
             activations[out_label] = strength
     return activations
+
+
+def remaining_bookings(availability, slots) -> int:
+    """Bookings an availability store still grants over ``slots``, found by
+    booking each slot until the store refuses it (which uses them up)."""
+    granted = 0
+    for slot in slots:
+        while availability.book(slot):
+            granted += 1
+    return granted

@@ -19,6 +19,8 @@ from smsflow.llm import LlmExtraction, ScriptedModel
 from smsflow.renewal import segment, strip_politeness
 from smsflow.validator import ModelResponse, validate_extraction
 
+from conftest import remaining_bookings
+
 MSG1 = (
     "1, unenroll. Thank you for your great service. I just want to know if it is "
     "normal for the medication to taste so bad? I also noticed that my blood "
@@ -341,13 +343,13 @@ def test_criterion_9_scheduling_grounding():
             for _ in range(rng.randint(0, 8))
         }
         availability = AvailabilityStore(dict(slots))
-        before = availability.total_capacity()
+        before = sum(slots.values())
         result = schedule(request, availability, model, reference_date=date(2025, 1, 1))
         if result.booked is not None:
             assert result.booked in result.candidates
-            assert availability.total_capacity() == before - 1
+            assert remaining_bookings(availability, slots) == before - 1
         else:
-            assert availability.total_capacity() == before
+            assert remaining_bookings(availability, slots) == before
 
     slot = SlotCandidate(2025, 6, 29, 10)
     availability = AvailabilityStore({slot: 1})

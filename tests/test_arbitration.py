@@ -150,7 +150,7 @@ def _evaluator(default_config):
 def test_evaluate_process_direct_calls_pharmacy_per_keyword(default_config):
     evaluator, store, agents = _wiring(default_config)
     decision = evaluator.evaluate(
-        _msg(FULL, renew=("1",), stop=("unenroll",), full_match=True), _profile(0, 0)
+        _msg(FULL, renew=("1",), stop=("unenroll",), full_match=True).to_doc(), _profile(0, 0)
     )
     assert decision.action == ACTION_PROCESS_DIRECT
     assert [r["keyword"] for r in store.pharmacy.read_all() if r["eventId"] == "A1001"] == ["1", "unenroll"]
@@ -160,7 +160,7 @@ def test_evaluate_process_direct_calls_pharmacy_per_keyword(default_config):
 
 def test_evaluate_forward_republishes_at_next_step(default_config):
     evaluator, store, agents = _wiring(default_config)
-    evaluator.evaluate(_msg(LOW), _profile(10, 5000))
+    evaluator.evaluate(_msg(LOW).to_doc(), _profile(10, 5000))
     docs = [e.payload for e in agents.poll(5)]
     assert len(docs) == 1
     assert docs[0]["metadata"]["stepId"] == "S002"
@@ -171,7 +171,7 @@ def test_evaluate_forward_republishes_at_next_step(default_config):
 
 def test_evaluate_fail_sends_support_sms(default_config):
     evaluator, store, agents = _wiring(default_config)
-    decision = evaluator.evaluate(_msg(LOW), _profile(0, 0))
+    decision = evaluator.evaluate(_msg(LOW).to_doc(), _profile(0, 0))
     assert decision.action == ACTION_FAIL
     sms = store.outbound_sms.read_all()
     assert len(sms) == 1 and sms[0]["kind"] == "contact-support"
@@ -182,7 +182,7 @@ def test_evaluate_fail_sends_support_sms(default_config):
 def test_evaluate_rejects_wrong_step(default_config):
     evaluator, _, _ = _wiring(default_config)
     with pytest.raises(ValueError):
-        evaluator.evaluate(_msg(LOW, step="S002"), _profile(0, 0))
+        evaluator.evaluate(_msg(LOW, step="S002").to_doc(), _profile(0, 0))
 
 
 def test_missing_profile_uses_lowest_default_and_records_warning(default_config):

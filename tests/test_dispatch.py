@@ -296,11 +296,29 @@ _ROUTABLE = st.fixed_dictionaries(
     always_on=[],
     docs=[{"a": "S001", "metadata": {"stepId": "S001"}}],
 )
+@example(  # an always-on agent that a rule names too: it runs once, and routes
+    rules=[("Track", [("metadata.stepId", "S001")]), ("Q0", [("metadata.stepId", "S001")]),
+           ("Track", [("a", "1")])],
+    always_on=["Track"],
+    docs=[{"metadata": {"eventId": "A1", "stepId": "S001"}, "a": "1"},
+          {"metadata": {"eventId": "A2", "stepId": "1"}, "a": "1"}],
+)
+@example(  # one qualifier in several rules, with and without further conditions
+    rules=[("Q1", [("a", "S001"), ("metadata.type", "1")]), ("Q2", [("a", "S001")]),
+           ("Q1", [("a", "S001")]), ("Q1", [("a", "S001")]), ("Q2", [("metadata.type", "1")])],
+    always_on=[],
+    docs=[{"a": "S001", "metadata": {"type": "1"}}, {"a": "S001", "metadata": {"type": "true"}}],
+)
+@example(  # a value no rule matches: an event id gets the unrouted step
+    rules=[("Q0", [("metadata.stepId", "S001")])],
+    always_on=["Track"],
+    docs=[{"metadata": {"eventId": "A1", "stepId": "1"}}, {"metadata": {"stepId": "1"}}],
+)
 def test_dispatch_invokes_what_a_loop_over_every_filter_would(rules, always_on, docs):
     rules = [ServiceRule(f"R{i}", q, tuple(c)) for i, (q, c) in enumerate(rules)]
     log = []
     agents = [_Ordered(q, log) for q in ("Q0", "Q1", "Q2", "Track")]
-    dispatcher, _, _ = _dispatcher(rules, agents, always_on=always_on)
+    dispatcher, _, store = _dispatcher(rules, agents, always_on=always_on)
     for doc in docs:
         matched = []
         for rule in rules:
@@ -309,8 +327,12 @@ def test_dispatch_invokes_what_a_loop_over_every_filter_would(rules, always_on, 
         first = sorted(set(always_on))
         expected = first + [q for q in matched if q not in first]
         log.clear()
+        recorded = len(store.steps)
         assert dispatcher.dispatch(_Envelope(doc)) == set(expected)
         assert log == expected
+        event_id = get_path(doc, "metadata.eventId")
+        unrouted = [r["eventId"] for r in store.steps.read_all()[recorded:] if r["note"] == "unrouted"]
+        assert unrouted == ([event_id] if event_id and not matched else [])
 
 
 def test_payload_without_metadata_is_dispatched_without_an_unrouted_step():

@@ -26,6 +26,8 @@ from smsflow.experts import (
 from smsflow.harness import run_pipeline
 from smsflow.store import RunStore
 
+from conftest import remaining_bookings
+
 
 @pytest.fixture()
 def registrations(default_config):
@@ -184,7 +186,7 @@ def test_schedule_books_the_first_candidate_with_capacity():
         reference_date=date(2025, 1, 1),
     )
     assert result.booked == SlotCandidate(2025, 3, 22, 15)
-    assert availability.capacity(SlotCandidate(2025, 3, 22, 15)) == 2
+    assert remaining_bookings(availability, [SlotCandidate(2025, 3, 22, 15)]) == 2
     assert "Saturday, March 22, 2025, at 3 PM" in result.reply
 
 
@@ -205,7 +207,7 @@ def test_schedule_without_date_constraints_proposes_nothing():
         reference_date=date(2025, 1, 1),
     )
     assert result.candidates == [] and result.booked is None
-    assert availability.total_capacity() == 1
+    assert remaining_bookings(availability, [SlotCandidate(2025, 3, 22, 15)]) == 1
 
 
 def test_malformed_candidate_lines_are_skipped_with_a_warning():
@@ -232,13 +234,13 @@ def test_booking_is_grounded_in_proposed_candidates():
             for _ in range(rng.randint(0, 6))
         }
         availability = AvailabilityStore(dict(slots))
-        before = availability.total_capacity()
+        before = sum(slots.values())
         result = schedule(request, availability, model, reference_date=date(2025, 1, 1))
         if result.booked is not None:
             assert result.booked in result.candidates
-            assert availability.total_capacity() == before - 1
+            assert remaining_bookings(availability, slots) == before - 1
         else:
-            assert availability.total_capacity() == before
+            assert remaining_bookings(availability, slots) == before
 
 
 def test_concurrent_bookings_of_a_single_slot_book_exactly_once():
@@ -247,7 +249,7 @@ def test_concurrent_bookings_of_a_single_slot_book_exactly_once():
     with ThreadPoolExecutor(max_workers=16) as pool:
         results = list(pool.map(lambda _: availability.book(slot), range(64)))
     assert sum(results) == 1
-    assert availability.capacity(slot) == 0
+    assert remaining_bookings(availability, [slot]) == 0
 
 
 def test_negative_capacity_rejected():

@@ -1,3 +1,4 @@
+import copy
 import gc
 import hashlib
 import json
@@ -20,10 +21,12 @@ from smsflow.cli import main
 from smsflow.config import default_config_path, default_corpus_path, load_config
 from smsflow.llm import ChatCompletionModel, ScriptedModel
 from smsflow.messages import AGENTS_TOPIC, OUTBOUND_TOPIC
+from smsflow.pipeline import build_pipeline
 from smsflow.pool import Envelope
 from smsflow.harness import (
     OUTCOME_NAMES,
     _event_fields,
+    build_report,
     load_corpus,
     render_report_json,
     run_pipeline,
@@ -193,6 +196,28 @@ def test_demo_report_bytes_are_pinned():
     result = run_pipeline(config, corpus, seed=1, add_keyword_rate=0.1, drop_keyword_rate=0.1)
     rendered = render_report_json(result.report).encode("utf-8")
     assert hashlib.sha256(rendered).hexdigest() == DEMO_REPORT_SHA256
+
+
+def test_building_the_report_twice_renders_equal_bytes_and_changes_no_history():
+    # build_report folds the store's own step records, uncopied: the fold
+    # must leave every record, and every value it holds, as it was.
+    pipeline = build_pipeline(
+        load_config(default_config_path()), seed=1, add_keyword_rate=0.1, drop_keyword_rate=0.1
+    )
+    try:
+        entries = [(e, pipeline.ingest(e["phone"], e["text"])) for e in load_corpus(default_corpus_path())]
+        quiescent = pipeline.run_to_quiescence()
+        store = pipeline.store
+        event_ids = [event.metadata.event_id for event in pipeline.ingested]
+        histories = copy.deepcopy({event_id: store.get_history(event_id) for event_id in event_ids})
+        first, second = (
+            render_report_json(build_report(pipeline, entries, 1, 0.1, 0.1, quiescent)) for _ in range(2)
+        )
+    finally:
+        pipeline.close()
+    assert hashlib.sha256(first.encode("utf-8")).hexdigest() == DEMO_REPORT_SHA256
+    assert second == first
+    assert {event_id: store.get_history(event_id) for event_id in event_ids} == histories
 
 
 def test_demo_report_does_not_depend_on_the_validator_rule_order(tmp_path):
@@ -614,8 +639,6 @@ def test_model_worker_threads_end_with_the_run():
 
 
 def test_scripted_models_run_serially_without_threads():
-    from smsflow.pipeline import build_pipeline
-
     before = set(threading.enumerate())
     pipeline = build_pipeline(load_config(default_config_path()), seed=0)
     assert pipeline.executor is None

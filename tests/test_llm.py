@@ -20,9 +20,9 @@ from smsflow.llm import (
     BackendUnavailableError,
     ChatCompletionModel,
     FaultPlan,
+    LlmAgent,
     MalformedOutputError,
     ScriptedModel,
-    run_llm_stage,
 )
 from smsflow.messages import (
     AGENTS_TOPIC,
@@ -32,7 +32,7 @@ from smsflow.messages import (
     RenewalProcessed,
 )
 from smsflow.pool import MessagePool
-from smsflow.renewal import READING_MEMO_SIZE
+from smsflow.renewal import READING_MEMO_SIZE, LexiconEntry
 from smsflow.store import RunStore
 
 MSG1 = (
@@ -212,6 +212,25 @@ def test_mutating_an_extraction_leaves_the_next_one_alone(lexicon):
     assert model.extract(MSG1, lexicon) == expected
 
 
+def test_a_cache_hit_hashes_no_lexicon_entry(lexicon, monkeypatch):
+    # The lexicon is part of the reading cache's key; it hashes its entries
+    # once, when it is built, not on every lookup.
+    model = ScriptedModel("alpha")
+    model.extract(MSG1, lexicon)
+    entry_hash = LexiconEntry.__hash__
+    calls = []
+
+    def counting_hash(entry):
+        calls.append(entry)
+        return entry_hash(entry)
+
+    monkeypatch.setattr(LexiconEntry, "__hash__", counting_hash)
+    model.extract(MSG1, lexicon)
+    model.judge(MSG1, LlmExtraction(), lexicon)
+    assert model.reading.cache_info().hits == 2
+    assert calls == []
+
+
 def test_scripted_cache_keeps_at_most_its_bound(lexicon):
     model = ScriptedModel("alpha")
     extraction = LlmExtraction(request=["I want it"])
@@ -304,8 +323,8 @@ def test_stage_publishes_one_document(lexicon):
     store.store_original("A1001", "Could you please do 1")
     sub = pool.subscribe(AGENTS_TOPIC)
     parsed = _s002()
-    run_llm_stage(parsed, [ScriptedModel("alpha"), ScriptedModel("beta")],
-                  lexicon, FaultPlan(), store, pool)
+    models = [ScriptedModel("alpha"), ScriptedModel("beta")]
+    LlmAgent(models, lexicon, FaultPlan(), store, pool).run(parsed)
     [doc] = [e.payload for e in sub.poll(10)]
     assert doc["metadata"]["stepId"] == "S003" and doc["metadata"]["eventId"] == "A1001"
     assert doc["parsed"] is parsed and doc["attempt"] == 1
@@ -317,15 +336,15 @@ def test_stage_needs_exactly_two_models(lexicon):
     store, pool = RunStore(), MessagePool()
     store.store_original("A1001", "1")
     with pytest.raises(ValueError):
-        run_llm_stage(_s002(), [ScriptedModel("alpha")], lexicon, FaultPlan(), store, pool)
+        LlmAgent([ScriptedModel("alpha")], lexicon, FaultPlan(), store, pool).run(_s002())
 
 
 def test_model_failure_publishes_an_explicit_marker(lexicon):
     store, pool = RunStore(), MessagePool()
     store.store_original("A1001", "Could you please do 1")
     sub = pool.subscribe(AGENTS_TOPIC)
-    run_llm_stage(_s002(), [ScriptedModel("alpha"), UnavailableModel()],
-                  lexicon, FaultPlan(), store, pool)
+    models = [ScriptedModel("alpha"), UnavailableModel()]
+    LlmAgent(models, lexicon, FaultPlan(), store, pool).run(_s002())
     [doc] = [e.payload for e in sub.poll(10)]
     extraction, marker = doc["responses"]
     assert extraction["model_id"] == "alpha" and "failed" not in extraction
@@ -340,10 +359,10 @@ def test_retry_advances_the_fault_schedule(lexicon):
     sub = pool.subscribe(AGENTS_TOPIC)
     models = [ScriptedModel("alpha"), ScriptedModel("beta")]
 
-    run_llm_stage(_s002(), models, lexicon, plan, store, pool)
+    LlmAgent(models, lexicon, plan, store, pool).run(_s002())
     [first] = [e.payload for e in sub.poll(10)]
     store.record_step("A1001", "S003", "ValidatorAgent", "retry-requested")
-    run_llm_stage(_s002(), models, lexicon, plan, store, pool)
+    LlmAgent(models, lexicon, plan, store, pool).run(_s002())
     [second] = [e.payload for e in sub.poll(10)]
 
     assert (first["attempt"], second["attempt"]) == (1, 2)
@@ -368,7 +387,7 @@ def test_stage_overlaps_the_two_extractions(lexicon, executor):
     models = chat_models(lexicon, barrier=barrier)
     store, pool = RunStore(), MessagePool()
     store.store_original("A1001", "Could you please do 1")
-    doc = run_llm_stage(_s002(), models, lexicon, FaultPlan(), store, pool, executor)
+    doc = LlmAgent(models, lexicon, FaultPlan(), store, pool, executor).run(_s002())
     assert [r["renew"] for r in doc["responses"]] == [["1"], ["1"]]
     assert not barrier.broken
 
@@ -379,7 +398,7 @@ def test_stage_output_follows_model_order_when_the_second_answers_first(lexicon,
     sub = pool.subscribe(AGENTS_TOPIC)
     slow, fast = chat_models(lexicon, error=BackendUnavailableError("offline"))
     slow._transport.delay = 0.02
-    run_llm_stage(_s002(), [slow, fast], lexicon, FaultPlan(), store, pool, executor)
+    LlmAgent([slow, fast], lexicon, FaultPlan(), store, pool, executor).run(_s002())
     [doc] = [e.payload for e in sub.poll(10)]
     assert [r["model_id"] for r in doc["responses"]] == ["alpha", "beta"]
     notes = [r["note"] for r in store.get_history("A1001")]
@@ -413,9 +432,9 @@ def test_unexpected_error_of_the_first_model_publishes_nothing(lexicon, executor
     sub = pool.subscribe(AGENTS_TOPIC)
     other = _SlowModel("beta", delay=0.05)
     models = [_RaisingModel("alpha"), other]
+    agent = LlmAgent(models, lexicon, FaultPlan(), store, pool, executor if overlapped else None)
     with pytest.raises(TimeoutError, match="alpha"):
-        run_llm_stage(_s002(), models, lexicon, FaultPlan(), store, pool,
-                      executor if overlapped else None)
+        agent.run(_s002())
     assert sub.poll(10) == []
     # The overlapped call had ended before the error left the stage.
     assert other.finished.is_set() is overlapped
@@ -428,9 +447,9 @@ def test_unexpected_error_of_the_second_model_publishes_nothing(lexicon, executo
     sub = pool.subscribe(AGENTS_TOPIC)
     first = _SlowModel("alpha", delay=0.02)
     models = [first, _RaisingModel("beta")]
+    agent = LlmAgent(models, lexicon, FaultPlan(), store, pool, executor if overlapped else None)
     with pytest.raises(TimeoutError, match="beta"):
-        run_llm_stage(_s002(), models, lexicon, FaultPlan(), store, pool,
-                      executor if overlapped else None)
+        agent.run(_s002())
     assert sub.poll(10) == []
     assert first.finished.is_set()
 

@@ -13,6 +13,7 @@ from smsflow.messages import (
     canonical_json,
     event_and_step,
     payload_digest,
+    restamped,
 )
 from smsflow.store import JsonlLog
 
@@ -82,6 +83,10 @@ def test_metadata_at_step_rewrites_only_step_and_update_time():
     assert moved.last_update_time == "2025-01-15T10:50:00Z"
     assert moved.event_id == meta.event_id
     assert meta.step_id == "S001"  # original untouched
+    # A stage passing a document on re-stamps the wire form alike.
+    doc = meta.to_doc()
+    assert restamped(doc, "S002", "2025-01-15T10:50:00Z") == moved.to_doc()
+    assert doc == meta.to_doc()
 
 
 def test_payload_digest_is_stable_under_key_order():

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from smsflow.pool import MessagePool
+from smsflow.pool import Envelope, MessagePool
 
 
 def _event(step, n):
@@ -23,6 +23,19 @@ def test_sequential_publishes_are_monotone():
     pool = MessagePool()
     assert pool.publish("t", {}) == 0
     assert pool.publish("t", {}) == 1
+
+
+def test_envelope_is_positional_and_immutable():
+    pool = MessagePool()
+    sub = pool.subscribe("t")
+    pool.publish("t", {"x": 1})
+    [envelope] = sub.poll(1)
+    topic, offset, payload = envelope
+    assert (topic, offset, payload) == ("t", 0, {"x": 1})
+    assert envelope == Envelope("t", 0, {"x": 1})
+    assert (envelope.topic, envelope.offset, envelope.payload) == (topic, offset, payload)
+    with pytest.raises(AttributeError):
+        envelope.offset = 5
 
 
 def test_empty_topic_name_rejected():

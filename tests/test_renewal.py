@@ -129,6 +129,19 @@ def test_lexicon_requires_unique_canonicals():
         )
 
 
+def test_equal_lexicons_hash_equal():
+    def build():
+        return KeywordLexicon(
+            entries=(LexiconEntry("1", "1", "renew"), LexiconEntry("stop", "stop", "stop")),
+            politeness=("thank you",),
+        )
+
+    first, second = build(), build()
+    assert first is not second and first == second
+    assert hash(first) == hash(second)
+    assert first != KeywordLexicon(entries=first.entries)
+
+
 def test_lexicon_rejects_bad_polarity_and_pattern():
     with pytest.raises(LexiconError):
         LexiconEntry("1", "1", "maybe")

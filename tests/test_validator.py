@@ -7,7 +7,7 @@ from fake_chat import chat_models
 
 from smsflow.config import default_corpus_path
 from smsflow.harness import load_corpus, run_pipeline
-from smsflow.llm import FaultPlan, LlmExtraction, ScriptedModel, run_llm_stage
+from smsflow.llm import FaultPlan, LlmAgent, LlmExtraction, ScriptedModel
 from smsflow.messages import AGENTS_TOPIC, DegreeOfConfidence, Metadata, RenewalProcessed
 from smsflow.pool import Envelope, MessagePool
 from smsflow.store import OutboundSmsGateway, PharmacyClient, RunStore
@@ -343,7 +343,7 @@ def test_tie_goes_to_the_model_the_stage_document_lists_first(default_config):
     parsed = _ra(renew=("1",)).to_doc()
     parsed["metadata"]["stepId"] = "S002"
     models = [ScriptedModel("beta"), ScriptedModel("alpha")]  # configured in this order
-    s003 = run_llm_stage(parsed, models, lexicon, FaultPlan(), store, pool)
+    s003 = LlmAgent(models, lexicon, FaultPlan(), store, pool).run(parsed)
     risk = StopRiskAssessor(
         default_config.risk_system, default_config.risk_threshold,
         default_config.medication_by_keyword, default_config.medication_default,
