@@ -118,10 +118,9 @@ class Dispatcher:
     """Routes envelopes from one subscription to matching worker agents.
 
     Rules are indexed at construction by the path and value of their first
-    condition, each value's rules in declaration order and without those an
-    earlier unconditional rule there already covers; so the shipped rule sets
-    cost one path walk and one dict lookup per envelope, and only rules with
-    other conditions test them, with a :class:`MetadataFilter`.
+    condition, each value's rules in declaration order; so the shipped rule
+    sets cost one path walk and one dict lookup per envelope, and only rules
+    with other conditions test them, with a :class:`MetadataFilter`.
     """
 
     def __init__(
@@ -140,9 +139,9 @@ class Dispatcher:
             if not rule.conditions:
                 raise DispatchConfigError(f"rule {rule.name!r} has no conditions")
             (key, value), rest = rule.conditions[0], rule.conditions[1:]
-            hits = index.setdefault(tuple(key.split(".")), {}).setdefault(value, [])
-            if not any(q == rule.qualifier and r is None for _, r, q in hits):
-                hits.append((position, MetadataFilter(rest) if rest else None, rule.qualifier))
+            index.setdefault(tuple(key.split(".")), {}).setdefault(value, []).append(
+                (position, MetadataFilter(rest) if rest else None, rule.qualifier)
+            )
         # (path parts, value -> (declaration position, other conditions, qualifier)).
         self._index = tuple(
             (parts, {value: tuple(hits) for value, hits in table.items()})

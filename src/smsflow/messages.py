@@ -94,15 +94,8 @@ class Metadata:
             last_update_time=doc["lastUpdateTime"],
         )
 
-    def at_step(self, step: str, last_update: str | None = None) -> "Metadata":
-        return Metadata(
-            type=self.type,
-            event_id=self.event_id,
-            customer_id=self.customer_id,
-            step_id=step,
-            customer_event_time=self.customer_event_time,
-            last_update_time=last_update or self.last_update_time,
-        )
+    def at_step(self, step: str, last_update: str) -> "Metadata":
+        return Metadata.from_doc(restamped(self.to_doc(), step, last_update))
 
 
 @dataclass(slots=True)

@@ -42,8 +42,6 @@ class Subscription:
             raise ValueError("max_n must be >= 1")
         queue = self._queue
         with self._pool._lock:
-            if max_n == 1:  # the scheduler's call
-                return [queue.popleft()] if queue else []
             return [queue.popleft() for _ in range(min(max_n, len(queue)))]
 
 
