@@ -10,20 +10,19 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .fuzzy import FuzzySystem
 from .messages import (
     AGENTS_TOPIC,
     STEP_LLM_REQUESTED,
     STEP_PARSED,
-    RenewalProcessed,
+    DegreeOfConfidence,
     restamped,
 )
 from .pool import Envelope, MessagePool
 from .renewal import READING_MEMO_SIZE
 from .store import (
-    CONTACT_SUPPORT_TEXT,
     OutboundSmsGateway,
     PharmacyClient,
     RunStore,
@@ -81,11 +80,7 @@ class CustomerRelationshipAgent:
             event_id, STEP_PARSED, "CustomerRelationshipAgent",
             f"data-quality: missing profile for {customer_id}",
         )
-        return CustomerProfile(
-            customer_id=customer_id,
-            tenure_years=self.default.tenure_years,
-            purchases_12mo=self.default.purchases_12mo,
-        )
+        return replace(self.default, customer_id=customer_id)
 
 
 class EvaluatorAgent:
@@ -119,21 +114,21 @@ class EvaluatorAgent:
             functools.partial(compute_importance, system=importance_system)
         )
 
-    def decide(self, msg: RenewalProcessed, profile: CustomerProfile) -> ArbitrationDecision:
-        """The decision alone, without side effects: processDirect on a full
-        match, else run the rules.
+    def decide(self, doc: dict, profile: CustomerProfile) -> ArbitrationDecision:
+        """The decision on one parsed document alone, without side effects:
+        processDirect on a full match, else run the rules.
 
         The action is the label with the highest aggregated activation; a tie
         or an all-zero outcome falls back to the conservative fail branch.
         """
-        if msg.full_match:
+        if doc.get("fullMatch"):
             return ArbitrationDecision(action=ACTION_PROCESS_DIRECT)
 
         importance = dict(self.importance(profile.tenure_years, profile.purchases_12mo))
         output = self.action_system.infer(
             {
                 "customerImportance": importance,
-                "degreeOfConfidence": msg.confidence.as_degrees(),
+                "degreeOfConfidence": DegreeOfConfidence.degrees_of(doc["degreeOfConfidence"]),
             }
         )
         activations = output.activations
@@ -147,29 +142,29 @@ class EvaluatorAgent:
 
     def evaluate(self, doc: dict, profile: CustomerProfile) -> ArbitrationDecision:
         """Decide and carry out the side effects for one parsed (S001) document."""
-        msg = RenewalProcessed.from_doc(doc)
-        if msg.metadata.step_id != STEP_PARSED:
-            raise ValueError(f"evaluator expects {STEP_PARSED} messages, got {msg.metadata.step_id}")
-        decision = self.decide(msg, profile)
-        event_id = msg.metadata.event_id
-        customer_id = msg.metadata.customer_id
+        metadata = doc["metadata"]
+        if metadata["stepId"] != STEP_PARSED:
+            raise ValueError(f"evaluator expects {STEP_PARSED} messages, got {metadata['stepId']}")
+        decision = self.decide(doc, profile)
+        event_id = metadata["eventId"]
+        customer_id = metadata["customerId"]
         store = self.store
 
         store.record_step(
             event_id, STEP_PARSED, self.qualifier, f"decision:{decision.action}",
             payload={"activations": decision.activations, "importance": decision.importance},
-            ra={"renew": msg.renew, "stop": msg.stop, "confidence": msg.confidence.to_doc()},
+            ra={"renew": doc["renew"], "stop": doc["stop"], "confidence": doc["degreeOfConfidence"]},
         )
         if decision.action == ACTION_PROCESS_DIRECT:
-            applied = self.pharmacy.apply_keywords(event_id, customer_id, msg.renew, msg.stop)
+            applied = self.pharmacy.apply_keywords(event_id, customer_id, doc["renew"], doc["stop"])
             store.record_step(event_id, STEP_PARSED, self.qualifier, f"pharmacy-applied:{applied}")
             store.record_step(event_id, STEP_PARSED, self.qualifier, TERMINAL_DONE, terminal=True)
         elif decision.action == ACTION_FORWARD:
             self.pool.publish(AGENTS_TOPIC, {
-                **doc, "metadata": restamped(doc["metadata"], STEP_LLM_REQUESTED, store.clock.now_iso()),
+                **doc, "metadata": restamped(metadata, STEP_LLM_REQUESTED, store.clock.now_iso()),
             })
         else:
-            self.outbound.send_sms(customer_id, CONTACT_SUPPORT_TEXT, "contact-support", event_id)
+            self.outbound.send_contact_support(customer_id, event_id)
             store.record_step(event_id, STEP_PARSED, self.qualifier, TERMINAL_FAILED, terminal=True)
         return decision
 

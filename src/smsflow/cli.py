@@ -74,6 +74,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.budget is not None and args.budget < 1:
+        raise ValueError(f"--budget must be a positive number of passes, got {args.budget}")
     result = run_pipeline(
         load_config(args.config),
         load_corpus(args.corpus),

@@ -19,7 +19,6 @@ from datetime import date, timedelta
 from .messages import STEP_VALIDATED
 from .pool import Envelope
 from .store import (
-    CONTACT_SUPPORT_TEXT,
     OutboundSmsGateway,
     RunStore,
     TERMINAL_AWAITING,
@@ -340,7 +339,7 @@ class RouterAgent:
             self.outbound.send_sms(customer_id, "\n".join(texts), kind, event_id)
         if not (failed or routed or keywords["accepted"]["renew"] or keywords["accepted"]["stop"]):
             # Nothing to apply and nothing to route: the reply is not understood.
-            self.outbound.send_sms(customer_id, CONTACT_SUPPORT_TEXT, "contact-support", event_id)
+            self.outbound.send_contact_support(customer_id, event_id)
             failed = True
 
         if failed:

@@ -6,8 +6,9 @@ produce byte-identical reports.
 
 One fold builds every report row from the event's step records, SMS kinds
 and pharmacy actions (:func:`_fold`, which :func:`_event_fields` runs over
-one history), reading the typed fields of step records, never a note's
-text; one counter turns rows into the summary (:func:`_summary`).
+one history), reading typed step fields, and a note only for a terminal outcome,
+a retry (``NOTE_RETRY``) or the direct decision (``DIRECT_NOTE``); one counter
+turns rows into the summary (:func:`_summary`).
 ``build_report`` folds each event's records as the store holds them,
 without copying them (:meth:`RunStore.steps_of`);
 ``summarize_run`` folds the run directory's ``steps.jsonl`` as it reads it,
@@ -27,6 +28,7 @@ from .config import PipelineConfig
 from .pipeline import Pipeline, build_pipeline
 from .renewal import KeywordLexicon, tokens_of
 from .store import (
+    NOTE_RETRY,
     TERMINAL_AWAITING,
     TERMINAL_DONE,
     TERMINAL_FAILED,
@@ -236,7 +238,7 @@ def _fold(row: dict, record: dict) -> None:
         row["outcome"] = OUTCOME_NAMES.get(note, note)
         if "keyword_outcome" in record:
             row["keyword_outcome"], row["accepted"], row["scores"] = _VERDICT(record)
-    if note == "retry-requested":
+    if note == NOTE_RETRY:
         row["retries"] += 1
     elif "ra" in record:
         ra = row["ra"] = record["ra"]

@@ -1,11 +1,12 @@
 """Wire documents exchanged on the message-pool topics.
 
-All payloads travelling between agents are plain JSON documents (dicts).
-The dataclasses here are the typed views agents build to read a message:
-the gateway's event, the parser's reading, the evaluator's and validator's
-inputs and each model's extraction.  One is built per message, so they are
-slotted, not frozen; ``to_doc`` / ``from_doc`` convert to and from the wire
-shape.  A stage that only passes a document on re-stamps its metadata.
+All payloads travelling between agents are plain JSON documents (dicts),
+and every agent reads the fields of the document it receives: a stage that
+passes a document on, or builds the next one from it, re-stamps the
+received metadata (:func:`restamped`) rather than converting it.  The
+dataclasses here build documents and hold what is not one: the gateway's
+event (which ``Pipeline.ingest`` returns), the parser's confidence vector
+(the one owner of its wire spelling) and each model's extraction.
 """
 from __future__ import annotations
 
@@ -83,20 +84,6 @@ class Metadata:
             "lastUpdateTime": self.last_update_time,
         }
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "Metadata":
-        return cls(
-            type=doc["type"],
-            event_id=doc["eventId"],
-            customer_id=doc["customerId"],
-            step_id=doc["stepId"],
-            customer_event_time=doc["customerEventTime"],
-            last_update_time=doc["lastUpdateTime"],
-        )
-
-    def at_step(self, step: str, last_update: str) -> "Metadata":
-        return Metadata.from_doc(restamped(self.to_doc(), step, last_update))
-
 
 @dataclass(slots=True)
 class SmsEvent:
@@ -105,10 +92,6 @@ class SmsEvent:
 
     def to_doc(self) -> dict:
         return {"metadata": self.metadata.to_doc(), "body": self.body}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "SmsEvent":
-        return cls(metadata=Metadata.from_doc(doc["metadata"]), body=doc["body"])
 
 
 @dataclass(slots=True)
@@ -123,45 +106,10 @@ class DegreeOfConfidence:
     def to_doc(self) -> dict:
         return {"high": self.high, "intermediate": self.medium, "low": self.low}
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "DegreeOfConfidence":
-        return cls(high=doc["high"], medium=doc["intermediate"], low=doc["low"])
-
-    def as_degrees(self) -> dict[str, float]:
-        return {"high": self.high, "medium": self.medium, "low": self.low}
-
-
-@dataclass(slots=True)
-class RenewalProcessed:
-    """The parser's reading of one SMS.  ``full_match``: at least one token,
-    and all matched; on the wire ``"fullMatch": true``, left out when false."""
-
-    metadata: Metadata
-    renew: list[str]
-    stop: list[str]
-    confidence: DegreeOfConfidence
-    full_match: bool = False
-
-    def to_doc(self) -> dict:
-        doc = {
-            "metadata": self.metadata.to_doc(),
-            "renew": list(self.renew),
-            "stop": list(self.stop),
-            "degreeOfConfidence": self.confidence.to_doc(),
-        }
-        if self.full_match:
-            doc["fullMatch"] = True
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "RenewalProcessed":
-        return cls(
-            metadata=Metadata.from_doc(doc["metadata"]),
-            renew=list(doc["renew"]),
-            stop=list(doc["stop"]),
-            confidence=DegreeOfConfidence.from_doc(doc["degreeOfConfidence"]),
-            full_match=doc.get("fullMatch", False),
-        )
+    @staticmethod
+    def degrees_of(doc: dict) -> dict[str, float]:
+        """The engine's label -> degree map of a confidence vector on the wire."""
+        return {"high": doc["high"], "medium": doc["intermediate"], "low": doc["low"]}
 
 
 @dataclass(slots=True)

@@ -91,11 +91,11 @@ class Pipeline:
             self.ingested.append(event)
         return event
 
-    def default_budget(self) -> int:
-        return 200 + 20 * max(1, len(self.ingested))
-
     def run_to_quiescence(self, budget: int | None = None) -> bool:
-        return self.scheduler.run(budget or self.default_budget())
+        """True when quiescent within ``budget`` passes; ``None`` allows 200 + 20 per ingested event."""
+        if budget is None:
+            budget = 200 + 20 * max(1, len(self.ingested))
+        return self.scheduler.run(budget)
 
     def pending_events(self) -> list[str]:
         """Ingested events that never reached a terminal step."""

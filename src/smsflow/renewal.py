@@ -19,8 +19,7 @@ from .messages import (
     AGENTS_TOPIC,
     STEP_PARSED,
     DegreeOfConfidence,
-    RenewalProcessed,
-    SmsEvent,
+    restamped,
 )
 from .pool import Envelope, MessagePool
 from .store import RunStore
@@ -257,28 +256,31 @@ class RenewalAgent:
             functools.partial(read_text, lexicon=lexicon, confidence_var=confidence_var)
         )
 
-    def process(self, sms: SmsEvent) -> RenewalProcessed:
-        """Full parse of one SMS: persist the original, then publish the result.
+    def process(self, sms: dict) -> dict:
+        """Full parse of one S000 document: persist the original, then publish the S001 document.
 
         The original text is stored before publication so that downstream
         validation can never observe an event whose text is missing.
+        The S001 document holds ``"fullMatch": true`` on a full match only.
         """
-        if sms.metadata.type != "renewal":
-            raise ValueError(f"renewal parser got a {sms.metadata.type!r} event")
-        text = sms.body
+        metadata = sms["metadata"]
+        if metadata["type"] != "renewal":
+            raise ValueError(f"renewal parser got a {metadata['type']!r} event")
+        text = sms["body"]
         renew, stop, confidence, full_match = self.reading(text)
 
-        self.store.store_original(sms.metadata.event_id, text)
-        result = RenewalProcessed(
-            metadata=sms.metadata.at_step(STEP_PARSED, last_update=self.store.clock.now_iso()),
-            renew=list(renew),
-            stop=list(stop),
-            confidence=DegreeOfConfidence(confidence.high, confidence.medium, confidence.low),
-            full_match=full_match,
-        )
+        self.store.store_original(metadata["eventId"], text)
+        doc = {
+            "metadata": restamped(metadata, STEP_PARSED, self.store.clock.now_iso()),
+            "renew": list(renew),
+            "stop": list(stop),
+            "degreeOfConfidence": confidence.to_doc(),
+        }
+        if full_match:
+            doc["fullMatch"] = True
         # Publication is recorded by the tracking agent observing the topic.
-        self.pool.publish(AGENTS_TOPIC, result.to_doc())
-        return result
+        self.pool.publish(AGENTS_TOPIC, doc)
+        return doc
 
     def handle(self, envelope: Envelope) -> None:
-        self.process(SmsEvent.from_doc(envelope.payload))
+        self.process(envelope.payload)

@@ -41,6 +41,7 @@ TERMINAL_FAILED = "contact-support SMS sent"
 TERMINAL_AWAITING = "awaiting-confirmation"
 TERMINAL_ROUTED = "routed"
 TERMINAL_UNROUTED = "unrouted"
+NOTE_RETRY = "retry-requested"
 
 # The keys of every step record; a typed step field may not reuse one.
 STEP_KEYS = frozenset(("seq", "eventId", "stepId", "agent", "note", "digest", "recorded_at", "terminal"))
@@ -110,8 +111,9 @@ class JsonlLog:
                 self._file.close()
 
     def read_all(self) -> list[dict]:
+        """The records themselves, uncopied: read-only by contract."""
         with self._lock:
-            return [dict(r) for r in self._records]
+            return list(self._records)
 
     def __len__(self) -> int:
         with self._lock:
@@ -239,7 +241,7 @@ class RunStore:
     def retry_count(self, event_id: str) -> int:
         with self._steps_lock:
             return sum(
-                1 for r in self._steps_by_event.get(event_id, ()) if r["note"] == "retry-requested"
+                1 for r in self._steps_by_event.get(event_id, ()) if r["note"] == NOTE_RETRY
             )
 
     # -- original message store ---------------------------------------------
@@ -348,6 +350,9 @@ class OutboundSmsGateway:
         self.store.outbound_sms.append(record)
         self.store.record_step(event_id, "", "OutboundSmsService", f"sms:{kind}")
         return record
+
+    def send_contact_support(self, customer_id: str, event_id: str) -> dict:
+        return self.send_sms(customer_id, CONTACT_SUPPORT_TEXT, "contact-support", event_id)
 
 
 @dataclass(slots=True)

@@ -19,14 +19,13 @@ from .messages import (
     STEP_LLM_EXTRACTED,
     STEP_VALIDATED,
     LlmExtraction,
-    RenewalProcessed,
     event_and_step,
     restamped,
 )
 from .pool import Envelope, MessagePool
 from .renewal import KeywordLexicon, tokens_of
 from .store import (
-    CONTACT_SUPPORT_TEXT,
+    NOTE_RETRY,
     OutboundSmsGateway,
     PharmacyClient,
     RunStore,
@@ -136,15 +135,13 @@ class StopRiskAssessor:
     by_keyword: dict[str, StopRiskInputs]
     default: StopRiskInputs
 
-    def inputs_for(self, canonical: str) -> StopRiskInputs:
-        return self.by_keyword.get(canonical, self.default)
-
     def assess_keyword(self, canonical: str) -> tuple[float, bool]:
-        return assess_stop_risk(self.inputs_for(canonical), self.threshold, self.system)
+        inputs = self.by_keyword.get(canonical, self.default)
+        return assess_stop_risk(inputs, self.threshold, self.system)
 
 
 def validate_keywords(
-    ra: RenewalProcessed,
+    ra: dict,
     a: ModelResponse,
     b: ModelResponse,
     original_text: str,
@@ -152,7 +149,7 @@ def validate_keywords(
     lexicon: KeywordLexicon,
     stop_risk: Callable[[str], tuple[float, bool]],
 ) -> KeywordVerdict:
-    """Stage-1 verdict for one message.
+    """Stage-1 verdict for one message, whose parsed (S001 or S002) document is ``ra``.
 
     A response is discarded when it misses a parser-claimed keyword or
     claims a keyword with no verbatim whole-token occurrence in the original
@@ -162,7 +159,7 @@ def validate_keywords(
     if attempt not in (1, 2):
         raise ValueError(f"attempt must be 1 or 2, got {attempt}")
     text_tokens = tokens_of(original_text, lexicon)
-    ra_renew, ra_stop = set(ra.renew), set(ra.stop)
+    ra_renew, ra_stop = set(ra["renew"]), set(ra["stop"])
 
     discarded: list[Discard] = []
     survivors: list[ModelResponse] = []
@@ -273,12 +270,12 @@ class ValidatorAgent:
         if step != STEP_LLM_EXTRACTED:
             return
         original = self.store.fetch_original(event_id)  # MissingOriginalError is fatal by design
-        ra = RenewalProcessed.from_doc(doc["parsed"])
+        parsed = doc["parsed"]
         a, b = (ModelResponse.from_doc(r) for r in doc["responses"])
         attempt = doc["attempt"]
 
         verdict = validate_keywords(
-            ra, a, b, original, attempt, lexicon=self.lexicon, stop_risk=self.risk.assess_keyword,
+            parsed, a, b, original, attempt, lexicon=self.lexicon, stop_risk=self.risk.assess_keyword,
         )
         for discard in verdict.discarded:
             self.store.record_step(
@@ -288,14 +285,14 @@ class ValidatorAgent:
             )
 
         if verdict.outcome == OUTCOME_RETRY:
-            self.store.record_step(event_id, STEP_LLM_EXTRACTED, self.qualifier, "retry-requested")
-            self.pool.publish(AGENTS_TOPIC, doc["parsed"])
+            self.store.record_step(event_id, STEP_LLM_EXTRACTED, self.qualifier, NOTE_RETRY)
+            self.pool.publish(AGENTS_TOPIC, parsed)
             return
 
-        customer_id = ra.metadata.customer_id
+        customer_id = parsed["metadata"]["customerId"]
         extraction_verdict = None
         if verdict.outcome == OUTCOME_FAIL:
-            self.outbound.send_sms(customer_id, CONTACT_SUPPORT_TEXT, "contact-support", event_id)
+            self.outbound.send_contact_support(customer_id, event_id)
         else:
             if verdict.outcome == OUTCOME_PROCESS:
                 applied = self.pharmacy.apply_keywords(event_id, customer_id, *verdict.accepted)
@@ -312,11 +309,11 @@ class ValidatorAgent:
                 original, a, b, self.models_by_id, self.lexicon, self.executor
             )
             if extraction_verdict.outcome == EXTRACTION_FAIL:
-                self.outbound.send_sms(customer_id, CONTACT_SUPPORT_TEXT, "contact-support", event_id)
+                self.outbound.send_contact_support(customer_id, event_id)
 
         # The verdict publication itself is observed by the tracking agent.
         self.pool.publish(AGENTS_TOPIC, {
-            "metadata": restamped(doc["parsed"]["metadata"], STEP_VALIDATED, self.store.clock.now_iso()),
+            "metadata": restamped(parsed["metadata"], STEP_VALIDATED, self.store.clock.now_iso()),
             "keywords": {
                 "accepted": (
                     {"renew": verdict.accepted[0], "stop": verdict.accepted[1]}

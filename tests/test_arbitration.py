@@ -14,8 +14,6 @@ from smsflow.arbitration import (
 from smsflow.messages import (
     AGENTS_TOPIC,
     DegreeOfConfidence,
-    Metadata,
-    RenewalProcessed,
     payload_digest,
 )
 from smsflow.pool import Envelope, MessagePool
@@ -27,20 +25,22 @@ from conftest import brute_force_activations
 
 def _msg(confidence, renew=("1",), stop=(), event_id="A1001", step="S001", full_match=False,
          customer_id="C1001"):
-    return RenewalProcessed(
-        metadata=Metadata(
-            type="renewal",
-            event_id=event_id,
-            customer_id=customer_id,
-            step_id=step,
-            customer_event_time="2025-01-01T00:00:00Z",
-            last_update_time="2025-01-01T00:00:00Z",
-        ),
-        renew=list(renew),
-        stop=list(stop),
-        confidence=confidence,
-        full_match=full_match,
-    )
+    doc = {
+        "metadata": {
+            "type": "renewal",
+            "eventId": event_id,
+            "customerId": customer_id,
+            "stepId": step,
+            "customerEventTime": "2025-01-01T00:00:00Z",
+            "lastUpdateTime": "2025-01-01T00:00:00Z",
+        },
+        "renew": list(renew),
+        "stop": list(stop),
+        "degreeOfConfidence": confidence.to_doc(),
+    }
+    if full_match:
+        doc["fullMatch"] = True
+    return doc
 
 
 def _profile(tenure, purchases):
@@ -150,7 +150,7 @@ def _evaluator(default_config):
 def test_evaluate_process_direct_calls_pharmacy_per_keyword(default_config):
     evaluator, store, agents = _wiring(default_config)
     decision = evaluator.evaluate(
-        _msg(FULL, renew=("1",), stop=("unenroll",), full_match=True).to_doc(), _profile(0, 0)
+        _msg(FULL, renew=("1",), stop=("unenroll",), full_match=True), _profile(0, 0)
     )
     assert decision.action == ACTION_PROCESS_DIRECT
     assert [r["keyword"] for r in store.pharmacy.read_all() if r["eventId"] == "A1001"] == ["1", "unenroll"]
@@ -160,7 +160,7 @@ def test_evaluate_process_direct_calls_pharmacy_per_keyword(default_config):
 
 def test_evaluate_forward_republishes_at_next_step(default_config):
     evaluator, store, agents = _wiring(default_config)
-    evaluator.evaluate(_msg(LOW).to_doc(), _profile(10, 5000))
+    evaluator.evaluate(_msg(LOW), _profile(10, 5000))
     docs = [e.payload for e in agents.poll(5)]
     assert len(docs) == 1
     assert docs[0]["metadata"]["stepId"] == "S002"
@@ -171,7 +171,7 @@ def test_evaluate_forward_republishes_at_next_step(default_config):
 
 def test_evaluate_fail_sends_support_sms(default_config):
     evaluator, store, agents = _wiring(default_config)
-    decision = evaluator.evaluate(_msg(LOW).to_doc(), _profile(0, 0))
+    decision = evaluator.evaluate(_msg(LOW), _profile(0, 0))
     assert decision.action == ACTION_FAIL
     sms = store.outbound_sms.read_all()
     assert len(sms) == 1 and sms[0]["kind"] == "contact-support"
@@ -182,7 +182,7 @@ def test_evaluate_fail_sends_support_sms(default_config):
 def test_evaluate_rejects_wrong_step(default_config):
     evaluator, _, _ = _wiring(default_config)
     with pytest.raises(ValueError):
-        evaluator.evaluate(_msg(LOW, step="S002").to_doc(), _profile(0, 0))
+        evaluator.evaluate(_msg(LOW, step="S002"), _profile(0, 0))
 
 
 def test_missing_profile_uses_lowest_default_and_records_warning(default_config):
@@ -220,13 +220,13 @@ def test_evaluator_runs_importance_once_per_distinct_profile(default_config, mon
 
     expected = []
     for msg in messages:
-        profile = profiles.get(msg.metadata.customer_id, default_config.default_profile)
+        profile = profiles.get(msg["metadata"]["customerId"], default_config.default_profile)
         expected.append(_evaluator(default_config).decide(msg, profile))  # a fresh cache each
 
     monkeypatch.setattr(system, "run", counting_run)
     agent, store, _ = _wiring(default_config, profiles)
     for msg in messages:
-        agent.handle(Envelope("agents", 0, msg.to_doc()))
+        agent.handle(Envelope("agents", 0, msg))
     recorded = [r for r in store.steps.read_all() if r["note"].startswith("decision:")]
     assert [(c["tenureYears"], c["purchases12mo"]) for c in calls] == [(10, 5000), (3, 800), (0, 0)]
     assert agent.importance.cache_info().currsize == 3

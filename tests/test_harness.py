@@ -127,6 +127,29 @@ def test_exhausted_budget_reports_a_deadlock(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_a_non_positive_budget_is_refused(tmp_path, capsys, budget):
+    out = tmp_path / "run"
+    code = main(
+        [
+            "run",
+            "--config", str(default_config_path()),
+            "--corpus", str(default_corpus_path()),
+            "--out", str(out),
+            "--budget", budget,
+        ]
+    )
+    assert code == 1
+    assert "--budget" in capsys.readouterr().err
+    assert not out.exists()
+    # Only a missing budget means the default one: a budget of 0 runs no pass.
+    pipeline = build_pipeline(load_config(default_config_path()))
+    pipeline.ingest(load_corpus(default_corpus_path())[0]["phone"], "1")
+    assert pipeline.run_to_quiescence(0) is False
+    assert pipeline.run_to_quiescence() is True
+    pipeline.close()
+
+
 def test_events_left_pending_exit_three_even_when_quiescent(tmp_path, monkeypatch, capsys):
     def extract(*args, **kwargs):
         raise TimeoutError("model did not answer")

@@ -24,13 +24,7 @@ from smsflow.llm import (
     MalformedOutputError,
     ScriptedModel,
 )
-from smsflow.messages import (
-    AGENTS_TOPIC,
-    DegreeOfConfidence,
-    LlmExtraction,
-    Metadata,
-    RenewalProcessed,
-)
+from smsflow.messages import AGENTS_TOPIC, DegreeOfConfidence, LlmExtraction
 from smsflow.pool import MessagePool
 from smsflow.renewal import READING_MEMO_SIZE, LexiconEntry
 from smsflow.store import RunStore
@@ -296,19 +290,19 @@ def test_http_model_asks_the_backend_on_every_call(lexicon):
 
 
 def _s002(event_id="A1001"):
-    return RenewalProcessed(
-        metadata=Metadata(
-            type="renewal",
-            event_id=event_id,
-            customer_id="C1001",
-            step_id="S002",
-            customer_event_time="2025-01-01T00:00:00Z",
-            last_update_time="2025-01-01T00:00:00Z",
-        ),
-        renew=["1"],
-        stop=[],
-        confidence=DegreeOfConfidence(0.0, 0.0, 1.0),
-    ).to_doc()
+    return {
+        "metadata": {
+            "type": "renewal",
+            "eventId": event_id,
+            "customerId": "C1001",
+            "stepId": "S002",
+            "customerEventTime": "2025-01-01T00:00:00Z",
+            "lastUpdateTime": "2025-01-01T00:00:00Z",
+        },
+        "renew": ["1"],
+        "stop": [],
+        "degreeOfConfidence": DegreeOfConfidence(0.0, 0.0, 1.0).to_doc(),
+    }
 
 
 class UnavailableModel:

@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smsflow.messages import (
+    AGENTS_TOPIC,
     DegreeOfConfidence,
     Metadata,
-    RenewalProcessed,
     SmsEvent,
     canonical_json,
     event_and_step,
     payload_digest,
     restamped,
 )
-from smsflow.store import JsonlLog
+from smsflow.pool import MessagePool
+from smsflow.renewal import RenewalAgent
+from smsflow.store import JsonlLog, RunStore
 
 
 def _metadata(step="S001"):
@@ -36,57 +38,41 @@ def test_event_and_step_read_the_metadata_ids():
         assert event_and_step(doc) == ("", "")
 
 
-def test_parsed_document_uses_the_declared_field_names():
-    doc = RenewalProcessed(
-        metadata=_metadata(),
-        renew=["keyword1", "keyword2"],
-        stop=["keyword3"],
-        confidence=DegreeOfConfidence(high=0.85, medium=0.6, low=0.0),
-    ).to_doc()
-    assert list(doc) == ["metadata", "renew", "stop", "degreeOfConfidence"]
-    assert list(doc["metadata"]) == [
+def test_parsed_document_uses_the_declared_field_names(lexicon, confidence_var):
+    pool = MessagePool()
+    sub = pool.subscribe(AGENTS_TOPIC)
+    agent = RenewalAgent(lexicon, confidence_var, RunStore(), pool)
+    partial = agent.process(SmsEvent(_metadata(step="S000"), "renew 1 2 x. 1, unenroll").to_doc())
+    full = agent.process(SmsEvent(_metadata(step="S000"), "1, unenroll").to_doc())
+    assert [e.payload for e in sub.poll(5)] == [partial, full]
+    assert list(partial) == ["metadata", "renew", "stop", "degreeOfConfidence"]
+    assert list(partial["metadata"]) == [
         "type", "eventId", "customerId", "stepId", "customerEventTime", "lastUpdateTime",
     ]
+    assert (partial["renew"], partial["stop"]) == (["1"], ["unenroll"])
     # The middle confidence label is serialized as "intermediate".
-    assert doc["degreeOfConfidence"] == {"high": 0.85, "intermediate": 0.6, "low": 0.0}
-
-
-def test_parsed_document_round_trips():
-    original = RenewalProcessed(
-        metadata=_metadata(),
-        renew=["1"],
-        stop=["unenroll"],
-        confidence=DegreeOfConfidence(1.0, 0.0, 0.0),
-    )
-    assert RenewalProcessed.from_doc(original.to_doc()).to_doc() == original.to_doc()
+    assert list(partial["degreeOfConfidence"]) == ["high", "intermediate", "low"]
+    assert partial["degreeOfConfidence"]["intermediate"] > 0
+    # "fullMatch" appears only when true.
+    assert list(full) == ["metadata", "renew", "stop", "degreeOfConfidence", "fullMatch"]
+    assert full["fullMatch"] is True
 
 
 def test_confidence_parses_either_middle_label_spelling():
     # "intermediate" on the wire, "medium" in the engine; the wire has only its own spelling.
-    wire = DegreeOfConfidence.from_doc({"high": 0.1, "intermediate": 0.2, "low": 0.3})
-    assert wire == DegreeOfConfidence(high=0.1, medium=0.2, low=0.3)
-    assert wire.as_degrees() == {"high": 0.1, "medium": 0.2, "low": 0.3}
-    assert DegreeOfConfidence.from_doc(wire.to_doc()) == wire
+    wire = DegreeOfConfidence(high=0.1, medium=0.2, low=0.3).to_doc()
+    assert wire == {"high": 0.1, "intermediate": 0.2, "low": 0.3}
+    assert DegreeOfConfidence.degrees_of(wire) == {"high": 0.1, "medium": 0.2, "low": 0.3}
     with pytest.raises(KeyError):
-        DegreeOfConfidence.from_doc({"high": 0.1, "medium": 0.2, "low": 0.3})
+        DegreeOfConfidence.degrees_of({"high": 0.1, "medium": 0.2, "low": 0.3})
 
 
-def test_sms_event_round_trips():
-    event = SmsEvent(metadata=_metadata(step="S000"), body="no, 2")
-    assert SmsEvent.from_doc(event.to_doc()).to_doc() == event.to_doc()
-
-
-def test_metadata_at_step_rewrites_only_step_and_update_time():
-    meta = _metadata()
-    moved = meta.at_step("S002", last_update="2025-01-15T10:50:00Z")
-    assert moved.step_id == "S002"
-    assert moved.last_update_time == "2025-01-15T10:50:00Z"
-    assert moved.event_id == meta.event_id
-    assert meta.step_id == "S001"  # original untouched
-    # A stage passing a document on re-stamps the wire form alike.
-    doc = meta.to_doc()
-    assert restamped(doc, "S002", "2025-01-15T10:50:00Z") == moved.to_doc()
-    assert doc == meta.to_doc()
+def test_restamped_rewrites_only_step_and_update_time():
+    doc = _metadata().to_doc()
+    moved = restamped(doc, "S002", "2025-01-15T10:50:00Z")
+    assert moved == {**doc, "stepId": "S002", "lastUpdateTime": "2025-01-15T10:50:00Z"}
+    assert list(moved) == list(doc)
+    assert doc == _metadata().to_doc()  # original untouched
 
 
 def test_payload_digest_is_stable_under_key_order():

@@ -4,7 +4,7 @@ import string
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from smsflow.messages import AGENTS_TOPIC, Metadata, SmsEvent
+from smsflow.messages import AGENTS_TOPIC
 from smsflow.pool import MessagePool
 from smsflow.renewal import (
     POLARITIES,
@@ -22,17 +22,17 @@ from smsflow.store import RunStore
 
 
 def _sms(text, event_id="A1001", type_="renewal"):
-    return SmsEvent(
-        metadata=Metadata(
-            type=type_,
-            event_id=event_id,
-            customer_id="C1001",
-            step_id="S000",
-            customer_event_time="2025-01-01T00:00:00Z",
-            last_update_time="2025-01-01T00:00:00Z",
-        ),
-        body=text,
-    )
+    return {
+        "metadata": {
+            "type": type_,
+            "eventId": event_id,
+            "customerId": "C1001",
+            "stepId": "S000",
+            "customerEventTime": "2025-01-01T00:00:00Z",
+            "lastUpdateTime": "2025-01-01T00:00:00Z",
+        },
+        "body": text,
+    }
 
 
 def test_strip_removes_listed_phrases_only(lexicon):
@@ -166,27 +166,26 @@ def _parser(lexicon, confidence_var, store=None):
 def test_process_full_match_message(lexicon, confidence_var):
     agent, store, sub = _parser(lexicon, confidence_var)
     result = agent.process(_sms("1, unenroll. Thank you"))
-    assert result.renew == ["1"] and result.stop == ["unenroll"]
-    assert result.full_match
-    assert result.metadata.step_id == "S001"
+    assert result["renew"] == ["1"] and result["stop"] == ["unenroll"]
+    assert result["fullMatch"] is True
+    assert result["metadata"]["stepId"] == "S001"
     docs = [e.payload for e in sub.poll(10)]
-    assert len(docs) == 1 and docs[0]["degreeOfConfidence"]["high"] == 1.0
-    assert docs[0]["fullMatch"] is True
+    assert docs == [result] and docs[0]["degreeOfConfidence"]["high"] == 1.0
     assert store.fetch_original("A1001") == "1, unenroll. Thank you"
 
 
 def test_process_partial_message_keeps_pure_claims(lexicon, confidence_var):
     agent, _, _ = _parser(lexicon, confidence_var)
     result = agent.process(_sms("Thank you for your great service. 1, renew."))
-    assert result.renew == ["1", "renew"]
-    assert not result.full_match
+    assert result["renew"] == ["1", "renew"]
+    assert "fullMatch" not in result
 
 
 def test_process_claims_pure_code_segment(lexicon, confidence_var):
     agent, _, _ = _parser(lexicon, confidence_var)
     result = agent.process(_sms("Could you please execute the following. 1"))
-    assert result.renew == ["1"] and result.stop == []
-    assert not result.full_match
+    assert result["renew"] == ["1"] and result["stop"] == []
+    assert "fullMatch" not in result
 
 
 def test_process_rejects_non_renewal_events(lexicon, confidence_var):
@@ -199,7 +198,7 @@ def test_process_is_idempotent_per_event(lexicon, confidence_var):
     agent, _, _ = _parser(lexicon, confidence_var)
     first = agent.process(_sms("1, unenroll"))
     second = agent.process(_sms("1, unenroll"))
-    assert first.to_doc() == second.to_doc()
+    assert first == second
 
 
 def test_same_text_gets_equal_but_independent_readings(lexicon, confidence_var):
@@ -208,14 +207,15 @@ def test_same_text_gets_equal_but_independent_readings(lexicon, confidence_var):
     first = agent.process(_sms(text, "A1"))
     second = agent.process(_sms(text, "A2"))
     assert agent.reading.cache_info().currsize == 1
-    assert (first.renew, first.stop) == (second.renew, second.stop) == (["1", "renew"], ["stop"])
-    assert first.confidence == second.confidence
-    first.renew.append("enroll")
-    first.stop.clear()
-    first.confidence.high = 0.0
+    assert first["renew"] == second["renew"] == ["1", "renew"]
+    assert first["stop"] == second["stop"] == ["stop"]
+    assert first["degreeOfConfidence"] == second["degreeOfConfidence"]
+    first["renew"].append("enroll")
+    first["stop"].clear()
+    first["degreeOfConfidence"]["high"] = 0.0
     third = agent.process(_sms(text, "A3"))
     uncached = _parser(lexicon, confidence_var)[0].process(_sms(text, "A3"))
-    assert third.to_doc() == uncached.to_doc()
+    assert third == uncached
 
 
 def test_reading_memo_keeps_at_most_its_bound(lexicon, confidence_var):
@@ -286,7 +286,7 @@ def test_full_match_iff_every_token_matches(words):
     segments = segment(strip_politeness(text, lex), lex)
     result = RenewalAgent(lex, _CONFIG.confidence_var, RunStore(), MessagePool()).process(_sms(text))
     all_match = all(lex.match_token(t) for seg in segments for t in seg)
-    assert result.full_match == (bool(segments) and all_match)
+    assert result.get("fullMatch", False) == (bool(segments) and all_match)
 
 
 # Literal patterns (plain text) and regex patterns, in mixed case: a regex

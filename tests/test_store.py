@@ -7,6 +7,7 @@ import pytest
 from smsflow.messages import INCOMING_TOPIC
 from smsflow.pool import MessagePool
 from smsflow.store import (
+    CONTACT_SUPPORT_TEXT,
     CustomerAuthTable,
     IncomingSmsGateway,
     JsonlLog,
@@ -131,8 +132,12 @@ def test_send_sms_records_kind():
     outbound = OutboundSmsGateway(store)
     outbound.send_sms("C1001", "call us", "contact-support", "E1")
     outbound.send_sms("C1001", "confirm?", "confirm-stop", "E1")
+    support = outbound.send_contact_support("C1002", "E2")
     records = store.outbound_sms.read_all()
-    assert [r["kind"] for r in records] == ["contact-support", "confirm-stop"]
+    assert [r["kind"] for r in records] == ["contact-support", "confirm-stop", "contact-support"]
+    assert records[2] is support
+    assert support["text"] == CONTACT_SUPPORT_TEXT
+    assert (support["customerId"], support["eventId"]) == ("C1002", "E2")
 
 
 def test_unknown_sms_kind_rejected():

@@ -8,7 +8,7 @@ from fake_chat import chat_models
 from smsflow.config import default_corpus_path
 from smsflow.harness import load_corpus, run_pipeline
 from smsflow.llm import FaultPlan, LlmAgent, LlmExtraction, ScriptedModel
-from smsflow.messages import AGENTS_TOPIC, DegreeOfConfidence, Metadata, RenewalProcessed
+from smsflow.messages import AGENTS_TOPIC, DegreeOfConfidence
 from smsflow.pool import Envelope, MessagePool
 from smsflow.store import OutboundSmsGateway, PharmacyClient, RunStore
 from smsflow.validator import (
@@ -32,19 +32,19 @@ from smsflow.validator import (
 
 
 def _ra(renew=(), stop=(), event_id="A1001"):
-    return RenewalProcessed(
-        metadata=Metadata(
-            type="renewal",
-            event_id=event_id,
-            customer_id="C1001",
-            step_id="S001",
-            customer_event_time="2025-01-01T00:00:00Z",
-            last_update_time="2025-01-01T00:00:00Z",
-        ),
-        renew=list(renew),
-        stop=list(stop),
-        confidence=DegreeOfConfidence(0.0, 0.0, 1.0),
-    )
+    return {
+        "metadata": {
+            "type": "renewal",
+            "eventId": event_id,
+            "customerId": "C1001",
+            "stepId": "S001",
+            "customerEventTime": "2025-01-01T00:00:00Z",
+            "lastUpdateTime": "2025-01-01T00:00:00Z",
+        },
+        "renew": list(renew),
+        "stop": list(stop),
+        "degreeOfConfidence": DegreeOfConfidence(0.0, 0.0, 1.0).to_doc(),
+    }
 
 
 def _resp(model_id, renew=(), stop=(), complaint=(), request=()):
@@ -340,7 +340,7 @@ def test_tie_goes_to_the_model_the_stage_document_lists_first(default_config):
     store, pool = RunStore(), MessagePool()
     published = pool.subscribe(AGENTS_TOPIC)
     store.store_original("A1001", "1. I want to book a flu shot")
-    parsed = _ra(renew=("1",)).to_doc()
+    parsed = _ra(renew=("1",))
     parsed["metadata"]["stepId"] = "S002"
     models = [ScriptedModel("beta"), ScriptedModel("alpha")]  # configured in this order
     s003 = LlmAgent(models, lexicon, FaultPlan(), store, pool).run(parsed)
