@@ -62,6 +62,17 @@ def compute_importance(
     return system.run({"tenureYears": tenure_years, "purchases12mo": purchases_12mo}).activations
 
 
+def action_activations(
+    importance: tuple[tuple[str, float], ...],
+    confidence: tuple[tuple[str, float], ...],
+    system: FuzzySystem,
+) -> dict[str, float]:
+    """Per-action activations of the rule block, from (label, degree) pairs of its two inputs."""
+    return system.infer(
+        {"customerImportance": dict(importance), "degreeOfConfidence": dict(confidence)}
+    ).activations
+
+
 class CustomerRelationshipAgent:
     """Serves customer profiles; unknown customers get the lowest-importance
     default and a recorded data-quality warning."""
@@ -86,9 +97,10 @@ class CustomerRelationshipAgent:
 class EvaluatorAgent:
     """Decides each parsed message and carries out the decision.
 
-    Customer importance depends on the profile numbers alone, so the agent
-    runs it once per distinct (tenure, purchases) pair while its cache holds
-    at most ``READING_MEMO_SIZE`` pairs; each decision gets its own copy.
+    Customer importance depends on the profile numbers alone, and the rule
+    block's activations on the importance and confidence degrees alone, so
+    the agent runs each once per distinct input while its caches hold at
+    most ``READING_MEMO_SIZE`` inputs each; each decision gets its own copies.
     """
 
     qualifier = "EvaluatorAgent"
@@ -104,7 +116,6 @@ class EvaluatorAgent:
         outbound: OutboundSmsGateway,
     ):
         self.relationship = relationship
-        self.action_system = action_system
         self.store = store
         self.pool = pool
         self.pharmacy = pharmacy
@@ -112,6 +123,10 @@ class EvaluatorAgent:
         # (tenure, purchases) -> importance activations; see compute_importance.
         self.importance = functools.lru_cache(maxsize=READING_MEMO_SIZE)(
             functools.partial(compute_importance, system=importance_system)
+        )
+        # (importance, confidence) degree pairs -> action activations; see action_activations.
+        self.activations = functools.lru_cache(maxsize=READING_MEMO_SIZE)(
+            functools.partial(action_activations, system=action_system)
         )
 
     def decide(self, doc: dict, profile: CustomerProfile) -> ArbitrationDecision:
@@ -124,21 +139,20 @@ class EvaluatorAgent:
         if doc.get("fullMatch"):
             return ArbitrationDecision(action=ACTION_PROCESS_DIRECT)
 
-        importance = dict(self.importance(profile.tenure_years, profile.purchases_12mo))
-        output = self.action_system.infer(
-            {
-                "customerImportance": importance,
-                "degreeOfConfidence": DegreeOfConfidence.degrees_of(doc["degreeOfConfidence"]),
-            }
+        importance = self.importance(profile.tenure_years, profile.purchases_12mo)
+        activations = self.activations(
+            tuple(importance.items()),
+            tuple(DegreeOfConfidence.degrees_of(doc["degreeOfConfidence"]).items()),
         )
-        activations = output.activations
         forward = activations.get(ACTION_FORWARD, 0.0)
         fail = activations.get(ACTION_FAIL, 0.0)
         if forward > fail:
             action = ACTION_FORWARD
         else:
             action = ACTION_FAIL
-        return ArbitrationDecision(action=action, activations=activations, importance=importance)
+        return ArbitrationDecision(
+            action=action, activations=dict(activations), importance=dict(importance)
+        )
 
     def evaluate(self, doc: dict, profile: CustomerProfile) -> ArbitrationDecision:
         """Decide and carry out the side effects for one parsed (S001) document."""

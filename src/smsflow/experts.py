@@ -10,6 +10,7 @@ did not select).
 from __future__ import annotations
 
 import calendar
+import functools
 import logging
 import re
 import threading
@@ -18,6 +19,7 @@ from datetime import date, timedelta
 
 from .messages import STEP_VALIDATED
 from .pool import Envelope
+from .renewal import READING_MEMO_SIZE
 from .store import (
     OutboundSmsGateway,
     RunStore,
@@ -67,7 +69,7 @@ class ExpertRegistration:
         object.__setattr__(self, "cue_set", frozenset(c.lower() for c in self.cues))
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class RoutingDecision:
     destination: str
     next_inputs: str
@@ -259,17 +261,11 @@ class ScheduleResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def schedule(
-    request_text: str,
-    availability: AvailabilityStore,
-    model,
-    reference_date: date,
-) -> ScheduleResult:
-    """Book the first proposed slot with capacity.
+Proposal = tuple[tuple[SlotCandidate, ...], tuple[str, ...]]
 
-    The model only proposes; the appointment tool selects and books, and the
-    reply is rendered from the tool's selection, never from the model text.
-    """
+
+def parse_proposal(request_text: str, model, reference_date: date) -> Proposal:
+    """The model's candidate slots for a request, and why each malformed line was skipped."""
     candidates: list[SlotCandidate] = []
     warnings: list[str] = []
     for line in model.propose(request_text, reference_date):
@@ -277,7 +273,18 @@ def schedule(
             candidates.append(parse_slot_line(line))
         except ValueError as exc:
             warnings.append(str(exc))
-            log.warning("skipping slot candidate: %s", exc)
+    return tuple(candidates), tuple(warnings)
+
+
+def book_first(proposal: Proposal, availability: AvailabilityStore) -> ScheduleResult:
+    """Book the first candidate of a parsed proposal that has capacity.
+
+    The model only proposes; the appointment tool selects and books, and the
+    reply is rendered from the tool's selection, never from the model text.
+    """
+    candidates, warnings = list(proposal[0]), list(proposal[1])
+    for warning in warnings:
+        log.warning("skipping slot candidate: %s", warning)
 
     for slot in candidates:
         if availability.book(slot):
@@ -294,8 +301,25 @@ def schedule(
     return ScheduleResult(reply=CALL_US_REPLY, booked=None, candidates=candidates, warnings=warnings)
 
 
+def schedule(
+    request_text: str,
+    availability: AvailabilityStore,
+    model,
+    reference_date: date,
+) -> ScheduleResult:
+    """Book the first proposed slot with capacity; see :func:`book_first`."""
+    return book_first(parse_proposal(request_text, model, reference_date), availability)
+
+
 class RouterAgent:
-    """Finalizer for validated messages: routes items and records terminals."""
+    """Finalizer for validated messages: routes items and records terminals.
+
+    The registrations and both scripted models are fixed for the agent, so
+    it routes each distinct (item, kind) once and parses the scheduler's
+    proposal for each distinct (request, reference date) once, while each
+    cache holds at most ``READING_MEMO_SIZE`` keys.  Booking, its log entry
+    and the reply are done per call.
+    """
 
     qualifier = "RouterAgent"
 
@@ -311,9 +335,15 @@ class RouterAgent:
         self.availability = availability
         self.store = store
         self.outbound = outbound
-        self.router_model = ScriptedRouterModel()
-        self.scheduler_model = ScriptedSchedulerModel()
         self._by_qualifier = {r.qualifier: r for r in registrations}
+        # (item text, kind) -> its frozen routing decision; see route.
+        self.routing = functools.lru_cache(maxsize=READING_MEMO_SIZE)(
+            functools.partial(route, experts=self._by_qualifier, model=ScriptedRouterModel())
+        )
+        # (request text, reference date) -> candidate and warning tuples; see parse_proposal.
+        self.proposal = functools.lru_cache(maxsize=READING_MEMO_SIZE)(
+            functools.partial(parse_proposal, model=ScriptedSchedulerModel())
+        )
 
     def handle(self, envelope: Envelope) -> None:
         doc = envelope.payload
@@ -359,7 +389,7 @@ class RouterAgent:
 
     def _route_item(self, event_id: str, item: str, item_kind: str) -> list[tuple[str, str]]:
         """Hand one complaint or request to its expert; returns (SMS kind, text) replies to send."""
-        decision = route(item, self._by_qualifier, self.router_model, item_kind)
+        decision = self.routing(item, kind=item_kind)
         self.store.record_step(
             event_id, STEP_VALIDATED, self.qualifier,
             f"routed-to:{decision.destination}", payload=decision.to_doc(),
@@ -377,9 +407,9 @@ class RouterAgent:
             )
             return [("generic", answer)]
         if decision.destination == "Scheduling":
-            result = schedule(
-                item, self.availability, self.scheduler_model,
-                reference_date=self.store.clock.now().date(),
+            result = book_first(
+                self.proposal(item, reference_date=self.store.clock.now().date()),
+                self.availability,
             )
             # Every scheduling intake is logged, booked or not.
             self.store.bookings.append(

@@ -37,6 +37,11 @@ class Subscription:
         self.topic = topic
         self._queue: deque[Envelope] = deque()
 
+    def __len__(self) -> int:
+        """Envelopes waiting to be polled."""
+        with self._pool._lock:
+            return len(self._queue)
+
     def poll(self, max_n: int = 1) -> list[Envelope]:
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
@@ -87,5 +92,4 @@ class MessagePool:
 
     def lag(self, sub: Subscription) -> int:
         """Messages the subscription has not yet polled."""
-        with self._lock:
-            return len(sub._queue)
+        return len(sub)

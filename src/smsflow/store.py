@@ -58,15 +58,24 @@ class LogicalClock:
     identical runs serialize identical times.
     """
 
+    # A midnight, so a tick's day and time of day are one divmod of the ticks.
     EPOCH = datetime(2025, 1, 1, 0, 0, 0, tzinfo=timezone.utc)
 
     def __init__(self):
+        self._day = -1
         self._set_ticks(0)
 
     def _set_ticks(self, ticks: int) -> None:
-        # The stamp changes only here, so callers get it without formatting.
+        # The stamp changes only here, so callers get it without formatting;
+        # its date part is formatted once per day.
         self._ticks = ticks
-        self._iso = self.now().strftime("%Y-%m-%dT%H:%M:%SZ")
+        day, second = divmod(ticks, 86400)
+        if day != self._day:
+            self._day = day
+            self._date_iso = (self.EPOCH + timedelta(days=day)).strftime("%Y-%m-%dT")
+        hours, second = divmod(second, 3600)
+        minutes, second = divmod(second, 60)
+        self._iso = f"{self._date_iso}{hours:02d}:{minutes:02d}:{second:02d}Z"
 
     def advance(self) -> None:
         self._set_ticks(self._ticks + 1)

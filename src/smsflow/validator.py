@@ -7,6 +7,7 @@ other's complaint/request reading; sub-5 scores are discarded.
 """
 from __future__ import annotations
 
+import functools
 import logging
 from concurrent.futures import Executor
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from .messages import (
     restamped,
 )
 from .pool import Envelope, MessagePool
-from .renewal import KeywordLexicon, tokens_of
+from .renewal import READING_MEMO_SIZE, KeywordLexicon, tokens_of
 from .store import (
     NOTE_RETRY,
     OutboundSmsGateway,
@@ -126,18 +127,39 @@ def assess_stop_risk(
     return crisp, crisp > threshold
 
 
+def keyword_risk(
+    canonical: str,
+    by_keyword: dict[str, StopRiskInputs],
+    default: StopRiskInputs,
+    threshold: float,
+    system: FuzzySystem,
+) -> tuple[float, bool]:
+    """Stop risk of one keyword's medication fixture, the default one when it has none."""
+    return assess_stop_risk(by_keyword.get(canonical, default), threshold, system)
+
+
 @dataclass
 class StopRiskAssessor:
-    """Binds the risk system to per-medication fixtures keyed by keyword."""
+    """Binds the risk system to per-medication fixtures keyed by keyword.
+
+    A keyword's risk depends on the fixed fixtures alone, so the assessor
+    runs the rules once per distinct keyword while its cache holds at most
+    ``READING_MEMO_SIZE`` keywords.
+    """
 
     system: FuzzySystem
     threshold: float
     by_keyword: dict[str, StopRiskInputs]
     default: StopRiskInputs
 
-    def assess_keyword(self, canonical: str) -> tuple[float, bool]:
-        inputs = self.by_keyword.get(canonical, self.default)
-        return assess_stop_risk(inputs, self.threshold, self.system)
+    def __post_init__(self):
+        # Canonical keyword -> (crisp risk, over the threshold); see keyword_risk.
+        self.assess_keyword = functools.lru_cache(maxsize=READING_MEMO_SIZE)(
+            functools.partial(
+                keyword_risk, by_keyword=self.by_keyword, default=self.default,
+                threshold=self.threshold, system=self.system,
+            )
+        )
 
 
 def validate_keywords(

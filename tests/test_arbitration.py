@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smsflow.arbitration import (
     ACTION_FAIL,
@@ -238,3 +239,45 @@ def test_evaluator_runs_importance_once_per_distinct_profile(default_config, mon
     assert [r["digest"] for r in recorded] == [
         payload_digest({"activations": d.activations, "importance": d.importance}) for d in expected
     ]
+
+
+_DEGREE = st.floats(0.0, 1.0)
+_PROFILES = st.tuples(st.floats(0.0, 15.0), st.floats(0.0, 6000.0))
+_CONFIDENCES = st.builds(DegreeOfConfidence, _DEGREE, _DEGREE, _DEGREE)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=st.lists(st.tuples(_PROFILES, _CONFIDENCES), min_size=1, max_size=6))
+def test_cached_rule_activations_equal_the_uncached_rule_block(default_config, inputs):
+    agent = _evaluator(default_config)
+    system = default_config.action_system
+    for (tenure, purchases), confidence in inputs + inputs:  # the second round hits
+        decision = agent.decide(_msg(confidence), _profile(tenure, purchases))
+        importance = compute_importance(tenure, purchases, default_config.importance_system)
+        degrees = {"high": confidence.high, "medium": confidence.medium, "low": confidence.low}
+        expected = system.infer({"customerImportance": importance, "degreeOfConfidence": degrees})
+        assert decision.activations == expected.activations
+        assert decision.importance == importance
+    info = agent.activations.cache_info()
+    assert info.hits >= len(inputs) and info.currsize == info.misses
+
+
+def test_the_rule_activation_cache_is_bounded(default_config):
+    agent = _evaluator(default_config)
+    for i in range(READING_MEMO_SIZE + 5):
+        agent.decide(_msg(DegreeOfConfidence(0.0, i / 2048, 0.5)), _profile(3, 800))
+        assert agent.activations.cache_info().currsize <= READING_MEMO_SIZE
+    assert agent.activations.cache_info().currsize == READING_MEMO_SIZE
+    assert agent.activations.cache_info().maxsize == READING_MEMO_SIZE
+
+
+def test_a_caller_that_mutates_a_decision_changes_no_later_decision(default_config):
+    agent = _evaluator(default_config)
+    first = agent.decide(_msg(MEDIUM), _profile(3, 800))
+    expected = (first.action, dict(first.activations), dict(first.importance))
+    first.activations[ACTION_FORWARD] = 0.0
+    first.activations[ACTION_FAIL] = 1.0
+    first.importance.clear()
+    again = agent.decide(_msg(MEDIUM), _profile(3, 800))
+    assert agent.activations.cache_info().hits == 1
+    assert (again.action, again.activations, again.importance) == expected

@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import random
 import string
 from concurrent.futures import ThreadPoolExecutor
@@ -6,17 +8,20 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from smsflow.config import default_config_path, load_config
 from smsflow.experts import (
     CALL_US_REPLY,
     REFERRAL_ANSWER,
     AvailabilityStore,
+    RouterAgent,
     RoutingDecision,
     ScriptedRouterModel,
     ScriptedSchedulerModel,
     SlotCandidate,
     answer_store_question,
+    book_first,
     forward_to_queue,
     parse_slot_line,
     rephrase,
@@ -24,7 +29,9 @@ from smsflow.experts import (
     schedule,
 )
 from smsflow.harness import run_pipeline
-from smsflow.store import RunStore
+from smsflow.pool import Envelope
+from smsflow.renewal import READING_MEMO_SIZE
+from smsflow.store import OutboundSmsGateway, RunStore
 
 from conftest import remaining_bookings
 
@@ -255,3 +262,124 @@ def test_concurrent_bookings_of_a_single_slot_book_exactly_once():
 def test_negative_capacity_rejected():
     with pytest.raises(ValueError):
         AvailabilityStore({SlotCandidate(2025, 1, 1, 9): -1})
+
+
+# -- the router's caches ------------------------------------------------------------
+
+def _router(config, slots=None):
+    store = RunStore()
+    availability = AvailabilityStore(config.availability if slots is None else slots)
+    router = RouterAgent(
+        config.experts, config.documents, availability, store, OutboundSmsGateway(store)
+    )
+    return router, store
+
+
+_KINDS = st.sampled_from(["complaint", "request"])
+_ITEMS = st.one_of(
+    st.text(alphabet=string.ascii_letters + " .,!?", max_size=40),
+    st.lists(st.sampled_from(
+        ["the", "medicine", "tastes", "bad", "reserve", "flu", "vaccine", "hours", "holiday",
+         "open", "please", "can you", "I want to"]
+    ), max_size=8).map(" ".join),
+)
+_REQUESTS = st.lists(st.sampled_from(
+    ["book", "Monday", "saturday", "03/22/2025", "02/30/2025", "morning", "afternoon", "or", ";"]
+), max_size=8).map(" ".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(items=st.lists(st.tuples(_ITEMS, _KINDS), min_size=1, max_size=6))
+def test_cached_routing_equals_the_uncached_route(default_config, items):
+    router, _ = _router(default_config)
+    registrations = {r.qualifier: r for r in default_config.experts}
+    for text, kind in items + items:  # the second round hits
+        assert router.routing(text, kind=kind) == route(text, registrations, ScriptedRouterModel(), kind)
+    info = router.routing.cache_info()
+    assert info.misses == info.currsize == len(set(items))
+
+
+@settings(max_examples=100, deadline=None)
+@given(requests=st.lists(
+    st.tuples(_REQUESTS, st.dates(date(2024, 1, 1), date(2026, 12, 31))), min_size=1, max_size=6
+))
+def test_cached_proposals_equal_the_uncached_parse(default_config, requests):
+    router, _ = _router(default_config)
+    model = ScriptedSchedulerModel()
+    for text, day in requests + requests:
+        candidates, warnings = router.proposal(text, reference_date=day)
+        assert list(candidates) == [parse_slot_line(line) for line in model.propose(text, day)]
+        assert warnings == ()
+    info = router.proposal.cache_info()
+    assert info.misses == info.currsize == len(set(requests))
+
+
+def test_the_router_caches_are_bounded(default_config):
+    router, _ = _router(default_config)
+    for i in range(READING_MEMO_SIZE + 5):
+        router.routing(f"the pill number {i}", kind="complaint")
+        router.proposal(f"book 03/22/2025 morning {i}", reference_date=date(2025, 1, 1))
+    for cache in (router.routing, router.proposal):
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize == READING_MEMO_SIZE
+
+
+def test_a_caller_that_mutates_a_routing_or_booking_changes_no_later_answer(default_config):
+    router, _ = _router(default_config)
+    decision = router.routing("the medicine tastes bad", kind="complaint")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        decision.destination = "Nowhere"
+    decision.to_doc()["destination"] = "Nowhere"
+    assert router.routing("the medicine tastes bad", kind="complaint") == decision
+
+    slot = SlotCandidate(2025, 3, 22, 13)
+    availability = AvailabilityStore({slot: 5})
+    first = book_first(router.proposal("03/22/2025 afternoon", reference_date=date(2025, 1, 1)),
+                       availability)
+    first.candidates.clear()
+    first.warnings.append("noise")
+    again = book_first(router.proposal("03/22/2025 afternoon", reference_date=date(2025, 1, 1)),
+                       availability)
+    assert router.proposal.cache_info().hits == 1
+    assert again.booked == slot and again.candidates[0] == slot and again.warnings == []
+
+
+def test_book_first_logs_each_skipped_line_per_call():
+    proposal = ((SlotCandidate(2025, 3, 22, 15),), ("malformed slot line: 'x'",))
+    availability = AvailabilityStore({SlotCandidate(2025, 3, 22, 15): 2})
+    logged = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: logged.append(record.getMessage())
+    logger = logging.getLogger("smsflow.experts")
+    logger.addHandler(handler)
+    try:
+        results = [book_first(proposal, availability) for _ in range(2)]
+    finally:
+        logger.removeHandler(handler)
+    assert [r.warnings for r in results] == [["malformed slot line: 'x'"]] * 2
+    assert logged == ["skipping slot candidate: malformed slot line: 'x'"] * 2
+
+
+def test_a_repeated_request_is_booked_logged_and_answered_per_call(default_config):
+    slot = SlotCandidate(2025, 3, 22, 13)
+    router, store = _router(default_config, {slot: 1})
+    request = "I want to book an appointment on 03/22/2025 afternoon"
+
+    def s004(event_id):
+        return {
+            "metadata": {"eventId": event_id, "customerId": "C1001", "stepId": "S004"},
+            "keywords": {"outcome": "process", "accepted": {"renew": [], "stop": []}},
+            "extraction": {"outcome": "route", "chosen": {"request": [request]}, "scores": {}},
+        }
+
+    assert router.routing(request, kind="request").destination == "Scheduling"
+    for event_id in ("A1", "A2"):
+        router.handle(Envelope("agents", 0, s004(event_id)))
+    assert router.proposal.cache_info().hits == 1
+    assert [(b["eventId"], b["booked"]) for b in store.bookings.read_all()] == [
+        ("A1", True), ("A2", False)
+    ]
+    assert [(s["eventId"], s["kind"]) for s in store.outbound_sms.read_all()] == [
+        ("A1", "booking-confirmation"), ("A2", "generic")
+    ]
+    assert store.outbound_sms.read_all()[1]["text"] == CALL_US_REPLY

@@ -5,12 +5,19 @@ Tracers and benchmarks replace methods on the instances after
 no hot path may bind one of these methods ahead of the call.  Each count a
 wrapper sees is checked against what the pipeline did, so a path that
 called a method bound at construction would go unseen and fail an equation.
+
+The same wrappers record what each per-key cache of a pipeline answered,
+to check it against the uncached function, and count the scheduler's
+passes against the budget.
 """
+import json
 from collections import Counter
 
+from smsflow.cli import main
 from smsflow.config import default_config_path, default_corpus_path, load_config
 from smsflow.harness import load_corpus
 from smsflow.pipeline import build_pipeline
+from smsflow.renewal import READING_MEMO_SIZE
 
 
 def _wrap(obj, attr: str, calls: Counter, name: str, seen=None):
@@ -72,3 +79,93 @@ def test_instance_wrappers_see_every_hop_of_the_demo_run():
             invoked.update(result)
     assert set(invoked) == set(agents)
     assert {qualifier: calls[qualifier] for qualifier in agents} == dict(invoked)
+
+
+def _caches(pipeline) -> dict[str, tuple[object, str]]:
+    """Every per-key cache of a pipeline, as (owner, attribute) by name."""
+    agents = pipeline.scheduler.sources[1].registry.agents
+    evaluator, router = agents["EvaluatorAgent"], agents["RouterAgent"]
+    caches = {
+        "parser reading": (agents["RenewalAgent"], "reading"),
+        "importance": (evaluator, "importance"),
+        "rule activations": (evaluator, "activations"),
+        "stop risk": (agents["ValidatorAgent"].risk, "assess_keyword"),
+        "routing": (router, "routing"),
+        "proposal": (router, "proposal"),
+    }
+    for model in agents["LlmAgent"].models:
+        caches[f"{model.model_id} reading"] = (model, "reading")
+    return caches
+
+
+def _demo_pipeline():
+    return build_pipeline(
+        load_config(default_config_path()), seed=1, add_keyword_rate=0.1, drop_keyword_rate=0.1
+    )
+
+
+def _run_demo(pipeline, times: int = 1) -> None:
+    try:
+        for _ in range(times):
+            for entry in load_corpus(default_corpus_path()):
+                pipeline.ingest(entry["phone"], entry["text"])
+        assert pipeline.run_to_quiescence()
+    finally:
+        pipeline.close()
+
+
+def test_every_cached_answer_of_the_demo_run_equals_the_uncached_function():
+    pipeline = _demo_pipeline()
+    caches, calls = {}, {}
+    for name, (owner, attr) in _caches(pipeline).items():
+        caches[name], calls[name] = getattr(owner, attr), []
+        _wrap(owner, attr, Counter(), name, calls[name])
+    _run_demo(pipeline, times=2)  # the second pass finds every key cached
+
+    for name, cache in caches.items():
+        info = cache.cache_info()
+        assert info.hits > 0 and info.misses > 0, name
+        assert info.hits + info.misses == len(calls[name])
+        assert info.currsize <= info.maxsize == READING_MEMO_SIZE
+        for args, kwargs, answer in calls[name]:
+            assert cache.__wrapped__(*args, **kwargs) == answer, name
+
+
+def test_two_pipelines_share_no_cache():
+    first, second = _demo_pipeline(), _demo_pipeline()
+    caches = {name: getattr(*where) for name, where in _caches(first).items()}
+    others = {name: getattr(*where) for name, where in _caches(second).items()}
+    assert not {id(c) for c in caches.values()} & {id(c) for c in others.values()}
+    _run_demo(first)
+    second.close()
+    assert all(c.cache_info().currsize > 0 for c in caches.values())
+    assert all(c.cache_info().currsize == 0 for c in others.values())
+
+
+def test_the_budget_counts_every_pass_and_quiescence_is_decided_without_one(tmp_path):
+    config = load_config(default_config_path())
+    corpus = load_corpus(default_corpus_path())
+    finished = []
+    for budget in range(1, 60):
+        pipeline = build_pipeline(config)
+        calls: Counter = Counter()
+        _wrap(pipeline.scheduler, "step", calls, "step")
+        for entry in corpus:
+            pipeline.ingest(entry["phone"], entry["text"])
+        try:
+            quiescent = pipeline.run_to_quiescence(budget)
+        finally:
+            pipeline.close()
+        assert calls["step"] <= budget
+        assert quiescent == (not pipeline.pending_events()), budget
+        if quiescent:
+            finished.append(budget)
+    assert finished == list(range(finished[0], 60))
+
+    # The CLI agrees: one pass fewer than the run needs leaves an event pending.
+    for budget, code in ((finished[0] - 1, 3), (finished[0], 0)):
+        out = tmp_path / str(budget)
+        assert main(["run", "--corpus", str(default_corpus_path()), "--out", str(out),
+                     "--budget", str(budget)]) == code
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["quiescent"] is (code == 0)

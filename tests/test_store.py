@@ -190,6 +190,14 @@ def test_logical_clock_only_advances_when_told():
     assert after == "2025-01-01T00:16:41Z" == clock.now_iso()
 
 
+def test_clock_stamps_equal_strftime_across_a_day_boundary():
+    clock = LogicalClock()
+    for tick in range(86400 + 3601):
+        assert clock.now_iso() == clock.now().strftime("%Y-%m-%dT%H:%M:%SZ"), tick
+        clock.advance()
+    assert clock.now_iso() == "2025-01-02T01:00:01Z"
+
+
 def test_timestamps_parse_as_utc():
     from datetime import datetime, timezone
 

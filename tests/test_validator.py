@@ -4,12 +4,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from fake_chat import chat_models
+from hypothesis import given, settings, strategies as st
 
 from smsflow.config import default_corpus_path
 from smsflow.harness import load_corpus, run_pipeline
 from smsflow.llm import FaultPlan, LlmAgent, LlmExtraction, ScriptedModel
 from smsflow.messages import AGENTS_TOPIC, DegreeOfConfidence
 from smsflow.pool import Envelope, MessagePool
+from smsflow.renewal import READING_MEMO_SIZE
 from smsflow.store import OutboundSmsGateway, PharmacyClient, RunStore
 from smsflow.validator import (
     EXTRACTION_FAIL,
@@ -289,6 +291,40 @@ def test_assessor_falls_back_to_default_profile(default_config):
     _, over_unknown = assessor.assess_keyword("mystery")
     assert not over_known_mild
     assert over_unknown  # conservative default fixture
+
+
+def _assessor(config):
+    return StopRiskAssessor(
+        config.risk_system, config.risk_threshold,
+        config.medication_by_keyword, config.medication_default,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cached_stop_risk_equals_the_uncached_rules(default_config, data):
+    by_keyword = default_config.medication_by_keyword
+    keyword = st.one_of(st.sampled_from(sorted(by_keyword)), st.text(max_size=10))
+    keywords = data.draw(st.lists(keyword, min_size=1, max_size=8))
+    assessor = _assessor(default_config)
+    for kw in keywords + keywords:  # the second round hits
+        inputs = by_keyword.get(kw, default_config.medication_default)
+        assert assessor.assess_keyword(kw) == assess_stop_risk(
+            inputs, default_config.risk_threshold, default_config.risk_system
+        )
+    info = assessor.assess_keyword.cache_info()
+    assert info.misses == info.currsize == len(set(keywords))
+
+
+def test_the_stop_risk_cache_is_bounded_and_its_answers_immutable(default_config):
+    assessor = _assessor(default_config)
+    for i in range(READING_MEMO_SIZE + 5):
+        assessor.assess_keyword(f"unlisted-{i}")
+        assert assessor.assess_keyword.cache_info().currsize <= READING_MEMO_SIZE
+    info = assessor.assess_keyword.cache_info()
+    assert info.currsize == info.maxsize == READING_MEMO_SIZE
+    answer = assessor.assess_keyword("2")
+    assert type(answer) is tuple and assessor.assess_keyword("2") is answer
 
 
 def test_duration_must_be_nonnegative():
