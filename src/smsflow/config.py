@@ -243,6 +243,9 @@ def load_config_text(text: str) -> PipelineConfig:
     phones = _require(customers, "auth", "customers")
     if not isinstance(phones, dict):
         raise ConfigError("customers.auth: must map phone numbers to customer ids")
+    for phone in phones:
+        if not isinstance(phone, str):  # YAML reads +15550001 and 0123 as numbers
+            raise ConfigError(f"customers.auth: phone {phone!r} is not a string; quote it")
     auth = CustomerAuthTable(
         phones={str(k): str(v) for k, v in phones.items()},
         campaign_type=str(customers.get("campaign_type", "renewal")),

@@ -393,7 +393,8 @@ class ChatCompletionModel:
             mood = doc["mood"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise MalformedOutputError(f"reply is not the expected document: {reply!r}") from exc
-        # Untrusted output: the validator lowercases every keyword, the judge normalizes every item.
+        # Untrusted output: the validator discards a keyword that is no canonical of its list's
+        # polarity, the judge normalizes every item.
         strings = all(isinstance(items, list) and all(isinstance(i, str) for i in items) for items in lists)
         if not (strings and isinstance(mood, str)):
             raise MalformedOutputError(f"reply is not lists of strings and a string mood: {reply!r}")

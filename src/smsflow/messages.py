@@ -6,7 +6,9 @@ passes a document on, or builds the next one from it, re-stamps the
 received metadata (:func:`restamped`) rather than converting it.  The
 dataclasses here build documents and hold what is not one: the gateway's
 event (which ``Pipeline.ingest`` returns), the parser's confidence vector
-(the one owner of its wire spelling) and each model's extraction.
+(the one owner of its wire spelling) and a model's extraction, the models'
+interface (``extract`` returns one, ``judge`` takes one); the S003 and S004
+documents carry extractions as dicts.
 """
 from __future__ import annotations
 

@@ -1,9 +1,13 @@
 """Cross-checking of language-model extractions against the parser agent.
 
-Stage 1 compares each model's keyword list with the parser's claims and with
-the literal SMS text, retrying once on disagreement and gating extra stop
-keywords through a fuzzy risk score.  Stage 2 has each model judge the
-other's complaint/request reading; sub-5 scores are discarded.
+The validator reads each S003 document of the extraction stage as the dict
+it is and publishes the S004 document built from the parts its two stages
+return.  Stage 1 compares each model's keyword lists with the parser's
+claims, the lexicon and the literal SMS text, retrying once on disagreement
+and gating extra stop keywords through a fuzzy risk score.  Stage 2 has each
+model judge the other's complaint/request reading; sub-5 scores are
+discarded.  A response becomes an ``LlmExtraction`` only to be handed to a
+judge, the models' interface.
 """
 from __future__ import annotations
 
@@ -25,12 +29,7 @@ from .messages import (
 )
 from .pool import Envelope, MessagePool
 from .renewal import READING_MEMO_SIZE, KeywordLexicon, tokens_of
-from .store import (
-    NOTE_RETRY,
-    OutboundSmsGateway,
-    PharmacyClient,
-    RunStore,
-)
+from .store import NOTE_RETRY, OutboundSmsGateway, PharmacyClient, RunStore
 
 log = logging.getLogger(__name__)
 
@@ -43,6 +42,7 @@ EXTRACTION_ROUTE = "route"
 EXTRACTION_FAIL = "fail"
 
 REASON_MISSING_RA = "missing-ra-keyword"
+REASON_NOT_CANONICAL = "non-canonical-keyword"
 REASON_FABRICATED = "fabricated-keyword"
 REASON_FAILURE_MARKER = "failure-marker"
 
@@ -54,35 +54,6 @@ CONFIRM_STOP_TEXT = (
 )
 
 
-@dataclass(slots=True)
-class ModelResponse:
-    """One model's stage output: an extraction or an explicit failure marker."""
-
-    model_id: str
-    extraction: LlmExtraction | None = None
-    failure: str = ""
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "ModelResponse":
-        if doc.get("failed"):
-            return cls(model_id=doc["model_id"], failure=doc.get("reason", "failed"))
-        return cls(model_id=doc["model_id"], extraction=LlmExtraction.from_doc(doc, doc["model_id"]))
-
-
-@dataclass(slots=True)
-class Discard:
-    model_id: str
-    reason: str
-
-
-@dataclass(slots=True)
-class KeywordVerdict:
-    accepted: tuple[list[str], list[str]] | None
-    discarded: list[Discard]
-    outcome: str
-    risk: float | None = None
-
-
 @dataclass(frozen=True)
 class StopRiskInputs:
     criticality: float
@@ -92,13 +63,6 @@ class StopRiskInputs:
     def __post_init__(self):
         if self.duration_months < 0:
             raise ValueError("duration must be nonnegative")
-
-
-@dataclass(slots=True)
-class ExtractionVerdict:
-    chosen: LlmExtraction | None
-    scores: dict[str, int]
-    outcome: str
 
 
 def assess_stop_risk(
@@ -164,71 +128,78 @@ class StopRiskAssessor:
 
 def validate_keywords(
     ra: dict,
-    a: ModelResponse,
-    b: ModelResponse,
+    a: dict,
+    b: dict,
     original_text: str,
     attempt: int,
     lexicon: KeywordLexicon,
     stop_risk: Callable[[str], tuple[float, bool]],
-) -> KeywordVerdict:
-    """Stage-1 verdict for one message, whose parsed (S001 or S002) document is ``ra``.
+) -> tuple[dict, float | None]:
+    """Stage-1 verdict on the S003 responses ``a`` and ``b`` of one message,
+    whose parsed (S001 or S002) document is ``ra``.
 
-    A response is discarded when it misses a parser-claimed keyword or
-    claims a keyword with no verbatim whole-token occurrence in the original
-    text.  Survivor disagreement retries once, then fails.  Accepted stop
-    keywords beyond the parser's claims are risk-gated.
+    Returns the S004 document's ``keywords`` part and the highest stop risk
+    of the accepted stop keywords the parser did not claim (``None`` when
+    there are none).  A response is discarded when it is a failure marker,
+    misses a parser-claimed keyword, claims a keyword that is not a lexicon
+    canonical of the polarity it is claimed under, or claims one with no
+    verbatim whole-token occurrence in the original text.  Survivor
+    disagreement retries once, then fails.  Accepted stop keywords beyond
+    the parser's claims are risk-gated.
     """
     if attempt not in (1, 2):
         raise ValueError(f"attempt must be 1 or 2, got {attempt}")
     text_tokens = tokens_of(original_text, lexicon)
+    polarities = lexicon.polarities
     ra_renew, ra_stop = set(ra["renew"]), set(ra["stop"])
 
-    discarded: list[Discard] = []
-    survivors: list[ModelResponse] = []
+    discarded: list[dict] = []
+    survivors: list[dict] = []
     for response in (a, b):
-        if response.extraction is None:
-            discarded.append(Discard(response.model_id, REASON_FAILURE_MARKER))
+        renew, stop = response.get("renew", ()), response.get("stop", ())
+        if response.get("failed"):
+            reason = REASON_FAILURE_MARKER
+        elif not (ra_renew <= set(renew) and ra_stop <= set(stop)):
+            reason = REASON_MISSING_RA
+        elif any(polarities.get(kw) != p for p, kws in (("renew", renew), ("stop", stop)) for kw in kws):
+            reason = REASON_NOT_CANONICAL
+        elif any(kw.lower() not in text_tokens for kw in (*renew, *stop)):
+            reason = REASON_FABRICATED
+        else:
+            survivors.append(response)
             continue
-        ext = response.extraction
-        if not (ra_renew <= set(ext.renew) and ra_stop <= set(ext.stop)):
-            discarded.append(Discard(response.model_id, REASON_MISSING_RA))
-            continue
-        if any(kw.lower() not in text_tokens for kw in ext.keywords()):
-            discarded.append(Discard(response.model_id, REASON_FABRICATED))
-            continue
-        survivors.append(response)
+        discarded.append({"model_id": response["model_id"], "reason": reason})
+
+    def verdict(accepted: dict | None, outcome: str) -> dict:
+        return {"accepted": accepted, "discarded": discarded, "outcome": outcome, "attempt": attempt}
 
     if not survivors:
-        return KeywordVerdict(accepted=None, discarded=discarded, outcome=OUTCOME_FAIL)
+        return verdict(None, OUTCOME_FAIL), None
+    first = survivors[0]
+    if len({(frozenset(r["renew"]), frozenset(r["stop"])) for r in survivors}) > 1:  # survivors disagree
+        return verdict(None, OUTCOME_RETRY if attempt == 1 else OUTCOME_FAIL), None
 
-    first = survivors[0].extraction
-    if len(survivors) == 2:
-        second = survivors[1].extraction
-        if set(first.renew) != set(second.renew) or set(first.stop) != set(second.stop):
-            outcome = OUTCOME_RETRY if attempt == 1 else OUTCOME_FAIL
-            return KeywordVerdict(accepted=None, discarded=discarded, outcome=outcome)
-
-    accepted = (list(first.renew), list(first.stop))
-    extra_stop = [kw for kw in accepted[1] if kw not in ra_stop]
     risk: float | None = None
     outcome = OUTCOME_PROCESS
-    for keyword in extra_stop:
-        crisp, over = stop_risk(keyword)
-        risk = crisp if risk is None else max(risk, crisp)
-        if over:
-            outcome = OUTCOME_CONFIRM
-    return KeywordVerdict(accepted=accepted, discarded=discarded, outcome=outcome, risk=risk)
+    for keyword in first["stop"]:
+        if keyword not in ra_stop:
+            crisp, over = stop_risk(keyword)
+            risk = crisp if risk is None else max(risk, crisp)
+            if over:
+                outcome = OUTCOME_CONFIRM
+    return verdict({"renew": first["renew"], "stop": first["stop"]}, outcome), risk
 
 
 def validate_extraction(
     original_text: str,
-    a: ModelResponse,
-    b: ModelResponse,
+    a: dict,
+    b: dict,
     models_by_id: dict,
     lexicon: KeywordLexicon,
     executor: Executor | None = None,
-) -> ExtractionVerdict:
-    """Stage-2 cross-judging: each model scores the other's reading.
+) -> dict:
+    """Stage-2 cross-judging of the S003 responses ``a`` and ``b``: each model
+    scores the other's reading.  Returns the S004 document's ``extraction`` part.
 
     Failure markers (and judge failures) count as score 1.  Scores below 5
     discard the extraction; among the rest the highest score wins, with ties
@@ -236,23 +207,28 @@ def validate_extraction(
     from the first configured model.  ``executor`` overlaps the two judge
     calls.
     """
-    def cross_score(pair: tuple[ModelResponse, str]) -> int:
+    def cross_score(pair: tuple[dict, str]) -> int:
         target, judge_model_id = pair
-        return models_by_id[judge_model_id].judge(original_text, target.extraction, lexicon)
+        extraction = LlmExtraction.from_doc(target, target["model_id"])
+        return models_by_id[judge_model_id].judge(original_text, extraction, lexicon)
 
-    scores = {a.model_id: 1, b.model_id: 1}
-    pairs = [(t, j.model_id) for t, j in ((a, b), (b, a)) if t.extraction is not None]
+    scores = {a["model_id"]: 1, b["model_id"]: 1}
+    pairs = [(t, j["model_id"]) for t, j in ((a, b), (b, a)) if not t.get("failed")]
     for (target, judge_model_id), score in model_results(cross_score, pairs, executor):
         if isinstance(score, MODEL_ERRORS):
-            log.warning("judge %s failed on %s: %s", judge_model_id, target.model_id, score)
+            log.warning("judge %s failed on %s: %s", judge_model_id, target["model_id"], score)
         else:
-            scores[target.model_id] = score
-    candidates = [r for r in (a, b) if r.extraction is not None and scores[r.model_id] >= MIN_ACCEPTED_SCORE]
+            scores[target["model_id"]] = score
+    candidates = [t for t, _ in pairs if scores[t["model_id"]] >= MIN_ACCEPTED_SCORE]
     if not candidates:
-        return ExtractionVerdict(chosen=None, scores=scores, outcome=EXTRACTION_FAIL)
-
-    chosen = max(candidates, key=lambda r: scores[r.model_id])  # the first of equals
-    return ExtractionVerdict(chosen=chosen.extraction, scores=scores, outcome=EXTRACTION_ROUTE)
+        return {"chosen": None, "chosen_model": "", "scores": scores, "outcome": EXTRACTION_FAIL}
+    chosen = max(candidates, key=lambda r: scores[r["model_id"]])  # the first of equals
+    return {
+        "chosen": {key: value for key, value in chosen.items() if key != "model_id"},
+        "chosen_model": chosen["model_id"],
+        "scores": scores,
+        "outcome": EXTRACTION_ROUTE,
+    }
 
 
 class ValidatorAgent:
@@ -293,69 +269,46 @@ class ValidatorAgent:
             return
         original = self.store.fetch_original(event_id)  # MissingOriginalError is fatal by design
         parsed = doc["parsed"]
-        a, b = (ModelResponse.from_doc(r) for r in doc["responses"])
-        attempt = doc["attempt"]
+        a, b = doc["responses"]
 
-        verdict = validate_keywords(
-            parsed, a, b, original, attempt, lexicon=self.lexicon, stop_risk=self.risk.assess_keyword,
+        keywords, risk = validate_keywords(
+            parsed, a, b, original, doc["attempt"], lexicon=self.lexicon, stop_risk=self.risk.assess_keyword,
         )
-        for discard in verdict.discarded:
+        for discard in keywords["discarded"]:
+            model_id, reason = discard["model_id"], discard["reason"]
             self.store.record_step(
-                event_id, STEP_LLM_EXTRACTED, self.qualifier,
-                f"discarded:{discard.model_id}:{discard.reason}",
-                model_id=discard.model_id, reason=discard.reason,
+                event_id, STEP_LLM_EXTRACTED, self.qualifier, f"discarded:{model_id}:{reason}",
+                model_id=model_id, reason=reason,
             )
 
-        if verdict.outcome == OUTCOME_RETRY:
+        outcome = keywords["outcome"]
+        if outcome == OUTCOME_RETRY:
             self.store.record_step(event_id, STEP_LLM_EXTRACTED, self.qualifier, NOTE_RETRY)
             self.pool.publish(AGENTS_TOPIC, parsed)
             return
 
         customer_id = parsed["metadata"]["customerId"]
-        extraction_verdict = None
-        if verdict.outcome == OUTCOME_FAIL:
+        extraction = None
+        if outcome == OUTCOME_FAIL:
             self.outbound.send_contact_support(customer_id, event_id)
         else:
-            if verdict.outcome == OUTCOME_PROCESS:
-                applied = self.pharmacy.apply_keywords(event_id, customer_id, *verdict.accepted)
+            if outcome == OUTCOME_PROCESS:
+                applied = self.pharmacy.apply_keywords(event_id, customer_id, **keywords["accepted"])
                 self.store.record_step(
                     event_id, STEP_VALIDATED, self.qualifier, f"pharmacy-applied:{applied}"
                 )
             else:  # confirm-then-process
                 self.outbound.send_sms(customer_id, CONFIRM_STOP_TEXT, "confirm-stop", event_id)
                 self.store.record_step(
-                    event_id, STEP_VALIDATED, self.qualifier,
-                    f"confirmation-requested risk={verdict.risk}",
+                    event_id, STEP_VALIDATED, self.qualifier, f"confirmation-requested risk={risk}"
                 )
-            extraction_verdict = validate_extraction(
-                original, a, b, self.models_by_id, self.lexicon, self.executor
-            )
-            if extraction_verdict.outcome == EXTRACTION_FAIL:
+            extraction = validate_extraction(original, a, b, self.models_by_id, self.lexicon, self.executor)
+            if extraction["outcome"] == EXTRACTION_FAIL:
                 self.outbound.send_contact_support(customer_id, event_id)
 
         # The verdict publication itself is observed by the tracking agent.
         self.pool.publish(AGENTS_TOPIC, {
             "metadata": restamped(parsed["metadata"], STEP_VALIDATED, self.store.clock.now_iso()),
-            "keywords": {
-                "accepted": (
-                    {"renew": verdict.accepted[0], "stop": verdict.accepted[1]}
-                    if verdict.accepted is not None
-                    else None
-                ),
-                "discarded": [
-                    {"model_id": d.model_id, "reason": d.reason} for d in verdict.discarded
-                ],
-                "outcome": verdict.outcome,
-                "attempt": attempt,
-            },
-            "extraction": (
-                {
-                    "chosen": extraction_verdict.chosen.to_doc() if extraction_verdict.chosen else None,
-                    "chosen_model": extraction_verdict.chosen.model_id if extraction_verdict.chosen else "",
-                    "scores": extraction_verdict.scores,
-                    "outcome": extraction_verdict.outcome,
-                }
-                if extraction_verdict is not None
-                else None
-            ),
+            "keywords": keywords,
+            "extraction": extraction,
         })

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import random
 from pathlib import Path
 
@@ -19,6 +20,13 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(
                 pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
             )
+
+
+@pytest.fixture(autouse=True)
+def smsflow_records_reach_caplog(monkeypatch):
+    """``caplog`` sees smsflow's log records also after a module loaded earlier
+    in the session (the benchmark runner) stopped them propagating."""
+    monkeypatch.setattr(logging.getLogger("smsflow"), "propagate", True)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from smsflow.fuzzy.inference import FuzzyOutput
 from smsflow.harness import load_corpus, render_report_json, run_pipeline
 from smsflow.llm import LlmExtraction, ScriptedModel
 from smsflow.renewal import segment, strip_politeness
-from smsflow.validator import ModelResponse, validate_extraction
+from smsflow.validator import validate_extraction
 
 from conftest import remaining_bookings
 
@@ -298,15 +298,15 @@ def test_criterion_7_stage_two_judging(config):
             return self.table[extraction.model_id]
 
     def verdict(table):
-        a = ModelResponse("alpha", LlmExtraction(complaint=["x"], model_id="alpha"))
-        b = ModelResponse("beta", LlmExtraction(complaint=["y"], model_id="beta"))
+        a = {"model_id": "alpha", **LlmExtraction(complaint=["x"]).to_doc()}
+        b = {"model_id": "beta", **LlmExtraction(complaint=["y"]).to_doc()}
         models = {"alpha": FixedJudge("alpha", table), "beta": FixedJudge("beta", table)}
         return validate_extraction("text", a, b, models, lexicon)
 
-    assert verdict({"alpha": 7, "beta": 3}).chosen.model_id == "alpha"
-    assert verdict({"alpha": 6, "beta": 9}).chosen.model_id == "beta"
-    assert verdict({"alpha": 8, "beta": 8}).chosen.model_id == "alpha"
-    assert verdict({"alpha": 2, "beta": 4}).outcome == "fail"
+    assert verdict({"alpha": 7, "beta": 3})["chosen_model"] == "alpha"
+    assert verdict({"alpha": 6, "beta": 9})["chosen_model"] == "beta"
+    assert verdict({"alpha": 8, "beta": 8})["chosen_model"] == "alpha"
+    assert verdict({"alpha": 2, "beta": 4})["outcome"] == "fail"
 
     # Both readings judged below 5 in the pipeline: exactly one support SMS.
     corpus = [{"phone": "+15550001", "text": "1. The sky is blue. Trees are green. Water is wet."}]

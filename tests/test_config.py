@@ -113,6 +113,14 @@ def test_malformed_bundle_error_names_its_section(edit, message):
         load_config_text(yaml.safe_dump(bundle))
 
 
+@pytest.mark.parametrize("entry, read_as", [("+15550001: C1001", "15550001"), ("0123: C1001", "83")])
+def test_an_unquoted_phone_number_is_an_error_naming_it(entry, read_as):
+    text = default_config_path().read_text(encoding="utf-8")
+    assert '"+15550001": "C1001"' in text
+    with pytest.raises(ConfigError, match=f"^customers.auth: phone {read_as} is not a string"):
+        load_config_text(text.replace('"+15550001": "C1001"', entry))
+
+
 def _run_cli(tmp_path, bundle) -> int:
     config_path = tmp_path / "config.yaml"
     config_path.write_text(yaml.safe_dump(bundle), encoding="utf-8")

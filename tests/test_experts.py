@@ -344,20 +344,13 @@ def test_a_caller_that_mutates_a_routing_or_booking_changes_no_later_answer(defa
     assert again.booked == slot and again.candidates[0] == slot and again.warnings == []
 
 
-def test_book_first_logs_each_skipped_line_per_call():
+def test_book_first_logs_each_skipped_line_per_call(caplog):
     proposal = ((SlotCandidate(2025, 3, 22, 15),), ("malformed slot line: 'x'",))
     availability = AvailabilityStore({SlotCandidate(2025, 3, 22, 15): 2})
-    logged = []
-    handler = logging.Handler(logging.WARNING)
-    handler.emit = lambda record: logged.append(record.getMessage())
-    logger = logging.getLogger("smsflow.experts")
-    logger.addHandler(handler)
-    try:
+    with caplog.at_level(logging.WARNING, logger="smsflow.experts"):
         results = [book_first(proposal, availability) for _ in range(2)]
-    finally:
-        logger.removeHandler(handler)
     assert [r.warnings for r in results] == [["malformed slot line: 'x'"]] * 2
-    assert logged == ["skipping slot candidate: malformed slot line: 'x'"] * 2
+    assert caplog.messages == ["skipping slot candidate: malformed slot line: 'x'"] * 2
 
 
 def test_a_repeated_request_is_booked_logged_and_answered_per_call(default_config):

@@ -1,6 +1,8 @@
+import json
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 from fake_chat import chat_models
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from smsflow.config import default_corpus_path
 from smsflow.harness import load_corpus, run_pipeline
-from smsflow.llm import FaultPlan, LlmAgent, LlmExtraction, ScriptedModel
+from smsflow.llm import FaultPlan, LlmAgent, ScriptedModel
 from smsflow.messages import AGENTS_TOPIC, DegreeOfConfidence
 from smsflow.pool import Envelope, MessagePool
 from smsflow.renewal import READING_MEMO_SIZE
@@ -23,7 +25,7 @@ from smsflow.validator import (
     REASON_FABRICATED,
     REASON_FAILURE_MARKER,
     REASON_MISSING_RA,
-    ModelResponse,
+    REASON_NOT_CANONICAL,
     StopRiskAssessor,
     StopRiskInputs,
     ValidatorAgent,
@@ -50,14 +52,16 @@ def _ra(renew=(), stop=(), event_id="A1001"):
 
 
 def _resp(model_id, renew=(), stop=(), complaint=(), request=()):
-    return ModelResponse(
-        model_id=model_id,
-        extraction=LlmExtraction(
-            renew=list(renew), stop=list(stop),
-            complaint=list(complaint), request=list(request),
-            model_id=model_id,
-        ),
-    )
+    """One model's response in an S003 document."""
+    return {
+        "model_id": model_id, "renew": list(renew), "stop": list(stop),
+        "complaint": list(complaint), "request": list(request), "mood": "neutral",
+    }
+
+
+def _failed(model_id):
+    """One model's failure marker in an S003 document."""
+    return {"model_id": model_id, "failed": True, "reason": "offline"}
 
 
 def _never_over(keyword):
@@ -72,75 +76,75 @@ def test_fabricated_keyword_discards_that_response(lexicon):
     ra = _ra(renew=("1",), stop=("unenroll",))
     a = _resp("alpha", renew=("1", "renew"), stop=("unenroll",))
     b = _resp("beta", renew=("1",), stop=("unenroll",))
-    verdict = validate_keywords(ra, a, b, "1, unenroll. Thank you", 1, lexicon, _never_over)
-    assert verdict.discarded == [type(verdict.discarded[0])("alpha", REASON_FABRICATED)]
-    assert verdict.outcome == OUTCOME_PROCESS
-    assert verdict.accepted == (["1"], ["unenroll"])
+    verdict, _ = validate_keywords(ra, a, b, "1, unenroll. Thank you", 1, lexicon, _never_over)
+    assert verdict["discarded"] == [{"model_id": "alpha", "reason": REASON_FABRICATED}]
+    assert verdict["outcome"] == OUTCOME_PROCESS
+    assert verdict["accepted"] == {"renew": ["1"], "stop": ["unenroll"]}
 
 
 def test_agreement_accepts_directly(lexicon):
     ra = _ra(renew=("1",), stop=("unenroll",))
     a = _resp("alpha", renew=("1",), stop=("unenroll",))
     b = _resp("beta", renew=("1",), stop=("unenroll",))
-    verdict = validate_keywords(ra, a, b, "1, unenroll. Thank you", 1, lexicon, _never_over)
-    assert verdict.outcome == OUTCOME_PROCESS and not verdict.discarded
+    verdict, _ = validate_keywords(ra, a, b, "1, unenroll. Thank you", 1, lexicon, _never_over)
+    assert verdict["outcome"] == OUTCOME_PROCESS and not verdict["discarded"]
 
 
 def test_chronic_critical_stop_extra_requires_confirmation(lexicon):
     ra = _ra()
     a = _resp("alpha", stop=("stop",))
     b = _resp("beta", stop=("stop",))
-    verdict = validate_keywords(
+    verdict, risk = validate_keywords(
         ra, a, b, "Please stop sending me text messages", 1, lexicon, _always_over
     )
-    assert verdict.outcome == OUTCOME_CONFIRM
-    assert verdict.accepted == ([], ["stop"])
-    assert verdict.risk == pytest.approx(0.9)
+    assert verdict["outcome"] == OUTCOME_CONFIRM
+    assert verdict["accepted"] == {"renew": [], "stop": ["stop"]}
+    assert risk == pytest.approx(0.9)
 
 
 def test_low_risk_stop_extra_processes(lexicon):
     ra = _ra()
     a = _resp("alpha", stop=("2",))
     b = _resp("beta", stop=("2",))
-    verdict = validate_keywords(ra, a, b, "no, 2", 1, lexicon, _never_over)
-    assert verdict.outcome == OUTCOME_PROCESS
+    verdict, _ = validate_keywords(ra, a, b, "no, 2", 1, lexicon, _never_over)
+    assert verdict["outcome"] == OUTCOME_PROCESS
 
 
 def test_renew_extras_are_low_risk_by_fiat(lexicon):
     ra = _ra()
     a = _resp("alpha", renew=("1",))
     b = _resp("beta", renew=("1",))
-    verdict = validate_keywords(
+    verdict, _ = validate_keywords(
         ra, a, b, "Could you please do 1", 1, lexicon, _always_over
     )
-    assert verdict.outcome == OUTCOME_PROCESS  # risk gate never consulted
+    assert verdict["outcome"] == OUTCOME_PROCESS  # risk gate never consulted
 
 
 def test_missing_ra_keyword_discards(lexicon):
     ra = _ra(renew=("1",))
     a = _resp("alpha", renew=())  # dropped the parser's claim
     b = _resp("beta", renew=("1",))
-    verdict = validate_keywords(ra, a, b, "1", 1, lexicon, _never_over)
-    assert [d.reason for d in verdict.discarded] == [REASON_MISSING_RA]
-    assert verdict.accepted == (["1"], [])
+    verdict, _ = validate_keywords(ra, a, b, "1", 1, lexicon, _never_over)
+    assert [d["reason"] for d in verdict["discarded"]] == [REASON_MISSING_RA]
+    assert verdict["accepted"] == {"renew": ["1"], "stop": []}
 
 
 def test_failure_marker_counts_as_discard(lexicon):
     ra = _ra(renew=("1",))
-    a = ModelResponse(model_id="alpha", failure="offline")
+    a = _failed("alpha")
     b = _resp("beta", renew=("1",))
-    verdict = validate_keywords(ra, a, b, "1", 1, lexicon, _never_over)
-    assert [d.reason for d in verdict.discarded] == [REASON_FAILURE_MARKER]
-    assert verdict.outcome == OUTCOME_PROCESS
+    verdict, _ = validate_keywords(ra, a, b, "1", 1, lexicon, _never_over)
+    assert [d["reason"] for d in verdict["discarded"]] == [REASON_FAILURE_MARKER]
+    assert verdict["outcome"] == OUTCOME_PROCESS
 
 
 def test_both_discarded_fails(lexicon):
     ra = _ra(renew=("1",))
-    a = ModelResponse(model_id="alpha", failure="offline")
+    a = _failed("alpha")
     b = _resp("beta", renew=("1", "enroll"))  # "enroll" absent from the text
-    verdict = validate_keywords(ra, a, b, "1", 1, lexicon, _never_over)
-    assert verdict.outcome == OUTCOME_FAIL and verdict.accepted is None
-    assert len(verdict.discarded) == 2
+    verdict, _ = validate_keywords(ra, a, b, "1", 1, lexicon, _never_over)
+    assert verdict["outcome"] == OUTCOME_FAIL and verdict["accepted"] is None
+    assert len(verdict["discarded"]) == 2
 
 
 def test_survivor_disagreement_retries_then_fails(lexicon):
@@ -148,10 +152,10 @@ def test_survivor_disagreement_retries_then_fails(lexicon):
     a = _resp("alpha", renew=("1",))
     b = _resp("beta", renew=())
     text = "Could you please do 1"
-    first = validate_keywords(ra, a, b, text, 1, lexicon, _never_over)
-    assert first.outcome == OUTCOME_RETRY and first.accepted is None
-    second = validate_keywords(ra, a, b, text, 2, lexicon, _never_over)
-    assert second.outcome == OUTCOME_FAIL
+    first, _ = validate_keywords(ra, a, b, text, 1, lexicon, _never_over)
+    assert first["outcome"] == OUTCOME_RETRY and first["accepted"] is None
+    second, _ = validate_keywords(ra, a, b, text, 2, lexicon, _never_over)
+    assert second["outcome"] == OUTCOME_FAIL
 
 
 def test_occurrence_check_is_whole_token(lexicon):
@@ -160,8 +164,8 @@ def test_occurrence_check_is_whole_token(lexicon):
     ra = _ra()
     a = _resp("alpha", renew=("renew",))
     b = _resp("beta", renew=())
-    verdict = validate_keywords(ra, a, b, "my renewal lapsed", 1, lexicon, _never_over)
-    assert [d.reason for d in verdict.discarded] == [REASON_FABRICATED]
+    verdict, _ = validate_keywords(ra, a, b, "my renewal lapsed", 1, lexicon, _never_over)
+    assert [d["reason"] for d in verdict["discarded"]] == [REASON_FABRICATED]
 
 
 def test_attempt_must_be_one_or_two(lexicon):
@@ -192,13 +196,12 @@ def test_accepted_set_always_covers_ra_claims(lexicon):
             stop = list(ra_stop) + [c for c in ("2", "unenroll", "stop") if rng.random() < 0.3]
             return _resp(model, renew=dict.fromkeys(renew), stop=dict.fromkeys(stop))
 
-        verdict = validate_keywords(
+        verdict, _ = validate_keywords(
             ra, response("alpha"), response("beta"), text, 1, lexicon, _never_over
         )
-        if verdict.outcome in (OUTCOME_PROCESS, OUTCOME_CONFIRM):
-            accepted_renew, accepted_stop = verdict.accepted
-            assert set(ra_renew) <= set(accepted_renew)
-            assert set(ra_stop) <= set(accepted_stop)
+        if verdict["outcome"] in (OUTCOME_PROCESS, OUTCOME_CONFIRM):
+            assert set(ra_renew) <= set(verdict["accepted"]["renew"])
+            assert set(ra_stop) <= set(verdict["accepted"]["stop"])
 
 
 # -- stop-risk scoring ---------------------------------------------------------
@@ -356,19 +359,20 @@ def _judged(scores, lexicon, a=None, b=None):
 
 def test_sub_five_score_discards_that_extraction(lexicon):
     verdict = _judged({"alpha": 7, "beta": 3}, lexicon)
-    assert verdict.outcome == EXTRACTION_ROUTE
-    assert verdict.chosen.model_id == "alpha"
-    assert verdict.scores == {"alpha": 7, "beta": 3}
+    assert verdict["outcome"] == EXTRACTION_ROUTE
+    assert verdict["chosen_model"] == "alpha"
+    assert verdict["chosen"]["complaint"] == ["x"]
+    assert verdict["scores"] == {"alpha": 7, "beta": 3}
 
 
 def test_both_sub_five_fails(lexicon):
     verdict = _judged({"alpha": 2, "beta": 4}, lexicon)
-    assert verdict.outcome == EXTRACTION_FAIL and verdict.chosen is None
+    assert verdict["outcome"] == EXTRACTION_FAIL and verdict["chosen"] is None
 
 
 def test_tie_goes_to_first_configured_model(lexicon):
     verdict = _judged({"alpha": 8, "beta": 8}, lexicon)
-    assert verdict.chosen.model_id == "alpha"
+    assert verdict["chosen_model"] == "alpha"
 
 
 def test_tie_goes_to_the_model_the_stage_document_lists_first(default_config):
@@ -395,24 +399,22 @@ def test_tie_goes_to_the_model_the_stage_document_lists_first(default_config):
 
 def test_higher_score_wins_regardless_of_order(lexicon):
     verdict = _judged({"alpha": 6, "beta": 9}, lexicon)
-    assert verdict.chosen.model_id == "beta"
+    assert verdict["chosen_model"] == "beta"
 
 
 def test_failure_marker_scores_one(lexicon):
-    a = ModelResponse(model_id="alpha", failure="offline")
-    verdict = _judged({"alpha": 10, "beta": 10}, lexicon, a=a)
-    assert verdict.scores["alpha"] == 1
-    assert verdict.chosen.model_id == "beta"
+    verdict = _judged({"alpha": 10, "beta": 10}, lexicon, a=_failed("alpha"))
+    assert verdict["scores"]["alpha"] == 1
+    assert verdict["chosen_model"] == "beta"
 
 
 def test_two_failure_markers_fail_without_judging(lexicon):
-    a = ModelResponse(model_id="alpha", failure="offline")
-    b = ModelResponse(model_id="beta", failure="offline")
+    a, b = _failed("alpha"), _failed("beta")
     models = {m.model_id: m for m in chat_models(lexicon, error=AssertionError("judged"))}
     with ThreadPoolExecutor(1) as executor:
         verdict = validate_extraction("text", a, b, models, lexicon, executor)
-    assert verdict.outcome == EXTRACTION_FAIL
-    assert verdict.scores == {"alpha": 1, "beta": 1}
+    assert verdict["outcome"] == EXTRACTION_FAIL
+    assert verdict["scores"] == {"alpha": 1, "beta": 1}
 
 
 def test_chosen_extraction_always_clears_the_bar(lexicon):
@@ -420,8 +422,8 @@ def test_chosen_extraction_always_clears_the_bar(lexicon):
     for _ in range(100):
         scores = {"alpha": rng.randint(1, 10), "beta": rng.randint(1, 10)}
         verdict = _judged(scores, lexicon)
-        if verdict.outcome == EXTRACTION_ROUTE:
-            assert verdict.scores[verdict.chosen.model_id] >= 5
+        if verdict["outcome"] == EXTRACTION_ROUTE:
+            assert verdict["scores"][verdict["chosen_model"]] >= 5
         else:
             assert max(scores.values()) < 5
 
@@ -429,14 +431,14 @@ def test_chosen_extraction_always_clears_the_bar(lexicon):
 def test_scripted_cross_judging_end_to_end(lexicon):
     alpha, beta = ScriptedModel("alpha"), ScriptedModel("beta")
     original = "1. I want to book a flu shot"
-    a = ModelResponse("alpha", alpha.extract(original, lexicon))
-    b = ModelResponse("beta", beta.extract(original, lexicon))
+    a = {"model_id": "alpha", **alpha.extract(original, lexicon).to_doc()}
+    b = {"model_id": "beta", **beta.extract(original, lexicon).to_doc()}
     verdict = validate_extraction(
         original, a, b, {"alpha": alpha, "beta": beta}, lexicon
     )
-    assert verdict.outcome == EXTRACTION_ROUTE
-    assert verdict.scores == {"alpha": 10, "beta": 10}
-    assert verdict.chosen.model_id == "alpha"
+    assert verdict["outcome"] == EXTRACTION_ROUTE
+    assert verdict["scores"] == {"alpha": 10, "beta": 10}
+    assert verdict["chosen_model"] == "alpha"
 
 
 def test_cross_judging_overlaps_the_two_judge_calls(lexicon):
@@ -454,8 +456,8 @@ def test_cross_judging_overlaps_the_two_judge_calls(lexicon):
             original, a, b, models, lexicon, executor
         )
     assert not barrier.broken
-    assert verdict.scores == serial.scores == {"alpha": 10, "beta": 8}
-    assert verdict.chosen.model_id == "alpha"
+    assert verdict["scores"] == serial["scores"] == {"alpha": 10, "beta": 8}
+    assert verdict["chosen_model"] == "alpha"
 
 
 def _validator(pipeline):
@@ -492,3 +494,154 @@ def test_validator_holds_no_event_state_after_a_run(default_config, monkeypatch)
     )
     assert result.pending == ["A1001"] + [f"A{n}" for n in range(1003, 1011)]
     assert _event_state(result.pipeline) == {}
+
+
+# -- the S004 document of each verdict path --------------------------------------
+
+_FLU_SHOT = "I want to book a flu shot"
+
+
+def _response(model_id, renew=(), stop=()):
+    return _resp(model_id, renew, stop, request=[_FLU_SHOT])
+
+
+def _handled(
+    default_config, responses, *, parsed, text=f"1. {_FLU_SHOT}", attempt=1, scores=None,
+    stop_risk=_never_over,
+):
+    """The payloads the validator publishes for one S003 document, and its store."""
+    store, pool = RunStore(), MessagePool()
+    published = pool.subscribe(AGENTS_TOPIC)
+    store.store_original("A1001", text)
+    scores = scores or {"alpha": 8, "beta": 8}
+    validator = ValidatorAgent(
+        [FixedJudge("alpha", scores), FixedJudge("beta", scores)], default_config.lexicon,
+        SimpleNamespace(assess_keyword=stop_risk), store, pool,
+        PharmacyClient(store), OutboundSmsGateway(store),
+    )
+    s003 = {
+        "metadata": {**parsed["metadata"], "stepId": "S003"},
+        "parsed": parsed, "attempt": attempt, "responses": responses,
+    }
+    validator.handle(Envelope(AGENTS_TOPIC, 0, s003))
+    return [e.payload for e in published.poll(10)], store
+
+
+def _s004(keywords, extraction):
+    return {"metadata": {**_ra()["metadata"], "stepId": "S004"}, "keywords": keywords, "extraction": extraction}
+
+
+def _chosen(renew=(), stop=()):
+    return {"renew": list(renew), "stop": list(stop), "complaint": [], "request": [_FLU_SHOT], "mood": "neutral"}
+
+
+def _assert_pinned(published, expected):
+    """Equal documents with their keys in the same order, so equal bytes."""
+    assert published == [expected]
+    assert json.dumps(published[0]) == json.dumps(expected)
+
+
+def test_the_s004_document_of_a_processed_verdict(default_config):
+    published, _ = _handled(
+        default_config, [_response("alpha", renew=["1"]), _response("beta", renew=["1"])],
+        parsed=_ra(renew=["1"]),
+    )
+    _assert_pinned(published, _s004(
+        {"accepted": {"renew": ["1"], "stop": []}, "discarded": [], "outcome": "process", "attempt": 1},
+        {"chosen": _chosen(renew=["1"]), "chosen_model": "alpha", "scores": {"alpha": 8, "beta": 8},
+         "outcome": "route"},
+    ))
+
+
+def test_the_s004_document_of_a_confirmation(default_config):
+    published, store = _handled(
+        default_config, [_response("alpha", stop=["stop"]), _response("beta", stop=["stop"])],
+        parsed=_ra(), text="Please stop. I want to book a flu shot",
+        scores={"alpha": 6, "beta": 9}, stop_risk=_always_over,
+    )
+    _assert_pinned(published, _s004(
+        {"accepted": {"renew": [], "stop": ["stop"]}, "discarded": [], "outcome": "confirm-then-process",
+         "attempt": 1},
+        {"chosen": _chosen(stop=["stop"]), "chosen_model": "beta", "scores": {"alpha": 6, "beta": 9},
+         "outcome": "route"},
+    ))
+    assert [s["kind"] for s in store.outbound_sms.read_all()] == ["confirm-stop"]
+
+
+def test_a_retry_republishes_the_parsed_document_unchanged(default_config):
+    parsed = _ra()
+    published, _ = _handled(
+        default_config, [_response("alpha", renew=["1"]), _response("beta")], parsed=parsed,
+    )
+    assert published == [_ra()] and published[0] is parsed
+
+
+def test_the_s004_document_of_a_stage_one_failure(default_config):
+    published, store = _handled(
+        default_config,
+        [_response("alpha", renew=["1", "enroll"]), _response("beta")],
+        parsed=_ra(renew=["1"]), attempt=2,
+    )
+    _assert_pinned(published, _s004(
+        {"accepted": None,
+         "discarded": [{"model_id": "alpha", "reason": "fabricated-keyword"},
+                       {"model_id": "beta", "reason": "missing-ra-keyword"}],
+         "outcome": "fail", "attempt": 2},
+        None,
+    ))
+    assert [(s["model_id"], s["reason"]) for s in store.steps.read_all() if "reason" in s] == [
+        ("alpha", "fabricated-keyword"), ("beta", "missing-ra-keyword")
+    ]
+
+
+def test_the_s004_document_with_a_failure_marker(default_config):
+    published, _ = _handled(
+        default_config,
+        [_failed("alpha"), _response("beta", renew=["1"])],
+        parsed=_ra(renew=["1"]), scores={"alpha": 10, "beta": 7},
+    )
+    _assert_pinned(published, _s004(
+        {"accepted": {"renew": ["1"], "stop": []},
+         "discarded": [{"model_id": "alpha", "reason": "failure-marker"}],
+         "outcome": "process", "attempt": 1},
+        {"chosen": _chosen(renew=["1"]), "chosen_model": "beta", "scores": {"alpha": 1, "beta": 7},
+         "outcome": "route"},
+    ))
+
+
+def test_the_s004_document_of_a_stage_two_failure(default_config):
+    published, store = _handled(
+        default_config, [_response("alpha", renew=["1"]), _response("beta", renew=["1"])],
+        parsed=_ra(renew=["1"]), scores={"alpha": 2, "beta": 4},
+    )
+    _assert_pinned(published, _s004(
+        {"accepted": {"renew": ["1"], "stop": []}, "discarded": [], "outcome": "process", "attempt": 1},
+        {"chosen": None, "chosen_model": "", "scores": {"alpha": 2, "beta": 4}, "outcome": "fail"},
+    ))
+    assert [s["kind"] for s in store.outbound_sms.read_all()] == ["contact-support"]
+
+
+@pytest.mark.parametrize("text, renew, stop", [
+    ("I want my pills", ["pills"], []),  # a word of the text, but no keyword
+    ("Unenroll", [], ["Unenroll"]),  # a keyword's spelling, not its canonical
+    ("renew", [], ["renew"]),  # a canonical under the other polarity
+    ("2", ["2"], []),
+])
+def test_a_keyword_that_is_no_canonical_of_its_polarity_is_never_applied(default_config, text, renew, stop):
+    responses = [_response("alpha", renew, stop), _response("beta", renew, stop)]
+    published, store = _handled(default_config, responses, parsed=_ra(), text=text)
+    assert published[0]["keywords"]["discarded"] == [
+        {"model_id": "alpha", "reason": "non-canonical-keyword"},
+        {"model_id": "beta", "reason": "non-canonical-keyword"},
+    ]
+    assert published[0]["keywords"]["outcome"] == "fail"
+    assert store.pharmacy.read_all() == []
+    assert [s["kind"] for s in store.outbound_sms.read_all()] == ["contact-support"]
+
+
+def test_the_canonical_check_comes_before_the_verbatim_one(lexicon):
+    a = _resp("alpha", renew=["pills"])  # neither a canonical nor in the text
+    b = _resp("beta", renew=["1"])
+    verdict, _ = validate_keywords(_ra(), a, b, "1", 1, lexicon, _never_over)
+    assert verdict["discarded"] == [{"model_id": "alpha", "reason": REASON_NOT_CANONICAL}]
+    assert verdict["accepted"] == {"renew": ["1"], "stop": []}
