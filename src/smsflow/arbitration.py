@@ -166,7 +166,7 @@ class EvaluatorAgent:
 
         store.record_step(
             event_id, STEP_PARSED, self.qualifier, f"decision:{decision.action}",
-            payload={"activations": decision.activations, "importance": decision.importance},
+            activations=decision.activations, importance=decision.importance,
             ra={"renew": doc["renew"], "stop": doc["stop"], "confidence": doc["degreeOfConfidence"]},
         )
         if decision.action == ACTION_PROCESS_DIRECT:

@@ -74,9 +74,6 @@ class RoutingDecision:
     destination: str
     next_inputs: str
 
-    def to_doc(self) -> dict:
-        return {"destination": self.destination, "next_inputs": self.next_inputs}
-
 
 def _item_tokens(text: str) -> list[str]:
     return [t for t in _NON_WORD_RUNS.split(text.lower()) if t]
@@ -392,8 +389,7 @@ class RouterAgent:
         decision = self.routing(item, kind=item_kind)
         self.store.record_step(
             event_id, STEP_VALIDATED, self.qualifier,
-            f"routed-to:{decision.destination}", payload=decision.to_doc(),
-            destination=decision.destination,
+            f"routed-to:{decision.destination}", destination=decision.destination,
         )
         registration = self._by_qualifier[decision.destination]
         if registration.queue:

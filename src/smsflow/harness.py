@@ -324,9 +324,7 @@ def trace_lines(run_dir: Path | str, event_id: str) -> list[str] | None:
         return None
     records.sort(key=lambda r: r["seq"])
     return [
-        f"{r['recorded_at']}  {r['stepId']:<5} {r['agent']:<24} {r['note']}"
-        + (f"  [{r['digest']}]" if r["digest"] else "")
-        for r in records
+        f"{r['recorded_at']}  {r['stepId']:<5} {r['agent']:<24} {r['note']}" for r in records
     ]
 
 

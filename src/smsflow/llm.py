@@ -429,7 +429,8 @@ class LlmAgent:
         """Run both configured models on one forwarded S002 document.
 
         Publishes one stage-S003 document holding ``parsed`` as received, the
-        ``attempt`` the models ran at and ``responses``: per model, in model
+        ``attempt`` the models ran at (``parsed["attempt"]``, which only the
+        validator's retry sets, else 1) and ``responses``: per model, in model
         order also when ``executor`` overlaps the two calls, an extraction or
         an explicit failure marker.  The validator decides the event from that
         document alone.  An exception other than a model error leaves the
@@ -440,7 +441,7 @@ class LlmAgent:
         store = self.store
         metadata = parsed["metadata"]
         event_id = metadata["eventId"]
-        attempt = 1 + store.retry_count(event_id)
+        attempt = parsed.get("attempt", 1)
         original = store.fetch_original(event_id)
 
         def extract(model):

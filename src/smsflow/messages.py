@@ -12,8 +12,6 @@ documents carry extractions as dicts.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -40,31 +38,6 @@ def event_and_step(doc: Any) -> tuple[str, str]:
 def restamped(metadata: dict, step: str, last_update: str) -> dict:
     """A copy of a document's ``metadata`` at ``step``, last updated at ``last_update``."""
     return {**metadata, "stepId": step, "lastUpdateTime": last_update}
-
-
-def sorted_json_encoder(item_separator: str, key_separator: str):
-    """CPython's C encoder for ``json.dumps(doc, sort_keys=True)`` with these separators.
-
-    ``json.dumps`` with non-default options builds a new encoder per call;
-    this one is built once.  Called as ``encode(doc, 0)``, it returns chunks
-    to join.  It keeps no state between calls: it does not check for
-    circular references, so a cyclic value raises ``RecursionError``.
-    """
-    return json.encoder.c_make_encoder(
-        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
-        key_separator, item_separator, True, False, True,
-    )
-
-
-_canonical_chunks = sorted_json_encoder(",", ":")
-
-
-def canonical_json(doc: Any) -> str:
-    return "".join(_canonical_chunks(doc, 0))
-
-
-def payload_digest(doc: Any) -> str:
-    return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass(slots=True)

@@ -63,9 +63,8 @@ class MessageTrackingAgent:
         self.store = store
 
     def handle(self, envelope) -> None:
-        doc = envelope.payload
-        event_id, step = event_and_step(doc)
-        self.store.record_step(event_id, step, self.qualifier, "observed", payload=doc)
+        event_id, step = event_and_step(envelope.payload)
+        self.store.record_step(event_id, step, self.qualifier, "observed")
 
 
 class Scheduler:

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from .messages import (
-    INCOMING_TOPIC,
-    STEP_INGESTED,
-    Metadata,
-    SmsEvent,
-    payload_digest,
-    sorted_json_encoder,
-)
+from .messages import INCOMING_TOPIC, STEP_INGESTED, Metadata, SmsEvent
 from .pool import MessagePool
 
 log = logging.getLogger(__name__)
@@ -44,7 +37,7 @@ TERMINAL_UNROUTED = "unrouted"
 NOTE_RETRY = "retry-requested"
 
 # The keys of every step record; a typed step field may not reuse one.
-STEP_KEYS = frozenset(("seq", "eventId", "stepId", "agent", "note", "digest", "recorded_at", "terminal"))
+STEP_KEYS = frozenset(("seq", "eventId", "stepId", "agent", "note", "recorded_at", "terminal"))
 
 
 class MissingOriginalError(KeyError):
@@ -87,8 +80,15 @@ class LogicalClock:
         return self._iso
 
 
-# ``json.dumps(record, sort_keys=True)``, with its C encoder built once.
-_jsonl_chunks = sorted_json_encoder(", ", ": ")
+# CPython's C encoder for ``json.dumps(record, sort_keys=True)``, built once:
+# ``json.dumps`` with non-default options builds a new encoder per call.
+# Called as ``_jsonl_chunks(record, 0)``, it returns chunks to join.  It keeps
+# no state between calls: it does not check for circular references, so a
+# cyclic value raises ``RecursionError``.
+_jsonl_chunks = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+    ": ", ", ", True, False, True,
+)
 
 
 class JsonlLog:
@@ -200,7 +200,6 @@ class RunStore:
         step_id: str,
         agent: str,
         note: str,
-        payload=None,
         terminal: bool = False,
         **fields,
     ) -> dict:
@@ -212,7 +211,6 @@ class RunStore:
         """
         if fields and not STEP_KEYS.isdisjoint(fields):
             raise ValueError(f"step fields {sorted(STEP_KEYS & fields.keys())} shadow base keys")
-        digest = payload_digest(payload) if payload is not None else ""
         recorded_at = self.clock.now_iso()
         with self._steps_lock:
             self._seq += 1
@@ -222,7 +220,6 @@ class RunStore:
                 "stepId": step_id,
                 "agent": agent,
                 "note": note,
-                "digest": digest,
                 "recorded_at": recorded_at,
                 "terminal": terminal,
             }
@@ -246,12 +243,6 @@ class RunStore:
                 if record["terminal"]:
                     return dict(record)
         return None
-
-    def retry_count(self, event_id: str) -> int:
-        with self._steps_lock:
-            return sum(
-                1 for r in self._steps_by_event.get(event_id, ()) if r["note"] == NOTE_RETRY
-            )
 
     # -- original message store ---------------------------------------------
 

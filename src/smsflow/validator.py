@@ -284,7 +284,7 @@ class ValidatorAgent:
         outcome = keywords["outcome"]
         if outcome == OUTCOME_RETRY:
             self.store.record_step(event_id, STEP_LLM_EXTRACTED, self.qualifier, NOTE_RETRY)
-            self.pool.publish(AGENTS_TOPIC, parsed)
+            self.pool.publish(AGENTS_TOPIC, {**parsed, "attempt": doc["attempt"] + 1})
             return
 
         customer_id = parsed["metadata"]["customerId"]

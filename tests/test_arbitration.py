@@ -15,7 +15,6 @@ from smsflow.arbitration import (
 from smsflow.messages import (
     AGENTS_TOPIC,
     DegreeOfConfidence,
-    payload_digest,
 )
 from smsflow.pool import Envelope, MessagePool
 from smsflow.renewal import READING_MEMO_SIZE
@@ -233,12 +232,18 @@ def test_evaluator_runs_importance_once_per_distinct_profile(default_config, mon
     assert agent.importance.cache_info().currsize == 3
     assert agent.importance.cache_info().maxsize == READING_MEMO_SIZE
     assert [r["note"] for r in recorded] == [f"decision:{d.action}" for d in expected]
-    # Each decision gets its own copy of the cached importance.
-    agent.decide(messages[0], profiles["C1"]).importance["low"] = 9.0
-    assert agent.decide(messages[0], profiles["C1"]).importance == expected[0].importance
-    assert [r["digest"] for r in recorded] == [
-        payload_digest({"activations": d.activations, "importance": d.importance}) for d in expected
+    assert [(r["activations"], r["importance"]) for r in recorded] == [
+        (d.activations, d.importance) for d in expected
     ]
+    # Each decision gets its own copies of the cached dicts: mutating a
+    # returned one reaches neither a later decision nor a recorded one.
+    returned = agent.decide(messages[0], profiles["C1"])
+    returned.activations.clear()
+    returned.importance["low"] = 9.0
+    assert agent.decide(messages[0], profiles["C1"]) == expected[0]
+    assert (recorded[0]["activations"], recorded[0]["importance"]) == (
+        expected[0].activations, expected[0].importance
+    )
 
 
 _DEGREE = st.floats(0.0, 1.0)

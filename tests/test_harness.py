@@ -279,7 +279,7 @@ DEMO_RUN_DIR_SHA256 = {
     "queues/pharmacist.jsonl": "e27007b1f68f38ff105c98376c8d236d10c4aa9f6cc3caaae00a18850c1ba920",
     "report.json": DEMO_REPORT_SHA256,
     "report.txt": "799139389a663a69bf2dd93ed0df78f36a7adb4c92109351840462bf001d35f6",
-    "steps.jsonl": "459b74ac6d3ddb6b2c8cf35becdabea4344fcab94b13b413995f0fe832a6e80a",
+    "steps.jsonl": "33f7157af3491679e5ee66fbc2e06e0ed458b7026a4cc46a82c3e66debd6f0dd",
 }
 
 
@@ -582,20 +582,28 @@ def test_every_routed_item_lands_in_exactly_one_intake(ten_message_run):
 def test_retried_event_shows_two_extraction_rounds():
     # seed 13 at this drop rate fires on exactly one model at attempt 1 and
     # neither at attempt 2, forcing a survivor disagreement and one retry.
-    config = load_config(default_config_path())
-    corpus = [{"phone": "+15550006", "text": "Could you please do 1"}]
-    result = run_pipeline(config, corpus, seed=13, drop_keyword_rate=0.45)
-    row = result.report["messages"][0]
+    pipeline = build_pipeline(load_config(default_config_path()), seed=13, drop_keyword_rate=0.45)
+    agents = pipeline.pool.subscribe(AGENTS_TOPIC)
+    try:
+        entry = {"phone": "+15550006", "text": "Could you please do 1"}
+        entries = [(entry, pipeline.ingest(entry["phone"], entry["text"]))]
+        quiescent = pipeline.run_to_quiescence()
+        row = build_report(pipeline, entries, 13, 0.0, 0.45, quiescent)["messages"][0]
+        history = pipeline.store.get_history("A1001")
+    finally:
+        pipeline.close()
     assert row["retries"] == 1
     assert row["outcome"] == "processed"
     assert row["accepted"] == {"renew": ["1"], "stop": []}
-    history = result.pipeline.store.get_history("A1001")
     observed = [r["stepId"] for r in history if r["note"] == "observed"]
     assert observed.count("S002") == 2
     assert observed.count("S003") == 2
-    # The retry republishes the parsed document unchanged.
-    parsed = {r["digest"] for r in history if r["note"] == "observed" and r["stepId"] == "S002"}
-    assert len(parsed) == 1
+    # The retry republishes the parsed claims unchanged, at the next attempt.
+    first, second = [
+        e.payload for e in agents.poll(100) if e.payload["metadata"]["stepId"] == "S002"
+    ]
+    assert "attempt" not in first  # the evaluator's S002 document: attempt 1
+    assert second == {**first, "attempt": 2}
 
 
 def test_store_and_scheduling_experts_end_to_end():

@@ -355,8 +355,7 @@ def test_retry_advances_the_fault_schedule(lexicon):
 
     LlmAgent(models, lexicon, plan, store, pool).run(_s002())
     [first] = [e.payload for e in sub.poll(10)]
-    store.record_step("A1001", "S003", "ValidatorAgent", "retry-requested")
-    LlmAgent(models, lexicon, plan, store, pool).run(_s002())
+    LlmAgent(models, lexicon, plan, store, pool).run({**_s002(), "attempt": 2})
     [second] = [e.payload for e in sub.poll(10)]
 
     assert (first["attempt"], second["attempt"]) == (1, 2)

@@ -321,7 +321,7 @@ def test_record_step_keeps_typed_fields_on_the_record(tmp_path):
     assert written["accepted"] == accepted and written["scores"] is None
 
 
-@pytest.mark.parametrize("key", ["seq", "eventId", "stepId", "digest", "recorded_at"])
+@pytest.mark.parametrize("key", ["seq", "eventId", "stepId", "recorded_at"])
 def test_record_step_refuses_a_field_that_shadows_a_base_key(key):
     store = RunStore()
     with pytest.raises(ValueError, match=key):

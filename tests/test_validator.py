@@ -568,12 +568,13 @@ def test_the_s004_document_of_a_confirmation(default_config):
     assert [s["kind"] for s in store.outbound_sms.read_all()] == ["confirm-stop"]
 
 
-def test_a_retry_republishes_the_parsed_document_unchanged(default_config):
+def test_a_retry_republishes_the_parsed_document_at_the_next_attempt(default_config):
     parsed = _ra()
     published, _ = _handled(
         default_config, [_response("alpha", renew=["1"]), _response("beta")], parsed=parsed,
     )
-    assert published == [_ra()] and published[0] is parsed
+    assert published == [{**_ra(), "attempt": 2}]
+    assert parsed == _ra()
 
 
 def test_the_s004_document_of_a_stage_one_failure(default_config):
