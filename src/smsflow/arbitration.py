@@ -73,27 +73,6 @@ def action_activations(
     ).activations
 
 
-class CustomerRelationshipAgent:
-    """Serves customer profiles; unknown customers get the lowest-importance
-    default and a recorded data-quality warning."""
-
-    def __init__(self, profiles: dict[str, CustomerProfile], default: CustomerProfile, store: RunStore):
-        self.profiles = profiles
-        self.default = default
-        self.store = store
-
-    def profile_for(self, customer_id: str, event_id: str) -> CustomerProfile:
-        profile = self.profiles.get(customer_id)
-        if profile is not None:
-            return profile
-        log.warning("no profile for customer %s; using lowest-importance default", customer_id)
-        self.store.record_step(
-            event_id, STEP_PARSED, "CustomerRelationshipAgent",
-            f"data-quality: missing profile for {customer_id}",
-        )
-        return replace(self.default, customer_id=customer_id)
-
-
 class EvaluatorAgent:
     """Decides each parsed message and carries out the decision.
 
@@ -107,7 +86,8 @@ class EvaluatorAgent:
 
     def __init__(
         self,
-        relationship: CustomerRelationshipAgent,
+        profiles: dict[str, CustomerProfile],
+        default_profile: CustomerProfile,
         importance_system: FuzzySystem,
         action_system: FuzzySystem,
         store: RunStore,
@@ -115,7 +95,8 @@ class EvaluatorAgent:
         pharmacy: PharmacyClient,
         outbound: OutboundSmsGateway,
     ):
-        self.relationship = relationship
+        self.profiles = profiles
+        self.default_profile = default_profile
         self.store = store
         self.pool = pool
         self.pharmacy = pharmacy
@@ -128,6 +109,20 @@ class EvaluatorAgent:
         self.activations = functools.lru_cache(maxsize=READING_MEMO_SIZE)(
             functools.partial(action_activations, system=action_system)
         )
+
+    def profile_for(self, customer_id: str, event_id: str) -> CustomerProfile:
+        """The customer's profile; an unknown customer gets the lowest-importance
+        default and a recorded data-quality warning."""
+        profile = self.profiles.get(customer_id)
+        if profile is not None:
+            return profile
+        log.warning("no profile for customer %s; using lowest-importance default", customer_id)
+        # The customer-relationship lookup records under its own agent name.
+        self.store.record_step(
+            event_id, STEP_PARSED, "CustomerRelationshipAgent",
+            f"data-quality: missing profile for {customer_id}",
+        )
+        return replace(self.default_profile, customer_id=customer_id)
 
     def decide(self, doc: dict, profile: CustomerProfile) -> ArbitrationDecision:
         """The decision on one parsed document alone, without side effects:
@@ -185,4 +180,4 @@ class EvaluatorAgent:
     def handle(self, envelope: Envelope) -> None:
         doc = envelope.payload
         meta = doc["metadata"]
-        self.evaluate(doc, self.relationship.profile_for(meta["customerId"], meta["eventId"]))
+        self.evaluate(doc, self.profile_for(meta["customerId"], meta["eventId"]))

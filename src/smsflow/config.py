@@ -130,8 +130,10 @@ def _membership(vertices, where: str) -> MembershipFunction:
 
 
 def _variable(name: str, data: dict, where: str) -> LinguisticVariable:
-    universe = _require(data, "universe", where)
-    labels = _require(data, "labels", where)
+    universe = _require(_mapping(data, where), "universe", where)
+    if not isinstance(universe, list) or len(universe) != 2:
+        raise ConfigError(f"{where}.universe: expected a [low, high] pair, got {universe!r}")
+    labels = _mapping(_require(data, "labels", where), f"{where}.labels")
     try:
         return LinguisticVariable(
             name=name,
@@ -200,7 +202,9 @@ def load_config_text(text: str) -> PipelineConfig:
     importance = _require(fuzzy, "importance", "fuzzy")
     importance_vars = {
         name: _variable(name, vd, f"fuzzy.importance.variables.{name}")
-        for name, vd in _require(importance, "variables", "fuzzy.importance").items()
+        for name, vd in _mapping(
+            _require(importance, "variables", "fuzzy.importance"), "fuzzy.importance.variables"
+        ).items()
     }
     importance_system = _system(
         importance_vars,
@@ -225,7 +229,9 @@ def load_config_text(text: str) -> PipelineConfig:
     risk = _require(fuzzy, "risk", "fuzzy")
     risk_vars = {
         name: _variable(name, vd, f"fuzzy.risk.variables.{name}")
-        for name, vd in _require(risk, "variables", "fuzzy.risk").items()
+        for name, vd in _mapping(
+            _require(risk, "variables", "fuzzy.risk"), "fuzzy.risk.variables"
+        ).items()
     }
     risk_system = _system(
         risk_vars,
@@ -246,10 +252,7 @@ def load_config_text(text: str) -> PipelineConfig:
     for phone in phones:
         if not isinstance(phone, str):  # YAML reads +15550001 and 0123 as numbers
             raise ConfigError(f"customers.auth: phone {phone!r} is not a string; quote it")
-    auth = CustomerAuthTable(
-        phones={str(k): str(v) for k, v in phones.items()},
-        campaign_type=str(customers.get("campaign_type", "renewal")),
-    )
+    auth = CustomerAuthTable(phones={str(k): str(v) for k, v in phones.items()})
 
     def _profile(customer_id: str, pd: dict, where: str) -> CustomerProfile:
         _mapping(pd, where)
@@ -274,11 +277,14 @@ def load_config_text(text: str) -> PipelineConfig:
 
     def _risk_inputs(rd: dict, where: str) -> StopRiskInputs:
         _mapping(rd, where)
+        chronic = _require(rd, "chronic", where)
+        if not isinstance(chronic, bool):  # bool("false") is True
+            raise ConfigError(f"{where}.chronic: expected true or false, got {chronic!r}")
         try:
             return StopRiskInputs(
                 criticality=float(rd["criticality"]),
                 duration_months=float(rd["duration_months"]),
-                chronic=bool(rd["chronic"]),
+                chronic=chronic,
             )
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
@@ -344,9 +350,9 @@ def load_config_text(text: str) -> PipelineConfig:
     for s in _mappings(data.get("availability", []), "availability"):
         try:
             slot = SlotCandidate(int(s["year"]), int(s["month"]), int(s["day"]), int(s["hours"]))
+            availability[slot] = int(s.get("capacity", 1))
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"availability: {exc}") from exc
-        availability[slot] = int(s.get("capacity", 1))
 
     return PipelineConfig(
         orchestration_rules=orchestration_rules,

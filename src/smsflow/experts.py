@@ -1,11 +1,14 @@
 """Routing of validated complaints and requests to expert agents.
 
-The router picks the registered expert with the best cue-term overlap and
-rephrases the item; forwarding experts append to human queues, the store
-expert answers from a small question/answer document set, and the
-scheduling expert turns date constraints into candidate slots that only the
-appointment tool may confirm (the reply can never reference a slot the tool
-did not select).
+The router finalizes every verdict of the validator: it records the event's
+terminal step and sends its closing SMS, the contact-support text when the
+verdict failed or when nothing was applied and nothing was routed.  For each
+complaint or request of a routed extraction it picks the registered expert
+with the best cue-term overlap and rephrases the item; forwarding experts
+append to human queues, the store expert answers from a small
+question/answer document set, and the scheduling expert turns date
+constraints into candidate slots that only the appointment tool may confirm
+(the reply can never reference a slot the tool did not select).
 """
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ from .store import (
     TERMINAL_FAILED,
     TERMINAL_ROUTED,
 )
+from .validator import EXTRACTION_FAIL, OUTCOME_CONFIRM, OUTCOME_FAIL
 
 log = logging.getLogger(__name__)
 
@@ -298,16 +302,6 @@ def book_first(proposal: Proposal, availability: AvailabilityStore) -> ScheduleR
     return ScheduleResult(reply=CALL_US_REPLY, booked=None, candidates=candidates, warnings=warnings)
 
 
-def schedule(
-    request_text: str,
-    availability: AvailabilityStore,
-    model,
-    reference_date: date,
-) -> ScheduleResult:
-    """Book the first proposed slot with capacity; see :func:`book_first`."""
-    return book_first(parse_proposal(request_text, model, reference_date), availability)
-
-
 class RouterAgent:
     """Finalizer for validated messages: routes items and records terminals.
 
@@ -347,31 +341,33 @@ class RouterAgent:
         event_id = doc["metadata"]["eventId"]
         customer_id = doc["metadata"]["customerId"]
         keywords = doc["keywords"]
-        extraction = doc.get("extraction")
+        extraction = doc["extraction"]
 
-        failed = keywords["outcome"] == "fail" or (
-            extraction is not None and extraction["outcome"] == "fail"
-        )
+        # A failed keyword verdict carries no extraction; any other carries one.
+        if keywords["outcome"] == OUTCOME_FAIL:
+            failed = True
+            scores = None
+        else:
+            failed = extraction["outcome"] == EXTRACTION_FAIL
+            scores = extraction["scores"]
         routed = 0
         replies: dict[str, list[str]] = {}
-        if not failed and extraction is not None and extraction["outcome"] == "route":
-            chosen = extraction["chosen"] or {}
+        if not failed:
             for item_kind in ("complaint", "request"):
-                for item in chosen.get(item_kind, ()):
+                for item in extraction["chosen"].get(item_kind, ()):
                     for kind, text in self._route_item(event_id, item, item_kind):
                         replies.setdefault(kind, []).append(text)
                     routed += 1
+            # Nothing to apply and nothing to route: the reply is not understood.
+            if not routed and not keywords["accepted"]["renew"] and not keywords["accepted"]["stop"]:
+                failed = True
         # One SMS per kind per event, whatever the item count.
         for kind, texts in replies.items():
             self.outbound.send_sms(customer_id, "\n".join(texts), kind, event_id)
-        if not (failed or routed or keywords["accepted"]["renew"] or keywords["accepted"]["stop"]):
-            # Nothing to apply and nothing to route: the reply is not understood.
-            self.outbound.send_contact_support(customer_id, event_id)
-            failed = True
-
         if failed:
+            self.outbound.send_contact_support(customer_id, event_id)
             terminal = TERMINAL_FAILED
-        elif keywords["outcome"] == "confirm-then-process":
+        elif keywords["outcome"] == OUTCOME_CONFIRM:
             terminal = TERMINAL_AWAITING
         elif routed:
             terminal = TERMINAL_ROUTED
@@ -380,8 +376,7 @@ class RouterAgent:
         # The verdict's facts ride on the terminal record, for the report.
         self.store.record_step(
             event_id, STEP_VALIDATED, self.qualifier, terminal, terminal=True,
-            keyword_outcome=keywords["outcome"], accepted=keywords["accepted"],
-            scores=extraction["scores"] if extraction is not None else None,
+            keyword_outcome=keywords["outcome"], accepted=keywords["accepted"], scores=scores,
         )
 
     def _route_item(self, event_id: str, item: str, item_kind: str) -> list[tuple[str, str]]:

@@ -5,10 +5,10 @@ sequential, and the fault plan is seeded, so identical run configurations
 produce byte-identical reports.
 
 One fold builds every report row from the event's step records, SMS kinds
-and pharmacy actions (:func:`_fold`, which :func:`_event_fields` runs over
-one history), reading typed step fields, and a note only for a terminal outcome,
-a retry (``NOTE_RETRY``) or the direct decision (``DIRECT_NOTE``); one counter
-turns rows into the summary (:func:`_summary`).
+and pharmacy actions (:func:`_fold`, one record at a time into a row that
+:func:`_empty_row` starts), reading typed step fields, and a note only for a
+terminal outcome, a retry (``NOTE_RETRY``) or the direct decision
+(``DIRECT_NOTE``); one counter turns rows into the summary (:func:`_summary`).
 ``build_report`` folds each event's records as the store holds them,
 without copying them (:meth:`RunStore.steps_of`);
 ``summarize_run`` folds the run directory's ``steps.jsonl`` as it reads it,
@@ -195,9 +195,9 @@ def build_report(
         if event_id is None:
             row["outcome"] = "auth-rejected"
         else:
-            row.update(_event_fields(
-                store.steps_of(event_id), sms_by_event.get(event_id, []), pharmacy_by_event.get(event_id, [])
-            ))
+            row.update(_empty_row(sms_by_event.get(event_id, []), pharmacy_by_event.get(event_id, [])))
+            for record in store.steps_of(event_id):
+                _fold(row, record)
         rows.append(row)
 
     return {
@@ -208,15 +208,6 @@ def build_report(
         "messages": rows,
         "summary": _summary(rows),
     }
-
-
-def _event_fields(history, sms: list[str], pharmacy: list[dict]) -> dict:
-    """An event's report row but for its id, phone and text, from its step
-    records in order, its SMS kinds and its pharmacy actions."""
-    row = _empty_row(sms, pharmacy)
-    for record in history:
-        _fold(row, record)
-    return row
 
 
 def _empty_row(sms: list[str], pharmacy: list[dict]) -> dict:

@@ -19,7 +19,7 @@ import logging
 import random
 import re
 from concurrent.futures import Executor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .messages import (
@@ -116,20 +116,13 @@ class CueConfig:
     request: tuple[str, ...] = ("want", "need", "reserve", "book", "appointment", "schedule")
     mood_positive: tuple[str, ...] = ("thank", "thanks", "great", "good", "appreciate")
     mood_negative: tuple[str, ...] = ("bad", "terrible", "awful", "angry", "unhappy")
-    # Built once here: classify_sentence intersects every sentence's tokens with them.
-    complaint_set: frozenset[str] = field(init=False, repr=False, compare=False)
-    request_set: frozenset[str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "complaint_set", frozenset(self.complaint))
-        object.__setattr__(self, "request_set", frozenset(self.request))
 
 
 def classify_sentence(sentence: str, cues: CueConfig) -> str:
     tokens = {t.lower() for t in sentence_tokens(sentence)}
-    if not tokens.isdisjoint(cues.complaint_set):
+    if not tokens.isdisjoint(cues.complaint):
         return "complaint"
-    if not tokens.isdisjoint(cues.request_set):
+    if not tokens.isdisjoint(cues.request):
         return "request"
     return "other"
 
@@ -168,7 +161,7 @@ class ScriptedModel:
         reading = self.reading(sms_text, lexicon)
         extraction = LlmExtraction(
             renew=list(reading.renew), stop=list(reading.stop), complaint=list(reading.complaint),
-            request=list(reading.request), mood=reading.mood, model_id=self.model_id,
+            request=list(reading.request), mood=reading.mood,
         )
         add_fires, drop_fires, rng = faults.draws(event_id, self.model_id, attempt)
         absent = reading.absent

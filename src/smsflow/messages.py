@@ -94,7 +94,6 @@ class LlmExtraction:
     complaint: list[str] = field(default_factory=list)
     request: list[str] = field(default_factory=list)
     mood: str = "neutral"
-    model_id: str = ""
 
     def to_doc(self) -> dict:
         return {
@@ -106,14 +105,13 @@ class LlmExtraction:
         }
 
     @classmethod
-    def from_doc(cls, doc: dict, model_id: str = "") -> "LlmExtraction":
+    def from_doc(cls, doc: dict) -> "LlmExtraction":
         return cls(
             renew=list(doc["renew"]),
             stop=list(doc["stop"]),
             complaint=list(doc["complaint"]),
             request=list(doc["request"]),
             mood=doc["mood"],
-            model_id=model_id,
         )
 
     def keywords(self) -> list[str]:

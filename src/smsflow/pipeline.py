@@ -12,26 +12,12 @@ replayable.  Scripted models stay serial: they are pure Python, which the
 interpreter lock runs one thread at a time, and overlapping them cost the
 in-memory campaign benchmark 19% of its throughput.
 
-Pure work is done once per distinct key.  Each cache below, with its hit
-share on the benchmark's seed-1 ``campaign`` / ``campaign-disk`` /
-``llm-http`` batches:
-
-- ``RenewalAgent``: the parser's reading per SMS text (91% / 78% / 2%);
-- each ``ScriptedModel``: its reading per SMS text, which serves both its
-  extractions and its judgements (91% / 78% / none: ``llm-http`` uses HTTP
-  models);
-- ``EvaluatorAgent``: customer importance per (tenure, purchases)
-  (75% / 75% / 75%), and the rule block's activations per (importance,
-  confidence) degrees (91% / 91% / 99.9%);
-- ``StopRiskAssessor``: the stop risk per keyword (99% / 95% / no calls);
-- ``RouterAgent``: the routing per (item text, kind) (99% / 96% / 0%), and
-  the scheduler's parsed proposal per (request text, reference date)
-  (99% / 96% / no calls).
-
-Each is owned by one agent or model of one pipeline, holds at most
-``READING_MEMO_SIZE`` entries, and goes when the pipeline goes; what it
-hands out is immutable or copied first.  Replies from an HTTP model are
-never cached.
+Pure work is done once per distinct key, in caches that the parser, each
+scripted model, the evaluator, the stop-risk assessor and the router own
+(README lists them with their hit shares).  Each is owned by one agent or
+model of one pipeline, holds at most ``READING_MEMO_SIZE`` entries, and goes
+when the pipeline goes; what it hands out is immutable or copied first.
+Replies from an HTTP model are never cached.
 """
 from __future__ import annotations
 
@@ -40,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .arbitration import CustomerRelationshipAgent, EvaluatorAgent
+from .arbitration import EvaluatorAgent
 from .config import PipelineConfig
 from .dispatch import AgentRegistry, Dispatcher
 from .experts import AvailabilityStore, RouterAgent
@@ -118,7 +104,7 @@ class Pipeline:
         return [
             e.metadata.event_id
             for e in self.ingested
-            if self.store.terminal_of(e.metadata.event_id) is None
+            if not any(r["terminal"] for r in self.store.steps_of(e.metadata.event_id))
         ]
 
     def close(self) -> None:
@@ -150,7 +136,6 @@ def build_pipeline(
     faults = FaultPlan(
         seed=seed, add_keyword_rate=add_keyword_rate, drop_keyword_rate=drop_keyword_rate
     )
-    relationship = CustomerRelationshipAgent(config.profiles, config.default_profile, store)
     risk = StopRiskAssessor(
         system=config.risk_system,
         threshold=config.risk_threshold,
@@ -161,7 +146,7 @@ def build_pipeline(
     agents = {
         "RenewalAgent": RenewalAgent(config.lexicon, config.confidence_var, store, pool),
         "EvaluatorAgent": EvaluatorAgent(
-            relationship, config.importance_system, config.action_system,
+            config.profiles, config.default_profile, config.importance_system, config.action_system,
             store, pool, pharmacy, outbound,
         ),
         "LlmAgent": LlmAgent(models, config.lexicon, faults, store, pool, executor),

@@ -264,8 +264,6 @@ class RenewalAgent:
         The S001 document holds ``"fullMatch": true`` on a full match only.
         """
         metadata = sms["metadata"]
-        if metadata["type"] != "renewal":
-            raise ValueError(f"renewal parser got a {metadata['type']!r} event")
         text = sms["body"]
         renew, stop, confidence, full_match = self.reading(text)
 

@@ -237,13 +237,6 @@ class RunStore:
         with self._steps_lock:
             return tuple(self._steps_by_event.get(event_id, ()))
 
-    def terminal_of(self, event_id: str) -> dict | None:
-        with self._steps_lock:
-            for record in reversed(self._steps_by_event.get(event_id, ())):
-                if record["terminal"]:
-                    return dict(record)
-        return None
-
     # -- original message store ---------------------------------------------
 
     def store_original(self, event_id: str, text: str) -> None:
@@ -284,7 +277,6 @@ class CustomerAuthTable:
     """Stub mapping of sender phone numbers to known customer ids."""
 
     phones: dict[str, str]
-    campaign_type: str = "renewal"
 
     def lookup(self, phone: str) -> str | None:
         return self.phones.get(phone)
@@ -317,7 +309,7 @@ class IncomingSmsGateway:
         now = self.store.clock.now_iso()
         event = SmsEvent(
             metadata=Metadata(
-                type=self.auth.campaign_type,
+                type="renewal",  # the one campaign type the parser reads
                 event_id=self._next_event_id(),
                 customer_id=customer_id,
                 step_id=STEP_INGESTED,
@@ -355,14 +347,6 @@ class OutboundSmsGateway:
         return self.send_sms(customer_id, CONTACT_SUPPORT_TEXT, "contact-support", event_id)
 
 
-@dataclass(slots=True)
-class PharmacyAction:
-    event_id: str
-    customer_id: str
-    keyword: str
-    action: str  # "renew" | "stop"
-
-
 class PharmacyClient:
     """Stub for the pharmacy endpoint; idempotent on (eventId, keyword)."""
 
@@ -371,18 +355,19 @@ class PharmacyClient:
         self._applied: set[tuple[str, str]] = set()
         self._lock = threading.Lock()
 
-    def apply(self, action: PharmacyAction) -> str:
-        key = (action.event_id, action.keyword)
+    def apply(self, event_id: str, customer_id: str, keyword: str, action: str) -> str:
+        """Apply one ``action`` ("renew" or "stop") on ``keyword``; "duplicate" when already applied."""
+        key = (event_id, keyword)
         with self._lock:
             if key in self._applied:
                 return "duplicate"
             self._applied.add(key)
         self.store.pharmacy.append(
             {
-                "eventId": action.event_id,
-                "customerId": action.customer_id,
-                "keyword": action.keyword,
-                "action": action.action,
+                "eventId": event_id,
+                "customerId": customer_id,
+                "keyword": keyword,
+                "action": action,
                 "applied_at": self.store.clock.now_iso(),
             }
         )
@@ -393,7 +378,7 @@ class PharmacyClient:
     ) -> list[str]:
         """Apply every renew keyword, then every stop keyword; returns them in that order."""
         for keyword in renew:
-            self.apply(PharmacyAction(event_id, customer_id, keyword, "renew"))
+            self.apply(event_id, customer_id, keyword, "renew")
         for keyword in stop:
-            self.apply(PharmacyAction(event_id, customer_id, keyword, "stop"))
+            self.apply(event_id, customer_id, keyword, "stop")
         return [*renew, *stop]

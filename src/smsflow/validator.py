@@ -8,6 +8,10 @@ and gating extra stop keywords through a fuzzy risk score.  Stage 2 has each
 model judge the other's complaint/request reading; sub-5 scores are
 discarded.  A response becomes an ``LlmExtraction`` only to be handed to a
 judge, the models' interface.
+
+The validator applies the accepted keywords or asks the customer to confirm
+a risky stop; it sends no other SMS.  A failed verdict is closed by the
+router, which sends its contact-support SMS.
 """
 from __future__ import annotations
 
@@ -209,7 +213,7 @@ def validate_extraction(
     """
     def cross_score(pair: tuple[dict, str]) -> int:
         target, judge_model_id = pair
-        extraction = LlmExtraction.from_doc(target, target["model_id"])
+        extraction = LlmExtraction.from_doc(target)
         return models_by_id[judge_model_id].judge(original_text, extraction, lexicon)
 
     scores = {a["model_id"]: 1, b["model_id"]: 1}
@@ -288,25 +292,22 @@ class ValidatorAgent:
             return
 
         customer_id = parsed["metadata"]["customerId"]
+        if outcome == OUTCOME_PROCESS:
+            applied = self.pharmacy.apply_keywords(event_id, customer_id, **keywords["accepted"])
+            self.store.record_step(
+                event_id, STEP_VALIDATED, self.qualifier, f"pharmacy-applied:{applied}"
+            )
+        elif outcome == OUTCOME_CONFIRM:
+            self.outbound.send_sms(customer_id, CONFIRM_STOP_TEXT, "confirm-stop", event_id)
+            self.store.record_step(
+                event_id, STEP_VALIDATED, self.qualifier, f"confirmation-requested risk={risk}"
+            )
         extraction = None
-        if outcome == OUTCOME_FAIL:
-            self.outbound.send_contact_support(customer_id, event_id)
-        else:
-            if outcome == OUTCOME_PROCESS:
-                applied = self.pharmacy.apply_keywords(event_id, customer_id, **keywords["accepted"])
-                self.store.record_step(
-                    event_id, STEP_VALIDATED, self.qualifier, f"pharmacy-applied:{applied}"
-                )
-            else:  # confirm-then-process
-                self.outbound.send_sms(customer_id, CONFIRM_STOP_TEXT, "confirm-stop", event_id)
-                self.store.record_step(
-                    event_id, STEP_VALIDATED, self.qualifier, f"confirmation-requested risk={risk}"
-                )
+        if outcome != OUTCOME_FAIL:
             extraction = validate_extraction(original, a, b, self.models_by_id, self.lexicon, self.executor)
-            if extraction["outcome"] == EXTRACTION_FAIL:
-                self.outbound.send_contact_support(customer_id, event_id)
 
-        # The verdict publication itself is observed by the tracking agent.
+        # The router closes the event, failed or not; the verdict publication
+        # itself is observed by the tracking agent.
         self.pool.publish(AGENTS_TOPIC, {
             "metadata": restamped(parsed["metadata"], STEP_VALIDATED, self.store.clock.now_iso()),
             "keywords": keywords,

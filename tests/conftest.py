@@ -108,3 +108,8 @@ def remaining_bookings(availability, slots) -> int:
         while availability.book(slot):
             granted += 1
     return granted
+
+
+def terminal_notes(store, event_id: str) -> list[str]:
+    """The notes of an event's terminal step records, in record order."""
+    return [r["note"] for r in store.steps_of(event_id) if r["terminal"]]

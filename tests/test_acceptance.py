@@ -11,7 +11,13 @@ from datetime import date
 import pytest
 
 from smsflow.config import default_config_path, default_corpus_path, load_config
-from smsflow.experts import AvailabilityStore, ScriptedSchedulerModel, SlotCandidate, schedule
+from smsflow.experts import (
+    AvailabilityStore,
+    ScriptedSchedulerModel,
+    SlotCandidate,
+    book_first,
+    parse_proposal,
+)
 from smsflow.fuzzy import defuzzify_cog
 from smsflow.fuzzy.inference import FuzzyOutput
 from smsflow.harness import load_corpus, render_report_json, run_pipeline
@@ -19,7 +25,7 @@ from smsflow.llm import LlmExtraction, ScriptedModel
 from smsflow.renewal import segment, strip_politeness
 from smsflow.validator import validate_extraction
 
-from conftest import remaining_bookings
+from conftest import remaining_bookings, terminal_notes
 
 MSG1 = (
     "1, unenroll. Thank you for your great service. I just want to know if it is "
@@ -260,7 +266,7 @@ def test_criterion_6_full_match_bypass(config, fuzzed_run):
         seen_forward = any(r["stepId"] == "S002" for r in history)
         if all_match:
             bypassed += 1
-            assert store.terminal_of(event.metadata.event_id)["note"] == "done"
+            assert terminal_notes(store, event.metadata.event_id) == ["done"]
             assert not seen_forward
         else:
             # Conversely a partial message must never ride the direct path.
@@ -279,28 +285,31 @@ def test_criterion_7_stage_two_judging(config):
 
     # Scripted-judge score table.
     original = "1. I want to book a flu shot"
-    perfect = LlmExtraction(request=["I want to book a flu shot"], model_id="alpha")
+    perfect = LlmExtraction(request=["I want to book a flu shot"])
     assert beta.judge(original, perfect, lexicon) == 10
     fabricated = LlmExtraction(
-        request=["I want to book a flu shot"], complaint=["the clerk was rude"], model_id="alpha"
+        request=["I want to book a flu shot"], complaint=["the clerk was rude"]
     )
     assert beta.judge(original, fabricated, lexicon) == 7
-    empty = LlmExtraction(model_id="alpha")
+    empty = LlmExtraction()
     assert beta.judge("I want a refill. I need my results", empty, lexicon) == 6
 
     # Discard-below-5 plus highest-score selection.
     class FixedJudge:
-        def __init__(self, model_id, table):
+        def __init__(self, model_id, by_judge):
             self.model_id = model_id
-            self.table = table
+            self.by_judge = by_judge
 
         def judge(self, original, extraction, lexicon):
-            return self.table[extraction.model_id]
+            return self.by_judge[self.model_id]
 
     def verdict(table):
+        """Cross-judge with ``table`` giving each model's reading its score."""
         a = {"model_id": "alpha", **LlmExtraction(complaint=["x"]).to_doc()}
         b = {"model_id": "beta", **LlmExtraction(complaint=["y"]).to_doc()}
-        models = {"alpha": FixedJudge("alpha", table), "beta": FixedJudge("beta", table)}
+        # Each model judges the other's reading.
+        by_judge = {"alpha": table["beta"], "beta": table["alpha"]}
+        models = {"alpha": FixedJudge("alpha", by_judge), "beta": FixedJudge("beta", by_judge)}
         return validate_extraction("text", a, b, models, lexicon)
 
     assert verdict({"alpha": 7, "beta": 3})["chosen_model"] == "alpha"
@@ -344,7 +353,7 @@ def test_criterion_9_scheduling_grounding():
         }
         availability = AvailabilityStore(dict(slots))
         before = sum(slots.values())
-        result = schedule(request, availability, model, reference_date=date(2025, 1, 1))
+        result = book_first(parse_proposal(request, model, date(2025, 1, 1)), availability)
         if result.booked is not None:
             assert result.booked in result.candidates
             assert remaining_bookings(availability, slots) == before - 1

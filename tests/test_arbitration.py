@@ -8,7 +8,6 @@ from smsflow.arbitration import (
     ACTION_FORWARD,
     ACTION_PROCESS_DIRECT,
     CustomerProfile,
-    CustomerRelationshipAgent,
     EvaluatorAgent,
     compute_importance,
 )
@@ -20,7 +19,7 @@ from smsflow.pool import Envelope, MessagePool
 from smsflow.renewal import READING_MEMO_SIZE
 from smsflow.store import OutboundSmsGateway, PharmacyClient, RunStore
 
-from conftest import brute_force_activations
+from conftest import brute_force_activations, terminal_notes
 
 
 def _msg(confidence, renew=("1",), stop=(), event_id="A1001", step="S001", full_match=False,
@@ -135,9 +134,9 @@ def _wiring(default_config, profiles=None):
     store = RunStore()
     pool = MessagePool()
     agents = pool.subscribe(AGENTS_TOPIC)
-    relationship = CustomerRelationshipAgent(profiles or {}, default_config.default_profile, store)
     evaluator = EvaluatorAgent(
-        relationship, default_config.importance_system, default_config.action_system,
+        profiles or {}, default_config.default_profile,
+        default_config.importance_system, default_config.action_system,
         store, pool, PharmacyClient(store), OutboundSmsGateway(store),
     )
     return evaluator, store, agents
@@ -154,7 +153,7 @@ def test_evaluate_process_direct_calls_pharmacy_per_keyword(default_config):
     )
     assert decision.action == ACTION_PROCESS_DIRECT
     assert [r["keyword"] for r in store.pharmacy.read_all() if r["eventId"] == "A1001"] == ["1", "unenroll"]
-    assert store.terminal_of("A1001")["note"] == "done"
+    assert terminal_notes(store, "A1001") == ["done"]
     assert agents.poll(5) == []  # bypass: never forwarded
 
 
@@ -166,7 +165,7 @@ def test_evaluate_forward_republishes_at_next_step(default_config):
     assert docs[0]["metadata"]["stepId"] == "S002"
     assert docs[0]["renew"] == ["1"]
     assert [r["keyword"] for r in store.pharmacy.read_all() if r["eventId"] == "A1001"] == []
-    assert store.terminal_of("A1001") is None
+    assert terminal_notes(store, "A1001") == []
 
 
 def test_evaluate_fail_sends_support_sms(default_config):
@@ -175,7 +174,7 @@ def test_evaluate_fail_sends_support_sms(default_config):
     assert decision.action == ACTION_FAIL
     sms = store.outbound_sms.read_all()
     assert len(sms) == 1 and sms[0]["kind"] == "contact-support"
-    assert store.terminal_of("A1001")["note"] == "contact-support SMS sent"
+    assert terminal_notes(store, "A1001") == ["contact-support SMS sent"]
     assert agents.poll(5) == []
 
 
@@ -186,14 +185,11 @@ def test_evaluate_rejects_wrong_step(default_config):
 
 
 def test_missing_profile_uses_lowest_default_and_records_warning(default_config):
-    store = RunStore()
-    cra = CustomerRelationshipAgent(
-        {"C1001": _profile(10, 5000)}, default_config.default_profile, store
-    )
-    profile = cra.profile_for("C9999", "A1001")
+    evaluator, store, _ = _wiring(default_config, {"C1001": _profile(10, 5000)})
+    profile = evaluator.profile_for("C9999", "A1001")
     assert profile.tenure_years == 0 and profile.purchases_12mo == 0
-    notes = [r["note"] for r in store.get_history("A1001")]
-    assert any(n.startswith("data-quality") for n in notes)
+    notes = [(r["agent"], r["note"]) for r in store.get_history("A1001")]
+    assert any(a == "CustomerRelationshipAgent" and n.startswith("data-quality") for a, n in notes)
 
 
 def test_profiles_must_be_nonnegative():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 import yaml
 
@@ -150,6 +152,69 @@ def test_cli_reports_a_scalar_list_entry_without_a_traceback(tmp_path, capsys, e
     assert code == 1
     assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
+
+
+# Malformed sections that must fail as a ConfigError naming the section, not
+# as whatever exception the value happens to raise.
+def _scalar_universe(bundle):
+    bundle["fuzzy"]["confidence"]["universe"] = 1
+
+
+def _labels_as_list(bundle):
+    bundle["fuzzy"]["confidence"]["labels"] = ["low", "high"]
+
+
+def _word_capacity(bundle):
+    bundle["availability"][0]["capacity"] = "two"
+
+
+MALFORMED_SECTIONS = [
+    (_scalar_universe, "fuzzy.confidence.universe: expected a [low, high] pair"),
+    (_labels_as_list, "fuzzy.confidence.labels: expected a mapping"),
+    (_word_capacity, "availability: invalid literal for int"),
+]
+MALFORMED_SECTION_IDS = ["scalar-universe", "labels-as-list", "word-capacity"]
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED_SECTIONS, ids=MALFORMED_SECTION_IDS)
+def test_a_malformed_section_is_a_config_error_naming_it(edit, message):
+    bundle = _default_bundle()
+    edit(bundle)
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        load_config_text(yaml.safe_dump(bundle))
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED_SECTIONS, ids=MALFORMED_SECTION_IDS)
+def test_cli_exits_one_on_a_malformed_section(tmp_path, capsys, edit, message):
+    bundle = _default_bundle()
+    edit(bundle)
+    code = _run_cli(tmp_path, bundle)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["default", "by_keyword.2"])
+@pytest.mark.parametrize("quoted", ['"false"', '"true"', "0"])
+def test_chronic_must_be_a_yaml_boolean(where, quoted):
+    # bool("false") is True: a quoted boolean would read backwards.
+    bundle = _default_bundle()
+    entry = bundle["medications"]
+    for key in where.split("."):
+        entry = entry[key]
+    entry["chronic"] = yaml.safe_load(quoted)
+    with pytest.raises(ConfigError, match="^" + re.escape(f"medications.{where}.chronic: ")):
+        load_config_text(yaml.safe_dump(bundle))
+
+
+def test_chronic_reads_an_unquoted_boolean_as_it_is():
+    bundle = _default_bundle()
+    bundle["medications"]["default"]["chronic"] = False
+    bundle["medications"]["by_keyword"]["2"]["chronic"] = True
+    loaded = load_config_text(yaml.safe_dump(bundle))
+    assert loaded.medication_default.chronic is False
+    assert loaded.medication_by_keyword["2"].chronic is True
 
 
 def _edited_bundle_text() -> str:

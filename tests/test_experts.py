@@ -23,10 +23,10 @@ from smsflow.experts import (
     answer_store_question,
     book_first,
     forward_to_queue,
+    parse_proposal,
     parse_slot_line,
     rephrase,
     route,
-    schedule,
 )
 from smsflow.harness import run_pipeline
 from smsflow.pool import Envelope
@@ -186,11 +186,13 @@ def test_scheduler_resolves_bare_weekdays_against_the_reference_date():
 
 def test_schedule_books_the_first_candidate_with_capacity():
     availability = AvailabilityStore({SlotCandidate(2025, 3, 22, 15): 3})
-    result = schedule(
-        "Saturday 03/22/2025 afternoon or Sunday 03/23/2025 morning",
+    result = book_first(
+        parse_proposal(
+            "Saturday 03/22/2025 afternoon or Sunday 03/23/2025 morning",
+            ScriptedSchedulerModel(),
+            date(2025, 1, 1),
+        ),
         availability,
-        ScriptedSchedulerModel(),
-        reference_date=date(2025, 1, 1),
     )
     assert result.booked == SlotCandidate(2025, 3, 22, 15)
     assert remaining_bookings(availability, [SlotCandidate(2025, 3, 22, 15)]) == 2
@@ -199,19 +201,21 @@ def test_schedule_books_the_first_candidate_with_capacity():
 
 def test_schedule_without_capacity_returns_call_us():
     availability = AvailabilityStore({})
-    result = schedule(
-        "03/22/2025 morning", availability, ScriptedSchedulerModel(), reference_date=date(2025, 1, 1)
+    result = book_first(
+        parse_proposal("03/22/2025 morning", ScriptedSchedulerModel(), date(2025, 1, 1)), availability
     )
     assert result.booked is None and result.reply == CALL_US_REPLY
 
 
 def test_schedule_without_date_constraints_proposes_nothing():
     availability = AvailabilityStore({SlotCandidate(2025, 3, 22, 15): 1})
-    result = schedule(
-        "I want to reserve a reservation for the flu vaccine",
+    result = book_first(
+        parse_proposal(
+            "I want to reserve a reservation for the flu vaccine",
+            ScriptedSchedulerModel(),
+            date(2025, 1, 1),
+        ),
         availability,
-        ScriptedSchedulerModel(),
-        reference_date=date(2025, 1, 1),
     )
     assert result.candidates == [] and result.booked is None
     assert remaining_bookings(availability, [SlotCandidate(2025, 3, 22, 15)]) == 1
@@ -224,7 +228,7 @@ def test_malformed_candidate_lines_are_skipped_with_a_warning():
                     "year: 2025, month: 3, day: 22, hours: 15"]
 
     availability = AvailabilityStore({SlotCandidate(2025, 3, 22, 15): 1})
-    result = schedule("whatever", availability, SloppyModel(), reference_date=date(2025, 1, 1))
+    result = book_first(parse_proposal("whatever", SloppyModel(), date(2025, 1, 1)), availability)
     assert result.booked == SlotCandidate(2025, 3, 22, 15)
     assert len(result.warnings) == 2
 
@@ -242,7 +246,7 @@ def test_booking_is_grounded_in_proposed_candidates():
         }
         availability = AvailabilityStore(dict(slots))
         before = sum(slots.values())
-        result = schedule(request, availability, model, reference_date=date(2025, 1, 1))
+        result = book_first(parse_proposal(request, model, date(2025, 1, 1)), availability)
         if result.booked is not None:
             assert result.booked in result.candidates
             assert remaining_bookings(availability, slots) == before - 1

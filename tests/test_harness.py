@@ -25,7 +25,8 @@ from smsflow.pipeline import build_pipeline
 from smsflow.pool import Envelope
 from smsflow.harness import (
     OUTCOME_NAMES,
-    _event_fields,
+    _empty_row,
+    _fold,
     build_report,
     load_corpus,
     render_report_json,
@@ -323,7 +324,9 @@ def test_report_rows_replay_from_the_run_directory_logs(tmp_path, budget):
     assert len(rows) == len(result.pipeline.ingested) > 0
     for row in rows:
         event_id = row["eventId"]
-        replayed = _event_fields(steps[event_id], sms.get(event_id, []), pharmacy.get(event_id, []))
+        replayed = _empty_row(sms.get(event_id, []), pharmacy.get(event_id, []))
+        for record in steps[event_id]:
+            _fold(replayed, record)
         assert {"eventId": event_id, "phone": row["phone"], "text": row["text"], **replayed} == row
     pending = [row for row in rows if row["outcome"] == "pending"]
     if budget is None:

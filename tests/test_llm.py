@@ -147,7 +147,7 @@ def test_extraction_document_round_trips():
 def test_judge_perfect_coverage_scores_ten(lexicon):
     model = ScriptedModel("beta")
     original = "1. I want to book a flu shot"
-    extraction = LlmExtraction(request=["I want to book a flu shot"], model_id="alpha")
+    extraction = LlmExtraction(request=["I want to book a flu shot"])
     assert model.judge(original, extraction, lexicon) == 10
 
 
@@ -157,7 +157,6 @@ def test_judge_fabricated_item_costs_three(lexicon):
     extraction = LlmExtraction(
         request=["I want to book a flu shot"],
         complaint=["the pharmacist was rude"],
-        model_id="alpha",
     )
     assert model.judge(original, extraction, lexicon) == 7
 
@@ -165,14 +164,14 @@ def test_judge_fabricated_item_costs_three(lexicon):
 def test_judge_missed_sentences_cost_two_each(lexicon):
     model = ScriptedModel("beta")
     original = "I want a refill. I need my results"
-    extraction = LlmExtraction(model_id="alpha")
+    extraction = LlmExtraction()
     assert model.judge(original, extraction, lexicon) == 6
 
 
 def test_judge_score_floors_at_one(lexicon):
     model = ScriptedModel("beta")
     original = "a b. c d. e f. g h. i j. k l"
-    extraction = LlmExtraction(model_id="alpha")
+    extraction = LlmExtraction()
     assert model.judge(original, extraction, lexicon) == 1
 
 
@@ -199,7 +198,7 @@ def test_cached_extraction_equals_a_fresh_model_per_call(lexicon, rate):
 def test_mutating_an_extraction_leaves_the_next_one_alone(lexicon):
     model = ScriptedModel("alpha")
     first = model.extract(MSG1, lexicon)
-    expected = LlmExtraction.from_doc(first.to_doc(), model_id="alpha")
+    expected = LlmExtraction.from_doc(first.to_doc())
     for items in (first.renew, first.stop, first.complaint, first.request):
         items.append("added")
     first.renew.clear()
@@ -465,7 +464,7 @@ def test_http_adapter_parses_a_wellformed_reply(lexicon):
     )
     model = ChatCompletionModel("gamma", "http://example/v1", "m", transport=_transport_returning(reply))
     out = model.extract("1", lexicon)
-    assert out.renew == ["1"] and out.model_id == ""
+    assert out == LlmExtraction(renew=["1"])
 
 
 def test_http_adapter_strips_code_fences(lexicon):
@@ -531,7 +530,7 @@ def test_http_adapter_judge_parses_score(lexicon):
     model = ChatCompletionModel(
         "gamma", "http://example/v1", "m", transport=_transport_returning("Score: 7")
     )
-    assert model.judge("text", LlmExtraction(model_id="other"), lexicon) == 7
+    assert model.judge("text", LlmExtraction(), lexicon) == 7
 
 
 @pytest.mark.parametrize(
@@ -542,7 +541,7 @@ def test_http_adapter_judge_ignores_the_scale_and_denominator(lexicon, reply, sc
     model = ChatCompletionModel(
         "gamma", "http://example/v1", "m", transport=_transport_returning(reply)
     )
-    assert model.judge("text", LlmExtraction(model_id="other"), lexicon) == score
+    assert model.judge("text", LlmExtraction(), lexicon) == score
 
 
 def test_http_adapter_judge_rejects_unparseable_reply(lexicon):
@@ -552,7 +551,7 @@ def test_http_adapter_judge_rejects_unparseable_reply(lexicon):
             "gamma", "http://example/v1", "m", transport=_transport_returning(reply)
         )
         with pytest.raises(MalformedOutputError):
-            model.judge("text", LlmExtraction(model_id="other"), lexicon)
+            model.judge("text", LlmExtraction(), lexicon)
 
 
 def test_the_http_client_is_imported_only_when_a_model_calls_it():

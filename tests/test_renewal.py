@@ -21,10 +21,10 @@ from smsflow.renewal import (
 from smsflow.store import RunStore
 
 
-def _sms(text, event_id="A1001", type_="renewal"):
+def _sms(text, event_id="A1001"):
     return {
         "metadata": {
-            "type": type_,
+            "type": "renewal",
             "eventId": event_id,
             "customerId": "C1001",
             "stepId": "S000",
@@ -186,12 +186,6 @@ def test_process_claims_pure_code_segment(lexicon, confidence_var):
     result = agent.process(_sms("Could you please execute the following. 1"))
     assert result["renew"] == ["1"] and result["stop"] == []
     assert "fullMatch" not in result
-
-
-def test_process_rejects_non_renewal_events(lexicon, confidence_var):
-    agent, _, _ = _parser(lexicon, confidence_var)
-    with pytest.raises(ValueError):
-        agent.process(_sms("1", type_="reminder"))
 
 
 def test_process_is_idempotent_per_event(lexicon, confidence_var):

@@ -14,11 +14,12 @@ from smsflow.store import (
     LogicalClock,
     MissingOriginalError,
     OutboundSmsGateway,
-    PharmacyAction,
     PharmacyClient,
     RunStore,
     read_jsonl,
 )
+
+from conftest import terminal_notes
 
 
 def _gateway(store=None, pool=None):
@@ -103,9 +104,9 @@ def test_unknown_event_has_empty_history():
 def test_terminal_bookkeeping():
     store = RunStore()
     store.record_step("E1", "S001", "A", "working")
-    assert store.terminal_of("E1") is None
+    assert terminal_notes(store, "E1") == []
     store.record_step("E1", "S004", "A", "done", terminal=True)
-    assert store.terminal_of("E1")["note"] == "done"
+    assert terminal_notes(store, "E1") == ["done"]
 
 
 def test_originals_round_trip_byte_exact():
@@ -149,19 +150,18 @@ def test_unknown_sms_kind_rejected():
 def test_pharmacy_apply_is_idempotent_per_event_and_keyword():
     store = RunStore()
     client = PharmacyClient(store)
-    action = PharmacyAction("E1", "C1001", "1", "renew")
-    assert client.apply(action) == "applied"
-    assert client.apply(action) == "duplicate"
+    assert client.apply("E1", "C1001", "1", "renew") == "applied"
+    assert client.apply("E1", "C1001", "1", "renew") == "duplicate"
     assert len(store.pharmacy.read_all()) == 1
     # Same keyword for another event is independent.
-    assert client.apply(PharmacyAction("E2", "C1001", "1", "renew")) == "applied"
+    assert client.apply("E2", "C1001", "1", "renew") == "applied"
 
 
 def test_pharmacy_records_one_row_per_keyword():
     store = RunStore()
     client = PharmacyClient(store)
-    client.apply(PharmacyAction("E1", "C1001", "1", "renew"))
-    client.apply(PharmacyAction("E1", "C1001", "unenroll", "stop"))
+    client.apply("E1", "C1001", "1", "renew")
+    client.apply("E1", "C1001", "unenroll", "stop")
     assert [r["keyword"] for r in store.pharmacy.read_all() if r["eventId"] == "E1"] == ["1", "unenroll"]
 
 

@@ -9,6 +9,7 @@ from fake_chat import chat_models
 from hypothesis import given, settings, strategies as st
 
 from smsflow.config import default_corpus_path
+from smsflow.experts import AvailabilityStore, RouterAgent
 from smsflow.harness import load_corpus, run_pipeline
 from smsflow.llm import FaultPlan, LlmAgent, ScriptedModel
 from smsflow.messages import AGENTS_TOPIC, DegreeOfConfidence
@@ -33,6 +34,8 @@ from smsflow.validator import (
     validate_extraction,
     validate_keywords,
 )
+
+from conftest import terminal_notes
 
 
 def _ra(renew=(), stop=(), event_id="A1001"):
@@ -339,21 +342,27 @@ def test_duration_must_be_nonnegative():
 
 
 class FixedJudge:
-    def __init__(self, model_id, score_for):
+    """Gives whatever it judges the score ``by_judge`` holds for its own id."""
+
+    def __init__(self, model_id, by_judge):
         self.model_id = model_id
-        self._score_for = score_for
+        self._by_judge = by_judge
 
     def judge(self, original, extraction, lexicon):
-        return self._score_for[extraction.model_id]
+        return self._by_judge[self.model_id]
+
+
+def _judges(scores):
+    """Judges alpha and beta under which each model's reading gets its score in
+    ``scores``: each model judges the other's reading."""
+    by_judge = {"alpha": scores["beta"], "beta": scores["alpha"]}
+    return [FixedJudge("alpha", by_judge), FixedJudge("beta", by_judge)]
 
 
 def _judged(scores, lexicon, a=None, b=None):
     a = a or _resp("alpha", complaint=("x",))
     b = b or _resp("beta", complaint=("y",))
-    models = {
-        "alpha": FixedJudge("alpha", scores),
-        "beta": FixedJudge("beta", scores),
-    }
+    models = {judge.model_id: judge for judge in _judges(scores)}
     return validate_extraction("text", a, b, models, lexicon)
 
 
@@ -515,7 +524,7 @@ def _handled(
     store.store_original("A1001", text)
     scores = scores or {"alpha": 8, "beta": 8}
     validator = ValidatorAgent(
-        [FixedJudge("alpha", scores), FixedJudge("beta", scores)], default_config.lexicon,
+        _judges(scores), default_config.lexicon,
         SimpleNamespace(assess_keyword=stop_risk), store, pool,
         PharmacyClient(store), OutboundSmsGateway(store),
     )
@@ -619,7 +628,47 @@ def test_the_s004_document_of_a_stage_two_failure(default_config):
         {"accepted": {"renew": ["1"], "stop": []}, "discarded": [], "outcome": "process", "attempt": 1},
         {"chosen": None, "chosen_model": "", "scores": {"alpha": 2, "beta": 4}, "outcome": "fail"},
     ))
-    assert [s["kind"] for s in store.outbound_sms.read_all()] == ["contact-support"]
+    assert store.outbound_sms.read_all() == []  # the router closes a failed verdict
+
+
+# The four ways a verdict ends failed: the validator sends at most the
+# confirm-stop SMS, and the router closes the event with the one
+# contact-support SMS once it reads the published S004 document.
+@pytest.mark.parametrize("responses, parsed, text, attempt, scores, stop_risk, validator_sms", [
+    pytest.param(
+        [_response("alpha", renew=["1", "enroll"]), _response("beta")], _ra(renew=["1"]),
+        f"1. {_FLU_SHOT}", 2, None, _never_over, [], id="keyword-fail",
+    ),
+    pytest.param(
+        [_response("alpha", renew=["1"]), _response("beta", renew=["1"])], _ra(renew=["1"]),
+        f"1. {_FLU_SHOT}", 1, {"alpha": 2, "beta": 4}, _never_over, [], id="extraction-fail",
+    ),
+    pytest.param(
+        [_response("alpha", stop=["stop"]), _response("beta", stop=["stop"])], _ra(),
+        "Please stop. I want to book a flu shot", 1, {"alpha": 2, "beta": 4}, _always_over,
+        ["confirm-stop"], id="confirm-stop-then-extraction-fail",
+    ),
+    pytest.param(
+        [_resp("alpha"), _resp("beta")], _ra(), "Where is my order", 1, None, _never_over, [],
+        id="not-understood",
+    ),
+])
+def test_the_router_sends_the_one_contact_support_sms_of_a_failed_verdict(
+    default_config, responses, parsed, text, attempt, scores, stop_risk, validator_sms
+):
+    published, store = _handled(
+        default_config, responses, parsed=parsed, text=text, attempt=attempt, scores=scores,
+        stop_risk=stop_risk,
+    )
+    [s004] = published
+    assert [s["kind"] for s in store.outbound_sms.read_all()] == validator_sms
+    router = RouterAgent(
+        default_config.experts, default_config.documents, AvailabilityStore({}), store,
+        OutboundSmsGateway(store),
+    )
+    router.handle(Envelope(AGENTS_TOPIC, 1, s004))
+    assert [s["kind"] for s in store.outbound_sms.read_all()] == [*validator_sms, "contact-support"]
+    assert terminal_notes(store, "A1001") == ["contact-support SMS sent"]
 
 
 @pytest.mark.parametrize("text, renew, stop", [
@@ -636,8 +685,9 @@ def test_a_keyword_that_is_no_canonical_of_its_polarity_is_never_applied(default
         {"model_id": "beta", "reason": "non-canonical-keyword"},
     ]
     assert published[0]["keywords"]["outcome"] == "fail"
+    assert published[0]["extraction"] is None
     assert store.pharmacy.read_all() == []
-    assert [s["kind"] for s in store.outbound_sms.read_all()] == ["contact-support"]
+    assert store.outbound_sms.read_all() == []  # the router closes a failed verdict
 
 
 def test_the_canonical_check_comes_before_the_verbatim_one(lexicon):
