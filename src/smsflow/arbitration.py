@@ -22,13 +22,7 @@ from .messages import (
 )
 from .pool import Envelope, MessagePool
 from .renewal import READING_MEMO_SIZE
-from .store import (
-    OutboundSmsGateway,
-    PharmacyClient,
-    RunStore,
-    TERMINAL_DONE,
-    TERMINAL_FAILED,
-)
+from .store import TERMINAL_DONE, OutboundSmsGateway, PharmacyClient, RunStore
 
 log = logging.getLogger(__name__)
 
@@ -173,8 +167,7 @@ class EvaluatorAgent:
                 **doc, "metadata": restamped(metadata, STEP_LLM_REQUESTED, store.clock.now_iso()),
             })
         else:
-            self.outbound.send_contact_support(customer_id, event_id)
-            store.record_step(event_id, STEP_PARSED, self.qualifier, TERMINAL_FAILED, terminal=True)
+            self.outbound.close_failed(customer_id, event_id, STEP_PARSED, self.qualifier)
         return decision
 
     def handle(self, envelope: Envelope) -> None:

@@ -96,8 +96,8 @@ class PipelineConfig:
         return models
 
 
-def _require(data: dict, key: str, where: str):
-    if key not in data:
+def _require(data, key: str, where: str):
+    if key not in _mapping(data, where):
         raise ConfigError(f"{where}: missing {key!r}")
     return data[key]
 
@@ -130,7 +130,7 @@ def _membership(vertices, where: str) -> MembershipFunction:
 
 
 def _variable(name: str, data: dict, where: str) -> LinguisticVariable:
-    universe = _require(_mapping(data, where), "universe", where)
+    universe = _require(data, "universe", where)
     if not isinstance(universe, list) or len(universe) != 2:
         raise ConfigError(f"{where}.universe: expected a [low, high] pair, got {universe!r}")
     labels = _mapping(_require(data, "labels", where), f"{where}.labels")
@@ -152,6 +152,23 @@ def _system(variables: dict[str, LinguisticVariable], output: str, block_text: s
         return FuzzySystem(variables=variables, block=parse_ruleblock(block_text), output=output)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _block_system(section, where: str) -> FuzzySystem:
+    """The fuzzy system of a section holding its own variables, output and rule block."""
+    variables = {
+        name: _variable(name, vd, f"{where}.variables.{name}")
+        for name, vd in _mapping(_require(section, "variables", where), f"{where}.variables").items()
+    }
+    return _system(variables, _require(section, "output", where), _require(section, "ruleblock", where), where)
+
+
+def _integer(value, key: str) -> int:
+    """An integer bundle value; int() alone would read 2.7 as 2 and true as 1."""
+    number = int(value)
+    if isinstance(value, bool) or number != value:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return number
 
 
 def load_config(path: Path | str) -> PipelineConfig:
@@ -199,19 +216,7 @@ def load_config_text(text: str) -> PipelineConfig:
         "degreeOfConfidence", _require(fuzzy, "confidence", "fuzzy"), "fuzzy.confidence"
     )
 
-    importance = _require(fuzzy, "importance", "fuzzy")
-    importance_vars = {
-        name: _variable(name, vd, f"fuzzy.importance.variables.{name}")
-        for name, vd in _mapping(
-            _require(importance, "variables", "fuzzy.importance"), "fuzzy.importance.variables"
-        ).items()
-    }
-    importance_system = _system(
-        importance_vars,
-        _require(importance, "output", "fuzzy.importance"),
-        _require(importance, "ruleblock", "fuzzy.importance"),
-        "fuzzy.importance",
-    )
+    importance_system = _block_system(_require(fuzzy, "importance", "fuzzy"), "fuzzy.importance")
 
     action = _require(fuzzy, "action", "fuzzy")
     action_var = _variable("action", _require(action, "output", "fuzzy.action"), "fuzzy.action.output")
@@ -227,23 +232,15 @@ def load_config_text(text: str) -> PipelineConfig:
     )
 
     risk = _require(fuzzy, "risk", "fuzzy")
-    risk_vars = {
-        name: _variable(name, vd, f"fuzzy.risk.variables.{name}")
-        for name, vd in _mapping(
-            _require(risk, "variables", "fuzzy.risk"), "fuzzy.risk.variables"
-        ).items()
-    }
-    risk_system = _system(
-        risk_vars,
-        _require(risk, "output", "fuzzy.risk"),
-        _require(risk, "ruleblock", "fuzzy.risk"),
-        "fuzzy.risk",
-    )
+    risk_system = _block_system(risk, "fuzzy.risk")
     threshold = _require(risk, "threshold", "fuzzy.risk")
     try:
         risk_threshold = float(threshold)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"fuzzy.risk.threshold: {exc}") from exc
+    low, high = risk_system.output_variable.universe
+    if not low <= risk_threshold <= high:
+        raise ConfigError(f"fuzzy.risk.threshold: {threshold!r} outside the output universe [{low}, {high}]")
 
     customers = _require(data, "customers", "bundle")
     phones = _require(customers, "auth", "customers")
@@ -276,7 +273,6 @@ def load_config_text(text: str) -> PipelineConfig:
     )
 
     def _risk_inputs(rd: dict, where: str) -> StopRiskInputs:
-        _mapping(rd, where)
         chronic = _require(rd, "chronic", where)
         if not isinstance(chronic, bool):  # bool("false") is True
             raise ConfigError(f"{where}.chronic: expected true or false, got {chronic!r}")
@@ -349,9 +345,12 @@ def load_config_text(text: str) -> PipelineConfig:
     availability = {}
     for s in _mappings(data.get("availability", []), "availability"):
         try:
-            slot = SlotCandidate(int(s["year"]), int(s["month"]), int(s["day"]), int(s["hours"]))
-            availability[slot] = int(s.get("capacity", 1))
-        except (KeyError, ValueError) as exc:
+            slot = SlotCandidate(*(_integer(s[key], key) for key in ("year", "month", "day", "hours")))
+            capacity = _integer(s.get("capacity", 1), "capacity")
+            if capacity < 0:
+                raise ValueError(f"capacity {capacity} is negative")
+            availability[slot] = capacity
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"availability: {exc}") from exc
 
     return PipelineConfig(

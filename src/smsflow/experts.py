@@ -22,15 +22,8 @@ from datetime import date, timedelta
 
 from .messages import STEP_VALIDATED
 from .pool import Envelope
-from .renewal import READING_MEMO_SIZE
-from .store import (
-    OutboundSmsGateway,
-    RunStore,
-    TERMINAL_AWAITING,
-    TERMINAL_DONE,
-    TERMINAL_FAILED,
-    TERMINAL_ROUTED,
-)
+from .renewal import READING_MEMO_SIZE, normalize_item
+from .store import TERMINAL_AWAITING, TERMINAL_DONE, TERMINAL_ROUTED, OutboundSmsGateway, RunStore
 from .validator import EXTRACTION_FAIL, OUTCOME_CONFIRM, OUTCOME_FAIL
 
 log = logging.getLogger(__name__)
@@ -57,7 +50,6 @@ _REQUEST_PREFIXES = (
 )
 _SYNONYMS = ((re.compile(r"\bmedicine\b"), "a medication"),)
 _NON_WORD_RUNS = re.compile(r"[^\w]+")
-_WHITESPACE_RUNS = re.compile(r"\s+")
 _CLAUSE_SPLIT = re.compile(r"\bor\b|;", re.IGNORECASE)
 
 
@@ -85,7 +77,7 @@ def _item_tokens(text: str) -> list[str]:
 
 def rephrase(item_text: str, kind: str) -> str:
     """Normalize an item of ``kind`` ("complaint" or "request") into its template sentence."""
-    text = _WHITESPACE_RUNS.sub(" ", item_text).strip(" \t.,!?;")
+    text = normalize_item(item_text)
     lowered = text[0].lower() + text[1:] if text else text
     for synonym, replacement in _SYNONYMS:
         lowered = synonym.sub(replacement, lowered)
@@ -364,20 +356,18 @@ class RouterAgent:
         # One SMS per kind per event, whatever the item count.
         for kind, texts in replies.items():
             self.outbound.send_sms(customer_id, "\n".join(texts), kind, event_id)
+        # The verdict's facts ride on the terminal record, for the report.
+        facts = {"keyword_outcome": keywords["outcome"], "accepted": keywords["accepted"], "scores": scores}
         if failed:
-            self.outbound.send_contact_support(customer_id, event_id)
-            terminal = TERMINAL_FAILED
-        elif keywords["outcome"] == OUTCOME_CONFIRM:
+            self.outbound.close_failed(customer_id, event_id, STEP_VALIDATED, self.qualifier, **facts)
+            return
+        if keywords["outcome"] == OUTCOME_CONFIRM:
             terminal = TERMINAL_AWAITING
         elif routed:
             terminal = TERMINAL_ROUTED
         else:
             terminal = TERMINAL_DONE
-        # The verdict's facts ride on the terminal record, for the report.
-        self.store.record_step(
-            event_id, STEP_VALIDATED, self.qualifier, terminal, terminal=True,
-            keyword_outcome=keywords["outcome"], accepted=keywords["accepted"], scores=scores,
-        )
+        self.store.record_step(event_id, STEP_VALIDATED, self.qualifier, terminal, terminal=True, **facts)
 
     def _route_item(self, event_id: str, item: str, item_kind: str) -> list[tuple[str, str]]:
         """Hand one complaint or request to its expert; returns (SMS kind, text) replies to send."""

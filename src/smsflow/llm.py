@@ -1,10 +1,11 @@
 """Language-model agents: structured SMS extraction and cross-judging.
 
-Two interchangeable backends sit behind one interface: a deterministic
-scripted model used by the test harness (with seeded fault injection so
-hallucination handling can be reproduced exactly), and an HTTP
-chat-completion adapter for real deployments.  :func:`model_results` runs
-one stage's model calls, one after the other or overlapped on an executor.
+Two interchangeable backends that only read text sit behind one interface:
+a deterministic scripted model used by the test harness, and an HTTP
+chat-completion adapter for real deployments.  :class:`LlmAgent` applies
+the seeded :class:`FaultPlan` to every model's extraction, so hallucination
+handling can be reproduced exactly.  :func:`model_results` runs one stage's
+model calls, one after the other or overlapped on an executor.
 
 A scripted model caches its reading of each distinct text, which serves
 both its extractions and its judgements, bounded by ``READING_MEMO_SIZE``;
@@ -29,7 +30,9 @@ from .messages import (
     restamped,
 )
 from .pool import Envelope, MessagePool
-from .renewal import READING_MEMO_SIZE, KeywordLexicon, sentence_tokens, split_sentences
+from .renewal import (
+    READING_MEMO_SIZE, KeywordLexicon, normalize_item, sentence_tokens, split_sentences, tokens_of,
+)
 from .store import RunStore
 
 log = logging.getLogger(__name__)
@@ -104,8 +107,31 @@ class FaultPlan:
         drop_fires = rng.random() < self.drop_keyword_rate
         return add_fires, drop_fires, rng
 
+    def apply(
+        self, extraction: LlmExtraction, text: str, lexicon: KeywordLexicon,
+        event_id: str, model_id: str, attempt: int,
+    ) -> LlmExtraction:
+        """Inject this call's faults into ``extraction`` in place and return it.
 
-ZERO_FAULTS = FaultPlan()
+        The add fault claims the first lexicon canonical whose lowercased form
+        is none of the text's tokens; the drop fault then removes one claim.
+        """
+        add_fires, drop_fires, rng = self.draws(event_id, model_id, attempt)
+        if add_fires:
+            tokens = tokens_of(text, lexicon)
+            absent = next((c for c in lexicon.polarities if c.lower() not in tokens), None)
+            if absent is not None and absent not in extraction.keywords():
+                target = extraction.renew if lexicon.polarities[absent] == "renew" else extraction.stop
+                target.append(absent)
+        if drop_fires:
+            claimed = extraction.keywords()
+            if claimed:
+                victim = claimed[rng.randrange(len(claimed))]
+                if victim in extraction.renew:
+                    extraction.renew.remove(victim)
+                else:
+                    extraction.stop.remove(victim)
+        return extraction
 
 
 @dataclass(frozen=True)
@@ -136,47 +162,26 @@ class ScriptedModel:
     claimed everywhere).  This is intentionally more permissive than the
     parser agent: it also claims keywords from mixed sentences.
 
-    What both answers take from the text depends on the text alone, so each
-    model reads a distinct text once while its cache holds at most
-    ``READING_MEMO_SIZE`` texts.  Faults are drawn per call, on a fresh
-    extraction built from the cached reading.
+    Both answers depend on the text alone (the extraction stage injects any
+    faults), so each model reads a distinct text once while its cache holds
+    at most ``READING_MEMO_SIZE`` texts; every extraction is a fresh one
+    built from the cached reading, which the stage may then alter.
     """
 
     def __init__(self, model_id: str, cues: CueConfig | None = None):
         self.model_id = model_id
         self.cues = cues or CueConfig()
-        # (text, lexicon) -> the fault-free reading; see scripted_reading.
+        # (text, lexicon) -> the reading; see scripted_reading.
         self.reading = functools.lru_cache(maxsize=READING_MEMO_SIZE)(
             functools.partial(scripted_reading, cues=self.cues)
         )
 
-    def extract(
-        self,
-        sms_text: str,
-        lexicon: KeywordLexicon,
-        event_id: str = "",
-        attempt: int = 1,
-        faults: FaultPlan = ZERO_FAULTS,
-    ) -> LlmExtraction:
+    def extract(self, sms_text: str, lexicon: KeywordLexicon) -> LlmExtraction:
         reading = self.reading(sms_text, lexicon)
-        extraction = LlmExtraction(
+        return LlmExtraction(
             renew=list(reading.renew), stop=list(reading.stop), complaint=list(reading.complaint),
             request=list(reading.request), mood=reading.mood,
         )
-        add_fires, drop_fires, rng = faults.draws(event_id, self.model_id, attempt)
-        absent = reading.absent
-        if add_fires and absent is not None and absent not in reading.renew + reading.stop:
-            target = extraction.renew if lexicon.polarities[absent] == "renew" else extraction.stop
-            target.append(absent)
-        if drop_fires:
-            claimed = extraction.keywords()
-            if claimed:
-                victim = claimed[rng.randrange(len(claimed))]
-                if victim in extraction.renew:
-                    extraction.renew.remove(victim)
-                else:
-                    extraction.stop.remove(victim)
-        return extraction
 
     def judge(self, original_sms: str, extraction: LlmExtraction, lexicon: KeywordLexicon) -> int:
         """Coverage score 1..10 for the complaint/request reading.
@@ -186,7 +191,7 @@ class ScriptedModel:
         costs 2.
         """
         sentences = self.reading(original_sms, lexicon).free_text
-        items = [_normalize_item(i) for i in (*extraction.complaint, *extraction.request)]
+        items = [normalize_item(i).lower() for i in (*extraction.complaint, *extraction.request)]
 
         fabricated = sum(1 for item in items if item not in sentences)
         missed = sum(1 for s in sentences if s not in items)
@@ -194,35 +199,30 @@ class ScriptedModel:
 
 
 class ScriptedReading(NamedTuple):
-    """A scripted model's fault-free reading of one text."""
+    """A scripted model's reading of one text."""
 
     renew: tuple[str, ...]
     stop: tuple[str, ...]
     complaint: tuple[str, ...]
     request: tuple[str, ...]
     mood: str
-    # The first lexicon canonical whose lowercased form is none of the text's
-    # tokens, or None: what the add-keyword fault claims.
-    absent: str | None
     # Normalized sentences not made of lexicon tokens alone: what judge scores against.
     free_text: tuple[str, ...]
 
 
 def scripted_reading(text: str, lexicon: KeywordLexicon, cues: CueConfig) -> ScriptedReading:
-    """The scripted model's fault-free reading of one text."""
+    """The scripted model's reading of one text."""
     renew: list[str] = []
     stop: list[str] = []
     complaint: list[str] = []
     request: list[str] = []
     free_text: list[str] = []
-    present: set[str] = set()
     pos = neg = 0
     for sentence in split_sentences(text, lexicon):
         kind = classify_sentence(sentence, cues)
         all_keywords = True
         for token in sentence_tokens(sentence):
             lowered = token.lower()
-            present.add(lowered)
             if lowered in cues.mood_positive:
                 pos += 1
             if lowered in cues.mood_negative:
@@ -240,23 +240,15 @@ def scripted_reading(text: str, lexicon: KeywordLexicon, cues: CueConfig) -> Scr
         elif kind == "request":
             request.append(sentence)
         if not all_keywords:
-            free_text.append(_normalize_item(sentence))
+            free_text.append(normalize_item(sentence).lower())
     return ScriptedReading(
         renew=tuple(renew),
         stop=tuple(stop),
         complaint=tuple(complaint),
         request=tuple(request),
         mood="positive" if pos > neg else "negative" if neg > pos else "neutral",
-        absent=next((c for c in lexicon.polarities if c.lower() not in present), None),
         free_text=tuple(free_text),
     )
-
-
-_WHITESPACE_RUNS = re.compile(r"\s+")
-
-
-def _normalize_item(text: str) -> str:
-    return _WHITESPACE_RUNS.sub(" ", text).strip(" \t.,!?;").lower()
 
 
 # A judge reply may name the scale ("1 to 10", "1-10") or a denominator
@@ -321,14 +313,7 @@ class ChatCompletionModel:
             }
         )
 
-    def extract(
-        self,
-        sms_text: str,
-        lexicon: KeywordLexicon,
-        event_id: str = "",
-        attempt: int = 1,
-        faults: FaultPlan = ZERO_FAULTS,
-    ) -> LlmExtraction:
+    def extract(self, sms_text: str, lexicon: KeywordLexicon) -> LlmExtraction:
         prompt = self._extraction_prompt(sms_text, lexicon)
         reply = self._complete(prompt)
         try:
@@ -424,10 +409,11 @@ class LlmAgent:
         Publishes one stage-S003 document holding ``parsed`` as received, the
         ``attempt`` the models ran at (``parsed["attempt"]``, which only the
         validator's retry sets, else 1) and ``responses``: per model, in model
-        order also when ``executor`` overlaps the two calls, an extraction or
-        an explicit failure marker.  The validator decides the event from that
-        document alone.  An exception other than a model error leaves the
-        stage before anything is published.
+        order also when ``executor`` overlaps the two calls, an extraction
+        with the fault plan applied on this thread, or an explicit failure
+        marker.  The validator decides the event from that document alone.
+        An exception other than a model error leaves the stage before
+        anything is published.
         """
         if len(self.models) != 2:
             raise ValueError(f"the extraction stage needs exactly two models, got {len(self.models)}")
@@ -438,7 +424,7 @@ class LlmAgent:
         original = store.fetch_original(event_id)
 
         def extract(model):
-            return model.extract(original, self.lexicon, event_id=event_id, attempt=attempt, faults=self.faults)
+            return model.extract(original, self.lexicon)
 
         responses = []
         for model, extraction in model_results(extract, self.models, self.executor):
@@ -449,6 +435,7 @@ class LlmAgent:
                     f"extraction-failure:{model.model_id}: {extraction}",
                 )
             else:
+                self.faults.apply(extraction, original, self.lexicon, event_id, model.model_id, attempt)
                 responses.append({"model_id": model.model_id, **extraction.to_doc()})
         doc = {
             "metadata": restamped(metadata, STEP_LLM_EXTRACTED, store.clock.now_iso()),

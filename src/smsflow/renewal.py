@@ -148,6 +148,11 @@ def sentence_tokens(sentence: str) -> list[str]:
     return [t for t in TOKEN_SEPARATORS.split(sentence) if t]
 
 
+def normalize_item(text: str) -> str:
+    """A complaint or request with whitespace runs made one space and edge punctuation stripped."""
+    return " ".join(text.split()).strip(" \t.,!?;")
+
+
 def segment(text: str, lexicon: KeywordLexicon) -> list[list[str]]:
     """Sentence segments, each a list of whitespace/comma-separated tokens."""
     segments = []

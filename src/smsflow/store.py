@@ -343,8 +343,11 @@ class OutboundSmsGateway:
         self.store.record_step(event_id, "", "OutboundSmsService", f"sms:{kind}")
         return record
 
-    def send_contact_support(self, customer_id: str, event_id: str) -> dict:
-        return self.send_sms(customer_id, CONTACT_SUPPORT_TEXT, "contact-support", event_id)
+    def close_failed(self, customer_id: str, event_id: str, step: str, agent: str, **fields) -> dict:
+        """Send the contact-support SMS, then record the failed terminal step carrying ``fields``."""
+        record = self.send_sms(customer_id, CONTACT_SUPPORT_TEXT, "contact-support", event_id)
+        self.store.record_step(event_id, step, agent, TERMINAL_FAILED, terminal=True, **fields)
+        return record
 
 
 class PharmacyClient:

@@ -94,6 +94,23 @@ SCALAR_IDS = ["models-as-names", "experts-as-names", "keywords-as-words",
               "scalar-always-on", "scalar-politeness", "scalar-expert-cues", "scalar-llm-cue"]
 
 
+# Whole sections given as scalars.
+def _scalar_section(path):
+    def edit(bundle):
+        *parents, key = path.split(".")
+        for parent in parents:
+            bundle = bundle[parent]
+        bundle[key] = 5
+    return edit
+
+
+SCALAR_SECTION_PATHS = ["llm", "fuzzy", "fuzzy.importance", "fuzzy.risk", "fuzzy.action", "customers",
+                        "lexicon", "orchestration", "arbitration"]
+SCALAR_SECTIONS = [
+    (_scalar_section(path), re.escape(f"{path}: expected a mapping, got 5")) for path in SCALAR_SECTION_PATHS
+]
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -104,9 +121,11 @@ SCALAR_IDS = ["models-as-names", "experts-as-names", "keywords-as-words",
         (_word_threshold, "fuzzy.risk.threshold: "),
         (_drop_lexicon_keywords, "lexicon: missing 'keywords'$"),
         *SCALAR_ENTRIES,
+        *SCALAR_SECTIONS,
     ],
     ids=["model-without-id", "expert-without-qualifier", "document-without-answer",
-         "auth-as-list", "word-threshold", "lexicon-without-keywords", *SCALAR_IDS],
+         "auth-as-list", "word-threshold", "lexicon-without-keywords", *SCALAR_IDS,
+         *(f"scalar-{path}" for path in SCALAR_SECTION_PATHS)],
 )
 def test_malformed_bundle_error_names_its_section(edit, message):
     bundle = _default_bundle()
@@ -143,6 +162,16 @@ def test_cli_reports_a_malformed_bundle_without_a_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_exits_one_on_a_scalar_section(tmp_path, capsys):
+    bundle = _default_bundle()
+    bundle["llm"] = 5
+    code = _run_cli(tmp_path, bundle)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: llm: expected a mapping, got 5")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("edit, message", SCALAR_ENTRIES, ids=SCALAR_IDS)
 def test_cli_reports_a_scalar_list_entry_without_a_traceback(tmp_path, capsys, edit, message):
     bundle = _default_bundle()
@@ -168,12 +197,30 @@ def _word_capacity(bundle):
     bundle["availability"][0]["capacity"] = "two"
 
 
+def _slot_value(key, value):
+    def edit(bundle):
+        bundle["availability"][0][key] = value
+    return edit
+
+
+def _threshold_outside_the_universe(bundle):
+    bundle["fuzzy"]["risk"]["threshold"] = 7.5  # the risk output universe is [0, 1]
+
+
 MALFORMED_SECTIONS = [
     (_scalar_universe, "fuzzy.confidence.universe: expected a [low, high] pair"),
     (_labels_as_list, "fuzzy.confidence.labels: expected a mapping"),
     (_word_capacity, "availability: invalid literal for int"),
+    (_slot_value("capacity", 2.7), "availability: capacity must be an integer, got 2.7"),
+    (_slot_value("capacity", True), "availability: capacity must be an integer, got True"),
+    (_slot_value("capacity", -1), "availability: capacity -1 is negative"),
+    (_slot_value("year", 2025.5), "availability: year must be an integer, got 2025.5"),
+    (_slot_value("hours", True), "availability: hours must be an integer, got True"),
+    (_threshold_outside_the_universe, "fuzzy.risk.threshold: 7.5 outside the output universe [0.0, 1.0]"),
 ]
-MALFORMED_SECTION_IDS = ["scalar-universe", "labels-as-list", "word-capacity"]
+MALFORMED_SECTION_IDS = ["scalar-universe", "labels-as-list", "word-capacity", "fractional-capacity",
+                         "boolean-capacity", "negative-capacity", "fractional-year", "boolean-hours",
+                         "threshold-outside-the-universe"]
 
 
 @pytest.mark.parametrize("edit, message", MALFORMED_SECTIONS, ids=MALFORMED_SECTION_IDS)

@@ -10,6 +10,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from smsflow.arbitration import CustomerProfile, EvaluatorAgent
 from smsflow.config import default_config_path, load_config
 from smsflow.experts import (
     CALL_US_REPLY,
@@ -29,9 +30,10 @@ from smsflow.experts import (
     route,
 )
 from smsflow.harness import run_pipeline
-from smsflow.pool import Envelope
+from smsflow.messages import AGENTS_TOPIC
+from smsflow.pool import Envelope, MessagePool
 from smsflow.renewal import READING_MEMO_SIZE
-from smsflow.store import OutboundSmsGateway, RunStore
+from smsflow.store import OutboundSmsGateway, PharmacyClient, RunStore
 
 from conftest import remaining_bookings
 
@@ -379,3 +381,56 @@ def test_a_repeated_request_is_booked_logged_and_answered_per_call(default_confi
         ("A1", "booking-confirmation"), ("A2", "generic")
     ]
     assert store.outbound_sms.read_all()[1]["text"] == CALL_US_REPLY
+
+
+# -- closing a failed event -----------------------------------------------------------
+
+_METADATA = {
+    "type": "renewal", "eventId": "A1001", "customerId": "C1001", "stepId": "S001",
+    "customerEventTime": "2025-01-01T00:00:00Z", "lastUpdateTime": "2025-01-01T00:00:00Z",
+}
+_NOTHING = {"renew": [], "stop": []}
+
+
+def _evaluator_fails(config):
+    store = RunStore()
+    evaluator = EvaluatorAgent(
+        {}, config.default_profile, config.importance_system, config.action_system,
+        store, MessagePool(), PharmacyClient(store), OutboundSmsGateway(store),
+    )
+    low = {"high": 0.0, "intermediate": 0.0, "low": 1.0}
+    evaluator.evaluate(
+        {"metadata": _METADATA, "renew": ["1"], "stop": [], "degreeOfConfidence": low},
+        CustomerProfile("C1001", 0, 0),
+    )
+    return store
+
+
+def _router_reads(keywords, extraction):
+    def handle(config):
+        router, store = _router(config)
+        doc = {"metadata": {**_METADATA, "stepId": "S004"}, "keywords": keywords, "extraction": extraction}
+        router.handle(Envelope(AGENTS_TOPIC, 1, doc))
+        return store
+    return handle
+
+
+@pytest.mark.parametrize("close, agent", [
+    pytest.param(_evaluator_fails, "EvaluatorAgent", id="evaluator-fail"),
+    pytest.param(_router_reads(
+        {"accepted": _NOTHING, "discarded": [], "outcome": "fail", "attempt": 2}, None,
+    ), "RouterAgent", id="router-failed-verdict"),
+    pytest.param(_router_reads(
+        {"accepted": _NOTHING, "discarded": [], "outcome": "process", "attempt": 1},
+        {"chosen": {**_NOTHING, "complaint": [], "request": [], "mood": "neutral"},
+         "chosen_model": "alpha", "scores": {"alpha": 8, "beta": 8}, "outcome": "route"},
+    ), "RouterAgent", id="router-not-understood"),
+])
+def test_a_failed_event_gets_one_contact_support_sms_then_one_failed_terminal(default_config, close, agent):
+    store = close(default_config)
+    assert [s["kind"] for s in store.outbound_sms.read_all()] == ["contact-support"]
+    steps = [(r["agent"], r["note"], r["terminal"]) for r in store.steps_of("A1001")]
+    assert [s for s in steps if s[2] or s[1].startswith("sms:")] == [
+        ("OutboundSmsService", "sms:contact-support", False),
+        (agent, "contact-support SMS sent", True),
+    ]

@@ -80,7 +80,8 @@ def test_full_reading_of_the_long_message(lexicon):
 def test_add_keyword_fault_injects_an_absent_canonical(lexicon):
     model = ScriptedModel("alpha")
     firing = FaultPlan(seed=0, add_keyword_rate=1.0)
-    out = model.extract("1, unenroll. Thank you", lexicon, event_id="A1", faults=firing)
+    text = "1, unenroll. Thank you"
+    out = firing.apply(model.extract(text, lexicon), text, lexicon, "A1", "alpha", 1)
     # "renew" is the first lexicon canonical that does not occur in the text.
     assert out.renew == ["1", "renew"]
     assert out.stop == ["unenroll"]
@@ -89,7 +90,7 @@ def test_add_keyword_fault_injects_an_absent_canonical(lexicon):
 def test_drop_keyword_fault_removes_a_claim(lexicon):
     model = ScriptedModel("alpha")
     firing = FaultPlan(seed=0, drop_keyword_rate=1.0)
-    out = model.extract("1, unenroll", lexicon, event_id="A1", faults=firing)
+    out = firing.apply(model.extract("1, unenroll", lexicon), "1, unenroll", lexicon, "A1", "alpha", 1)
     assert len(out.renew) + len(out.stop) == 1
 
 
@@ -187,9 +188,9 @@ def test_cached_extraction_equals_a_fresh_model_per_call(lexicon, rate):
     for text in _CACHE_TEXTS:
         for event_id in ("A1", "A2"):
             for attempt in (1, 2):
-                got = model.extract(text, lexicon, event_id=event_id, attempt=attempt, faults=faults)
-                fresh = ScriptedModel("alpha").extract(
-                    text, lexicon, event_id=event_id, attempt=attempt, faults=faults
+                got = faults.apply(model.extract(text, lexicon), text, lexicon, event_id, "alpha", attempt)
+                fresh = faults.apply(
+                    ScriptedModel("alpha").extract(text, lexicon), text, lexicon, event_id, "alpha", attempt
                 )
                 assert got == fresh
     assert model.reading.cache_info().currsize == len(_CACHE_TEXTS)
@@ -269,9 +270,10 @@ def test_cached_model_reads_and_judges_like_a_fresh_one(default_config, words, r
     faults = FaultPlan(seed=7, add_keyword_rate=rate, drop_keyword_rate=rate)
     model = ScriptedModel("alpha", default_config.cues)
     for event_id, attempt in (("A1", 1), ("A1", 2), ("A2", 1)):
-        got = model.extract(text, lexicon, event_id=event_id, attempt=attempt, faults=faults)
-        fresh = ScriptedModel("alpha", default_config.cues).extract(
-            text, lexicon, event_id=event_id, attempt=attempt, faults=faults
+        got = faults.apply(model.extract(text, lexicon), text, lexicon, event_id, "alpha", attempt)
+        fresh = faults.apply(
+            ScriptedModel("alpha", default_config.cues).extract(text, lexicon),
+            text, lexicon, event_id, "alpha", attempt,
         )
         assert got == fresh
         for judged in (got, LlmExtraction(complaint=["bad"], request=list(got.complaint))):
@@ -281,8 +283,8 @@ def test_cached_model_reads_and_judges_like_a_fresh_one(default_config, words, r
 def test_http_model_asks_the_backend_on_every_call(lexicon):
     fake = FakeChat("alpha", lexicon)
     model = ChatCompletionModel("alpha", "http://fake/v1", "fake-alpha", transport=fake)
-    first = model.extract(MSG1, lexicon, event_id="A1", attempt=1)
-    again = model.extract(MSG1, lexicon, event_id="A1", attempt=2)
+    first = model.extract(MSG1, lexicon)
+    again = model.extract(MSG1, lexicon)
     assert first == again and len(fake.threads) == 2
     assert model.judge(MSG1, first, lexicon) == model.judge(MSG1, first, lexicon)
     assert len(fake.threads) == 4
@@ -323,6 +325,18 @@ def test_stage_publishes_one_document(lexicon):
     assert doc["parsed"] is parsed and doc["attempt"] == 1
     assert [r["model_id"] for r in doc["responses"]] == ["alpha", "beta"]
     assert all(r["renew"] == ["1"] for r in doc["responses"])
+
+
+def test_the_stage_injects_faults_into_http_models_too(lexicon):
+    store, pool = RunStore(), MessagePool()
+    store.store_original("A1001", "1, unenroll. Thank you")
+    sub = pool.subscribe(AGENTS_TOPIC)
+    LlmAgent(chat_models(lexicon), lexicon, FaultPlan(add_keyword_rate=1.0), store, pool).run(_s002())
+    [doc] = [e.payload for e in sub.poll(10)]
+    # "renew" is the first lexicon canonical that does not occur in the text.
+    assert [(r["model_id"], r["renew"], r["stop"]) for r in doc["responses"]] == [
+        ("alpha", ["1", "renew"], ["unenroll"]), ("beta", ["1", "renew"], ["unenroll"]),
+    ]
 
 
 def test_stage_needs_exactly_two_models(lexicon):

@@ -133,7 +133,7 @@ def test_send_sms_records_kind():
     outbound = OutboundSmsGateway(store)
     outbound.send_sms("C1001", "call us", "contact-support", "E1")
     outbound.send_sms("C1001", "confirm?", "confirm-stop", "E1")
-    support = outbound.send_contact_support("C1002", "E2")
+    support = outbound.close_failed("C1002", "E2", "S001", "EvaluatorAgent")
     records = store.outbound_sms.read_all()
     assert [r["kind"] for r in records] == ["contact-support", "confirm-stop", "contact-support"]
     assert records[2] is support
