@@ -1,9 +1,12 @@
 """Loading and validation of the pipeline configuration bundle.
 
-One YAML file declares everything an operator can change: dispatch rules for
-both stages, the keyword lexicon, every fuzzy variable and rule block, the
-customer fixtures, model backends, expert registrations, the store Q&A
-documents, and appointment availability.
+One YAML file declares everything an operator can change, in eight
+sections (``SECTIONS``): the keyword lexicon, every fuzzy variable and rule
+block, the customer fixtures, the medication risk fixtures, model backends,
+expert registrations, the store Q&A documents, and appointment availability.
+Which agent works each step is fixed (``dispatch.STEP_AGENTS``), not
+configured.  Any other top-level key is refused, so a misspelled section
+never falls back to defaults unnoticed.
 """
 from __future__ import annotations
 
@@ -15,7 +18,6 @@ from pathlib import Path
 import yaml
 
 from .arbitration import CustomerProfile
-from .dispatch import ServiceRule, load_rules_from_data
 from .experts import ExpertRegistration, SlotCandidate, StoreDocument
 from .fuzzy import FuzzySystem, LinguisticVariable, MembershipFunction, parse_ruleblock
 from .llm import ChatCompletionModel, CueConfig, ScriptedModel
@@ -34,6 +36,8 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 DEFAULT_CONFIG_RESOURCE = "default_config.yaml"
 DEFAULT_CORPUS_RESOURCE = "corpus_ten.jsonl"
+
+SECTIONS = ("lexicon", "fuzzy", "customers", "medications", "llm", "experts", "documents", "availability")
 
 
 def default_config_path() -> Path:
@@ -56,9 +60,6 @@ class ModelSpec:
 
 @dataclass
 class PipelineConfig:
-    orchestration_rules: list[ServiceRule]
-    arbitration_rules: list[ServiceRule]
-    always_on: tuple[str, ...]
     lexicon: KeywordLexicon
     confidence_var: LinguisticVariable
     importance_system: FuzzySystem
@@ -123,9 +124,12 @@ def _strings(value, where: str) -> tuple[str, ...]:
 
 
 def _membership(vertices, where: str) -> MembershipFunction:
+    if not isinstance(vertices, list) or any(not isinstance(v, list) or len(v) != 2 for v in vertices):
+        raise ConfigError(f"{where}: expected a list of [x, degree] pairs, got {vertices!r}")
+    points = tuple((_number(x, where), _number(d, where)) for x, d in vertices)
     try:
-        return MembershipFunction(tuple((float(x), float(d)) for x, d in vertices))
-    except (TypeError, ValueError) as exc:
+        return MembershipFunction(points)
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -133,16 +137,13 @@ def _variable(name: str, data: dict, where: str) -> LinguisticVariable:
     universe = _require(data, "universe", where)
     if not isinstance(universe, list) or len(universe) != 2:
         raise ConfigError(f"{where}.universe: expected a [low, high] pair, got {universe!r}")
-    labels = _mapping(_require(data, "labels", where), f"{where}.labels")
+    low, high = (_number(bound, f"{where}.universe") for bound in universe)
+    labels = {
+        label: _membership(vertices, f"{where}.labels.{label}")
+        for label, vertices in _mapping(_require(data, "labels", where), f"{where}.labels").items()
+    }
     try:
-        return LinguisticVariable(
-            name=name,
-            universe=(float(universe[0]), float(universe[1])),
-            labels={
-                label: _membership(vertices, f"{where}.labels.{label}")
-                for label, vertices in labels.items()
-            },
-        )
+        return LinguisticVariable(name=name, universe=(low, high), labels=labels)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -161,6 +162,13 @@ def _block_system(section, where: str) -> FuzzySystem:
         for name, vd in _mapping(_require(section, "variables", where), f"{where}.variables").items()
     }
     return _system(variables, _require(section, "output", where), _require(section, "ruleblock", where), where)
+
+
+def _number(value, where: str) -> float:
+    """A real bundle value; float() alone would read true as 1.0 and raise a TypeError on a list."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    return float(value)
 
 
 def _integer(value, key: str) -> int:
@@ -184,14 +192,9 @@ def load_config_text(text: str) -> PipelineConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration bundle must be a mapping")
 
-    orchestration = _require(data, "orchestration", "bundle")
-    arbitration = _require(data, "arbitration", "bundle")
-    try:
-        orchestration_rules = load_rules_from_data(_require(orchestration, "services", "orchestration"))
-        arbitration_rules = load_rules_from_data(_require(arbitration, "services", "arbitration"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    always_on = _strings(arbitration.get("always_on", ()), "arbitration.always_on")
+    unknown = [str(key) for key in data if key not in SECTIONS]
+    if unknown:
+        raise ConfigError(f"bundle: unknown sections {', '.join(unknown)}; expected {', '.join(SECTIONS)}")
 
     lex = _require(data, "lexicon", "bundle")
     keywords = _mappings(_require(lex, "keywords", "lexicon"), "lexicon.keywords")
@@ -234,10 +237,7 @@ def load_config_text(text: str) -> PipelineConfig:
     risk = _require(fuzzy, "risk", "fuzzy")
     risk_system = _block_system(risk, "fuzzy.risk")
     threshold = _require(risk, "threshold", "fuzzy.risk")
-    try:
-        risk_threshold = float(threshold)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"fuzzy.risk.threshold: {exc}") from exc
+    risk_threshold = _number(threshold, "fuzzy.risk.threshold")
     low, high = risk_system.output_variable.universe
     if not low <= risk_threshold <= high:
         raise ConfigError(f"fuzzy.risk.threshold: {threshold!r} outside the output universe [{low}, {high}]")
@@ -252,15 +252,11 @@ def load_config_text(text: str) -> PipelineConfig:
     auth = CustomerAuthTable(phones={str(k): str(v) for k, v in phones.items()})
 
     def _profile(customer_id: str, pd: dict, where: str) -> CustomerProfile:
-        _mapping(pd, where)
-        try:
-            return CustomerProfile(
-                customer_id=customer_id,
-                tenure_years=float(pd["tenure_years"]),
-                purchases_12mo=float(pd["purchases_12mo"]),
-            )
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        return CustomerProfile(
+            customer_id=customer_id,
+            tenure_years=_number(_require(pd, "tenure_years", where), f"{where}.tenure_years"),
+            purchases_12mo=_number(_require(pd, "purchases_12mo", where), f"{where}.purchases_12mo"),
+        )
 
     profiles = {
         str(customer_id): _profile(str(customer_id), pd, f"customers.profiles.{customer_id}")
@@ -276,14 +272,11 @@ def load_config_text(text: str) -> PipelineConfig:
         chronic = _require(rd, "chronic", where)
         if not isinstance(chronic, bool):  # bool("false") is True
             raise ConfigError(f"{where}.chronic: expected true or false, got {chronic!r}")
-        try:
-            return StopRiskInputs(
-                criticality=float(rd["criticality"]),
-                duration_months=float(rd["duration_months"]),
-                chronic=chronic,
-            )
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        return StopRiskInputs(
+            criticality=_number(_require(rd, "criticality", where), f"{where}.criticality"),
+            duration_months=_number(_require(rd, "duration_months", where), f"{where}.duration_months"),
+            chronic=chronic,
+        )
 
     medications = _mapping(data.get("medications", {}), "medications")
     medication_default = _risk_inputs(
@@ -297,20 +290,17 @@ def load_config_text(text: str) -> PipelineConfig:
 
     llm = _require(data, "llm", "bundle")
     models = _mappings(_require(llm, "models", "llm"), "llm.models")
-    try:
-        model_specs = [
-            ModelSpec(
-                model_id=str(m["id"]),
-                backend=str(m.get("backend", "scripted")),
-                endpoint=str(m.get("endpoint", "")),
-                model_name=str(m.get("model_name", "")),
-                api_key_env=str(m.get("api_key_env", "")),
-                timeout=float(m.get("timeout", 30.0)),
-            )
-            for m in models
-        ]
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"llm.models: {exc}") from exc
+    model_specs = [
+        ModelSpec(
+            model_id=str(_require(m, "id", "llm.models")),
+            backend=str(m.get("backend", "scripted")),
+            endpoint=str(m.get("endpoint", "")),
+            model_name=str(m.get("model_name", "")),
+            api_key_env=str(m.get("api_key_env", "")),
+            timeout=_number(m.get("timeout", 30.0), f"llm.models[{i}].timeout"),
+        )
+        for i, m in enumerate(models)
+    ]
     cue_data = _mapping(llm.get("cues", {}), "llm.cues")
     cues = CueConfig(**{
         name: _strings(cue_data.get(name, getattr(CueConfig, name)), f"llm.cues.{name}")
@@ -324,10 +314,12 @@ def load_config_text(text: str) -> PipelineConfig:
                 cues=_strings(e.get("cues", ()), "experts.cues"),
                 queue=str(e.get("queue", "")),
             )
-            for e in _mappings(data.get("experts", []), "experts")
+            for e in _mappings(_require(data, "experts", "bundle"), "experts")
         ]
     except KeyError as exc:
         raise ConfigError(f"experts: missing {exc}") from exc
+    if not experts:
+        raise ConfigError("experts: at least one expert registration is required")
     if len({e.qualifier for e in experts}) != len(experts):
         raise ConfigError("experts: duplicate qualifiers")
     # Both model stages call each model once and the validator keys their documents by id.
@@ -354,9 +346,6 @@ def load_config_text(text: str) -> PipelineConfig:
             raise ConfigError(f"availability: {exc}") from exc
 
     return PipelineConfig(
-        orchestration_rules=orchestration_rules,
-        arbitration_rules=arbitration_rules,
-        always_on=always_on,
         lexicon=lexicon,
         confidence_var=confidence_var,
         importance_system=importance_system,

@@ -161,16 +161,11 @@ def build_pipeline(
     }
 
     orchestration = Dispatcher(
-        "OrchestrationDispatcher",
-        config.orchestration_rules,
-        AgentRegistry(agents),
-        pool.subscribe(INCOMING_TOPIC),
-        store,
+        "OrchestrationDispatcher", AgentRegistry(agents), pool.subscribe(INCOMING_TOPIC), store
     )
     arbitration = Dispatcher(
         "ArbitrationDispatcher",
-        config.arbitration_rules,
-        AgentRegistry(agents, always_on=config.always_on),
+        AgentRegistry(agents, always_on=(MessageTrackingAgent.qualifier,)),
         pool.subscribe(AGENTS_TOPIC),
         store,
     )

@@ -28,7 +28,6 @@ from .messages import (
     STEP_LLM_EXTRACTED,
     STEP_VALIDATED,
     LlmExtraction,
-    event_and_step,
     restamped,
 )
 from .pool import Envelope, MessagePool
@@ -266,11 +265,9 @@ class ValidatorAgent:
         self.executor = executor
 
     def handle(self, envelope: Envelope) -> None:
-        """Decide the event of an S003 document; any other document is ignored."""
+        """Decide the event of an S003 document."""
         doc = envelope.payload
-        event_id, step = event_and_step(doc)
-        if step != STEP_LLM_EXTRACTED:
-            return
+        event_id = doc["metadata"]["eventId"]
         original = self.store.fetch_original(event_id)  # MissingOriginalError is fatal by design
         parsed = doc["parsed"]
         a, b = doc["responses"]

@@ -61,10 +61,6 @@ def _scalar_profile(bundle):
     bundle["customers"]["profiles"]["C1001"] = "loyal"
 
 
-def _scalar_always_on(bundle):
-    bundle["arbitration"]["always_on"] = "MessageTrackingAgent"
-
-
 def _scalar_politeness(bundle):
     bundle["lexicon"]["politeness"] = "thank you"
 
@@ -84,14 +80,13 @@ SCALAR_ENTRIES = [
     (_scalar_medication_default, "medications.default: expected a mapping"),
     (_availability_as_words, "availability: expected a mapping"),
     (_scalar_profile, "customers.profiles.C1001: expected a mapping"),
-    (_scalar_always_on, "arbitration.always_on: expected a list"),
     (_scalar_politeness, "lexicon.politeness: expected a list"),
     (_scalar_expert_cues, "experts.cues: expected a list"),
     (_scalar_llm_cue, "llm.cues.complaint: expected a list"),
 ]
 SCALAR_IDS = ["models-as-names", "experts-as-names", "keywords-as-words",
               "scalar-medication-default", "availability-as-words", "scalar-profile",
-              "scalar-always-on", "scalar-politeness", "scalar-expert-cues", "scalar-llm-cue"]
+              "scalar-politeness", "scalar-expert-cues", "scalar-llm-cue"]
 
 
 # Whole sections given as scalars.
@@ -105,7 +100,7 @@ def _scalar_section(path):
 
 
 SCALAR_SECTION_PATHS = ["llm", "fuzzy", "fuzzy.importance", "fuzzy.risk", "fuzzy.action", "customers",
-                        "lexicon", "orchestration", "arbitration"]
+                        "lexicon"]
 SCALAR_SECTIONS = [
     (_scalar_section(path), re.escape(f"{path}: expected a mapping, got 5")) for path in SCALAR_SECTION_PATHS
 ]
@@ -207,6 +202,34 @@ def _threshold_outside_the_universe(bundle):
     bundle["fuzzy"]["risk"]["threshold"] = 7.5  # the risk output universe is [0, 1]
 
 
+def _renamed_section(old, new):
+    def edit(bundle):
+        bundle[new] = bundle.pop(old)
+    return edit
+
+
+def _stale_dispatch_rules(bundle):
+    bundle["orchestration"] = {"services": {"rules": []}}
+
+
+def _drop_experts(bundle):
+    del bundle["experts"]
+
+
+def _no_experts(bundle):
+    bundle["experts"] = []
+
+
+def _value_at(path, value):
+    """Set the bundle value at a dotted path; a numeric part indexes a list."""
+    def edit(bundle):
+        *parents, key = [int(p) if p.isdigit() else p for p in path.split(".")]
+        for parent in parents:
+            bundle = bundle[parent]
+        bundle[key] = value
+    return edit
+
+
 MALFORMED_SECTIONS = [
     (_scalar_universe, "fuzzy.confidence.universe: expected a [low, high] pair"),
     (_labels_as_list, "fuzzy.confidence.labels: expected a mapping"),
@@ -217,10 +240,37 @@ MALFORMED_SECTIONS = [
     (_slot_value("year", 2025.5), "availability: year must be an integer, got 2025.5"),
     (_slot_value("hours", True), "availability: hours must be an integer, got True"),
     (_threshold_outside_the_universe, "fuzzy.risk.threshold: 7.5 outside the output universe [0.0, 1.0]"),
+    # A misspelled, stale or missing section is refused, not read as defaults.
+    (_renamed_section("experts", "expert"), "bundle: unknown sections expert; expected lexicon, "),
+    (_renamed_section("medications", "medication"), "bundle: unknown sections medication; "),
+    (_renamed_section("availability", "availabilty"), "bundle: unknown sections availabilty; "),
+    (_stale_dispatch_rules, "bundle: unknown sections orchestration; "),
+    (_drop_experts, "bundle: missing 'experts'"),
+    (_no_experts, "experts: at least one expert registration is required"),
+    # A real-valued field takes neither a YAML boolean nor a list.
+    (_value_at("fuzzy.risk.threshold", True), "fuzzy.risk.threshold: expected a number, got True"),
+    (_value_at("customers.profiles.C1001.tenure_years", True),
+     "customers.profiles.C1001.tenure_years: expected a number, got True"),
+    (_value_at("medications.default.duration_months", True),
+     "medications.default.duration_months: expected a number, got True"),
+    (_value_at("llm.models.0.timeout", True), "llm.models[0].timeout: expected a number, got True"),
+    (_value_at("customers.profiles.C1001.tenure_years", [1]),
+     "customers.profiles.C1001.tenure_years: expected a number, got [1]"),
+    (_value_at("medications.by_keyword.stop.criticality", [9]),
+     "medications.by_keyword.stop.criticality: expected a number, got [9]"),
+    (_value_at("llm.models.0.timeout", [3]), "llm.models[0].timeout: expected a number, got [3]"),
+    (_value_at("fuzzy.confidence.universe", [0.0, True]),
+     "fuzzy.confidence.universe: expected a number, got True"),
+    (_value_at("fuzzy.confidence.labels.low", [[0.0, 1.0], [0.4, [1]]]),
+     "fuzzy.confidence.labels.low: expected a number, got [1]"),
 ]
 MALFORMED_SECTION_IDS = ["scalar-universe", "labels-as-list", "word-capacity", "fractional-capacity",
                          "boolean-capacity", "negative-capacity", "fractional-year", "boolean-hours",
-                         "threshold-outside-the-universe"]
+                         "threshold-outside-the-universe", "misspelled-experts", "misspelled-medications",
+                         "misspelled-availability", "stale-orchestration", "missing-experts", "empty-experts",
+                         "boolean-threshold", "boolean-tenure", "boolean-duration", "boolean-timeout",
+                         "list-tenure", "list-criticality", "list-timeout", "boolean-universe-bound",
+                         "list-membership-degree"]
 
 
 @pytest.mark.parametrize("edit, message", MALFORMED_SECTIONS, ids=MALFORMED_SECTION_IDS)

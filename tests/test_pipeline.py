@@ -15,6 +15,7 @@ from collections import Counter
 
 from smsflow.cli import main
 from smsflow.config import default_config_path, default_corpus_path, load_config
+from smsflow.dispatch import STEP_AGENTS
 from smsflow.harness import load_corpus
 from smsflow.pipeline import build_pipeline
 from smsflow.renewal import READING_MEMO_SIZE
@@ -79,6 +80,26 @@ def test_instance_wrappers_see_every_hop_of_the_demo_run():
             invoked.update(result)
     assert set(invoked) == set(agents)
     assert {qualifier: calls[qualifier] for qualifier in agents} == dict(invoked)
+
+
+def test_the_sources_expose_every_agent_and_method_a_tracer_wraps():
+    # benchmarks/bench_trace.py finds the agents and methods it wraps only
+    # through these names; a renamed one would leave its counters at 0.
+    pipeline = build_pipeline(load_config(default_config_path()))
+    try:
+        sources = pipeline.scheduler.sources
+        dispatchers = [source for source in sources if hasattr(source, "registry")]
+        assert dispatchers == sources
+        reached = {}
+        for source in sources:
+            reached.update(source.registry.agents)
+            for method in (source.subscription.poll, source.drain_one, source.dispatch):
+                assert callable(method)
+        assert set(reached) >= {*STEP_AGENTS.values(), "MessageTrackingAgent"}
+        for qualifier in reached:
+            assert callable(reached[qualifier].handle)
+    finally:
+        pipeline.close()
 
 
 def _caches(pipeline) -> dict[str, tuple[object, str]]:
