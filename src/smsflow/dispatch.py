@@ -9,7 +9,9 @@ agent) for every message it sees, before the step's worker.
 
 Agents and the dispatcher's methods are looked up at each call, never bound
 ahead, so a wrapper set on an instance after the pipeline is built sees
-every call.
+every call.  Only the qualifiers each step invokes are fixed when the
+dispatcher is built: one tuple per step of :data:`STEP_AGENTS`, the
+registry's always-on agents first, and those agents alone for any other step.
 """
 from __future__ import annotations
 
@@ -65,6 +67,9 @@ class Dispatcher:
         self.registry = registry
         self.subscription = subscription
         self.store = store
+        # What each step invokes, in order; see the module docstring.
+        self._always_on = tuple(registry.always_on)
+        self._invoked = {step: (*self._always_on, worker) for step, worker in STEP_AGENTS.items()}
 
     def dispatch(self, envelope: Envelope) -> set[str]:
         """Invoke the always-on agents, then the step's worker; returns the set invoked.
@@ -73,10 +78,10 @@ class Dispatcher:
         event whose step has no worker ends ``unrouted``.
         """
         event_id, step = event_and_step(envelope.payload)
-        worker = STEP_AGENTS.get(step) if isinstance(step, str) else None
-        invoked = list(self.registry.always_on)
-        if worker is not None:
-            invoked.append(worker)
+        invoked = self._invoked.get(step) if isinstance(step, str) else None
+        routed = invoked is not None
+        if not routed:
+            invoked = self._always_on
 
         agents = self.registry.agents
         for qualifier in invoked:
@@ -86,7 +91,7 @@ class Dispatcher:
                 log.exception("%s: agent %s failed on event %s", self.name, qualifier, event_id)
                 self.store.record_step(event_id, step, qualifier, f"agent-failure: {exc}")
 
-        if worker is None and event_id:
+        if not routed and event_id:
             self.store.record_step(
                 event_id, step, self.name, TERMINAL_UNROUTED, terminal=True
             )

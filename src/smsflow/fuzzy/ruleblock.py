@@ -45,6 +45,10 @@ _RULE_RE = re.compile(
 )
 _CONJUNCT_RE = re.compile(r"^(?P<var>\w+)\s+IS\s+(?P<label>\w+)$", re.IGNORECASE)
 _OPERATOR_RE = re.compile(r"^(?P<op>AND|ACT|ACCU)\s*:\s*(?P<value>\w+)$", re.IGNORECASE)
+_HEADER_RE = re.compile(r"^RULEBLOCK\s+(\S+)$", re.IGNORECASE)
+_END_RE = re.compile(r"^END_RULEBLOCK$", re.IGNORECASE)
+_RULE_START_RE = re.compile(r"^RULE\b", re.IGNORECASE)
+_AND_RE = re.compile(r"\s+AND\s+", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,7 @@ def parse_ruleblock(text: str) -> RuleBlock:
             continue
 
         if name is None:
-            m = re.match(r"^RULEBLOCK\s+(\S+)$", content, re.IGNORECASE)
+            m = _HEADER_RE.match(content)
             if not m:
                 raise RuleSyntaxError("expected 'RULEBLOCK <name>' header", lineno)
             name = m.group(1)
@@ -96,7 +100,7 @@ def parse_ruleblock(text: str) -> RuleBlock:
         if ended:
             raise RuleSyntaxError("content after END_RULEBLOCK", lineno)
 
-        if re.match(r"^END_RULEBLOCK$", content, re.IGNORECASE):
+        if _END_RE.match(content):
             if statement_parts:
                 raise RuleSyntaxError("unterminated statement (missing ';')", statement_line)
             ended = True
@@ -128,12 +132,12 @@ def _parse_statement(statement: str, line: int, rules: list[Rule]) -> None:
             raise UnsupportedOperatorError(operator, value, line)
         return
 
-    if re.match(r"^RULE\b", statement, re.IGNORECASE):
+    if _RULE_START_RE.match(statement):
         m = _RULE_RE.match(statement)
         if not m:
             raise RuleSyntaxError(f"malformed rule: {statement!r}", line)
         antecedents = []
-        for part in re.split(r"\s+AND\s+", m.group("antecedents"), flags=re.IGNORECASE):
+        for part in _AND_RE.split(m.group("antecedents")):
             c = _CONJUNCT_RE.match(part.strip())
             if not c:
                 raise RuleSyntaxError(f"malformed condition {part.strip()!r}", line)

@@ -116,6 +116,8 @@ class FaultPlan:
         The add fault claims the first lexicon canonical whose lowercased form
         is none of the text's tokens; the drop fault then removes one claim.
         """
+        if not (self.add_keyword_rate or self.drop_keyword_rate):
+            return extraction  # neither fault can fire: draw nothing
         add_fires, drop_fires, rng = self.draws(event_id, model_id, attempt)
         if add_fires:
             tokens = tokens_of(text, lexicon)
@@ -255,6 +257,7 @@ def scripted_reading(text: str, lexicon: KeywordLexicon, cues: CueConfig) -> Scr
 # ("/10", "out of 10"); neither is the score.
 _SCORE_SCALE = re.compile(r"\b1\s*(?:to|-|\u2013)\s*10\b|/\s*10\b|\bout\s+of\s+10\b", re.IGNORECASE)
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?")
+_FENCE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
 
 
 class ChatCompletionModel:
@@ -362,7 +365,7 @@ class ChatCompletionModel:
     @staticmethod
     def _parse_extraction(reply: str) -> LlmExtraction:
         text = reply.strip()
-        fence = re.search(r"```(?:json)?\s*(.*?)```", text, re.DOTALL)
+        fence = _FENCE.search(text)
         if fence:
             text = fence.group(1).strip()
         try:
@@ -436,7 +439,12 @@ class LlmAgent:
                 )
             else:
                 self.faults.apply(extraction, original, self.lexicon, event_id, model.model_id, attempt)
-                responses.append({"model_id": model.model_id, **extraction.to_doc()})
+                # The extraction is this call's own and is dropped here, so its lists go uncopied.
+                responses.append({
+                    "model_id": model.model_id, "renew": extraction.renew, "stop": extraction.stop,
+                    "complaint": extraction.complaint, "request": extraction.request,
+                    "mood": extraction.mood,
+                })
         doc = {
             "metadata": restamped(metadata, STEP_LLM_EXTRACTED, store.clock.now_iso()),
             "parsed": parsed,

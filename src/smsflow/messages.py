@@ -42,7 +42,6 @@ def restamped(metadata: dict, step: str, last_update: str) -> dict:
 
 @dataclass(slots=True)
 class Metadata:
-    type: str
     event_id: str
     customer_id: str
     step_id: str
@@ -51,7 +50,6 @@ class Metadata:
 
     def to_doc(self) -> dict:
         return {
-            "type": self.type,
             "eventId": self.event_id,
             "customerId": self.customer_id,
             "stepId": self.step_id,

@@ -47,6 +47,8 @@ class Subscription:
             raise ValueError("max_n must be >= 1")
         queue = self._queue
         with self._pool._lock:
+            if max_n == 1:  # the dispatchers' one-envelope poll
+                return [queue.popleft()] if queue else []
             return [queue.popleft() for _ in range(min(max_n, len(queue)))]
 
 

@@ -28,7 +28,9 @@ SEGMENT_DELIMITERS = ".!?;"
 # Most entries in any cache one agent or scripted model keeps per text or profile.
 READING_MEMO_SIZE = 1024
 POLARITIES = ("renew", "stop")
-TOKEN_SEPARATORS = re.compile(r"[\s,]+")
+# One token: a run of characters that are not whitespace, a comma or a
+# sentence delimiter.  Every tokenization here finds these.
+_TOKEN = re.compile(r"[^\s," + re.escape(SEGMENT_DELIMITERS) + "]+")
 _BLANK_RUNS = re.compile(r"[ \t]+")
 
 
@@ -145,7 +147,7 @@ def split_sentences(text: str, lexicon: KeywordLexicon) -> list[str]:
 
 def sentence_tokens(sentence: str) -> list[str]:
     """Whitespace/comma-separated tokens of one sentence."""
-    return [t for t in TOKEN_SEPARATORS.split(sentence) if t]
+    return _TOKEN.findall(sentence)
 
 
 def normalize_item(text: str) -> str:
@@ -155,17 +157,18 @@ def normalize_item(text: str) -> str:
 
 def segment(text: str, lexicon: KeywordLexicon) -> list[list[str]]:
     """Sentence segments, each a list of whitespace/comma-separated tokens."""
-    segments = []
-    for sentence in split_sentences(text, lexicon):
-        tokens = sentence_tokens(sentence)
-        if tokens:
-            segments.append(tokens)
-    return segments
+    return [tokens for part in lexicon.segment_split.split(text) if (tokens := _TOKEN.findall(part))]
 
 
 def tokens_of(text: str, lexicon: KeywordLexicon) -> set[str]:
-    """Lowercased token set of the raw text, under the same tokenization."""
-    return {t.lower() for seg in segment(text, lexicon) for t in seg}
+    """Lowercased token set of the raw text, under the same tokenization.
+
+    The tokens of all its :func:`segment` segments, found in one pass over
+    the whole text.  Each token is lowered on its own: lowering the text
+    first would change a Greek final sigma that ends a token before a
+    delimiter.
+    """
+    return {t.lower() for t in _TOKEN.findall(text)}
 
 
 @dataclass

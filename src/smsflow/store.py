@@ -107,12 +107,14 @@ class JsonlLog:
             self._file = path.open("w", encoding="utf-8")
 
     def append(self, record: dict) -> int:
+        records = self._records
         with self._lock:
-            if self._file is not None:
-                self._file.write("".join(_jsonl_chunks(record, 0)) + "\n")
-                self._file.flush()
-            self._records.append(record)
-            return len(self._records) - 1
+            file = self._file
+            if file is not None:
+                file.write("".join(_jsonl_chunks(record, 0)) + "\n")
+                file.flush()
+            records.append(record)
+            return len(records) - 1
 
     def close(self) -> None:
         with self._lock:
@@ -208,14 +210,20 @@ class RunStore:
         ``fields`` are typed facts the report reads instead of the note, such
         as a discard's ``model_id`` and ``reason``.  No field may shadow a
         base key (``STEP_KEYS``): one that would raises ``ValueError``.
+
+        The record is stamped with the clock's current time and the next
+        ``seq``, then appended to the step log (``self.steps.append``, looked
+        up at each call so that a wrapper on the log sees every record) and to
+        the event's history, all under one lock: the log's ``seq`` values run
+        1, 2, ... and each history is the log's subsequence for its event.
         """
         if fields and not STEP_KEYS.isdisjoint(fields):
             raise ValueError(f"step fields {sorted(STEP_KEYS & fields.keys())} shadow base keys")
         recorded_at = self.clock.now_iso()
         with self._steps_lock:
-            self._seq += 1
+            seq = self._seq = self._seq + 1
             record = {
-                "seq": self._seq,
+                "seq": seq,
                 "eventId": event_id,
                 "stepId": step_id,
                 "agent": agent,
@@ -309,7 +317,6 @@ class IncomingSmsGateway:
         now = self.store.clock.now_iso()
         event = SmsEvent(
             metadata=Metadata(
-                type="renewal",  # the one campaign type the parser reads
                 event_id=self._next_event_id(),
                 customer_id=customer_id,
                 step_id=STEP_INGESTED,

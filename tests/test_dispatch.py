@@ -75,6 +75,16 @@ def test_always_on_agent_joins_every_arbitration_dispatch():
     assert [q for q, _ in log] == [TRACKER, "EvaluatorAgent", TRACKER]
 
 
+def test_the_returned_set_is_the_callers_to_change():
+    dispatcher, _, _, _ = _dispatcher(always_on=(TRACKER,))
+    for step in ("S001", "S009"):
+        first = dispatcher.dispatch(_Envelope(_doc(step)))
+        expected = set(first)
+        first.add("Intruder")
+        first.discard(TRACKER)
+        assert dispatcher.dispatch(_Envelope(_doc(step))) == expected
+
+
 def test_unresolved_qualifier_fails_at_startup():
     for missing in (*STEP_AGENTS.values(), TRACKER):
         with pytest.raises(ValueError, match=f"no agent registered as {missing}$"):

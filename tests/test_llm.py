@@ -13,6 +13,7 @@ from fake_chat import FakeChat, chat_models
 from hypothesis import given, settings, strategies as st
 
 import smsflow
+import smsflow.llm
 
 from smsflow.config import ConfigError, default_config_path, load_config, load_config_text
 from smsflow.harness import run_pipeline
@@ -105,6 +106,21 @@ def test_fault_schedule_is_deterministic_and_keyed(lexicon):
 def test_rates_outside_unit_interval_rejected():
     with pytest.raises(ValueError):
         FaultPlan(add_keyword_rate=1.5)
+
+
+def test_a_zero_rate_plan_draws_nothing(lexicon, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a fault draw was seeded")
+
+    monkeypatch.setattr(smsflow.llm.random, "Random", no_draws)
+    model = ScriptedModel("alpha")
+    text = "1, unenroll. Thank you"
+    extraction = model.extract(text, lexicon)
+    before = extraction.to_doc()
+    assert FaultPlan(seed=3).apply(extraction, text, lexicon, "A1", "alpha", 1) is extraction
+    assert extraction.to_doc() == before
+    with pytest.raises(AssertionError, match="seeded"):  # a nonzero rate still draws
+        FaultPlan(seed=3, drop_keyword_rate=0.5).apply(extraction, text, lexicon, "A1", "alpha", 1)
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,6 @@ from smsflow.store import JsonlLog, RunStore
 
 def _metadata(step="S001"):
     return Metadata(
-        type="renewal",
         event_id="A1010",
         customer_id="C1001",
         step_id=step,
@@ -45,7 +44,7 @@ def test_parsed_document_uses_the_declared_field_names(lexicon, confidence_var):
     assert [e.payload for e in sub.poll(5)] == [partial, full]
     assert list(partial) == ["metadata", "renew", "stop", "degreeOfConfidence"]
     assert list(partial["metadata"]) == [
-        "type", "eventId", "customerId", "stepId", "customerEventTime", "lastUpdateTime",
+        "eventId", "customerId", "stepId", "customerEventTime", "lastUpdateTime",
     ]
     assert (partial["renew"], partial["stop"]) == (["1"], ["unenroll"])
     # The middle confidence label is serialized as "intermediate".

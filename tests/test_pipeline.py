@@ -102,6 +102,21 @@ def test_the_sources_expose_every_agent_and_method_a_tracer_wraps():
         pipeline.close()
 
 
+def test_the_demo_run_step_log_is_numbered_and_each_history_is_its_subsequence():
+    pipeline = _demo_pipeline()
+    _run_demo(pipeline)
+    store = pipeline.store
+    log = store.steps.read_all()
+    assert [record["seq"] for record in log] == list(range(1, len(log) + 1))
+    event_ids = {record["eventId"] for record in log}
+    assert len(event_ids) > 1
+    for event_id in event_ids:
+        expected = [record for record in log if record["eventId"] == event_id]
+        history = store.steps_of(event_id)
+        assert len(history) == len(expected)
+        assert all(got is want for got, want in zip(history, expected))
+
+
 def _caches(pipeline) -> dict[str, tuple[object, str]]:
     """Every per-key cache of a pipeline, as (owner, attribute) by name."""
     agents = pipeline.scheduler.sources[1].registry.agents

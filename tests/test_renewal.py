@@ -1,4 +1,5 @@
 import random
+import re
 import string
 
 import pytest
@@ -9,6 +10,7 @@ from smsflow.pool import MessagePool
 from smsflow.renewal import (
     POLARITIES,
     READING_MEMO_SIZE,
+    SEGMENT_DELIMITERS,
     KeywordLexicon,
     LexiconEntry,
     LexiconError,
@@ -17,6 +19,7 @@ from smsflow.renewal import (
     extract,
     segment,
     strip_politeness,
+    tokens_of,
 )
 from smsflow.store import RunStore
 
@@ -62,6 +65,30 @@ def test_segment_of_empty_text(lexicon):
 
 def test_segment_keeps_comma_joined_tokens_together(lexicon):
     assert segment("no, 2", lexicon) == [["no", "2"]]
+
+
+def _split_then_tokenize(text: str) -> list[list[str]]:
+    """The segmentation as first written: split, strip, drop blank, re-split on [\\s,]+."""
+    sentences = [p.strip() for p in re.split("[" + re.escape(SEGMENT_DELIMITERS) + "]", text) if p.strip()]
+    tokenized = ([t for t in re.split(r"[\s,]+", sentence) if t] for sentence in sentences)
+    return [tokens for tokens in tokenized if tokens]
+
+
+_TEXT_CHARS = (
+    [chr(c) for c in range(0x110000) if chr(c).isspace()]
+    + list(SEGMENT_DELIMITERS) + [",", "Σ", "ς", "σ", "İ", "i", "A", "a", "1", "'", "-"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet=st.sampled_from(_TEXT_CHARS), max_size=40))
+@example(text="ΑΣ.Α")  # lowering the whole text would make this sigma non-final
+@example(text="İ\x1c,ς;\u3000")
+def test_one_pass_tokenization_equals_split_then_tokenize(text):
+    lex = _CONFIG.lexicon
+    segments = _split_then_tokenize(text)
+    assert segment(text, lex) == segments
+    assert tokens_of(text, lex) == {t.lower() for seg in segments for t in seg}
 
 
 def test_extract_claims_from_pure_segment(lexicon):

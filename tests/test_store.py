@@ -34,10 +34,12 @@ def test_known_phone_publishes_a_renewal_event():
     sub = pool.subscribe(INCOMING_TOPIC)
     event = gateway.ingest_sms("+15550001", "no, 2")
     assert event is not None
-    assert event.metadata.type == "renewal"
     assert event.metadata.customer_id == "C1001"
     got = sub.poll(10)
     assert [e.payload["metadata"]["eventId"] for e in got] == [event.metadata.event_id]
+    assert list(got[0].payload["metadata"]) == [
+        "eventId", "customerId", "stepId", "customerEventTime", "lastUpdateTime",
+    ]
     assert got[0].payload["body"] == "no, 2"
     notes = [r["note"] for r in store.get_history(event.metadata.event_id)]
     assert notes == ["ingested"]
