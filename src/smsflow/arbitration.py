@@ -160,8 +160,7 @@ class EvaluatorAgent:
         )
         if decision.action == ACTION_PROCESS_DIRECT:
             applied = self.pharmacy.apply_keywords(event_id, customer_id, doc["renew"], doc["stop"])
-            store.record_step(event_id, STEP_PARSED, self.qualifier, f"pharmacy-applied:{applied}")
-            store.record_step(event_id, STEP_PARSED, self.qualifier, TERMINAL_DONE, terminal=True)
+            store.record_step(event_id, STEP_PARSED, self.qualifier, TERMINAL_DONE, terminal=True, applied=applied)
         elif decision.action == ACTION_FORWARD:
             self.pool.publish(AGENTS_TOPIC, {
                 **doc, "metadata": restamped(metadata, STEP_LLM_REQUESTED, store.clock.now_iso()),

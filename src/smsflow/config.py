@@ -38,6 +38,7 @@ DEFAULT_CONFIG_RESOURCE = "default_config.yaml"
 DEFAULT_CORPUS_RESOURCE = "corpus_ten.jsonl"
 
 SECTIONS = ("lexicon", "fuzzy", "customers", "medications", "llm", "experts", "documents", "availability")
+BACKENDS = ("scripted", "http")
 
 
 def default_config_path() -> Path:
@@ -51,7 +52,7 @@ def default_corpus_path() -> Path:
 @dataclass(frozen=True)
 class ModelSpec:
     model_id: str
-    backend: str  # "scripted" | "http"
+    backend: str  # one of BACKENDS
     endpoint: str = ""
     model_name: str = ""
     api_key_env: str = ""
@@ -78,11 +79,12 @@ class PipelineConfig:
     availability: dict[SlotCandidate, int] = field(default_factory=dict)
 
     def build_models(self) -> list:
+        """One model per spec; the loader has refused any backend but the two below."""
         models = []
         for spec in self.model_specs:
             if spec.backend == "scripted":
                 models.append(ScriptedModel(spec.model_id, self.cues))
-            elif spec.backend == "http":
+            else:
                 models.append(
                     ChatCompletionModel(
                         spec.model_id,
@@ -92,8 +94,6 @@ class PipelineConfig:
                         timeout=spec.timeout,
                     )
                 )
-            else:
-                raise ConfigError(f"unknown model backend {spec.backend!r}")
         return models
 
 
@@ -148,7 +148,9 @@ def _variable(name: str, data: dict, where: str) -> LinguisticVariable:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _system(variables: dict[str, LinguisticVariable], output: str, block_text: str, where: str) -> FuzzySystem:
+def _system(variables: dict[str, LinguisticVariable], output: str, block_text, where: str) -> FuzzySystem:
+    if not isinstance(block_text, str):
+        raise ConfigError(f"{where}.ruleblock: expected the rule block text, got {block_text!r}")
     try:
         return FuzzySystem(variables=variables, block=parse_ruleblock(block_text), output=output)
     except ValueError as exc:
@@ -161,7 +163,10 @@ def _block_system(section, where: str) -> FuzzySystem:
         name: _variable(name, vd, f"{where}.variables.{name}")
         for name, vd in _mapping(_require(section, "variables", where), f"{where}.variables").items()
     }
-    return _system(variables, _require(section, "output", where), _require(section, "ruleblock", where), where)
+    output = _require(section, "output", where)
+    if not isinstance(output, str):
+        raise ConfigError(f"{where}.output: expected a variable name, got {output!r}")
+    return _system(variables, output, _require(section, "ruleblock", where), where)
 
 
 def _number(value, where: str) -> float:
@@ -169,6 +174,13 @@ def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
     return float(value)
+
+
+def _nonnegative(value, where: str) -> float:
+    number = _number(value, where)
+    if number < 0:
+        raise ConfigError(f"{where}: expected a non-negative number, got {value!r}")
+    return number
 
 
 def _integer(value, key: str) -> int:
@@ -254,8 +266,8 @@ def load_config_text(text: str) -> PipelineConfig:
     def _profile(customer_id: str, pd: dict, where: str) -> CustomerProfile:
         return CustomerProfile(
             customer_id=customer_id,
-            tenure_years=_number(_require(pd, "tenure_years", where), f"{where}.tenure_years"),
-            purchases_12mo=_number(_require(pd, "purchases_12mo", where), f"{where}.purchases_12mo"),
+            tenure_years=_nonnegative(_require(pd, "tenure_years", where), f"{where}.tenure_years"),
+            purchases_12mo=_nonnegative(_require(pd, "purchases_12mo", where), f"{where}.purchases_12mo"),
         )
 
     profiles = {
@@ -274,7 +286,7 @@ def load_config_text(text: str) -> PipelineConfig:
             raise ConfigError(f"{where}.chronic: expected true or false, got {chronic!r}")
         return StopRiskInputs(
             criticality=_number(_require(rd, "criticality", where), f"{where}.criticality"),
-            duration_months=_number(_require(rd, "duration_months", where), f"{where}.duration_months"),
+            duration_months=_nonnegative(_require(rd, "duration_months", where), f"{where}.duration_months"),
             chronic=chronic,
         )
 
@@ -290,10 +302,14 @@ def load_config_text(text: str) -> PipelineConfig:
 
     llm = _require(data, "llm", "bundle")
     models = _mappings(_require(llm, "models", "llm"), "llm.models")
+    for i, m in enumerate(models):
+        backend = m.get("backend", "scripted")
+        if backend not in BACKENDS:
+            raise ConfigError(f"llm.models[{i}].backend: expected one of {', '.join(BACKENDS)}, got {backend!r}")
     model_specs = [
         ModelSpec(
             model_id=str(_require(m, "id", "llm.models")),
-            backend=str(m.get("backend", "scripted")),
+            backend=m.get("backend", "scripted"),
             endpoint=str(m.get("endpoint", "")),
             model_name=str(m.get("model_name", "")),
             api_key_env=str(m.get("api_key_env", "")),

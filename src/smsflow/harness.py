@@ -29,6 +29,7 @@ from .pipeline import Pipeline, build_pipeline
 from .renewal import KeywordLexicon, tokens_of
 from .store import (
     NOTE_RETRY,
+    STEP_KEYS,
     TERMINAL_AWAITING,
     TERMINAL_DONE,
     TERMINAL_FAILED,
@@ -306,7 +307,7 @@ def render_report_table(report: dict) -> str:
 
 
 def trace_lines(run_dir: Path | str, event_id: str) -> list[str] | None:
-    """Chronological step listing for one event, or None when unknown."""
+    """Chronological step listing for one event, or None when unknown (see :func:`_trace_line`)."""
     steps_path = Path(run_dir) / "steps.jsonl"
     if not steps_path.exists():
         return None
@@ -314,9 +315,16 @@ def trace_lines(run_dir: Path | str, event_id: str) -> list[str] | None:
     if not records:
         return None
     records.sort(key=lambda r: r["seq"])
-    return [
-        f"{r['recorded_at']}  {r['stepId']:<5} {r['agent']:<24} {r['note']}" for r in records
-    ]
+    return [_trace_line(r) for r in records]
+
+
+def _trace_line(record: dict) -> str:
+    """One step record: its time, step, agent and note, then any typed fields as compact sorted JSON."""
+    line = f"{record['recorded_at']}  {record['stepId']:<5} {record['agent']:<24} {record['note']}"
+    fields = {key: value for key, value in record.items() if key not in STEP_KEYS}
+    if fields:
+        line += "  " + json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    return line
 
 
 def soundness_violations(run_dir: Path | str) -> list[dict]:

@@ -26,6 +26,7 @@ from typing import NamedTuple
 from .messages import (
     AGENTS_TOPIC,
     STEP_LLM_EXTRACTED,
+    STEP_LLM_REQUESTED,
     LlmExtraction,
     restamped,
 )
@@ -409,7 +410,8 @@ class LlmAgent:
     def run(self, parsed: dict) -> dict:
         """Run both configured models on one forwarded S002 document.
 
-        Publishes one stage-S003 document holding ``parsed`` as received, the
+        Records the attempt as one S002 step with a typed ``attempt``, then
+        publishes one stage-S003 document holding ``parsed`` as received, the
         ``attempt`` the models ran at (``parsed["attempt"]``, which only the
         validator's retry sets, else 1) and ``responses``: per model, in model
         order also when ``executor`` overlaps the two calls, an extraction
@@ -425,6 +427,7 @@ class LlmAgent:
         event_id = metadata["eventId"]
         attempt = parsed.get("attempt", 1)
         original = store.fetch_original(event_id)
+        store.record_step(event_id, STEP_LLM_REQUESTED, self.qualifier, "extracting", attempt=attempt)
 
         def extract(model):
             return model.extract(original, self.lexicon)

@@ -1,7 +1,8 @@
 """Wiring of the full pipeline: broker, stores, agents and dispatchers.
 
 The scheduler is a deterministic round-robin over the stage
-subscriptions, which makes whole runs replayable.
+subscriptions, which makes whole runs replayable.  Each agent records the
+hop it works in the step log; nothing else watches the topics.
 
 When a model waits on an HTTP backend, the two model calls of one stage
 (the two extractions, then the two cross-judgements) overlap on the
@@ -31,26 +32,13 @@ from .config import PipelineConfig
 from .dispatch import AgentRegistry, Dispatcher
 from .experts import AvailabilityStore, RouterAgent
 from .llm import ChatCompletionModel, FaultPlan, LlmAgent
-from .messages import AGENTS_TOPIC, INCOMING_TOPIC, event_and_step
+from .messages import AGENTS_TOPIC, INCOMING_TOPIC
 from .pool import MessagePool
 from .renewal import RenewalAgent
 from .store import IncomingSmsGateway, OutboundSmsGateway, PharmacyClient, RunStore
 from .validator import StopRiskAssessor, ValidatorAgent
 
 log = logging.getLogger(__name__)
-
-
-class MessageTrackingAgent:
-    """Always-on recorder of every message the arbitration stage sees."""
-
-    qualifier = "MessageTrackingAgent"
-
-    def __init__(self, store: RunStore):
-        self.store = store
-
-    def handle(self, envelope) -> None:
-        event_id, step = event_and_step(envelope.payload)
-        self.store.record_step(event_id, step, self.qualifier, "observed")
 
 
 class Scheduler:
@@ -157,18 +145,11 @@ def build_pipeline(
             config.experts, config.documents, AvailabilityStore(config.availability),
             store, outbound,
         ),
-        "MessageTrackingAgent": MessageTrackingAgent(store),
     }
+    registry = AgentRegistry(agents)
 
-    orchestration = Dispatcher(
-        "OrchestrationDispatcher", AgentRegistry(agents), pool.subscribe(INCOMING_TOPIC), store
-    )
-    arbitration = Dispatcher(
-        "ArbitrationDispatcher",
-        AgentRegistry(agents, always_on=(MessageTrackingAgent.qualifier,)),
-        pool.subscribe(AGENTS_TOPIC),
-        store,
-    )
+    orchestration = Dispatcher("OrchestrationDispatcher", registry, pool.subscribe(INCOMING_TOPIC), store)
+    arbitration = Dispatcher("ArbitrationDispatcher", registry, pool.subscribe(AGENTS_TOPIC), store)
     scheduler = Scheduler([orchestration, arbitration])
 
     return Pipeline(

@@ -284,7 +284,7 @@ class RenewalAgent:
         }
         if full_match:
             doc["fullMatch"] = True
-        # Publication is recorded by the tracking agent observing the topic.
+        # The evaluator records this hop when it decides the document.
         self.pool.publish(AGENTS_TOPIC, doc)
         return doc
 

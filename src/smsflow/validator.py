@@ -292,19 +292,18 @@ class ValidatorAgent:
         if outcome == OUTCOME_PROCESS:
             applied = self.pharmacy.apply_keywords(event_id, customer_id, **keywords["accepted"])
             self.store.record_step(
-                event_id, STEP_VALIDATED, self.qualifier, f"pharmacy-applied:{applied}"
+                event_id, STEP_VALIDATED, self.qualifier, "pharmacy-applied", applied=applied
             )
         elif outcome == OUTCOME_CONFIRM:
             self.outbound.send_sms(customer_id, CONFIRM_STOP_TEXT, "confirm-stop", event_id)
             self.store.record_step(
-                event_id, STEP_VALIDATED, self.qualifier, f"confirmation-requested risk={risk}"
+                event_id, STEP_VALIDATED, self.qualifier, "confirmation-requested", risk=risk
             )
         extraction = None
         if outcome != OUTCOME_FAIL:
             extraction = validate_extraction(original, a, b, self.models_by_id, self.lexicon, self.executor)
 
-        # The router closes the event, failed or not; the verdict publication
-        # itself is observed by the tracking agent.
+        # The router closes the event, failed or not, and records the verdict.
         self.pool.publish(AGENTS_TOPIC, {
             "metadata": restamped(parsed["metadata"], STEP_VALIDATED, self.store.clock.now_iso()),
             "keywords": keywords,

@@ -263,6 +263,22 @@ MALFORMED_SECTIONS = [
      "fuzzy.confidence.universe: expected a number, got True"),
     (_value_at("fuzzy.confidence.labels.low", [[0.0, 1.0], [0.4, [1]]]),
      "fuzzy.confidence.labels.low: expected a number, got [1]"),
+    # Refused when the bundle loads, not later when the pipeline is built.
+    (_value_at("llm.models.1.backend", "x"), "llm.models[1].backend: expected one of scripted, http, got 'x'"),
+    # A profile or medication fixture is never negative.
+    (_value_at("customers.profiles.C1001.tenure_years", -1),
+     "customers.profiles.C1001.tenure_years: expected a non-negative number, got -1"),
+    (_value_at("customers.default_profile.purchases_12mo", -0.5),
+     "customers.default_profile.purchases_12mo: expected a non-negative number, got -0.5"),
+    (_value_at("medications.by_keyword.stop.duration_months", -3),
+     "medications.by_keyword.stop.duration_months: expected a non-negative number, got -3"),
+    # A rule block is text and an output names a variable.
+    (_value_at("fuzzy.risk.ruleblock", 5), "fuzzy.risk.ruleblock: expected the rule block text, got 5"),
+    (_value_at("fuzzy.action.ruleblock", ["RULE 1"]),
+     "fuzzy.action.ruleblock: expected the rule block text, got ['RULE 1']"),
+    (_value_at("fuzzy.risk.output", ["stopRisk"]), "fuzzy.risk.output: expected a variable name, got ['stopRisk']"),
+    (_value_at("fuzzy.importance.output", {"name": "customerImportance"}),
+     "fuzzy.importance.output: expected a variable name, got {'name': 'customerImportance'}"),
 ]
 MALFORMED_SECTION_IDS = ["scalar-universe", "labels-as-list", "word-capacity", "fractional-capacity",
                          "boolean-capacity", "negative-capacity", "fractional-year", "boolean-hours",
@@ -270,7 +286,9 @@ MALFORMED_SECTION_IDS = ["scalar-universe", "labels-as-list", "word-capacity", "
                          "misspelled-availability", "stale-orchestration", "missing-experts", "empty-experts",
                          "boolean-threshold", "boolean-tenure", "boolean-duration", "boolean-timeout",
                          "list-tenure", "list-criticality", "list-timeout", "boolean-universe-bound",
-                         "list-membership-degree"]
+                         "list-membership-degree", "unknown-backend", "negative-tenure",
+                         "negative-default-purchases", "negative-duration", "numeric-ruleblock",
+                         "list-ruleblock", "list-output", "mapping-output"]
 
 
 @pytest.mark.parametrize("edit, message", MALFORMED_SECTIONS, ids=MALFORMED_SECTION_IDS)

@@ -7,8 +7,6 @@ from smsflow.store import RunStore
 
 from conftest import terminal_notes
 
-TRACKER = "MessageTrackingAgent"
-
 
 class Recorder:
     """Agent that notes its qualifier in a shared log each time it runs."""
@@ -30,17 +28,17 @@ def _doc(step, event_id="A1"):
     return {"metadata": {"eventId": event_id, "stepId": step}}
 
 
-def _dispatcher(always_on=(), **replaced):
-    """A dispatcher over a registry of recorders, one per worker plus the tracker.
+def _dispatcher(**replaced):
+    """A dispatcher over a registry of recorders, one per worker.
 
     ``replaced`` swaps in other agents by qualifier, or drops one given None.
     """
     log = []
-    agents = {q: Recorder(q, log) for q in (*STEP_AGENTS.values(), TRACKER)}
+    agents = {q: Recorder(q, log) for q in STEP_AGENTS.values()}
     agents.update(replaced)
     agents = {q: agent for q, agent in agents.items() if agent is not None}
     pool, store = MessagePool(), RunStore()
-    registry = AgentRegistry(agents, always_on=tuple(always_on))
+    registry = AgentRegistry(agents)
     dispatcher = Dispatcher("TestDispatcher", registry, pool.subscribe("t"), store)
     return dispatcher, log, pool, store
 
@@ -60,50 +58,42 @@ def test_renewal_event_invokes_the_renewal_agent():
 
 @pytest.mark.parametrize("step, worker", sorted(STEP_AGENTS.items()))
 def test_each_step_reaches_exactly_its_worker_after_the_tracker(step, worker):
-    dispatcher, log, _, store = _dispatcher(always_on=(TRACKER,))
+    # The worker alone runs: no tracker or other agent precedes it.
+    dispatcher, log, _, store = _dispatcher()
     doc = _doc(step)
-    assert dispatcher.dispatch(_Envelope(doc)) == {TRACKER, worker}
-    assert log == [(TRACKER, doc), (worker, doc)]
+    assert dispatcher.dispatch(_Envelope(doc)) == {worker}
+    assert log == [(worker, doc)]
     assert store.steps_of("A1") == ()
 
 
-def test_always_on_agent_joins_every_arbitration_dispatch():
-    dispatcher, log, _, _ = _dispatcher(always_on=(TRACKER,))
-    assert dispatcher.dispatch(_Envelope(_doc("S001"))) == {"EvaluatorAgent", TRACKER}
-    # A step without a worker still reaches the tracker.
-    assert dispatcher.dispatch(_Envelope(_doc("S009"))) == {TRACKER}
-    assert [q for q, _ in log] == [TRACKER, "EvaluatorAgent", TRACKER]
-
-
 def test_the_returned_set_is_the_callers_to_change():
-    dispatcher, _, _, _ = _dispatcher(always_on=(TRACKER,))
+    dispatcher, _, _, _ = _dispatcher()
     for step in ("S001", "S009"):
         first = dispatcher.dispatch(_Envelope(_doc(step)))
         expected = set(first)
         first.add("Intruder")
-        first.discard(TRACKER)
+        first.discard("EvaluatorAgent")
         assert dispatcher.dispatch(_Envelope(_doc(step))) == expected
 
 
 def test_unresolved_qualifier_fails_at_startup():
-    for missing in (*STEP_AGENTS.values(), TRACKER):
+    for missing in STEP_AGENTS.values():
         with pytest.raises(ValueError, match=f"no agent registered as {missing}$"):
-            _dispatcher(always_on=(TRACKER,), **{missing: None})
+            _dispatcher(**{missing: None})
 
 
 def test_agent_failure_is_recorded_and_others_proceed():
-    dispatcher, log, _, store = _dispatcher(always_on=(TRACKER,), EvaluatorAgent=Exploder())
-    assert dispatcher.dispatch(_Envelope(_doc("S001"))) == {TRACKER, "EvaluatorAgent"}
-    assert [q for q, _ in log] == [TRACKER]
+    dispatcher, log, _, store = _dispatcher(EvaluatorAgent=Exploder())
+    assert dispatcher.dispatch(_Envelope(_doc("S001"))) == {"EvaluatorAgent"}
+    assert log == []
     [record] = store.steps_of("A1")
     assert (record["stepId"], record["agent"], record["note"], record["terminal"]) == (
         "S001", "EvaluatorAgent", "agent-failure: boom", False,
     )
-
-    dispatcher, log, _, store = _dispatcher(always_on=(TRACKER,), **{TRACKER: Exploder()})
-    assert dispatcher.dispatch(_Envelope(_doc("S002"))) == {TRACKER, "LlmAgent"}
+    # The failure is captured: the next envelope reaches its worker.
+    assert dispatcher.dispatch(_Envelope(_doc("S002", "A2"))) == {"LlmAgent"}
     assert [q for q, _ in log] == ["LlmAgent"]
-    assert [r["note"] for r in store.steps_of("A1")] == ["agent-failure: boom"]
+    assert store.steps_of("A2") == ()
 
 
 def test_unrouted_event_gets_a_terminal_step():
@@ -146,16 +136,16 @@ _DOCS = st.one_of(_LEAVES, st.fixed_dictionaries({}, optional={"metadata": _META
 
 
 @settings(max_examples=300, deadline=None)
-@given(always_on=st.sampled_from([(), (TRACKER,)]), doc=_DOCS)
-@example(always_on=(TRACKER,), doc={"metadata": {"eventId": "A1", "stepId": ["S001"]}})
-@example(always_on=(), doc={"metadata": {"stepId": "S003"}})
-def test_dispatch_invokes_the_always_on_agents_then_the_step_worker(always_on, doc):
-    dispatcher, log, _, store = _dispatcher(always_on=always_on)
+@given(doc=_DOCS)
+@example(doc={"metadata": {"eventId": "A1", "stepId": ["S001"]}})
+@example(doc={"metadata": {"stepId": "S003"}})
+def test_dispatch_invokes_only_the_step_worker(doc):
+    dispatcher, log, _, store = _dispatcher()
     meta = doc.get("metadata") if isinstance(doc, dict) else None
     meta = meta if isinstance(meta, dict) else {}
     step, event_id = meta.get("stepId"), meta.get("eventId")
     worker = STEP_AGENTS.get(step) if isinstance(step, str) else None
-    expected = [*always_on, *([worker] if worker else [])]
+    expected = [worker] if worker else []
 
     assert dispatcher.dispatch(_Envelope(doc)) == set(expected)
     assert log == [(q, doc) for q in expected]

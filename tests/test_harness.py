@@ -8,6 +8,7 @@ import sys
 import threading
 import types
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,7 @@ from smsflow.harness import (
     summarize_run,
     trace_lines,
 )
-from smsflow.store import read_jsonl
+from smsflow.store import NOTE_RETRY, read_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +66,9 @@ def test_cli_run_trace_and_report_happy_path(tmp_path, capsys):
 
     assert main(["trace", "--run", str(out), "--event", "A1002"]) == 0
     trace_out = capsys.readouterr().out.strip().splitlines()
-    assert len(trace_out) == 5 and trace_out[-1].endswith("done")
+    # Ingested, the evaluator's direct decision, and its terminal record with what it applied.
+    assert len(trace_out) == 3 and "decision:processDirect" in trace_out[1]
+    assert trace_out[-1].endswith('done  {"applied":["1","unenroll"]}')
 
     assert main(["report", "--run", str(out)]) == 0
     report_out = capsys.readouterr().out
@@ -256,7 +259,7 @@ DEMO_RUN_DIR_SHA256 = {
     "queues/pharmacist.jsonl": "e27007b1f68f38ff105c98376c8d236d10c4aa9f6cc3caaae00a18850c1ba920",
     "report.json": DEMO_REPORT_SHA256,
     "report.txt": "799139389a663a69bf2dd93ed0df78f36a7adb4c92109351840462bf001d35f6",
-    "steps.jsonl": "33f7157af3491679e5ee66fbc2e06e0ed458b7026a4cc46a82c3e66debd6f0dd",
+    "steps.jsonl": "4445e98accc3e43735e9e14b3ab7925cc4b75545ac21918bbf224d0a01fcfd1f",
 }
 
 
@@ -337,7 +340,7 @@ def test_near_full_and_empty_texts_reach_the_model_stage():
     result = run_pipeline(config, corpus, seed=1)
     for row in result.report["messages"]:
         history = result.pipeline.store.get_history(row["eventId"])
-        assert any(r["stepId"] == "S002" for r in history)
+        assert [r["attempt"] for r in history if r["agent"] == "LlmAgent"] == [1]
         assert (row["keyword_outcome"], row["outcome"], row["sms"]) == NEAR_FULL_TEXTS[row["text"]]
 
 
@@ -532,17 +535,44 @@ def test_corpus_lines_require_phone_and_text(tmp_path, capsys):
         assert "bad.jsonl:2: " in capsys.readouterr().err
 
 
-def test_tracking_agent_observes_every_arbitration_message(ten_message_run):
-    from smsflow.messages import AGENTS_TOPIC
-
-    result, _ = ten_message_run
-    pipeline = result.pipeline
-    published = pipeline.pool.head(AGENTS_TOPIC) + 1
-    observed = sum(
-        1 for r in pipeline.store.steps.read_all()
-        if r["agent"] == "MessageTrackingAgent" and r["note"] == "observed"
+def test_llm_agent_records_one_attempt_per_extraction_document():
+    # The demo corpus at seed 1 and fault rates 0.1 retries one event.
+    pipeline = build_pipeline(
+        load_config(default_config_path()), seed=1, add_keyword_rate=0.1, drop_keyword_rate=0.1
     )
-    assert published > 0 and observed == published
+    agents = pipeline.pool.subscribe(AGENTS_TOPIC)
+    try:
+        for entry in load_corpus(default_corpus_path()):
+            pipeline.ingest(entry["phone"], entry["text"])
+        assert pipeline.run_to_quiescence()
+        documents = Counter(
+            e.payload["metadata"]["eventId"] for e in agents.poll(1000)
+            if e.payload["metadata"]["stepId"] == "S003"
+        )
+        attempts = {}
+        for r in pipeline.store.steps.read_all():
+            if r["agent"] == "LlmAgent" and r["stepId"] == "S002":
+                attempts.setdefault(r["eventId"], []).append(r["attempt"])
+    finally:
+        pipeline.close()
+    assert max(documents.values()) == 2
+    assert attempts == {event_id: list(range(1, n + 1)) for event_id, n in documents.items()}
+
+
+def test_trace_shows_the_typed_fields_of_each_record(ten_message_run):
+    _, out = ten_message_run
+    fields = {}
+    for event_id in (f"A{1001 + i}" for i in range(10)):
+        for line in trace_lines(out, event_id):
+            head, _, typed = line.partition("  {")
+            note = head.split()[-1]
+            if typed:
+                fields.setdefault(note, []).append(json.loads("{" + typed))
+    assert {"attempt": 1} in fields["extracting"]
+    assert {"applied": ["1", "unenroll"]} in fields["done"]
+    assert {"applied": ["1"]} in fields["pharmacy-applied"]
+    [confirmation] = fields["confirmation-requested"]
+    assert confirmation.keys() == {"risk"} and 0.0 <= confirmation["risk"] <= 1.0
 
 
 def test_every_routed_item_lands_in_exactly_one_intake(ten_message_run):
@@ -574,9 +604,9 @@ def test_retried_event_shows_two_extraction_rounds():
     assert row["retries"] == 1
     assert row["outcome"] == "processed"
     assert row["accepted"] == {"renew": ["1"], "stop": []}
-    observed = [r["stepId"] for r in history if r["note"] == "observed"]
-    assert observed.count("S002") == 2
-    assert observed.count("S003") == 2
+    attempts = [r["attempt"] for r in history if r["agent"] == "LlmAgent" and r["stepId"] == "S002"]
+    assert attempts == [1, 2]
+    assert [r["note"] for r in history].count(NOTE_RETRY) == 1
     # The retry republishes the parsed claims unchanged, at the next attempt.
     first, second = [
         e.payload for e in agents.poll(100) if e.payload["metadata"]["stepId"] == "S002"

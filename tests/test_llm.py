@@ -423,8 +423,13 @@ def test_stage_output_follows_model_order_when_the_second_answers_first(lexicon,
     LlmAgent([slow, fast], lexicon, FaultPlan(), store, pool, executor).run(_s002())
     [doc] = [e.payload for e in sub.poll(10)]
     assert [r["model_id"] for r in doc["responses"]] == ["alpha", "beta"]
-    notes = [r["note"] for r in store.get_history("A1001")]
-    assert notes == ["extraction-failure:alpha: offline", "extraction-failure:beta: offline"]
+    history = store.get_history("A1001")
+    assert [(r["stepId"], r["note"]) for r in history] == [
+        ("S002", "extracting"),
+        ("S003", "extraction-failure:alpha: offline"),
+        ("S003", "extraction-failure:beta: offline"),
+    ]
+    assert history[0]["attempt"] == 1
 
 
 class _RaisingModel:
