@@ -113,7 +113,7 @@ def _mappings(entries, where: str) -> list[dict]:
     """A bundle list whose every entry is a mapping."""
     if not isinstance(entries, list):
         raise ConfigError(f"{where}: expected a list, got {entries!r}")
-    return [_mapping(entry, where) for entry in entries]
+    return [_mapping(entry, f"{where}[{i}]") for i, entry in enumerate(entries)]
 
 
 def _strings(value, where: str) -> tuple[str, ...]:
@@ -124,11 +124,15 @@ def _strings(value, where: str) -> tuple[str, ...]:
 
 
 def _membership(vertices, where: str) -> MembershipFunction:
-    if not isinstance(vertices, list) or any(not isinstance(v, list) or len(v) != 2 for v in vertices):
+    if not isinstance(vertices, list):
         raise ConfigError(f"{where}: expected a list of [x, degree] pairs, got {vertices!r}")
-    points = tuple((_number(x, where), _number(d, where)) for x, d in vertices)
+    points = []
+    for i, vertex in enumerate(vertices):
+        if not isinstance(vertex, list) or len(vertex) != 2:
+            raise ConfigError(f"{where}[{i}]: expected an [x, degree] pair, got {vertex!r}")
+        points.append(tuple(_number(value, f"{where}[{i}][{j}]") for j, value in enumerate(vertex)))
     try:
-        return MembershipFunction(points)
+        return MembershipFunction(tuple(points))
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -183,11 +187,14 @@ def _nonnegative(value, where: str) -> float:
     return number
 
 
-def _integer(value, key: str) -> int:
+def _integer(value, where: str) -> int:
     """An integer bundle value; int() alone would read 2.7 as 2 and true as 1."""
-    number = int(value)
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     if isinstance(value, bool) or number != value:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return number
 
 
@@ -351,15 +358,19 @@ def load_config_text(text: str) -> PipelineConfig:
         raise ConfigError(f"documents: missing {exc}") from exc
 
     availability = {}
-    for s in _mappings(data.get("availability", []), "availability"):
+    for i, s in enumerate(_mappings(data.get("availability", []), "availability")):
+        where = f"availability[{i}]"
+        fields = [
+            _integer(_require(s, key, where), f"{where}.{key}") for key in ("year", "month", "day", "hours")
+        ]
+        capacity = _integer(s.get("capacity", 1), f"{where}.capacity")
+        if capacity < 0:
+            raise ConfigError(f"{where}.capacity: expected a non-negative integer, got {capacity}")
         try:
-            slot = SlotCandidate(*(_integer(s[key], key) for key in ("year", "month", "day", "hours")))
-            capacity = _integer(s.get("capacity", 1), "capacity")
-            if capacity < 0:
-                raise ValueError(f"capacity {capacity} is negative")
-            availability[slot] = capacity
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"availability: {exc}") from exc
+            slot = SlotCandidate(*fields)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        availability[slot] = capacity
 
     return PipelineConfig(
         lexicon=lexicon,

@@ -137,7 +137,9 @@ def forward_to_queue(store: RunStore, queue_name: str, event_id: str, decision: 
             "enqueued_at": store.clock.now_iso(),
         }
     )
-    store.record_step(event_id, STEP_VALIDATED, decision.destination, f"queued:{queue_name}:{entry_id}")
+    store.record_step(
+        event_id, STEP_VALIDATED, decision.destination, "queued", queue=queue_name, entry=entry_id
+    )
     return entry_id
 
 
@@ -355,7 +357,7 @@ class RouterAgent:
                 failed = True
         # One SMS per kind per event, whatever the item count.
         for kind, texts in replies.items():
-            self.outbound.send_sms(customer_id, "\n".join(texts), kind, event_id)
+            self.outbound.send_sms(customer_id, "\n".join(texts), kind, event_id, STEP_VALIDATED)
         # The verdict's facts ride on the terminal record, for the report.
         facts = {"keyword_outcome": keywords["outcome"], "accepted": keywords["accepted"], "scores": scores}
         if failed:

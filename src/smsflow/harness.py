@@ -328,18 +328,27 @@ def _trace_line(record: dict) -> str:
 
 
 def soundness_violations(run_dir: Path | str) -> list[dict]:
-    """Pharmacy-log keywords that do not occur in the originating SMS text."""
+    """Pharmacy-log keywords that do not occur in the originating SMS text.
+
+    Each distinct original is tokenized once per call: replies repeat, and
+    an event usually has several pharmacy records.
+    """
     root = Path(run_dir)
     originals: dict[str, str] = {}
     for record in read_jsonl(root / "originals.jsonl"):
         originals[record["eventId"]] = record["text"]
+    tokens: dict[str, set[str]] = {}  # original text -> tokens_of it
     violations = []
     for record in read_jsonl(root / "pharmacy.jsonl"):
         original = originals.get(record["eventId"])
         if original is None:
             violations.append({"eventId": record["eventId"], "keyword": record["keyword"],
                                "why": "no original text stored"})
-        elif record["keyword"].lower() not in tokens_of(original, _KEYWORD_FREE):
+            continue
+        text_tokens = tokens.get(original)
+        if text_tokens is None:
+            text_tokens = tokens[original] = tokens_of(original, _KEYWORD_FREE)
+        if record["keyword"].lower() not in text_tokens:
             violations.append({"eventId": record["eventId"], "keyword": record["keyword"],
                                "why": "keyword absent from original text"})
     return violations

@@ -8,9 +8,10 @@ handling can be reproduced exactly.  :func:`model_results` runs one stage's
 model calls, one after the other or overlapped on an executor.
 
 A scripted model caches its reading of each distinct text, which serves
-both its extractions and its judgements, bounded by ``READING_MEMO_SIZE``;
-the cache lives and dies with the model.  The HTTP adapter caches nothing:
-a retry must ask the backend again.
+both its extractions and its judgements, and its score of each distinct
+reading and complaint and request items, each bounded by
+``READING_MEMO_SIZE``; the caches live and die with the model.  The HTTP
+adapter caches nothing: a retry must ask the backend again.
 """
 from __future__ import annotations
 
@@ -165,10 +166,12 @@ class ScriptedModel:
     claimed everywhere).  This is intentionally more permissive than the
     parser agent: it also claims keywords from mixed sentences.
 
-    Both answers depend on the text alone (the extraction stage injects any
-    faults), so each model reads a distinct text once while its cache holds
-    at most ``READING_MEMO_SIZE`` texts; every extraction is a fresh one
-    built from the cached reading, which the stage may then alter.
+    An extraction depends on the text alone (the extraction stage injects
+    any faults) and a score on the reading's free text and the judged items,
+    so each model reads a distinct text once and scores a distinct pair once
+    while each cache holds at most ``READING_MEMO_SIZE`` keys; every
+    extraction is a fresh one built from the cached reading, which the stage
+    may then alter.
     """
 
     def __init__(self, model_id: str, cues: CueConfig | None = None):
@@ -178,6 +181,8 @@ class ScriptedModel:
         self.reading = functools.lru_cache(maxsize=READING_MEMO_SIZE)(
             functools.partial(scripted_reading, cues=self.cues)
         )
+        # (free-text sentences of a reading, complaint and request items) -> the score.
+        self.score = functools.lru_cache(maxsize=READING_MEMO_SIZE)(scripted_score)
 
     def extract(self, sms_text: str, lexicon: KeywordLexicon) -> LlmExtraction:
         reading = self.reading(sms_text, lexicon)
@@ -187,18 +192,9 @@ class ScriptedModel:
         )
 
     def judge(self, original_sms: str, extraction: LlmExtraction, lexicon: KeywordLexicon) -> int:
-        """Coverage score 1..10 for the complaint/request reading.
-
-        Starts at 10; each extracted item matching no free-text sentence of
-        the original costs 3, each free-text sentence with no matching item
-        costs 2.
-        """
-        sentences = self.reading(original_sms, lexicon).free_text
-        items = [normalize_item(i).lower() for i in (*extraction.complaint, *extraction.request)]
-
-        fabricated = sum(1 for item in items if item not in sentences)
-        missed = sum(1 for s in sentences if s not in items)
-        return max(1, min(10, 10 - 3 * fabricated - 2 * missed))
+        """Coverage score 1..10 for the complaint/request reading; see :func:`scripted_score`."""
+        free_text = self.reading(original_sms, lexicon).free_text
+        return self.score(free_text, (*extraction.complaint, *extraction.request))
 
 
 class ScriptedReading(NamedTuple):
@@ -252,6 +248,19 @@ def scripted_reading(text: str, lexicon: KeywordLexicon, cues: CueConfig) -> Scr
         mood="positive" if pos > neg else "negative" if neg > pos else "neutral",
         free_text=tuple(free_text),
     )
+
+
+def scripted_score(sentences: tuple[str, ...], items: tuple[str, ...]) -> int:
+    """A scripted judge's coverage score 1..10 for the complaint and request
+    ``items`` of a text whose reading has the free-text ``sentences``.
+
+    Starts at 10; each item matching no sentence costs 3, each sentence with
+    no matching item costs 2.
+    """
+    normalized = [normalize_item(i).lower() for i in items]
+    fabricated = sum(1 for item in normalized if item not in sentences)
+    missed = sum(1 for s in sentences if s not in normalized)
+    return max(1, min(10, 10 - 3 * fabricated - 2 * missed))
 
 
 # A judge reply may name the scale ("1 to 10", "1-10") or a denominator

@@ -14,10 +14,11 @@ interpreter lock runs one thread at a time, and overlapping them cost the
 in-memory campaign benchmark 19% of its throughput.
 
 Pure work is done once per distinct key, in caches that the parser, each
-scripted model, the evaluator, the stop-risk assessor and the router own
-(README lists them with their hit shares).  Each is owned by one agent or
-model of one pipeline, holds at most ``READING_MEMO_SIZE`` entries, and goes
-when the pipeline goes; what it hands out is immutable or copied first.
+scripted model, the evaluator, the stop-risk assessor, the validator and
+the router own (README lists them with their hit shares).  Each is owned by
+one agent or model of one pipeline, holds at most ``READING_MEMO_SIZE``
+entries, and goes when the pipeline goes; what it hands out is immutable or
+copied first.
 Replies from an HTTP model are never cached.
 """
 from __future__ import annotations

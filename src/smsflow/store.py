@@ -336,7 +336,8 @@ class OutboundSmsGateway:
     def __init__(self, store: RunStore):
         self.store = store
 
-    def send_sms(self, customer_id: str, text: str, kind: str, event_id: str) -> dict:
+    def send_sms(self, customer_id: str, text: str, kind: str, event_id: str, step: str) -> dict:
+        """Log one outbound SMS and record ``sms:<kind>`` under the sender's ``step``."""
         if kind not in SMS_KINDS:
             raise ValueError(f"unknown SMS kind {kind!r}")
         record = {
@@ -347,12 +348,12 @@ class OutboundSmsGateway:
             "sent_at": self.store.clock.now_iso(),
         }
         self.store.outbound_sms.append(record)
-        self.store.record_step(event_id, "", "OutboundSmsService", f"sms:{kind}")
+        self.store.record_step(event_id, step, "OutboundSmsService", f"sms:{kind}")
         return record
 
     def close_failed(self, customer_id: str, event_id: str, step: str, agent: str, **fields) -> dict:
         """Send the contact-support SMS, then record the failed terminal step carrying ``fields``."""
-        record = self.send_sms(customer_id, CONTACT_SUPPORT_TEXT, "contact-support", event_id)
+        record = self.send_sms(customer_id, CONTACT_SUPPORT_TEXT, "contact-support", event_id, step)
         self.store.record_step(event_id, step, agent, TERMINAL_FAILED, terminal=True, **fields)
         return record
 

@@ -4,10 +4,13 @@ The validator reads each S003 document of the extraction stage as the dict
 it is and publishes the S004 document built from the parts its two stages
 return.  Stage 1 compares each model's keyword lists with the parser's
 claims, the lexicon and the literal SMS text, retrying once on disagreement
-and gating extra stop keywords through a fuzzy risk score.  Stage 2 has each
-model judge the other's complaint/request reading; sub-5 scores are
-discarded.  A response becomes an ``LlmExtraction`` only to be handed to a
-judge, the models' interface.
+and gating extra stop keywords through a fuzzy risk score.  It reads the
+text as the set of lexicon canonicals among its tokens, which the agent
+computes once per distinct text while its cache holds at most
+``READING_MEMO_SIZE`` texts.  Stage 2 has each model judge the other's
+complaint/request reading; sub-5 scores are discarded.  A response becomes
+an ``LlmExtraction`` on its own lists only to be handed to a judge, the
+models' interface.
 
 The validator applies the accepted keywords or asks the customer to confirm
 a risky stop; it sends no other SMS.  A failed verdict is closed by the
@@ -129,6 +132,51 @@ class StopRiskAssessor:
         )
 
 
+def canonicals_in(text: str, lexicon: KeywordLexicon) -> frozenset[str]:
+    """The lowercased lexicon canonicals that occur as whole tokens of ``text``.
+
+    For a canonical keyword ``kw``, ``kw.lower()`` is in this set exactly
+    when it is in ``tokens_of(text, lexicon)``, which is all the verbatim
+    check of :func:`validate_keywords` asks once a keyword has passed the
+    canonical check.
+    """
+    return frozenset(tokens_of(text, lexicon).intersection(map(str.lower, lexicon.polarities)))
+
+
+def _discard_reason(
+    response: dict, ra: dict, polarities: dict[str, str], in_text: frozenset[str]
+) -> str | None:
+    """Why stage 1 discards one S003 response, in the order the reasons are checked; None keeps it."""
+    if response.get("failed"):
+        return REASON_FAILURE_MARKER
+    renew, stop = response["renew"], response["stop"]
+    for keyword in ra["renew"]:
+        if keyword not in renew:
+            return REASON_MISSING_RA
+    for keyword in ra["stop"]:
+        if keyword not in stop:
+            return REASON_MISSING_RA
+    for keyword in renew:
+        if polarities.get(keyword) != "renew":
+            return REASON_NOT_CANONICAL
+    for keyword in stop:
+        if polarities.get(keyword) != "stop":
+            return REASON_NOT_CANONICAL
+    # Every claim is a canonical now, so in_text answers for the text's tokens.
+    for keyword in renew:
+        if keyword.lower() not in in_text:
+            return REASON_FABRICATED
+    for keyword in stop:
+        if keyword.lower() not in in_text:
+            return REASON_FABRICATED
+    return None
+
+
+def _same_claims(mine: list[str], theirs: list[str]) -> bool:
+    """Whether two survivors claim the same keywords of one polarity, in any order."""
+    return mine == theirs or set(mine) == set(theirs)
+
+
 def validate_keywords(
     ra: dict,
     a: dict,
@@ -137,6 +185,7 @@ def validate_keywords(
     attempt: int,
     lexicon: KeywordLexicon,
     stop_risk: Callable[[str], tuple[float, bool]],
+    canonicals_of: Callable[[str], frozenset[str]] | None = None,
 ) -> tuple[dict, float | None]:
     """Stage-1 verdict on the S003 responses ``a`` and ``b`` of one message,
     whose parsed (S001 or S002) document is ``ra``.
@@ -148,49 +197,47 @@ def validate_keywords(
     canonical of the polarity it is claimed under, or claims one with no
     verbatim whole-token occurrence in the original text.  Survivor
     disagreement retries once, then fails.  Accepted stop keywords beyond
-    the parser's claims are risk-gated.
+    the parser's claims are risk-gated.  ``canonicals_of`` is
+    :func:`canonicals_in` on this lexicon, as the agent caches it; without
+    it the set is computed for this call.
     """
     if attempt not in (1, 2):
         raise ValueError(f"attempt must be 1 or 2, got {attempt}")
-    text_tokens = tokens_of(original_text, lexicon)
+    if canonicals_of is None:
+        in_text = canonicals_in(original_text, lexicon)
+    else:
+        in_text = canonicals_of(original_text)
     polarities = lexicon.polarities
-    ra_renew, ra_stop = set(ra["renew"]), set(ra["stop"])
 
     discarded: list[dict] = []
-    survivors: list[dict] = []
+    first = second = None
     for response in (a, b):
-        renew, stop = response.get("renew", ()), response.get("stop", ())
-        if response.get("failed"):
-            reason = REASON_FAILURE_MARKER
-        elif not (ra_renew <= set(renew) and ra_stop <= set(stop)):
-            reason = REASON_MISSING_RA
-        elif any(polarities.get(kw) != p for p, kws in (("renew", renew), ("stop", stop)) for kw in kws):
-            reason = REASON_NOT_CANONICAL
-        elif any(kw.lower() not in text_tokens for kw in (*renew, *stop)):
-            reason = REASON_FABRICATED
+        reason = _discard_reason(response, ra, polarities, in_text)
+        if reason is not None:
+            discarded.append({"model_id": response["model_id"], "reason": reason})
+        elif first is None:
+            first = response
         else:
-            survivors.append(response)
-            continue
-        discarded.append({"model_id": response["model_id"], "reason": reason})
+            second = response
 
-    def verdict(accepted: dict | None, outcome: str) -> dict:
-        return {"accepted": accepted, "discarded": discarded, "outcome": outcome, "attempt": attempt}
-
-    if not survivors:
-        return verdict(None, OUTCOME_FAIL), None
-    first = survivors[0]
-    if len({(frozenset(r["renew"]), frozenset(r["stop"])) for r in survivors}) > 1:  # survivors disagree
-        return verdict(None, OUTCOME_RETRY if attempt == 1 else OUTCOME_FAIL), None
-
-    risk: float | None = None
-    outcome = OUTCOME_PROCESS
-    for keyword in first["stop"]:
-        if keyword not in ra_stop:
-            crisp, over = stop_risk(keyword)
-            risk = crisp if risk is None else max(risk, crisp)
-            if over:
-                outcome = OUTCOME_CONFIRM
-    return verdict({"renew": first["renew"], "stop": first["stop"]}, outcome), risk
+    accepted = risk = None
+    if first is None:
+        outcome = OUTCOME_FAIL
+    elif second is not None and not (
+        _same_claims(first["renew"], second["renew"]) and _same_claims(first["stop"], second["stop"])
+    ):
+        outcome = OUTCOME_RETRY if attempt == 1 else OUTCOME_FAIL
+    else:
+        outcome = OUTCOME_PROCESS
+        ra_stop = ra["stop"]
+        for keyword in first["stop"]:
+            if keyword not in ra_stop:
+                crisp, over = stop_risk(keyword)
+                risk = crisp if risk is None else max(risk, crisp)
+                if over:
+                    outcome = OUTCOME_CONFIRM
+        accepted = {"renew": first["renew"], "stop": first["stop"]}
+    return {"accepted": accepted, "discarded": discarded, "outcome": outcome, "attempt": attempt}, risk
 
 
 def validate_extraction(
@@ -212,7 +259,8 @@ def validate_extraction(
     """
     def cross_score(pair: tuple[dict, str]) -> int:
         target, judge_model_id = pair
-        extraction = LlmExtraction.from_doc(target)
+        # Judges only read the lists, so the extraction shares the response's own.
+        extraction = LlmExtraction(complaint=target["complaint"], request=target["request"])
         return models_by_id[judge_model_id].judge(original_text, extraction, lexicon)
 
     scores = {a["model_id"]: 1, b["model_id"]: 1}
@@ -263,6 +311,10 @@ class ValidatorAgent:
         self.pharmacy = pharmacy
         self.outbound = outbound
         self.executor = executor
+        # SMS text -> the lowercased canonicals among its tokens; see canonicals_in.
+        self.canonicals_of = functools.lru_cache(maxsize=READING_MEMO_SIZE)(
+            functools.partial(canonicals_in, lexicon=lexicon)
+        )
 
     def handle(self, envelope: Envelope) -> None:
         """Decide the event of an S003 document."""
@@ -273,7 +325,8 @@ class ValidatorAgent:
         a, b = doc["responses"]
 
         keywords, risk = validate_keywords(
-            parsed, a, b, original, doc["attempt"], lexicon=self.lexicon, stop_risk=self.risk.assess_keyword,
+            parsed, a, b, original, doc["attempt"], self.lexicon, self.risk.assess_keyword,
+            self.canonicals_of,
         )
         for discard in keywords["discarded"]:
             model_id, reason = discard["model_id"], discard["reason"]
@@ -295,7 +348,7 @@ class ValidatorAgent:
                 event_id, STEP_VALIDATED, self.qualifier, "pharmacy-applied", applied=applied
             )
         elif outcome == OUTCOME_CONFIRM:
-            self.outbound.send_sms(customer_id, CONFIRM_STOP_TEXT, "confirm-stop", event_id)
+            self.outbound.send_sms(customer_id, CONFIRM_STOP_TEXT, "confirm-stop", event_id, STEP_VALIDATED)
             self.store.record_step(
                 event_id, STEP_VALIDATED, self.qualifier, "confirmation-requested", risk=risk
             )

@@ -74,11 +74,11 @@ def _scalar_llm_cue(bundle):
 
 
 SCALAR_ENTRIES = [
-    (_models_as_names, "llm.models: expected a mapping"),
-    (_experts_as_names, "experts: expected a mapping"),
-    (_keywords_as_words, "lexicon.keywords: expected a mapping"),
+    (_models_as_names, "llm.models[0]: expected a mapping"),
+    (_experts_as_names, "experts[0]: expected a mapping"),
+    (_keywords_as_words, "lexicon.keywords[0]: expected a mapping"),
     (_scalar_medication_default, "medications.default: expected a mapping"),
-    (_availability_as_words, "availability: expected a mapping"),
+    (_availability_as_words, "availability[0]: expected a mapping"),
     (_scalar_profile, "customers.profiles.C1001: expected a mapping"),
     (_scalar_politeness, "lexicon.politeness: expected a list"),
     (_scalar_expert_cues, "experts.cues: expected a list"),
@@ -115,7 +115,7 @@ SCALAR_SECTIONS = [
         (_auth_as_list, "customers.auth: "),
         (_word_threshold, "fuzzy.risk.threshold: "),
         (_drop_lexicon_keywords, "lexicon: missing 'keywords'$"),
-        *SCALAR_ENTRIES,
+        *((edit, re.escape(prefix)) for edit, prefix in SCALAR_ENTRIES),
         *SCALAR_SECTIONS,
     ],
     ids=["model-without-id", "expert-without-qualifier", "document-without-answer",
@@ -233,12 +233,12 @@ def _value_at(path, value):
 MALFORMED_SECTIONS = [
     (_scalar_universe, "fuzzy.confidence.universe: expected a [low, high] pair"),
     (_labels_as_list, "fuzzy.confidence.labels: expected a mapping"),
-    (_word_capacity, "availability: invalid literal for int"),
-    (_slot_value("capacity", 2.7), "availability: capacity must be an integer, got 2.7"),
-    (_slot_value("capacity", True), "availability: capacity must be an integer, got True"),
-    (_slot_value("capacity", -1), "availability: capacity -1 is negative"),
-    (_slot_value("year", 2025.5), "availability: year must be an integer, got 2025.5"),
-    (_slot_value("hours", True), "availability: hours must be an integer, got True"),
+    (_word_capacity, "availability[0].capacity: invalid literal for int"),
+    (_slot_value("capacity", 2.7), "availability[0].capacity: expected an integer, got 2.7"),
+    (_slot_value("capacity", True), "availability[0].capacity: expected an integer, got True"),
+    (_slot_value("capacity", -1), "availability[0].capacity: expected a non-negative integer, got -1"),
+    (_slot_value("year", 2025.5), "availability[0].year: expected an integer, got 2025.5"),
+    (_slot_value("hours", True), "availability[0].hours: expected an integer, got True"),
     (_threshold_outside_the_universe, "fuzzy.risk.threshold: 7.5 outside the output universe [0.0, 1.0]"),
     # A misspelled, stale or missing section is refused, not read as defaults.
     (_renamed_section("experts", "expert"), "bundle: unknown sections expert; expected lexicon, "),
@@ -262,7 +262,7 @@ MALFORMED_SECTIONS = [
     (_value_at("fuzzy.confidence.universe", [0.0, True]),
      "fuzzy.confidence.universe: expected a number, got True"),
     (_value_at("fuzzy.confidence.labels.low", [[0.0, 1.0], [0.4, [1]]]),
-     "fuzzy.confidence.labels.low: expected a number, got [1]"),
+     "fuzzy.confidence.labels.low[1][1]: expected a number, got [1]"),
     # Refused when the bundle loads, not later when the pipeline is built.
     (_value_at("llm.models.1.backend", "x"), "llm.models[1].backend: expected one of scripted, http, got 'x'"),
     # A profile or medication fixture is never negative.
@@ -279,6 +279,16 @@ MALFORMED_SECTIONS = [
     (_value_at("fuzzy.risk.output", ["stopRisk"]), "fuzzy.risk.output: expected a variable name, got ['stopRisk']"),
     (_value_at("fuzzy.importance.output", {"name": "customerImportance"}),
      "fuzzy.importance.output: expected a variable name, got {'name': 'customerImportance'}"),
+    # An error inside a list names the element, and the field inside it.
+    (_value_at("lexicon.keywords.3", None), "lexicon.keywords[3]: expected a mapping, got None"),
+    (_value_at("experts.1", None), "experts[1]: expected a mapping, got None"),
+    (_value_at("documents.0", "hours"), "documents[0]: expected a mapping, got 'hours'"),
+    (_value_at("fuzzy.confidence.labels.low.1", 0.4),
+     "fuzzy.confidence.labels.low[1]: expected an [x, degree] pair, got 0.4"),
+    (_value_at("fuzzy.confidence.labels.low.0.0", None),
+     "fuzzy.confidence.labels.low[0][0]: expected a number, got None"),
+    (_value_at("availability.1.year", "x"),
+     "availability[1].year: invalid literal for int() with base 10: 'x'"),
 ]
 MALFORMED_SECTION_IDS = ["scalar-universe", "labels-as-list", "word-capacity", "fractional-capacity",
                          "boolean-capacity", "negative-capacity", "fractional-year", "boolean-hours",
@@ -288,7 +298,8 @@ MALFORMED_SECTION_IDS = ["scalar-universe", "labels-as-list", "word-capacity", "
                          "list-tenure", "list-criticality", "list-timeout", "boolean-universe-bound",
                          "list-membership-degree", "unknown-backend", "negative-tenure",
                          "negative-default-purchases", "negative-duration", "numeric-ruleblock",
-                         "list-ruleblock", "list-output", "mapping-output"]
+                         "list-ruleblock", "list-output", "mapping-output", "null-keyword", "null-expert",
+                         "scalar-document", "scalar-vertex", "null-vertex-coordinate", "word-year"]
 
 
 @pytest.mark.parametrize("edit, message", MALFORMED_SECTIONS, ids=MALFORMED_SECTION_IDS)

@@ -120,6 +120,10 @@ def test_forward_to_queue_appends_verbatim(registrations):
     records = store.queue("pharmacist").read_all()
     assert records[entry_id]["next_inputs"] == decision.next_inputs
     assert records[entry_id]["destination"] == "Pharmacy"
+    # The queue and entry are typed fields; "destination" would read as a second routing.
+    [step] = store.get_history("A1001")
+    assert (step["note"], step["queue"], step["entry"]) == ("queued", "pharmacist", entry_id)
+    assert "destination" not in step
 
 
 def test_two_forwards_get_distinct_entry_ids(registrations):

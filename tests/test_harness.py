@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import shutil
 import sys
 import threading
 import types
@@ -36,6 +37,7 @@ from smsflow.harness import (
     summarize_run,
     trace_lines,
 )
+from smsflow.renewal import KeywordLexicon, tokens_of
 from smsflow.store import NOTE_RETRY, read_jsonl
 
 
@@ -259,7 +261,7 @@ DEMO_RUN_DIR_SHA256 = {
     "queues/pharmacist.jsonl": "e27007b1f68f38ff105c98376c8d236d10c4aa9f6cc3caaae00a18850c1ba920",
     "report.json": DEMO_REPORT_SHA256,
     "report.txt": "799139389a663a69bf2dd93ed0df78f36a7adb4c92109351840462bf001d35f6",
-    "steps.jsonl": "4445e98accc3e43735e9e14b3ab7925cc4b75545ac21918bbf224d0a01fcfd1f",
+    "steps.jsonl": "d6e17829deacadb4d26c5ba57b02f8c70c1ca7f6a77850e1d156b4f028fccf24",
 }
 
 
@@ -279,6 +281,50 @@ def test_demo_run_directory_bytes_are_pinned(tmp_path):
         if path.is_file()
     }
     assert digests == DEMO_RUN_DIR_SHA256
+
+
+@pytest.fixture(scope="module")
+def demo_run_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("demo")
+    _demo_run(out)
+    return out
+
+
+def test_every_demo_step_record_names_its_step(demo_run_dir):
+    # An SMS is recorded under the step of the agent that sent it, which for
+    # every SMS of the demo is the step its event ends in.
+    records = list(read_jsonl(demo_run_dir / "steps.jsonl"))
+    assert all(r["stepId"] for r in records)
+    terminal_step = {r["eventId"]: r["stepId"] for r in records if r["terminal"]}
+    sms = [r for r in records if r["note"].startswith("sms:")]
+    assert {r["note"] for r in sms} >= {"sms:generic", "sms:confirm-stop"}
+    assert all(r["stepId"] == terminal_step[r["eventId"]] for r in sms)
+
+
+def test_trace_shows_the_queue_entry_as_typed_fields(demo_run_dir, capsys):
+    assert main(["trace", "--run", str(demo_run_dir), "--event", "A1001"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.endswith('queued  {"entry":0,"queue":"pharmacist"}') for line in lines)
+
+
+def test_soundness_reports_exactly_the_planted_non_verbatim_keywords(demo_run_dir, tmp_path):
+    # Each event gets a verbatim keyword and a fabricated one after its own
+    # records, so most planted lines hit an original tokenized earlier.
+    assert soundness_violations(demo_run_dir) == []
+    run = tmp_path / "run"
+    shutil.copytree(demo_run_dir, run)
+    planted = []
+    with (run / "pharmacy.jsonl").open("a", encoding="utf-8") as fh:
+        for record in read_jsonl(run / "originals.jsonl"):
+            event_id = record["eventId"]
+            verbatim = min(tokens_of(record["text"], KeywordLexicon(entries=())))
+            for keyword in (verbatim, "fabricated"):
+                fh.write(json.dumps({"eventId": event_id, "customerId": "C0", "keyword": keyword,
+                                     "action": "stop", "applied_at": "2025-01-01T00:00:00Z"}) + "\n")
+            planted.append({"eventId": event_id, "keyword": "fabricated",
+                            "why": "keyword absent from original text"})
+    assert len(planted) == 10
+    assert soundness_violations(run) == planted
 
 
 @pytest.mark.parametrize("budget", [3, None])

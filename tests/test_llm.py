@@ -249,7 +249,9 @@ def test_scripted_cache_keeps_at_most_its_bound(lexicon):
         model.judge(f"{i}. I want it", extraction, lexicon)
         model.judge(f"{i}. I need it", extraction, lexicon)
         assert model.reading.cache_info().currsize <= READING_MEMO_SIZE
+        assert model.score.cache_info().currsize <= READING_MEMO_SIZE
     assert model.reading.cache_info().currsize == READING_MEMO_SIZE
+    assert model.score.cache_info().currsize == READING_MEMO_SIZE
 
 
 def test_cached_judgement_equals_a_fresh_models(lexicon):
@@ -264,6 +266,7 @@ def test_cached_judgement_equals_a_fresh_models(lexicon):
             fresh = ScriptedModel("beta").judge(MSG1, extraction, lexicon)
             assert model.judge(MSG1, extraction, lexicon) == fresh
     assert model.reading.cache_info().currsize == 1
+    assert model.score.cache_info()[:2] == (3, 3)  # hits, misses: the second round hits
 
 
 _CUE_WORDS = ["bad", "problem", "want", "need", "thank", "great", "terrible", "angry", "you", "the"]
@@ -294,6 +297,38 @@ def test_cached_model_reads_and_judges_like_a_fresh_one(default_config, words, r
         assert got == fresh
         for judged in (got, LlmExtraction(complaint=["bad"], request=list(got.complaint))):
             assert model.judge(text, judged, lexicon) == ScriptedModel("beta").judge(text, judged, lexicon)
+
+
+_SENTENCES = ["I want it", "the taste is bad", "thank you", "Do I need to call my doctor", "1", "stop"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sentences=st.lists(st.sampled_from(_SENTENCES), max_size=4),
+    items=st.lists(
+        st.tuples(
+            st.booleans(),  # complaint or request
+            st.one_of(
+                st.sampled_from(_SENTENCES).map(lambda s: f"  {s.upper()}!"),
+                st.sampled_from(_SENTENCES),
+                st.text(alphabet="abIİſς .!", max_size=8),
+            ),
+        ),
+        max_size=5,
+    ),
+)
+def test_a_cached_judgement_equals_a_fresh_models_on_random_items(default_config, sentences, items):
+    text = ". ".join(sentences)
+    lexicon = default_config.lexicon
+    extraction = LlmExtraction(
+        complaint=[item for is_complaint, item in items if is_complaint],
+        request=[item for is_complaint, item in items if not is_complaint],
+    )
+    model = ScriptedModel("alpha", default_config.cues)
+    first = model.judge(text, extraction, lexicon)
+    assert model.judge(text, extraction, lexicon) == first  # a hit
+    assert model.score.cache_info()[:2] == (1, 1)
+    assert first == ScriptedModel("alpha", default_config.cues).judge(text, extraction, lexicon)
 
 
 def test_http_model_asks_the_backend_on_every_call(lexicon):

@@ -131,6 +131,8 @@ def _caches(pipeline) -> dict[str, tuple[object, str]]:
     }
     for model in agents["LlmAgent"].models:
         caches[f"{model.model_id} reading"] = (model, "reading")
+        caches[f"{model.model_id} score"] = (model, "score")
+    caches["canonicals in text"] = (agents["ValidatorAgent"], "canonicals_of")
     return caches
 
 

@@ -8,6 +8,7 @@ from smsflow.messages import INCOMING_TOPIC
 from smsflow.pool import MessagePool
 from smsflow.store import (
     CONTACT_SUPPORT_TEXT,
+    TERMINAL_FAILED,
     CustomerAuthTable,
     IncomingSmsGateway,
     JsonlLog,
@@ -133,20 +134,25 @@ def test_overwriting_an_original_is_idempotent():
 def test_send_sms_records_kind():
     store = RunStore()
     outbound = OutboundSmsGateway(store)
-    outbound.send_sms("C1001", "call us", "contact-support", "E1")
-    outbound.send_sms("C1001", "confirm?", "confirm-stop", "E1")
+    outbound.send_sms("C1001", "call us", "contact-support", "E1", "S004")
+    outbound.send_sms("C1001", "confirm?", "confirm-stop", "E1", "S004")
     support = outbound.close_failed("C1002", "E2", "S001", "EvaluatorAgent")
     records = store.outbound_sms.read_all()
     assert [r["kind"] for r in records] == ["contact-support", "confirm-stop", "contact-support"]
     assert records[2] is support
     assert support["text"] == CONTACT_SUPPORT_TEXT
     assert (support["customerId"], support["eventId"]) == ("C1002", "E2")
+    # Each SMS is recorded under its sender's step, the failed close's SMS under the failed step.
+    assert [(r["stepId"], r["note"]) for r in store.get_history("E2")] == [
+        ("S001", "sms:contact-support"), ("S001", TERMINAL_FAILED),
+    ]
+    assert {r["stepId"] for r in store.get_history("E1")} == {"S004"}
 
 
 def test_unknown_sms_kind_rejected():
     outbound = OutboundSmsGateway(RunStore())
     with pytest.raises(ValueError):
-        outbound.send_sms("C1001", "hi", "postcard", "E1")
+        outbound.send_sms("C1001", "hi", "postcard", "E1", "S004")
 
 
 def test_pharmacy_apply_is_idempotent_per_event_and_keyword():

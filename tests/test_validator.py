@@ -1,12 +1,14 @@
+import functools
 import json
 import random
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
 from fake_chat import chat_models
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smsflow.config import default_corpus_path
 from smsflow.experts import AvailabilityStore, RouterAgent
@@ -14,7 +16,7 @@ from smsflow.harness import load_corpus, run_pipeline
 from smsflow.llm import FaultPlan, LlmAgent, ScriptedModel
 from smsflow.messages import AGENTS_TOPIC, DegreeOfConfidence
 from smsflow.pool import Envelope, MessagePool
-from smsflow.renewal import READING_MEMO_SIZE
+from smsflow.renewal import READING_MEMO_SIZE, KeywordLexicon, LexiconEntry, tokens_of
 from smsflow.store import OutboundSmsGateway, PharmacyClient, RunStore
 from smsflow.validator import (
     EXTRACTION_FAIL,
@@ -31,6 +33,7 @@ from smsflow.validator import (
     StopRiskInputs,
     ValidatorAgent,
     assess_stop_risk,
+    canonicals_in,
     validate_extraction,
     validate_keywords,
 )
@@ -696,3 +699,149 @@ def test_the_canonical_check_comes_before_the_verbatim_one(lexicon):
     verdict, _ = validate_keywords(_ra(), a, b, "1", 1, lexicon, _never_over)
     assert verdict["discarded"] == [{"model_id": "alpha", "reason": REASON_NOT_CANONICAL}]
     assert verdict["accepted"] == {"renew": ["1"], "stop": []}
+
+
+# -- the keyword check against its set-based reference --------------------------
+
+
+def _reference_validate_keywords(ra, a, b, original_text, attempt, lexicon, stop_risk):
+    """Stage 1 as written with per-call sets and a token set of the whole text:
+    the reference the loop-based check must equal."""
+    if attempt not in (1, 2):
+        raise ValueError(f"attempt must be 1 or 2, got {attempt}")
+    text_tokens = tokens_of(original_text, lexicon)
+    polarities = lexicon.polarities
+    ra_renew, ra_stop = set(ra["renew"]), set(ra["stop"])
+
+    discarded: list[dict] = []
+    survivors: list[dict] = []
+    for response in (a, b):
+        renew, stop = response.get("renew", ()), response.get("stop", ())
+        if response.get("failed"):
+            reason = REASON_FAILURE_MARKER
+        elif not (ra_renew <= set(renew) and ra_stop <= set(stop)):
+            reason = REASON_MISSING_RA
+        elif any(polarities.get(kw) != p for p, kws in (("renew", renew), ("stop", stop)) for kw in kws):
+            reason = REASON_NOT_CANONICAL
+        elif any(kw.lower() not in text_tokens for kw in (*renew, *stop)):
+            reason = REASON_FABRICATED
+        else:
+            survivors.append(response)
+            continue
+        discarded.append({"model_id": response["model_id"], "reason": reason})
+
+    def verdict(accepted, outcome):
+        return {"accepted": accepted, "discarded": discarded, "outcome": outcome, "attempt": attempt}
+
+    if not survivors:
+        return verdict(None, OUTCOME_FAIL), None
+    first = survivors[0]
+    if len({(frozenset(r["renew"]), frozenset(r["stop"])) for r in survivors}) > 1:
+        return verdict(None, OUTCOME_RETRY if attempt == 1 else OUTCOME_FAIL), None
+
+    risk = None
+    outcome = OUTCOME_PROCESS
+    for keyword in first["stop"]:
+        if keyword not in ra_stop:
+            crisp, over = stop_risk(keyword)
+            risk = crisp if risk is None else max(risk, crisp)
+            if over:
+                outcome = OUTCOME_CONFIRM
+    return verdict({"renew": first["renew"], "stop": first["stop"]}, outcome), risk
+
+
+# Canonicals with case-folding traps: "İ" lowers to two code points, "ſ"
+# matches "s" under IGNORECASE but lowers to itself, "ς" is a final sigma.
+_TRAP_LEXICON = KeywordLexicon(entries=tuple(
+    LexiconEntry(pattern=re.escape(canonical), canonical=canonical, polarity=polarity)
+    for canonical, polarity in [("İ", "renew"), ("ſ", "renew"), ("Stop", "stop"), ("stop", "stop"),
+                                ("ς", "stop"), ("1", "renew")]
+))
+# Claims a model might make beyond the lexicon's canonicals: other spellings and words.
+_NOISE = ["2", "renew", "stop", "STOP", "İ", "i̇", "ſ", "s", "ς", "σ", "pills", "renewal"]
+_FILLERS = ["STOP", "S", "Σ", "renewal", "please", "thanks"]
+
+
+@st.composite
+def _stage_one_case(draw, default_lexicon):
+    rng = draw(st.randoms(use_true_random=True))
+    lexicon = rng.choice([default_lexicon, _TRAP_LEXICON])
+    by_polarity = {p: [c for c, q in lexicon.polarities.items() if q == p] for p in ("renew", "stop")}
+
+    def claims(polarity, most):  # duplicates allowed; mostly canonicals of the polarity
+        return [rng.choice(by_polarity[polarity]) if rng.random() < 0.9 else rng.choice(_NOISE)
+                for _ in range(rng.randint(0, most))]
+
+    ra = _ra(renew=claims("renew", 2), stop=claims("stop", 1))
+
+    def response(model_id):
+        if rng.random() < 0.1:
+            return _failed(model_id)
+        renew, stop = claims("renew", 2), claims("stop", 2)
+        if rng.random() < 0.8:  # usually keep the parser's claims
+            renew, stop = ra["renew"] + renew, ra["stop"] + stop
+        return _resp(model_id, renew=renew, stop=stop)
+
+    a = response("alpha")
+    if not a.get("failed") and rng.random() < 0.5:  # agree with a, in any order
+        renew, stop = a["renew"], a["stop"]
+        b = _resp("beta", renew=rng.sample(renew, len(renew)), stop=rng.sample(stop, len(stop)))
+    else:
+        b = response("beta")
+    # The text holds most claims, some in upper case, among other words.
+    claimed = [kw for r in (a, b) for kw in (*r.get("renew", ()), *r.get("stop", ()))]
+    words = [kw.upper() if rng.random() < 0.2 else kw for kw in claimed if rng.random() < 0.9]
+    words += rng.sample(_FILLERS, rng.randint(0, 3))
+    rng.shuffle(words)
+    text = "".join(w + rng.choice([" ", ", ", ". ", "! ", "; "]) for w in words)
+    risks = {kw: rng.choice([0.2, 0.5, 0.8]) for kw in sorted({*lexicon.polarities, *_NOISE})}
+    return lexicon, text, ra, a, b, rng.choice([1, 2]), risks
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), cached=st.booleans())
+def test_the_keyword_check_equals_its_set_based_reference(default_config, data, cached):
+    lexicon, text, ra, a, b, attempt, risks = data.draw(_stage_one_case(default_config.lexicon))
+
+    def stop_risk(keyword):  # over the 0.5 threshold or not
+        return risks[keyword], risks[keyword] > 0.5
+
+    canonicals_of = functools.partial(canonicals_in, lexicon=lexicon) if cached else None
+    got = validate_keywords(ra, a, b, text, attempt, lexicon, stop_risk, canonicals_of)
+    assert got == _reference_validate_keywords(ra, a, b, text, attempt, lexicon, stop_risk)
+
+
+_TRAP_LETTERS = "İıiIſsSςσΣkK1"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet=_TRAP_LETTERS + " ,.;!\t", max_size=24), data=st.data())
+@example(text="ΣΣ.k", data=None)  # lowering the whole text would end the token in σ, not ς
+@example(text="İ, ſ", data=None)
+def test_the_canonicals_of_a_text_answer_as_its_tokens_do(text, data):
+    # Canonicals are drawn from the text's own tokens, their case variants and other words.
+    words = re.findall(r"[^\s,.;!]+", text)
+    word = st.one_of(st.text(alphabet=_TRAP_LETTERS, min_size=1, max_size=3),
+                     *([st.sampled_from(words), st.sampled_from(words).map(str.swapcase)] if words else []))
+    canonicals = data.draw(st.lists(word, min_size=1, max_size=6, unique=True)) if data else words
+    lexicon = KeywordLexicon(entries=tuple(
+        LexiconEntry(pattern=re.escape(c), canonical=c, polarity="renew") for c in canonicals
+    ))
+    tokens = tokens_of(text, lexicon)
+    in_text = canonicals_in(text, lexicon)
+    assert all((c.lower() in in_text) == (c.lower() in tokens) for c in canonicals)
+    assert in_text <= tokens
+
+
+def test_the_validator_reads_each_text_once_while_its_cache_holds_it(default_config):
+    agent = ValidatorAgent(
+        [ScriptedModel("alpha"), ScriptedModel("beta")], default_config.lexicon, _assessor(default_config),
+        RunStore(), MessagePool(), PharmacyClient(RunStore()), OutboundSmsGateway(RunStore()),
+    )
+    for i in range(READING_MEMO_SIZE + 5):
+        text = f"{i % 7}, stop"
+        assert agent.canonicals_of(text) == canonicals_in(text, default_config.lexicon)
+        agent.canonicals_of(f"{i}. renew")
+        assert agent.canonicals_of.cache_info().currsize <= READING_MEMO_SIZE
+    assert agent.canonicals_of("1, stop") is agent.canonicals_of("1, stop")
+    assert type(agent.canonicals_of("1, stop")) is frozenset
