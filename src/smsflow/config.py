@@ -5,8 +5,9 @@ sections (``SECTIONS``): the keyword lexicon, every fuzzy variable and rule
 block, the customer fixtures, the medication risk fixtures, model backends,
 expert registrations, the store Q&A documents, and appointment availability.
 Which agent works each step is fixed (``dispatch.STEP_AGENTS``), not
-configured.  Any other top-level key is refused, so a misspelled section
-never falls back to defaults unnoticed.
+configured.  Any other top-level key is refused, as is a value of the wrong
+kind or range, by a ``ConfigError`` that begins with the value's path
+(``llm.models[0].timeout``), so a bundle error never loads unnoticed.
 """
 from __future__ import annotations
 
@@ -97,105 +98,112 @@ class PipelineConfig:
         return models
 
 
-def _require(data, key: str, where: str):
-    if key not in _mapping(data, where):
-        raise ConfigError(f"{where}: missing {key!r}")
-    return data[key]
+@dataclass(slots=True)
+class _Node:
+    """A bundle value with the mapping key or list index it sits under.
+
+    Each accessor returns a checked value or a child node, or refuses the
+    value with a ``ConfigError`` that begins with the node's path
+    (``llm.models[0].timeout``), which is spelled only then.
+    """
+
+    value: object
+    parent: _Node | None = None
+    key: object = None
+
+    def refuse(self, message) -> ConfigError:
+        return ConfigError(f"{self._path() or 'bundle'}: {message}")
+
+    def _path(self) -> str:
+        if self.parent is None:
+            return ""
+        prefix = self.parent._path()
+        if isinstance(self.parent.value, list):
+            return f"{prefix}[{self.key}]"
+        return f"{prefix}.{self.key}" if prefix else str(self.key)
+
+    def mapping(self) -> dict:
+        if not isinstance(self.value, dict):
+            raise self.refuse(f"expected a mapping, got {self.value!r}")
+        return self.value
+
+    def __getitem__(self, key: str) -> _Node:
+        if key not in self.mapping():
+            raise self.refuse(f"missing {key!r}")
+        return _Node(self.value[key], self, key)
+
+    def get(self, key: str, default) -> _Node:
+        return _Node(self.mapping().get(key, default), self, key)
+
+    def items(self) -> list[tuple[object, _Node]]:
+        return [(key, _Node(value, self, key)) for key, value in self.mapping().items()]
+
+    def elements(self) -> list[_Node]:
+        if not isinstance(self.value, list):
+            raise self.refuse(f"expected a list, got {self.value!r}")
+        return [_Node(value, self, i) for i, value in enumerate(self.value)]
+
+    def strings(self) -> tuple[str, ...]:
+        """A list of texts; a scalar would otherwise read as its characters."""
+        return tuple(node.text() for node in self.elements())
+
+    def text(self, what: str = "text", types: tuple = (str, int, float)) -> str:
+        """A string or number as text; str() would read null as 'None' and a list as its repr."""
+        if isinstance(self.value, bool) or not isinstance(self.value, types):
+            raise self.refuse(f"expected {what}, got {self.value!r}")
+        return str(self.value)
+
+    def number(self) -> float:
+        """A real value; float() alone would read true as 1.0 and raise a TypeError on a list."""
+        if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
+            raise self.refuse(f"expected a number, got {self.value!r}")
+        return float(self.value)
+
+    def nonnegative(self) -> float:
+        if self.number() < 0:
+            raise self.refuse(f"expected a non-negative number, got {self.value!r}")
+        return float(self.value)
+
+    def integer(self) -> int:
+        """An integer value; int() alone would read 2.7 as 2 and true as 1."""
+        try:
+            number = int(self.value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise self.refuse(exc) from exc
+        if isinstance(self.value, bool) or number != self.value:
+            raise self.refuse(f"expected an integer, got {self.value!r}")
+        return number
+
+    def pair(self, what: str) -> tuple[float, float]:
+        """A two-number list such as a universe or a membership vertex."""
+        if not isinstance(self.value, list) or len(self.value) != 2:
+            raise self.refuse(f"expected {what} pair, got {self.value!r}")
+        x, y = self.value
+        if type(x) is float and type(y) is float:  # most vertices; a node per coordinate adds a fifth to a load
+            return x, y
+        return tuple(node.number() for node in self.elements())
+
+    def build(self, constructor, *args, **kwargs):
+        """``constructor(*args, **kwargs)``; the error of a domain check it fails is refused here."""
+        try:
+            return constructor(*args, **kwargs)
+        except (ValueError, OverflowError) as exc:
+            raise self.refuse(exc) from exc
 
 
-def _mapping(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}: expected a mapping, got {value!r}")
-    return value
+def _variable(node: _Node, name: str) -> LinguisticVariable:
+    universe = node["universe"].pair("a [low, high]")
+    labels = {}
+    for label, vertices in node["labels"].items():
+        points = tuple(vertex.pair("an [x, degree]") for vertex in vertices.elements())
+        labels[label] = vertices.build(MembershipFunction, points)
+    return node.build(LinguisticVariable, name=name, universe=universe, labels=labels)
 
 
-def _mappings(entries, where: str) -> list[dict]:
-    """A bundle list whose every entry is a mapping."""
-    if not isinstance(entries, list):
-        raise ConfigError(f"{where}: expected a list, got {entries!r}")
-    return [_mapping(entry, f"{where}[{i}]") for i, entry in enumerate(entries)]
-
-
-def _strings(value, where: str) -> tuple[str, ...]:
-    """A bundle list of strings; a scalar would otherwise read as its characters."""
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{where}: expected a list, got {value!r}")
-    return tuple(str(x) for x in value)
-
-
-def _membership(vertices, where: str) -> MembershipFunction:
-    if not isinstance(vertices, list):
-        raise ConfigError(f"{where}: expected a list of [x, degree] pairs, got {vertices!r}")
-    points = []
-    for i, vertex in enumerate(vertices):
-        if not isinstance(vertex, list) or len(vertex) != 2:
-            raise ConfigError(f"{where}[{i}]: expected an [x, degree] pair, got {vertex!r}")
-        points.append(tuple(_number(value, f"{where}[{i}][{j}]") for j, value in enumerate(vertex)))
-    try:
-        return MembershipFunction(tuple(points))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _variable(name: str, data: dict, where: str) -> LinguisticVariable:
-    universe = _require(data, "universe", where)
-    if not isinstance(universe, list) or len(universe) != 2:
-        raise ConfigError(f"{where}.universe: expected a [low, high] pair, got {universe!r}")
-    low, high = (_number(bound, f"{where}.universe") for bound in universe)
-    labels = {
-        label: _membership(vertices, f"{where}.labels.{label}")
-        for label, vertices in _mapping(_require(data, "labels", where), f"{where}.labels").items()
-    }
-    try:
-        return LinguisticVariable(name=name, universe=(low, high), labels=labels)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _system(variables: dict[str, LinguisticVariable], output: str, block_text, where: str) -> FuzzySystem:
-    if not isinstance(block_text, str):
-        raise ConfigError(f"{where}.ruleblock: expected the rule block text, got {block_text!r}")
-    try:
-        return FuzzySystem(variables=variables, block=parse_ruleblock(block_text), output=output)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _block_system(section, where: str) -> FuzzySystem:
-    """The fuzzy system of a section holding its own variables, output and rule block."""
-    variables = {
-        name: _variable(name, vd, f"{where}.variables.{name}")
-        for name, vd in _mapping(_require(section, "variables", where), f"{where}.variables").items()
-    }
-    output = _require(section, "output", where)
-    if not isinstance(output, str):
-        raise ConfigError(f"{where}.output: expected a variable name, got {output!r}")
-    return _system(variables, output, _require(section, "ruleblock", where), where)
-
-
-def _number(value, where: str) -> float:
-    """A real bundle value; float() alone would read true as 1.0 and raise a TypeError on a list."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _nonnegative(value, where: str) -> float:
-    number = _number(value, where)
-    if number < 0:
-        raise ConfigError(f"{where}: expected a non-negative number, got {value!r}")
-    return number
-
-
-def _integer(value, where: str) -> int:
-    """An integer bundle value; int() alone would read 2.7 as 2 and true as 1."""
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    if isinstance(value, bool) or number != value:
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return number
+def _system(node: _Node, output: str, variables: dict[str, LinguisticVariable]) -> FuzzySystem:
+    ruleblock = node["ruleblock"]
+    block = ruleblock.build(parse_ruleblock, ruleblock.text("the rule block text", (str,)))
+    return node.build(FuzzySystem, variables=variables, block=block, output=output)
 
 
 def load_config(path: Path | str) -> PipelineConfig:
@@ -208,169 +216,131 @@ def load_config_text(text: str) -> PipelineConfig:
         data = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("configuration bundle must be a mapping")
+    return load_config_data(data)
 
-    unknown = [str(key) for key in data if key not in SECTIONS]
+
+def load_config_data(data) -> PipelineConfig:
+    """The configuration of an already-parsed bundle, which is left unchanged."""
+    bundle = _Node(data)
+    unknown = [str(key) for key in bundle.mapping() if key not in SECTIONS]
     if unknown:
-        raise ConfigError(f"bundle: unknown sections {', '.join(unknown)}; expected {', '.join(SECTIONS)}")
+        raise bundle.refuse(f"unknown sections {', '.join(unknown)}; expected {', '.join(SECTIONS)}")
 
-    lex = _require(data, "lexicon", "bundle")
-    keywords = _mappings(_require(lex, "keywords", "lexicon"), "lexicon.keywords")
-    politeness = _strings(lex.get("politeness", ()), "lexicon.politeness")
-    try:
-        lexicon = KeywordLexicon(
-            entries=tuple(
-                LexiconEntry(
-                    pattern=str(e["pattern"]),
-                    canonical=str(e["canonical"]),
-                    polarity=str(e["polarity"]),
-                )
-                for e in keywords
-            ),
-            politeness=politeness,
+    lex = bundle["lexicon"]
+    keywords = lex["keywords"]
+    lexicon = keywords.build(
+        KeywordLexicon,
+        entries=tuple(
+            node.build(LexiconEntry, *(node[key].text() for key in ("pattern", "canonical", "polarity")))
+            for node in keywords.elements()
+        ),
+        politeness=lex.get("politeness", []).strings(),
+    )
+
+    fuzzy = bundle["fuzzy"]
+    confidence_var = _variable(fuzzy["confidence"], "degreeOfConfidence")
+    importance_system, risk_system = (
+        _system(
+            node,
+            node["output"].text("a variable name", (str,)),
+            {name: _variable(variable, name) for name, variable in node["variables"].items()},
         )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"lexicon: {exc}") from exc
-
-    fuzzy = _require(data, "fuzzy", "bundle")
-    confidence_var = _variable(
-        "degreeOfConfidence", _require(fuzzy, "confidence", "fuzzy"), "fuzzy.confidence"
+        for node in (fuzzy["importance"], fuzzy["risk"])
     )
-
-    importance_system = _block_system(_require(fuzzy, "importance", "fuzzy"), "fuzzy.importance")
-
-    action = _require(fuzzy, "action", "fuzzy")
-    action_var = _variable("action", _require(action, "output", "fuzzy.action"), "fuzzy.action.output")
-    action_system = _system(
-        {
-            "customerImportance": importance_system.output_variable,
-            "degreeOfConfidence": confidence_var,
-            "action": action_var,
-        },
-        "action",
-        _require(action, "ruleblock", "fuzzy.action"),
-        "fuzzy.action",
-    )
-
-    risk = _require(fuzzy, "risk", "fuzzy")
-    risk_system = _block_system(risk, "fuzzy.risk")
-    threshold = _require(risk, "threshold", "fuzzy.risk")
-    risk_threshold = _number(threshold, "fuzzy.risk.threshold")
+    action = fuzzy["action"]
+    action_system = _system(action, "action", {
+        "customerImportance": importance_system.output_variable,
+        "degreeOfConfidence": confidence_var,
+        "action": _variable(action["output"], "action"),
+    })
+    threshold = fuzzy["risk"]["threshold"]
+    risk_threshold = threshold.number()
     low, high = risk_system.output_variable.universe
     if not low <= risk_threshold <= high:
-        raise ConfigError(f"fuzzy.risk.threshold: {threshold!r} outside the output universe [{low}, {high}]")
+        raise threshold.refuse(f"{threshold.value!r} outside the output universe [{low}, {high}]")
 
-    customers = _require(data, "customers", "bundle")
-    phones = _require(customers, "auth", "customers")
-    if not isinstance(phones, dict):
-        raise ConfigError("customers.auth: must map phone numbers to customer ids")
-    for phone in phones:
+    customers = bundle["customers"]
+    phones = customers["auth"]
+    auth = CustomerAuthTable(phones={})
+    for phone, node in phones.items():
         if not isinstance(phone, str):  # YAML reads +15550001 and 0123 as numbers
-            raise ConfigError(f"customers.auth: phone {phone!r} is not a string; quote it")
-    auth = CustomerAuthTable(phones={str(k): str(v) for k, v in phones.items()})
+            raise phones.refuse(f"phone {phone!r} is not a string; quote it")
+        auth.phones[phone] = node.text()
 
-    def _profile(customer_id: str, pd: dict, where: str) -> CustomerProfile:
-        return CustomerProfile(
-            customer_id=customer_id,
-            tenure_years=_nonnegative(_require(pd, "tenure_years", where), f"{where}.tenure_years"),
-            purchases_12mo=_nonnegative(_require(pd, "purchases_12mo", where), f"{where}.purchases_12mo"),
-        )
+    def profile(customer_id: str, node: _Node) -> CustomerProfile:
+        fields = (node[key].nonnegative() for key in ("tenure_years", "purchases_12mo"))
+        return CustomerProfile(customer_id, *fields)
 
-    profiles = {
-        str(customer_id): _profile(str(customer_id), pd, f"customers.profiles.{customer_id}")
-        for customer_id, pd in _mapping(customers.get("profiles", {}), "customers.profiles").items()
-    }
-    default_profile = _profile(
-        "",
-        customers.get("default_profile", {"tenure_years": 0, "purchases_12mo": 0}),
-        "customers.default_profile",
-    )
+    profiles = {str(customer_id): profile(str(customer_id), node)
+                for customer_id, node in customers.get("profiles", {}).items()}
+    default_profile = profile("", customers.get("default_profile", {"tenure_years": 0, "purchases_12mo": 0}))
 
-    def _risk_inputs(rd: dict, where: str) -> StopRiskInputs:
-        chronic = _require(rd, "chronic", where)
-        if not isinstance(chronic, bool):  # bool("false") is True
-            raise ConfigError(f"{where}.chronic: expected true or false, got {chronic!r}")
+    def risk_inputs(node: _Node) -> StopRiskInputs:
+        chronic = node["chronic"]
+        if not isinstance(chronic.value, bool):  # bool("false") is True
+            raise chronic.refuse(f"expected true or false, got {chronic.value!r}")
         return StopRiskInputs(
-            criticality=_number(_require(rd, "criticality", where), f"{where}.criticality"),
-            duration_months=_nonnegative(_require(rd, "duration_months", where), f"{where}.duration_months"),
-            chronic=chronic,
+            node["criticality"].number(), node["duration_months"].nonnegative(), chronic.value
         )
 
-    medications = _mapping(data.get("medications", {}), "medications")
-    medication_default = _risk_inputs(
-        medications.get("default", {"criticality": 8, "duration_months": 24, "chronic": True}),
-        "medications.default",
+    medications = bundle.get("medications", {})
+    medication_default = risk_inputs(
+        medications.get("default", {"criticality": 8, "duration_months": 24, "chronic": True})
     )
-    medication_by_keyword = {
-        str(k): _risk_inputs(v, f"medications.by_keyword.{k}")
-        for k, v in _mapping(medications.get("by_keyword", {}), "medications.by_keyword").items()
-    }
+    # Only a stop keyword is risk-assessed, by its canonical; any other key would never be read.
+    medication_by_keyword = {}
+    for keyword, node in medications.get("by_keyword", {}).items():
+        if lexicon.polarities.get(str(keyword)) != "stop":
+            raise node.refuse("not a stop canonical of the lexicon")
+        medication_by_keyword[str(keyword)] = risk_inputs(node)
 
-    llm = _require(data, "llm", "bundle")
-    models = _mappings(_require(llm, "models", "llm"), "llm.models")
-    for i, m in enumerate(models):
-        backend = m.get("backend", "scripted")
-        if backend not in BACKENDS:
-            raise ConfigError(f"llm.models[{i}].backend: expected one of {', '.join(BACKENDS)}, got {backend!r}")
-    model_specs = [
-        ModelSpec(
-            model_id=str(_require(m, "id", "llm.models")),
-            backend=m.get("backend", "scripted"),
-            endpoint=str(m.get("endpoint", "")),
-            model_name=str(m.get("model_name", "")),
-            api_key_env=str(m.get("api_key_env", "")),
-            timeout=_number(m.get("timeout", 30.0), f"llm.models[{i}].timeout"),
-        )
-        for i, m in enumerate(models)
-    ]
-    cue_data = _mapping(llm.get("cues", {}), "llm.cues")
+    llm = bundle["llm"]
+    models = llm["models"]
+    model_specs = []
+    for node in models.elements():
+        backend, timeout = node.get("backend", "scripted"), node.get("timeout", 30.0)
+        if backend.value not in BACKENDS:
+            raise backend.refuse(f"expected one of {', '.join(BACKENDS)}, got {backend.value!r}")
+        if timeout.number() <= 0:
+            raise timeout.refuse(f"expected a positive number, got {timeout.value!r}")
+        names = (node.get(key, "").text() for key in ("endpoint", "model_name", "api_key_env"))
+        model_specs.append(ModelSpec(node["id"].text(), backend.value, *names, timeout.number()))
+    # Both model stages call each model once and the validator keys their documents by id.
+    if len({spec.model_id for spec in model_specs}) != 2 or len(model_specs) != 2:
+        raise models.refuse("need exactly two models with distinct ids")
+    cue_lists = llm.get("cues", {})
     cues = CueConfig(**{
-        name: _strings(cue_data.get(name, getattr(CueConfig, name)), f"llm.cues.{name}")
+        name: cue_lists.get(name, list(getattr(CueConfig, name))).strings()
         for name in ("complaint", "request", "mood_positive", "mood_negative")
     })
 
-    try:
-        experts = [
-            ExpertRegistration(
-                qualifier=str(e["qualifier"]),
-                cues=_strings(e.get("cues", ()), "experts.cues"),
-                queue=str(e.get("queue", "")),
-            )
-            for e in _mappings(_require(data, "experts", "bundle"), "experts")
-        ]
-    except KeyError as exc:
-        raise ConfigError(f"experts: missing {exc}") from exc
+    registrations = bundle["experts"]
+    experts = []
+    for node in registrations.elements():
+        qualifier = node["qualifier"]
+        expert = ExpertRegistration(
+            qualifier.text(), node.get("cues", []).strings(), node.get("queue", "").text()
+        )
+        if expert.qualifier in {e.qualifier for e in experts}:
+            raise qualifier.refuse(f"duplicate qualifier {expert.qualifier!r}")
+        experts.append(expert)
     if not experts:
-        raise ConfigError("experts: at least one expert registration is required")
-    if len({e.qualifier for e in experts}) != len(experts):
-        raise ConfigError("experts: duplicate qualifiers")
-    # Both model stages call each model once and the validator keys their documents by id.
-    if len({spec.model_id for spec in model_specs}) != 2 or len(model_specs) != 2:
-        raise ConfigError("llm.models: need exactly two models with distinct ids")
+        raise registrations.refuse("at least one expert registration is required")
 
-    try:
-        documents = [
-            StoreDocument(question=str(d["question"]), answer=str(d["answer"]))
-            for d in _mappings(data.get("documents", []), "documents")
-        ]
-    except KeyError as exc:
-        raise ConfigError(f"documents: missing {exc}") from exc
+    documents = [
+        StoreDocument(question=node["question"].text(), answer=node["answer"].text())
+        for node in bundle.get("documents", []).elements()
+    ]
 
     availability = {}
-    for i, s in enumerate(_mappings(data.get("availability", []), "availability")):
-        where = f"availability[{i}]"
-        fields = [
-            _integer(_require(s, key, where), f"{where}.{key}") for key in ("year", "month", "day", "hours")
-        ]
-        capacity = _integer(s.get("capacity", 1), f"{where}.capacity")
-        if capacity < 0:
-            raise ConfigError(f"{where}.capacity: expected a non-negative integer, got {capacity}")
-        try:
-            slot = SlotCandidate(*fields)
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-        availability[slot] = capacity
+    for node in bundle.get("availability", []).elements():
+        slot = node.build(SlotCandidate, *(node[key].integer() for key in ("year", "month", "day", "hours")))
+        capacity = node.get("capacity", 1)
+        if capacity.integer() < 0:
+            raise capacity.refuse(f"expected a non-negative integer, got {capacity.value!r}")
+        if slot in availability:
+            raise node.refuse(f"slot {slot.line()} is listed twice")
+        availability[slot] = capacity.integer()
 
     return PipelineConfig(
         lexicon=lexicon,

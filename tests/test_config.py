@@ -5,7 +5,8 @@ import yaml
 
 import smsflow.config as config
 from smsflow.cli import main
-from smsflow.config import ConfigError, default_config_path, load_config_text
+from smsflow.config import ConfigError, default_config_path, load_config_data, load_config_text
+from smsflow.pipeline import build_pipeline
 
 
 def _default_bundle() -> dict:
@@ -81,7 +82,7 @@ SCALAR_ENTRIES = [
     (_availability_as_words, "availability[0]: expected a mapping"),
     (_scalar_profile, "customers.profiles.C1001: expected a mapping"),
     (_scalar_politeness, "lexicon.politeness: expected a list"),
-    (_scalar_expert_cues, "experts.cues: expected a list"),
+    (_scalar_expert_cues, "experts[0].cues: expected a list"),
     (_scalar_llm_cue, "llm.cues.complaint: expected a list"),
 ]
 SCALAR_IDS = ["models-as-names", "experts-as-names", "keywords-as-words",
@@ -109,9 +110,9 @@ SCALAR_SECTIONS = [
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_drop_model_id, "llm.models: "),
-        (_drop_expert_qualifier, "experts: "),
-        (_drop_document_answer, "documents: "),
+        (_drop_model_id, re.escape("llm.models[0]: missing 'id'")),
+        (_drop_expert_qualifier, re.escape("experts[0]: missing 'qualifier'")),
+        (_drop_document_answer, re.escape("documents[0]: missing 'answer'")),
         (_auth_as_list, "customers.auth: "),
         (_word_threshold, "fuzzy.risk.threshold: "),
         (_drop_lexicon_keywords, "lexicon: missing 'keywords'$"),
@@ -153,7 +154,7 @@ def test_cli_reports_a_malformed_bundle_without_a_traceback(tmp_path, capsys):
     code = _run_cli(tmp_path, bundle)
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: llm.models: ")
+    assert err.startswith("error: llm.models[0]: missing 'id'")
     assert "Traceback" not in err
 
 
@@ -220,6 +221,17 @@ def _no_experts(bundle):
     bundle["experts"] = []
 
 
+def _duplicate_slot(bundle):
+    bundle["availability"].append({**bundle["availability"][0], "capacity": 5})
+
+
+def _renamed_risk_fixture(old, new):
+    def edit(bundle):
+        by_keyword = bundle["medications"]["by_keyword"]
+        by_keyword[new] = by_keyword.pop(old)
+    return edit
+
+
 def _value_at(path, value):
     """Set the bundle value at a dotted path; a numeric part indexes a list."""
     def edit(bundle):
@@ -260,7 +272,7 @@ MALFORMED_SECTIONS = [
      "medications.by_keyword.stop.criticality: expected a number, got [9]"),
     (_value_at("llm.models.0.timeout", [3]), "llm.models[0].timeout: expected a number, got [3]"),
     (_value_at("fuzzy.confidence.universe", [0.0, True]),
-     "fuzzy.confidence.universe: expected a number, got True"),
+     "fuzzy.confidence.universe[1]: expected a number, got True"),
     (_value_at("fuzzy.confidence.labels.low", [[0.0, 1.0], [0.4, [1]]]),
      "fuzzy.confidence.labels.low[1][1]: expected a number, got [1]"),
     # Refused when the bundle loads, not later when the pipeline is built.
@@ -289,6 +301,31 @@ MALFORMED_SECTIONS = [
      "fuzzy.confidence.labels.low[0][0]: expected a number, got None"),
     (_value_at("availability.1.year", "x"),
      "availability[1].year: invalid literal for int() with base 10: 'x'"),
+    # A name is text or a number, never null, a boolean, a list or a mapping read as its repr.
+    (_value_at("customers.auth.+15550001", None), "customers.auth.+15550001: expected text, got None"),
+    (_value_at("experts.0.qualifier", None), "experts[0].qualifier: expected text, got None"),
+    (_value_at("experts.0.queue", ["pharmacist"]), "experts[0].queue: expected text, got ['pharmacist']"),
+    (_value_at("llm.models.0.id", None), "llm.models[0].id: expected text, got None"),
+    (_value_at("lexicon.keywords.1.pattern", True), "lexicon.keywords[1].pattern: expected text, got True"),
+    (_value_at("lexicon.keywords.1.canonical", {}), "lexicon.keywords[1].canonical: expected text, got {}"),
+    (_value_at("lexicon.keywords.1.polarity", None), "lexicon.keywords[1].polarity: expected text, got None"),
+    (_value_at("documents.0.question", None), "documents[0].question: expected text, got None"),
+    (_value_at("documents.0.answer", [1]), "documents[0].answer: expected text, got [1]"),
+    # A timeout of zero or less fails every call of the model.
+    (_value_at("llm.models.0.timeout", -1), "llm.models[0].timeout: expected a positive number, got -1"),
+    (_value_at("llm.models.1.timeout", 0), "llm.models[1].timeout: expected a positive number, got 0"),
+    # A second entry for a slot would replace the first one's capacity.
+    (_duplicate_slot, "availability[2]: slot year: 2025, month: 3, day: 22, hours: 15 is listed twice"),
+    (_value_at("experts.1.qualifier", "Pharmacy"), "experts[1].qualifier: duplicate qualifier 'Pharmacy'"),
+    # Rule-block syntax is named at the block's text, a rule that does not fit the variables at its section.
+    (_value_at("fuzzy.action.ruleblock", "RULEBLOCK No2\nRULE 7 : IF customerImportance IS high;\nEND_RULEBLOCK"),
+     "fuzzy.action.ruleblock: line 2: malformed rule: 'RULE 7 : IF customerImportance IS high'"),
+    (_value_at("fuzzy.action.ruleblock",
+               "RULEBLOCK No2\nRULE 7 : IF customerImportance IS high THEN action IS maybe;\nEND_RULEBLOCK"),
+     "fuzzy.action: rule 7 concludes unknown label 'maybe'"),
+    # Only a stop canonical is risk-assessed, so any other key would never be read.
+    (_renamed_risk_fixture("stop", "stopp"), "medications.by_keyword.stopp: not a stop canonical of the lexicon"),
+    (_renamed_risk_fixture("stop", "renew"), "medications.by_keyword.renew: not a stop canonical of the lexicon"),
 ]
 MALFORMED_SECTION_IDS = ["scalar-universe", "labels-as-list", "word-capacity", "fractional-capacity",
                          "boolean-capacity", "negative-capacity", "fractional-year", "boolean-hours",
@@ -299,7 +336,12 @@ MALFORMED_SECTION_IDS = ["scalar-universe", "labels-as-list", "word-capacity", "
                          "list-membership-degree", "unknown-backend", "negative-tenure",
                          "negative-default-purchases", "negative-duration", "numeric-ruleblock",
                          "list-ruleblock", "list-output", "mapping-output", "null-keyword", "null-expert",
-                         "scalar-document", "scalar-vertex", "null-vertex-coordinate", "word-year"]
+                         "scalar-document", "scalar-vertex", "null-vertex-coordinate", "word-year",
+                         "null-customer-id", "null-qualifier", "list-queue", "null-model-id",
+                         "boolean-pattern", "mapping-canonical", "null-polarity", "null-question",
+                         "list-answer", "negative-timeout", "zero-timeout", "duplicate-slot",
+                         "duplicate-qualifier", "malformed-rule", "rule-with-unknown-label",
+                         "misspelled-risk-keyword", "renew-risk-keyword"]
 
 
 @pytest.mark.parametrize("edit, message", MALFORMED_SECTIONS, ids=MALFORMED_SECTION_IDS)
@@ -341,6 +383,72 @@ def test_chronic_reads_an_unquoted_boolean_as_it_is():
     loaded = load_config_text(yaml.safe_dump(bundle))
     assert loaded.medication_default.chronic is False
     assert loaded.medication_by_keyword["2"].chronic is True
+
+
+def test_a_number_is_read_as_the_text_of_a_name():
+    bundle = _default_bundle()
+    bundle["customers"]["auth"]["+15559999"] = 9999
+    bundle["llm"]["models"] = [{"id": 1}, {"id": 2.5}]
+    loaded = load_config_data(bundle)
+    assert loaded.auth.phones["+15559999"] == "9999"
+    assert [spec.model_id for spec in loaded.model_specs] == ["1", "2.5"]
+
+
+SWEEP_VALUES = [None, True, -1, 0, 2.7, "x", [], {}, [1]]
+
+# A refusal raised by the domain constructor of an entry (lexicon entry,
+# membership curve, variable, fuzzy system, slot) names that entry.
+ENTRY_PATH = re.compile(
+    r"lexicon\.keywords\[\d+\]|fuzzy\.\w+|fuzzy\.\w+\.(output|variables\.\w+)|fuzzy\..+\.labels\.\w+"
+    r"|availability\[\d+\]"
+)
+
+
+def _bundle_nodes(value, path=()):
+    """The key path of every node under ``value``, ``value`` itself first."""
+    yield path
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _bundle_nodes(child, (*path, key))
+
+
+def _spelled(path) -> str:
+    spelled = ""
+    for key in path:
+        spelled += f"[{key}]" if isinstance(key, int) else f".{key}" if spelled else key
+    return spelled or "bundle"
+
+
+def _refusal_names(node: str, refused_at: str) -> bool:
+    if refused_at == node or refused_at.startswith((f"{node}[", f"{node}.")):
+        return True  # the node, or an element of a list put in its place
+    if node.startswith((f"{refused_at}[", f"{refused_at}.")) and ENTRY_PATH.fullmatch(refused_at):
+        return True
+    # A risk fixture keyed by a canonical the edit removed from the lexicon is named by its key.
+    return node.startswith("lexicon.keywords") and refused_at.startswith("medications.by_keyword.")
+
+
+def test_every_node_of_the_bundle_is_loaded_or_refused_by_its_path():
+    holder = [_default_bundle()]  # so that the bundle itself has a parent to be replaced in
+    unnamed = []
+    for path in list(_bundle_nodes(holder[0])):
+        *parents, key = (0, *path)
+        parent = holder
+        for step in parents:
+            parent = parent[step]
+        original = parent[key]
+        for value in SWEEP_VALUES:
+            parent[key] = value
+            try:
+                build_pipeline(load_config_data(holder[0])).close()
+            except ConfigError as exc:
+                refused_at = str(exc).split(": ", 1)[0]
+                if not _refusal_names(_spelled(path), refused_at):
+                    unnamed.append(f"{_spelled(path)} = {value!r}: {exc}")
+            finally:
+                parent[key] = original
+    assert holder[0] == _default_bundle()
+    assert not unnamed, "\n".join(unnamed)
 
 
 def _edited_bundle_text() -> str:
