@@ -11,6 +11,7 @@ kind or range, by a ``ConfigError`` that begins with the value's path
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -154,9 +155,12 @@ class _Node:
         return str(self.value)
 
     def number(self) -> float:
-        """A real value; float() alone would read true as 1.0 and raise a TypeError on a list."""
+        """A finite real value; float() alone would read true as 1.0, pass .nan and .inf,
+        and raise a TypeError on a list."""
         if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
             raise self.refuse(f"expected a number, got {self.value!r}")
+        if not math.isfinite(self.value):
+            raise self.refuse(f"expected a finite number, got {self.value!r}")
         return float(self.value)
 
     def nonnegative(self) -> float:
@@ -179,7 +183,8 @@ class _Node:
         if not isinstance(self.value, list) or len(self.value) != 2:
             raise self.refuse(f"expected {what} pair, got {self.value!r}")
         x, y = self.value
-        if type(x) is float and type(y) is float:  # most vertices; a node per coordinate adds a fifth to a load
+        # A finite float pair (most vertices) is taken as it is: a node per coordinate adds a fifth to a load.
+        if type(x) is float and type(y) is float and math.isfinite(x) and math.isfinite(y):
             return x, y
         return tuple(node.number() for node in self.elements())
 

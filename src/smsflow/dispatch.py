@@ -2,10 +2,10 @@
 
 The pipeline's hops are fixed, so a document goes to the worker agent that
 :data:`STEP_AGENTS` names for its ``metadata.stepId``: a plain message
-router, with no rules to load or order.  A dispatcher owns one topic
-subscription, which hands it every envelope published there, and invokes
-that step's worker alone.  No agent watches a topic: each worker records
-its own hop in the step log.
+router, with no rules to load or order.  A dispatcher is the one consumer
+of its topic: it polls the envelopes published there one at a time, in
+publish order, and invokes each one's step worker alone.  No agent watches
+a topic: each worker records its own hop in the step log.
 
 Agents and the dispatcher's methods are looked up at each call, never bound
 ahead, so a wrapper set on an instance after the pipeline is built sees
@@ -65,8 +65,8 @@ class Dispatcher:
         self.subscription = subscription
         self.store = store
 
-    def dispatch(self, envelope: Envelope) -> set[str]:
-        """Invoke the step's worker; returns the set invoked, that worker or none.
+    def dispatch(self, envelope: Envelope) -> None:
+        """Invoke the step's worker, if it has one.
 
         A failing worker is captured and recorded.  An event whose step has
         no worker ends ``unrouted``.
@@ -76,17 +76,16 @@ class Dispatcher:
         if worker is None:
             if event_id:
                 self.store.record_step(event_id, step, self.name, TERMINAL_UNROUTED, terminal=True)
-            return set()
+            return
         try:
             self.registry.agents[worker].handle(envelope)
         except Exception as exc:  # noqa: BLE001 - per-agent fault isolation
             log.exception("%s: agent %s failed on event %s", self.name, worker, event_id)
             self.store.record_step(event_id, step, worker, f"agent-failure: {exc}")
-        return {worker}
 
     def drain_one(self) -> bool:
-        batch = self.subscription.poll(1)
-        if not batch:
+        envelope = self.subscription.poll()
+        if envelope is None:
             return False
-        self.dispatch(batch[0])
+        self.dispatch(envelope)
         return True

@@ -406,6 +406,8 @@ class LlmAgent:
         pool: MessagePool,
         executor: Executor | None = None,
     ):
+        if len(models) != 2:
+            raise ValueError(f"the extraction stage needs exactly two models, got {len(models)}")
         self.models = models
         self.lexicon = lexicon
         self.faults = faults
@@ -429,8 +431,6 @@ class LlmAgent:
         An exception other than a model error leaves the stage before
         anything is published.
         """
-        if len(self.models) != 2:
-            raise ValueError(f"the extraction stage needs exactly two models, got {len(self.models)}")
         store = self.store
         metadata = parsed["metadata"]
         event_id = metadata["eventId"]

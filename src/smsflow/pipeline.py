@@ -1,8 +1,9 @@
 """Wiring of the full pipeline: broker, stores, agents and dispatchers.
 
-The scheduler is a deterministic round-robin over the stage
-subscriptions, which makes whole runs replayable.  Each agent records the
-hop it works in the step log; nothing else watches the topics.
+The scheduler is a deterministic round-robin over the two dispatchers,
+each the one consumer of its topic and each moving one envelope per turn,
+which makes whole runs replayable.  Each agent records the hop it works in
+the step log; nothing else reads the topics.
 
 When a model waits on an HTTP backend, the two model calls of one stage
 (the two extractions, then the two cross-judgements) overlap on the

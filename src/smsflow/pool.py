@@ -1,17 +1,15 @@
-"""In-process shared message pool.
+"""In-process shared message pool of point-to-point topics.
 
 Named topics number messages with gapless offsets and no timestamps, but keep
-no log: ``publish`` appends each envelope to the queue of every live
-subscription, and agents pull every envelope from their own queue with
-``poll``; choosing what to act on is the dispatcher's job.  An envelope is
-freed once every subscription live at its publish has polled it or been
-dropped.
-Each envelope is one named tuple, shared by every queue it enters.
+no log.  Each topic has at most one consumer, its subscription: ``publish``
+appends the envelope to that subscription's queue, and the consumer pops the
+oldest one with ``poll``; choosing what to act on is the dispatcher's job.
+An envelope is freed once it is polled, and a topic nobody consumes holds
+none.
 """
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import deque
 from typing import Any, NamedTuple
 
@@ -25,11 +23,10 @@ class Envelope(NamedTuple):
 
 
 class Subscription:
-    """A single consumer's queue of the envelopes published since it subscribed.
+    """The one consumer's queue of the envelopes published to its topic since it subscribed.
 
-    The pool refers to a subscription weakly, so one the consumer drops stops
-    receiving and frees its queue.  Owned by one consumer at a time; the
-    pool's lock makes it safe to hand between threads.
+    Owned by one consumer at a time; the pool's lock makes it safe to hand
+    between threads.
     """
 
     def __init__(self, pool: "MessagePool", topic: str):
@@ -42,27 +39,22 @@ class Subscription:
         with self._pool._lock:
             return len(self._queue)
 
-    def poll(self, max_n: int = 1) -> list[Envelope]:
-        if max_n < 1:
-            raise ValueError("max_n must be >= 1")
+    def poll(self) -> Envelope | None:
+        """The oldest envelope not yet polled, or None when there is none."""
         queue = self._queue
         with self._pool._lock:
-            if max_n == 1:  # the dispatchers' one-envelope poll
-                return [queue.popleft()] if queue else []
-            return [queue.popleft() for _ in range(min(max_n, len(queue)))]
+            return queue.popleft() if queue else None
 
 
 class MessagePool:
-    """Per topic, the next offset and weak references to its subscriptions.
+    """Per topic, the next offset and the queue of its one subscription.
 
     Holds no envelope itself; topics auto-create.
     """
 
     def __init__(self):
         self._next_offset: dict[str, int] = {}
-        # Tuples, replaced only under the lock: a subscription collected while
-        # ``publish`` walks one leaves a dead reference, which it skips.
-        self._subscribers: dict[str, tuple[weakref.ref, ...]] = {}
+        self._queues: dict[str, deque[Envelope]] = {}
         # Nothing called under it takes it again.
         self._lock = threading.Lock()
 
@@ -77,19 +69,18 @@ class MessagePool:
         with self._lock:
             offset = self._next_offset.get(topic, 0)
             self._next_offset[topic] = offset + 1
-            env = Envelope(topic, offset, payload)
-            for ref in self._subscribers.get(topic, ()):
-                sub = ref()
-                if sub is not None:
-                    sub._queue.append(env)
+            queue = self._queues.get(topic)
+            if queue is not None:
+                queue.append(Envelope(topic, offset, payload))
             return offset
 
     def subscribe(self, topic: str) -> Subscription:
-        """New-messages-only subscription; earlier traffic is never replayed."""
+        """The topic's one consumer, from the next publish on; a second one is refused."""
         sub = Subscription(self, topic)
         with self._lock:
-            live = tuple(r for r in self._subscribers.get(topic, ()) if r() is not None)
-            self._subscribers[topic] = (*live, weakref.ref(sub))
+            if topic in self._queues:
+                raise ValueError(f"topic {topic!r} already has a consumer")
+            self._queues[topic] = sub._queue
         return sub
 
     def lag(self, sub: Subscription) -> int:

@@ -181,11 +181,10 @@ def validate_keywords(
     ra: dict,
     a: dict,
     b: dict,
-    original_text: str,
+    in_text: frozenset[str],
     attempt: int,
     lexicon: KeywordLexicon,
     stop_risk: Callable[[str], tuple[float, bool]],
-    canonicals_of: Callable[[str], frozenset[str]] | None = None,
 ) -> tuple[dict, float | None]:
     """Stage-1 verdict on the S003 responses ``a`` and ``b`` of one message,
     whose parsed (S001 or S002) document is ``ra``.
@@ -197,16 +196,11 @@ def validate_keywords(
     canonical of the polarity it is claimed under, or claims one with no
     verbatim whole-token occurrence in the original text.  Survivor
     disagreement retries once, then fails.  Accepted stop keywords beyond
-    the parser's claims are risk-gated.  ``canonicals_of`` is
-    :func:`canonicals_in` on this lexicon, as the agent caches it; without
-    it the set is computed for this call.
+    the parser's claims are risk-gated.  ``in_text`` is
+    :func:`canonicals_in` of the original text on this lexicon.
     """
     if attempt not in (1, 2):
         raise ValueError(f"attempt must be 1 or 2, got {attempt}")
-    if canonicals_of is None:
-        in_text = canonicals_in(original_text, lexicon)
-    else:
-        in_text = canonicals_of(original_text)
     polarities = lexicon.polarities
 
     discarded: list[dict] = []
@@ -325,8 +319,8 @@ class ValidatorAgent:
         a, b = doc["responses"]
 
         keywords, risk = validate_keywords(
-            parsed, a, b, original, doc["attempt"], self.lexicon, self.risk.assess_keyword,
-            self.canonicals_of,
+            parsed, a, b, self.canonicals_of(original), doc["attempt"], self.lexicon,
+            self.risk.assess_keyword,
         )
         for discard in keywords["discarded"]:
             model_id, reason = discard["model_id"], discard["reason"]

@@ -113,3 +113,8 @@ def remaining_bookings(availability, slots) -> int:
 def terminal_notes(store, event_id: str) -> list[str]:
     """The notes of an event's terminal step records, in record order."""
     return [r["note"] for r in store.steps_of(event_id) if r["terminal"]]
+
+
+def drained(sub) -> list:
+    """The payloads waiting in a subscription, oldest first, polled out of it."""
+    return [envelope.payload for envelope in iter(sub.poll, None)]

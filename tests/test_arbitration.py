@@ -19,7 +19,7 @@ from smsflow.pool import Envelope, MessagePool
 from smsflow.renewal import READING_MEMO_SIZE
 from smsflow.store import OutboundSmsGateway, PharmacyClient, RunStore
 
-from conftest import brute_force_activations, terminal_notes
+from conftest import brute_force_activations, drained, terminal_notes
 
 
 def _msg(confidence, renew=("1",), stop=(), event_id="A1001", step="S001", full_match=False,
@@ -154,13 +154,13 @@ def test_evaluate_process_direct_calls_pharmacy_per_keyword(default_config):
     assert decision.action == ACTION_PROCESS_DIRECT
     assert [r["keyword"] for r in store.pharmacy.read_all() if r["eventId"] == "A1001"] == ["1", "unenroll"]
     assert terminal_notes(store, "A1001") == ["done"]
-    assert agents.poll(5) == []  # bypass: never forwarded
+    assert drained(agents) == []  # bypass: never forwarded
 
 
 def test_evaluate_forward_republishes_at_next_step(default_config):
     evaluator, store, agents = _wiring(default_config)
     evaluator.evaluate(_msg(LOW), _profile(10, 5000))
-    docs = [e.payload for e in agents.poll(5)]
+    docs = drained(agents)
     assert len(docs) == 1
     assert docs[0]["metadata"]["stepId"] == "S002"
     assert docs[0]["renew"] == ["1"]
@@ -175,7 +175,7 @@ def test_evaluate_fail_sends_support_sms(default_config):
     sms = store.outbound_sms.read_all()
     assert len(sms) == 1 and sms[0]["kind"] == "contact-support"
     assert terminal_notes(store, "A1001") == ["contact-support SMS sent"]
-    assert agents.poll(5) == []
+    assert drained(agents) == []
 
 
 def test_evaluate_rejects_wrong_step(default_config):

@@ -326,6 +326,12 @@ MALFORMED_SECTIONS = [
     # Only a stop canonical is risk-assessed, so any other key would never be read.
     (_renamed_risk_fixture("stop", "stopp"), "medications.by_keyword.stopp: not a stop canonical of the lexicon"),
     (_renamed_risk_fixture("stop", "renew"), "medications.by_keyword.renew: not a stop canonical of the lexicon"),
+    # YAML's .nan and .inf are floats, but no field takes a non-finite number.
+    (_value_at("customers.profiles.C1001.tenure_years", float("nan")),
+     "customers.profiles.C1001.tenure_years: expected a finite number, got nan"),
+    (_value_at("medications.default.criticality", float("nan")),
+     "medications.default.criticality: expected a finite number, got nan"),
+    (_value_at("llm.models.0.timeout", float("inf")), "llm.models[0].timeout: expected a finite number, got inf"),
 ]
 MALFORMED_SECTION_IDS = ["scalar-universe", "labels-as-list", "word-capacity", "fractional-capacity",
                          "boolean-capacity", "negative-capacity", "fractional-year", "boolean-hours",
@@ -341,7 +347,8 @@ MALFORMED_SECTION_IDS = ["scalar-universe", "labels-as-list", "word-capacity", "
                          "boolean-pattern", "mapping-canonical", "null-polarity", "null-question",
                          "list-answer", "negative-timeout", "zero-timeout", "duplicate-slot",
                          "duplicate-qualifier", "malformed-rule", "rule-with-unknown-label",
-                         "misspelled-risk-keyword", "renew-risk-keyword"]
+                         "misspelled-risk-keyword", "renew-risk-keyword", "nan-tenure", "nan-criticality",
+                         "infinite-timeout"]
 
 
 @pytest.mark.parametrize("edit, message", MALFORMED_SECTIONS, ids=MALFORMED_SECTION_IDS)
@@ -394,7 +401,7 @@ def test_a_number_is_read_as_the_text_of_a_name():
     assert [spec.model_id for spec in loaded.model_specs] == ["1", "2.5"]
 
 
-SWEEP_VALUES = [None, True, -1, 0, 2.7, "x", [], {}, [1]]
+SWEEP_VALUES = [None, True, -1, 0, 2.7, float("nan"), float("inf"), "x", [], {}, [1]]
 
 # A refusal raised by the domain constructor of an entry (lexicon entry,
 # membership curve, variable, fuzzy system, slot) names that entry.

@@ -51,7 +51,7 @@ class _Envelope:
 def test_renewal_event_invokes_the_renewal_agent():
     dispatcher, log, _, store = _dispatcher()
     doc = _doc("S000")
-    assert dispatcher.dispatch(_Envelope(doc)) == {"RenewalAgent"}
+    dispatcher.dispatch(_Envelope(doc))
     assert log == [("RenewalAgent", doc)]
     assert store.steps_of("A1") == ()
 
@@ -61,19 +61,9 @@ def test_each_step_reaches_exactly_its_worker_after_the_tracker(step, worker):
     # The worker alone runs: no tracker or other agent precedes it.
     dispatcher, log, _, store = _dispatcher()
     doc = _doc(step)
-    assert dispatcher.dispatch(_Envelope(doc)) == {worker}
+    dispatcher.dispatch(_Envelope(doc))
     assert log == [(worker, doc)]
     assert store.steps_of("A1") == ()
-
-
-def test_the_returned_set_is_the_callers_to_change():
-    dispatcher, _, _, _ = _dispatcher()
-    for step in ("S001", "S009"):
-        first = dispatcher.dispatch(_Envelope(_doc(step)))
-        expected = set(first)
-        first.add("Intruder")
-        first.discard("EvaluatorAgent")
-        assert dispatcher.dispatch(_Envelope(_doc(step))) == expected
 
 
 def test_unresolved_qualifier_fails_at_startup():
@@ -84,21 +74,21 @@ def test_unresolved_qualifier_fails_at_startup():
 
 def test_agent_failure_is_recorded_and_others_proceed():
     dispatcher, log, _, store = _dispatcher(EvaluatorAgent=Exploder())
-    assert dispatcher.dispatch(_Envelope(_doc("S001"))) == {"EvaluatorAgent"}
+    dispatcher.dispatch(_Envelope(_doc("S001")))
     assert log == []
     [record] = store.steps_of("A1")
     assert (record["stepId"], record["agent"], record["note"], record["terminal"]) == (
         "S001", "EvaluatorAgent", "agent-failure: boom", False,
     )
     # The failure is captured: the next envelope reaches its worker.
-    assert dispatcher.dispatch(_Envelope(_doc("S002", "A2"))) == {"LlmAgent"}
+    dispatcher.dispatch(_Envelope(_doc("S002", "A2")))
     assert [q for q, _ in log] == ["LlmAgent"]
     assert store.steps_of("A2") == ()
 
 
 def test_unrouted_event_gets_a_terminal_step():
     dispatcher, log, _, store = _dispatcher()
-    assert dispatcher.dispatch(_Envelope(_doc("S009"))) == set()
+    dispatcher.dispatch(_Envelope(_doc("S009")))
     assert log == []
     assert terminal_notes(store, "A1") == ["unrouted"]
     [record] = store.steps_of("A1")
@@ -119,7 +109,7 @@ def test_payload_without_metadata_is_dispatched_without_an_unrouted_step():
     dispatcher, log, _, store = _dispatcher()
     for payload in ({}, {"metadata": "S001"}, {"stepId": "S001"}, {"metadata": {"stepId": ["S001"]}},
                     {"metadata": {"stepId": {"S001": 1}}}, "text", None):
-        assert dispatcher.dispatch(_Envelope(payload)) == set()
+        dispatcher.dispatch(_Envelope(payload))
     assert log == []
     assert len(store.steps) == 0
 
@@ -147,7 +137,7 @@ def test_dispatch_invokes_only_the_step_worker(doc):
     worker = STEP_AGENTS.get(step) if isinstance(step, str) else None
     expected = [worker] if worker else []
 
-    assert dispatcher.dispatch(_Envelope(doc)) == set(expected)
+    assert dispatcher.dispatch(_Envelope(doc)) is None
     assert log == [(q, doc) for q in expected]
     unrouted = [r["eventId"] for r in store.steps.read_all() if r["note"] == "unrouted"]
     assert unrouted == ([event_id] if event_id and worker is None else [])

@@ -581,19 +581,36 @@ def test_corpus_lines_require_phone_and_text(tmp_path, capsys):
         assert "bad.jsonl:2: " in capsys.readouterr().err
 
 
+def _dispatched(pipeline, topic) -> list:
+    """The payloads that the pipeline's consumer of ``topic`` dispatches from now on.
+
+    A topic has one consumer, so the test records what it dispatches instead
+    of subscribing to the topic itself.
+    """
+    [dispatcher] = [d for d in pipeline.scheduler.sources if d.subscription.topic == topic]
+    payloads = []
+    dispatch = dispatcher.dispatch
+
+    def recording(envelope):
+        payloads.append(envelope.payload)
+        dispatch(envelope)
+
+    dispatcher.dispatch = recording
+    return payloads
+
+
 def test_llm_agent_records_one_attempt_per_extraction_document():
     # The demo corpus at seed 1 and fault rates 0.1 retries one event.
     pipeline = build_pipeline(
         load_config(default_config_path()), seed=1, add_keyword_rate=0.1, drop_keyword_rate=0.1
     )
-    agents = pipeline.pool.subscribe(AGENTS_TOPIC)
+    agents = _dispatched(pipeline, AGENTS_TOPIC)
     try:
         for entry in load_corpus(default_corpus_path()):
             pipeline.ingest(entry["phone"], entry["text"])
         assert pipeline.run_to_quiescence()
         documents = Counter(
-            e.payload["metadata"]["eventId"] for e in agents.poll(1000)
-            if e.payload["metadata"]["stepId"] == "S003"
+            doc["metadata"]["eventId"] for doc in agents if doc["metadata"]["stepId"] == "S003"
         )
         attempts = {}
         for r in pipeline.store.steps.read_all():
@@ -638,7 +655,7 @@ def test_retried_event_shows_two_extraction_rounds():
     # seed 13 at this drop rate fires on exactly one model at attempt 1 and
     # neither at attempt 2, forcing a survivor disagreement and one retry.
     pipeline = build_pipeline(load_config(default_config_path()), seed=13, drop_keyword_rate=0.45)
-    agents = pipeline.pool.subscribe(AGENTS_TOPIC)
+    agents = _dispatched(pipeline, AGENTS_TOPIC)
     try:
         entry = {"phone": "+15550006", "text": "Could you please do 1"}
         entries = [(entry, pipeline.ingest(entry["phone"], entry["text"]))]
@@ -654,9 +671,7 @@ def test_retried_event_shows_two_extraction_rounds():
     assert attempts == [1, 2]
     assert [r["note"] for r in history].count(NOTE_RETRY) == 1
     # The retry republishes the parsed claims unchanged, at the next attempt.
-    first, second = [
-        e.payload for e in agents.poll(100) if e.payload["metadata"]["stepId"] == "S002"
-    ]
+    first, second = [doc for doc in agents if doc["metadata"]["stepId"] == "S002"]
     assert "attempt" not in first  # the evaluator's S002 document: attempt 1
     assert second == {**first, "attempt": 2}
 

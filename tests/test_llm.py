@@ -30,6 +30,8 @@ from smsflow.pool import MessagePool
 from smsflow.renewal import READING_MEMO_SIZE, LexiconEntry
 from smsflow.store import RunStore
 
+from conftest import drained
+
 MSG1 = (
     "1, unenroll. Thank you for your great service. I just want to know if it is "
     "normal for the medication to taste so bad? I also noticed that my blood "
@@ -371,7 +373,7 @@ def test_stage_publishes_one_document(lexicon):
     parsed = _s002()
     models = [ScriptedModel("alpha"), ScriptedModel("beta")]
     LlmAgent(models, lexicon, FaultPlan(), store, pool).run(parsed)
-    [doc] = [e.payload for e in sub.poll(10)]
+    [doc] = drained(sub)
     assert doc["metadata"]["stepId"] == "S003" and doc["metadata"]["eventId"] == "A1001"
     assert doc["parsed"] is parsed and doc["attempt"] == 1
     assert [r["model_id"] for r in doc["responses"]] == ["alpha", "beta"]
@@ -383,7 +385,7 @@ def test_the_stage_injects_faults_into_http_models_too(lexicon):
     store.store_original("A1001", "1, unenroll. Thank you")
     sub = pool.subscribe(AGENTS_TOPIC)
     LlmAgent(chat_models(lexicon), lexicon, FaultPlan(add_keyword_rate=1.0), store, pool).run(_s002())
-    [doc] = [e.payload for e in sub.poll(10)]
+    [doc] = drained(sub)
     # "renew" is the first lexicon canonical that does not occur in the text.
     assert [(r["model_id"], r["renew"], r["stop"]) for r in doc["responses"]] == [
         ("alpha", ["1", "renew"], ["unenroll"]), ("beta", ["1", "renew"], ["unenroll"]),
@@ -403,7 +405,7 @@ def test_model_failure_publishes_an_explicit_marker(lexicon):
     sub = pool.subscribe(AGENTS_TOPIC)
     models = [ScriptedModel("alpha"), UnavailableModel()]
     LlmAgent(models, lexicon, FaultPlan(), store, pool).run(_s002())
-    [doc] = [e.payload for e in sub.poll(10)]
+    [doc] = drained(sub)
     extraction, marker = doc["responses"]
     assert extraction["model_id"] == "alpha" and "failed" not in extraction
     assert marker == {"model_id": "beta", "failed": True, "reason": "offline"}
@@ -418,9 +420,9 @@ def test_retry_advances_the_fault_schedule(lexicon):
     models = [ScriptedModel("alpha"), ScriptedModel("beta")]
 
     LlmAgent(models, lexicon, plan, store, pool).run(_s002())
-    [first] = [e.payload for e in sub.poll(10)]
+    [first] = drained(sub)
     LlmAgent(models, lexicon, plan, store, pool).run({**_s002(), "attempt": 2})
-    [second] = [e.payload for e in sub.poll(10)]
+    [second] = drained(sub)
 
     assert (first["attempt"], second["attempt"]) == (1, 2)
     (alpha1, beta1), (alpha2, beta2) = first["responses"], second["responses"]
@@ -456,7 +458,7 @@ def test_stage_output_follows_model_order_when_the_second_answers_first(lexicon,
     slow, fast = chat_models(lexicon, error=BackendUnavailableError("offline"))
     slow._transport.delay = 0.02
     LlmAgent([slow, fast], lexicon, FaultPlan(), store, pool, executor).run(_s002())
-    [doc] = [e.payload for e in sub.poll(10)]
+    [doc] = drained(sub)
     assert [r["model_id"] for r in doc["responses"]] == ["alpha", "beta"]
     history = store.get_history("A1001")
     assert [(r["stepId"], r["note"]) for r in history] == [
@@ -497,7 +499,7 @@ def test_unexpected_error_of_the_first_model_publishes_nothing(lexicon, executor
     agent = LlmAgent(models, lexicon, FaultPlan(), store, pool, executor if overlapped else None)
     with pytest.raises(TimeoutError, match="alpha"):
         agent.run(_s002())
-    assert sub.poll(10) == []
+    assert drained(sub) == []
     # The overlapped call had ended before the error left the stage.
     assert other.finished.is_set() is overlapped
 
@@ -512,7 +514,7 @@ def test_unexpected_error_of_the_second_model_publishes_nothing(lexicon, executo
     agent = LlmAgent(models, lexicon, FaultPlan(), store, pool, executor if overlapped else None)
     with pytest.raises(TimeoutError, match="beta"):
         agent.run(_s002())
-    assert sub.poll(10) == []
+    assert drained(sub) == []
     assert first.finished.is_set()
 
 

@@ -17,6 +17,8 @@ from smsflow.pool import MessagePool
 from smsflow.renewal import RenewalAgent
 from smsflow.store import JsonlLog, RunStore
 
+from conftest import drained
+
 
 def _metadata(step="S001"):
     return Metadata(
@@ -41,7 +43,7 @@ def test_parsed_document_uses_the_declared_field_names(lexicon, confidence_var):
     agent = RenewalAgent(lexicon, confidence_var, RunStore(), pool)
     partial = agent.process(SmsEvent(_metadata(step="S000"), "renew 1 2 x. 1, unenroll").to_doc())
     full = agent.process(SmsEvent(_metadata(step="S000"), "1, unenroll").to_doc())
-    assert [e.payload for e in sub.poll(5)] == [partial, full]
+    assert drained(sub) == [partial, full]
     assert list(partial) == ["metadata", "renew", "stop", "degreeOfConfidence"]
     assert list(partial["metadata"]) == [
         "eventId", "customerId", "stepId", "customerEventTime", "lastUpdateTime",

@@ -11,12 +11,16 @@ to check it against the uncached function, and count the scheduler's
 passes against the budget.
 """
 import json
+import re
 from collections import Counter
+
+import pytest
 
 from smsflow.cli import main
 from smsflow.config import default_config_path, default_corpus_path, load_config
 from smsflow.dispatch import STEP_AGENTS
 from smsflow.harness import load_corpus
+from smsflow.messages import AGENTS_TOPIC, INCOMING_TOPIC
 from smsflow.pipeline import build_pipeline
 from smsflow.renewal import READING_MEMO_SIZE
 
@@ -76,8 +80,8 @@ def test_instance_wrappers_see_every_hop_of_the_demo_run():
         assert calls[f"{name}.drain_one"] == calls[f"{name}.poll"] == steps
         progressed = sum(1 for _, _, result in drains[name] if result)
         assert calls[f"{name}.dispatch"] == progressed > 0
-        for _, _, result in dispatches[name]:
-            invoked.update(result)
+        for (envelope,), _, _ in dispatches[name]:
+            invoked[STEP_AGENTS[envelope.payload["metadata"]["stepId"]]] += 1
     assert set(invoked) == set(agents)
     assert {qualifier: calls[qualifier] for qualifier in agents} == dict(invoked)
 
@@ -98,6 +102,18 @@ def test_the_sources_expose_every_agent_and_method_a_tracer_wraps():
         assert set(reached) >= set(STEP_AGENTS.values())
         for qualifier in reached:
             assert callable(reached[qualifier].handle)
+    finally:
+        pipeline.close()
+
+
+def test_each_topic_of_the_pipeline_has_one_consumer():
+    pipeline = build_pipeline(load_config(default_config_path()))
+    try:
+        topics = [source.subscription.topic for source in pipeline.scheduler.sources]
+        assert sorted(topics) == sorted((INCOMING_TOPIC, AGENTS_TOPIC))
+        for topic in topics:
+            with pytest.raises(ValueError, match=re.escape(f"topic {topic!r} already has a consumer")):
+                pipeline.pool.subscribe(topic)
     finally:
         pipeline.close()
 

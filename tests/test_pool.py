@@ -1,4 +1,3 @@
-import gc
 import random
 import sys
 import threading
@@ -12,6 +11,11 @@ from smsflow.pool import Envelope, MessagePool
 
 def _event(step, n):
     return {"metadata": {"stepId": step, "eventId": f"A{n}"}}
+
+
+def _polled(sub):
+    """Every envelope waiting in ``sub``, oldest first, polled one at a time."""
+    return list(iter(sub.poll, None))
 
 
 def test_first_publish_gets_offset_zero():
@@ -29,7 +33,7 @@ def test_envelope_is_positional_and_immutable():
     pool = MessagePool()
     sub = pool.subscribe("t")
     pool.publish("t", {"x": 1})
-    [envelope] = sub.poll(1)
+    envelope = sub.poll()
     topic, offset, payload = envelope
     assert (topic, offset, payload) == ("t", 0, {"x": 1})
     assert envelope == Envelope("t", 0, {"x": 1})
@@ -47,10 +51,10 @@ def test_subscription_starts_at_head():
     pool = MessagePool()
     pool.publish("t", _event("S001", 0))
     sub = pool.subscribe("t")
-    assert sub.poll(10) == []
+    assert sub.poll() is None
     pool.publish("t", _event("S001", 1))
-    got = sub.poll(10)
-    assert [e.payload["metadata"]["eventId"] for e in got] == ["A1"]
+    assert sub.poll().payload["metadata"]["eventId"] == "A1"
+    assert sub.poll() is None
 
 
 def test_subscribe_then_publish_three_matching_fifo():
@@ -58,42 +62,27 @@ def test_subscribe_then_publish_three_matching_fifo():
     sub = pool.subscribe("t")
     for i in range(3):
         pool.publish("t", _event("S001", i))
-    got = sub.poll(10)
-    assert [e.offset for e in got] == [0, 1, 2]
-
-
-def test_two_subscriptions_fan_out_independently():
-    pool = MessagePool()
-    sub_a = pool.subscribe("t")
-    sub_b = pool.subscribe("t")
-    for i in range(4):
-        pool.publish("t", _event("S001", i))
-    assert len(sub_a.poll(10)) == 4
-    assert len(sub_b.poll(10)) == 4
-
-
-def test_poll_respects_max_n_and_order():
-    pool = MessagePool()
-    sub = pool.subscribe("t")
-    for i in range(5):
-        pool.publish("t", _event("S001", i))
-    first = sub.poll(2)
-    assert [e.offset for e in first] == [0, 1]
-    rest = sub.poll(10)
-    assert [e.offset for e in rest] == [2, 3, 4]
+    assert len(sub) == pool.lag(sub) == 3
+    assert [e.offset for e in _polled(sub)] == [0, 1, 2]
+    assert len(sub) == 0
 
 
 def test_caught_up_poll_returns_empty():
     pool = MessagePool()
     sub = pool.subscribe("t")
-    assert sub.poll(1) == []
+    assert sub.poll() is None
 
 
-def test_max_n_must_be_positive():
+def test_a_topic_has_one_consumer():
     pool = MessagePool()
     sub = pool.subscribe("t")
-    with pytest.raises(ValueError):
-        sub.poll(0)
+    with pytest.raises(ValueError, match="topic 't' already has a consumer"):
+        pool.subscribe("t")
+    # The refusal leaves the first consumer as it was, and other topics free.
+    other = pool.subscribe("u")
+    pool.publish("t", _event("S001", 0))
+    assert [e.offset for e in _polled(sub)] == [0]
+    assert other.poll() is None
 
 
 def test_interleaved_producers_preserve_per_producer_order():
@@ -109,7 +98,7 @@ def test_interleaved_producers_preserve_per_producer_order():
         payload = {"metadata": {"stepId": "S001", "eventId": f"{producer}{n}"}, "producer": producer}
         sent[producer].append(f"{producer}{n}")
         pool.publish("t", payload)
-    got = sub.poll(100)
+    got = _polled(sub)
     for producer in ("p", "q"):
         seen = [e.payload["metadata"]["eventId"] for e in got if e.payload["producer"] == producer]
         assert seen == sent[producer]
@@ -120,6 +109,35 @@ def test_concurrent_publishes_are_gapless():
     with ThreadPoolExecutor(max_workers=8) as px:
         offsets = list(px.map(lambda i: pool.publish("t", {"i": i}), range(200)))
     assert sorted(offsets) == list(range(200))
+
+
+def test_concurrent_producers_reach_the_consumer_once_in_order():
+    pool = MessagePool()
+    sub = pool.subscribe("t")
+    producers, per_producer = 4, 300
+    offsets = [[] for _ in range(producers)]
+
+    def produce(p):
+        for n in range(per_producer):
+            offsets[p].append(pool.publish("t", {"producer": p, "n": n}))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=produce, args=(p,)) for p in range(producers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    got = _polled(sub)
+    # The queue holds each envelope once, in the order its offset was taken.
+    assert [e.offset for e in got] == list(range(producers * per_producer))
+    for p in range(producers):
+        assert [e.offset for e in got if e.payload["producer"] == p] == offsets[p]
+        assert [e.payload["n"] for e in got if e.payload["producer"] == p] == list(range(per_producer))
 
 
 def test_no_message_loss_across_random_interleavings():
@@ -135,10 +153,11 @@ def test_no_message_loss_across_random_interleavings():
                 pool.publish("t", doc)
                 published.append(doc["metadata"]["eventId"])
             else:
-                delivered.extend(
-                    e.payload["metadata"]["eventId"] for e in sub.poll(rng.randint(1, 5))
-                )
-        delivered.extend(e.payload["metadata"]["eventId"] for e in sub.poll(1000))
+                for _ in range(rng.randint(1, 5)):
+                    envelope = sub.poll()
+                    if envelope is not None:
+                        delivered.append(envelope.payload["metadata"]["eventId"])
+        delivered.extend(e.payload["metadata"]["eventId"] for e in _polled(sub))
         assert delivered == published
 
 
@@ -151,12 +170,9 @@ def test_subscription_handoff_between_threads():
     lock = threading.Lock()
 
     def drain():
-        while True:
-            batch = sub.poll(1)
-            if not batch:
-                return
+        while (envelope := sub.poll()) is not None:
             with lock:
-                got.extend(batch)
+                got.append(envelope)
 
     threads = [threading.Thread(target=drain) for _ in range(4)]
     for t in threads:
@@ -182,19 +198,8 @@ def test_envelope_is_freed_once_the_only_subscription_polls_it():
     sub = pool.subscribe("t")
     ref = _published(pool)
     assert ref() is not None
-    assert [e.offset for e in sub.poll(10)] == [0]
-    assert ref() is None
-
-
-def test_envelope_is_held_until_the_slower_subscription_polls_it():
-    pool = MessagePool()
-    fast = pool.subscribe("t")
-    slow = pool.subscribe("t")
-    ref = _published(pool)
-    assert len(fast.poll(10)) == 1
-    assert ref() is not None and pool.lag(slow) == 1
-    assert len(slow.poll(10)) == 1
-    assert ref() is None and pool.lag(slow) == 0
+    assert sub.poll().offset == 0
+    assert ref() is None and pool.lag(sub) == 0
 
 
 def test_topic_without_subscription_holds_nothing_but_counts_offsets():
@@ -202,47 +207,3 @@ def test_topic_without_subscription_holds_nothing_but_counts_offsets():
     refs = [_published(pool) for _ in range(3)]
     assert all(ref() is None for ref in refs)
     assert pool.head("t") == 2
-
-
-def test_dropped_subscription_neither_receives_nor_pins_envelopes():
-    pool = MessagePool()
-    kept = pool.subscribe("t")
-    dropped = pool.subscribe("t")
-    held = _published(pool)
-    del dropped
-    gc.collect()
-    assert held() is not None  # only the kept subscription still needs it
-    kept.poll(10)
-    assert held() is None
-    later = _published(pool)
-    assert [e.offset for e in kept.poll(10)] == [1]
-    assert later() is None
-
-
-def test_concurrent_producers_reach_every_subscription_once_in_order():
-    pool = MessagePool()
-    subs = [pool.subscribe("t"), pool.subscribe("t")]
-    producers, per_producer = 4, 300
-
-    def produce(p):
-        for n in range(per_producer):
-            pool.publish("t", {"producer": p, "n": n})
-            if n % 50 == 0:
-                pool.subscribe("t")  # dropped at once, while other threads publish
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=produce, args=(p,)) for p in range(producers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    for sub in subs:
-        got = sub.poll(producers * per_producer + 1)
-        assert sorted(e.offset for e in got) == list(range(producers * per_producer))
-        for p in range(producers):
-            assert [e.payload["n"] for e in got if e.payload["producer"] == p] == list(range(per_producer))

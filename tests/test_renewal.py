@@ -23,6 +23,8 @@ from smsflow.renewal import (
 )
 from smsflow.store import RunStore
 
+from conftest import drained
+
 
 def _sms(text, event_id="A1001"):
     return {
@@ -196,7 +198,7 @@ def test_process_full_match_message(lexicon, confidence_var):
     assert result["renew"] == ["1"] and result["stop"] == ["unenroll"]
     assert result["fullMatch"] is True
     assert result["metadata"]["stepId"] == "S001"
-    docs = [e.payload for e in sub.poll(10)]
+    docs = drained(sub)
     assert docs == [result] and docs[0]["degreeOfConfidence"]["high"] == 1.0
     assert store.fetch_original("A1001") == "1, unenroll. Thank you"
 

@@ -20,7 +20,7 @@ from smsflow.store import (
     read_jsonl,
 )
 
-from conftest import terminal_notes
+from conftest import drained, terminal_notes
 
 
 def _gateway(store=None, pool=None):
@@ -36,12 +36,12 @@ def test_known_phone_publishes_a_renewal_event():
     event = gateway.ingest_sms("+15550001", "no, 2")
     assert event is not None
     assert event.metadata.customer_id == "C1001"
-    got = sub.poll(10)
-    assert [e.payload["metadata"]["eventId"] for e in got] == [event.metadata.event_id]
-    assert list(got[0].payload["metadata"]) == [
+    got = drained(sub)
+    assert [doc["metadata"]["eventId"] for doc in got] == [event.metadata.event_id]
+    assert list(got[0]["metadata"]) == [
         "eventId", "customerId", "stepId", "customerEventTime", "lastUpdateTime",
     ]
-    assert got[0].payload["body"] == "no, 2"
+    assert got[0]["body"] == "no, 2"
     notes = [r["note"] for r in store.get_history(event.metadata.event_id)]
     assert notes == ["ingested"]
 

@@ -1,4 +1,3 @@
-import functools
 import json
 import random
 import re
@@ -38,7 +37,7 @@ from smsflow.validator import (
     validate_keywords,
 )
 
-from conftest import terminal_notes
+from conftest import drained, terminal_notes
 
 
 def _ra(renew=(), stop=(), event_id="A1001"):
@@ -82,7 +81,8 @@ def test_fabricated_keyword_discards_that_response(lexicon):
     ra = _ra(renew=("1",), stop=("unenroll",))
     a = _resp("alpha", renew=("1", "renew"), stop=("unenroll",))
     b = _resp("beta", renew=("1",), stop=("unenroll",))
-    verdict, _ = validate_keywords(ra, a, b, "1, unenroll. Thank you", 1, lexicon, _never_over)
+    in_text = canonicals_in("1, unenroll. Thank you", lexicon)
+    verdict, _ = validate_keywords(ra, a, b, in_text, 1, lexicon, _never_over)
     assert verdict["discarded"] == [{"model_id": "alpha", "reason": REASON_FABRICATED}]
     assert verdict["outcome"] == OUTCOME_PROCESS
     assert verdict["accepted"] == {"renew": ["1"], "stop": ["unenroll"]}
@@ -92,7 +92,8 @@ def test_agreement_accepts_directly(lexicon):
     ra = _ra(renew=("1",), stop=("unenroll",))
     a = _resp("alpha", renew=("1",), stop=("unenroll",))
     b = _resp("beta", renew=("1",), stop=("unenroll",))
-    verdict, _ = validate_keywords(ra, a, b, "1, unenroll. Thank you", 1, lexicon, _never_over)
+    in_text = canonicals_in("1, unenroll. Thank you", lexicon)
+    verdict, _ = validate_keywords(ra, a, b, in_text, 1, lexicon, _never_over)
     assert verdict["outcome"] == OUTCOME_PROCESS and not verdict["discarded"]
 
 
@@ -101,7 +102,7 @@ def test_chronic_critical_stop_extra_requires_confirmation(lexicon):
     a = _resp("alpha", stop=("stop",))
     b = _resp("beta", stop=("stop",))
     verdict, risk = validate_keywords(
-        ra, a, b, "Please stop sending me text messages", 1, lexicon, _always_over
+        ra, a, b, canonicals_in("Please stop sending me text messages", lexicon), 1, lexicon, _always_over
     )
     assert verdict["outcome"] == OUTCOME_CONFIRM
     assert verdict["accepted"] == {"renew": [], "stop": ["stop"]}
@@ -112,7 +113,7 @@ def test_low_risk_stop_extra_processes(lexicon):
     ra = _ra()
     a = _resp("alpha", stop=("2",))
     b = _resp("beta", stop=("2",))
-    verdict, _ = validate_keywords(ra, a, b, "no, 2", 1, lexicon, _never_over)
+    verdict, _ = validate_keywords(ra, a, b, canonicals_in("no, 2", lexicon), 1, lexicon, _never_over)
     assert verdict["outcome"] == OUTCOME_PROCESS
 
 
@@ -121,7 +122,7 @@ def test_renew_extras_are_low_risk_by_fiat(lexicon):
     a = _resp("alpha", renew=("1",))
     b = _resp("beta", renew=("1",))
     verdict, _ = validate_keywords(
-        ra, a, b, "Could you please do 1", 1, lexicon, _always_over
+        ra, a, b, canonicals_in("Could you please do 1", lexicon), 1, lexicon, _always_over
     )
     assert verdict["outcome"] == OUTCOME_PROCESS  # risk gate never consulted
 
@@ -130,7 +131,7 @@ def test_missing_ra_keyword_discards(lexicon):
     ra = _ra(renew=("1",))
     a = _resp("alpha", renew=())  # dropped the parser's claim
     b = _resp("beta", renew=("1",))
-    verdict, _ = validate_keywords(ra, a, b, "1", 1, lexicon, _never_over)
+    verdict, _ = validate_keywords(ra, a, b, canonicals_in("1", lexicon), 1, lexicon, _never_over)
     assert [d["reason"] for d in verdict["discarded"]] == [REASON_MISSING_RA]
     assert verdict["accepted"] == {"renew": ["1"], "stop": []}
 
@@ -139,7 +140,7 @@ def test_failure_marker_counts_as_discard(lexicon):
     ra = _ra(renew=("1",))
     a = _failed("alpha")
     b = _resp("beta", renew=("1",))
-    verdict, _ = validate_keywords(ra, a, b, "1", 1, lexicon, _never_over)
+    verdict, _ = validate_keywords(ra, a, b, canonicals_in("1", lexicon), 1, lexicon, _never_over)
     assert [d["reason"] for d in verdict["discarded"]] == [REASON_FAILURE_MARKER]
     assert verdict["outcome"] == OUTCOME_PROCESS
 
@@ -148,7 +149,7 @@ def test_both_discarded_fails(lexicon):
     ra = _ra(renew=("1",))
     a = _failed("alpha")
     b = _resp("beta", renew=("1", "enroll"))  # "enroll" absent from the text
-    verdict, _ = validate_keywords(ra, a, b, "1", 1, lexicon, _never_over)
+    verdict, _ = validate_keywords(ra, a, b, canonicals_in("1", lexicon), 1, lexicon, _never_over)
     assert verdict["outcome"] == OUTCOME_FAIL and verdict["accepted"] is None
     assert len(verdict["discarded"]) == 2
 
@@ -158,9 +159,9 @@ def test_survivor_disagreement_retries_then_fails(lexicon):
     a = _resp("alpha", renew=("1",))
     b = _resp("beta", renew=())
     text = "Could you please do 1"
-    first, _ = validate_keywords(ra, a, b, text, 1, lexicon, _never_over)
+    first, _ = validate_keywords(ra, a, b, canonicals_in(text, lexicon), 1, lexicon, _never_over)
     assert first["outcome"] == OUTCOME_RETRY and first["accepted"] is None
-    second, _ = validate_keywords(ra, a, b, text, 2, lexicon, _never_over)
+    second, _ = validate_keywords(ra, a, b, canonicals_in(text, lexicon), 2, lexicon, _never_over)
     assert second["outcome"] == OUTCOME_FAIL
 
 
@@ -170,21 +171,22 @@ def test_occurrence_check_is_whole_token(lexicon):
     ra = _ra()
     a = _resp("alpha", renew=("renew",))
     b = _resp("beta", renew=())
-    verdict, _ = validate_keywords(ra, a, b, "my renewal lapsed", 1, lexicon, _never_over)
+    in_text = canonicals_in("my renewal lapsed", lexicon)
+    verdict, _ = validate_keywords(ra, a, b, in_text, 1, lexicon, _never_over)
     assert [d["reason"] for d in verdict["discarded"]] == [REASON_FABRICATED]
 
 
 def test_attempt_must_be_one_or_two(lexicon):
     with pytest.raises(ValueError):
-        validate_keywords(_ra(), _resp("alpha"), _resp("beta"), "x", 3, lexicon, _never_over)
+        validate_keywords(_ra(), _resp("alpha"), _resp("beta"), frozenset(), 3, lexicon, _never_over)
 
 
 def test_verdicts_are_pure(lexicon):
     ra = _ra(renew=("1",))
     a = _resp("alpha", renew=("1",))
     b = _resp("beta", renew=("1",))
-    first = validate_keywords(ra, a, b, "1", 1, lexicon, _never_over)
-    second = validate_keywords(ra, a, b, "1", 1, lexicon, _never_over)
+    first = validate_keywords(ra, a, b, canonicals_in("1", lexicon), 1, lexicon, _never_over)
+    second = validate_keywords(ra, a, b, canonicals_in("1", lexicon), 1, lexicon, _never_over)
     assert first == second
 
 
@@ -203,7 +205,7 @@ def test_accepted_set_always_covers_ra_claims(lexicon):
             return _resp(model, renew=dict.fromkeys(renew), stop=dict.fromkeys(stop))
 
         verdict, _ = validate_keywords(
-            ra, response("alpha"), response("beta"), text, 1, lexicon, _never_over
+            ra, response("alpha"), response("beta"), canonicals_in(text, lexicon), 1, lexicon, _never_over
         )
         if verdict["outcome"] in (OUTCOME_PROCESS, OUTCOME_CONFIRM):
             assert set(ra_renew) <= set(verdict["accepted"]["renew"])
@@ -404,7 +406,7 @@ def test_tie_goes_to_the_model_the_stage_document_lists_first(default_config):
         models, lexicon, risk, store, pool, PharmacyClient(store), OutboundSmsGateway(store)
     )
     validator.handle(Envelope(AGENTS_TOPIC, 0, s003))
-    [s004] = [e.payload for e in published.poll(10) if e.payload["metadata"]["stepId"] == "S004"]
+    [s004] = [doc for doc in drained(published) if doc["metadata"]["stepId"] == "S004"]
     assert s004["extraction"]["scores"] == {"beta": 10, "alpha": 10}
     assert s004["extraction"]["chosen_model"] == "beta"
 
@@ -536,7 +538,7 @@ def _handled(
         "parsed": parsed, "attempt": attempt, "responses": responses,
     }
     validator.handle(Envelope(AGENTS_TOPIC, 0, s003))
-    return [e.payload for e in published.poll(10)], store
+    return drained(published), store
 
 
 def _s004(keywords, extraction):
@@ -696,7 +698,7 @@ def test_a_keyword_that_is_no_canonical_of_its_polarity_is_never_applied(default
 def test_the_canonical_check_comes_before_the_verbatim_one(lexicon):
     a = _resp("alpha", renew=["pills"])  # neither a canonical nor in the text
     b = _resp("beta", renew=["1"])
-    verdict, _ = validate_keywords(_ra(), a, b, "1", 1, lexicon, _never_over)
+    verdict, _ = validate_keywords(_ra(), a, b, canonicals_in("1", lexicon), 1, lexicon, _never_over)
     assert verdict["discarded"] == [{"model_id": "alpha", "reason": REASON_NOT_CANONICAL}]
     assert verdict["accepted"] == {"renew": ["1"], "stop": []}
 
@@ -799,15 +801,14 @@ def _stage_one_case(draw, default_lexicon):
 
 
 @settings(max_examples=400, deadline=None)
-@given(data=st.data(), cached=st.booleans())
-def test_the_keyword_check_equals_its_set_based_reference(default_config, data, cached):
+@given(data=st.data())
+def test_the_keyword_check_equals_its_set_based_reference(default_config, data):
     lexicon, text, ra, a, b, attempt, risks = data.draw(_stage_one_case(default_config.lexicon))
 
     def stop_risk(keyword):  # over the 0.5 threshold or not
         return risks[keyword], risks[keyword] > 0.5
 
-    canonicals_of = functools.partial(canonicals_in, lexicon=lexicon) if cached else None
-    got = validate_keywords(ra, a, b, text, attempt, lexicon, stop_risk, canonicals_of)
+    got = validate_keywords(ra, a, b, canonicals_in(text, lexicon), attempt, lexicon, stop_risk)
     assert got == _reference_validate_keywords(ra, a, b, text, attempt, lexicon, stop_risk)
 
 
