@@ -22,7 +22,7 @@ from .messages import (
 )
 from .pool import Envelope, MessagePool
 from .renewal import READING_MEMO_SIZE
-from .store import TERMINAL_DONE, OutboundSmsGateway, PharmacyClient, RunStore
+from .store import TERMINAL_PROCESSED, OutboundSmsGateway, PharmacyClient, RunStore
 
 log = logging.getLogger(__name__)
 
@@ -159,8 +159,12 @@ class EvaluatorAgent:
             ra={"renew": doc["renew"], "stop": doc["stop"], "confidence": doc["degreeOfConfidence"]},
         )
         if decision.action == ACTION_PROCESS_DIRECT:
-            applied = self.pharmacy.apply_keywords(event_id, customer_id, doc["renew"], doc["stop"])
-            store.record_step(event_id, STEP_PARSED, self.qualifier, TERMINAL_DONE, terminal=True, applied=applied)
+            self.pharmacy.apply_keywords(event_id, customer_id, doc["renew"], doc["stop"])
+            # The verdict fields of the router's terminal record, for the same fold.
+            store.record_step(
+                event_id, STEP_PARSED, self.qualifier, TERMINAL_PROCESSED, terminal=True,
+                keyword_outcome="direct", accepted={"renew": doc["renew"], "stop": doc["stop"]}, scores=None,
+            )
         elif decision.action == ACTION_FORWARD:
             self.pool.publish(AGENTS_TOPIC, {
                 **doc, "metadata": restamped(metadata, STEP_LLM_REQUESTED, store.clock.now_iso()),

@@ -67,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_trace(args)
         if args.command == "report":
             return _cmd_report(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE

@@ -23,7 +23,7 @@ from datetime import date, timedelta
 from .messages import STEP_VALIDATED
 from .pool import Envelope
 from .renewal import READING_MEMO_SIZE, normalize_item
-from .store import TERMINAL_AWAITING, TERMINAL_DONE, TERMINAL_ROUTED, OutboundSmsGateway, RunStore
+from .store import TERMINAL_AWAITING, TERMINAL_PROCESSED, TERMINAL_ROUTED, OutboundSmsGateway, RunStore
 from .validator import EXTRACTION_FAIL, OUTCOME_CONFIRM, OUTCOME_FAIL
 
 log = logging.getLogger(__name__)
@@ -368,7 +368,7 @@ class RouterAgent:
         elif routed:
             terminal = TERMINAL_ROUTED
         else:
-            terminal = TERMINAL_DONE
+            terminal = TERMINAL_PROCESSED
         self.store.record_step(event_id, STEP_VALIDATED, self.qualifier, terminal, terminal=True, **facts)
 
     def _route_item(self, event_id: str, item: str, item_kind: str) -> list[tuple[str, str]]:

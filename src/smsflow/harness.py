@@ -4,15 +4,14 @@ Runs are deterministic: a logical clock drives timestamps, event ids are
 sequential, and the fault plan is seeded, so identical run configurations
 produce byte-identical reports.
 
-One fold builds every report row from the event's step records, SMS kinds
-and pharmacy actions (:func:`_fold`, one record at a time into a row that
-:func:`_empty_row` starts), reading typed step fields, and a note only for a
-terminal outcome, a retry (``NOTE_RETRY``) or the direct decision
-(``DIRECT_NOTE``); one counter turns rows into the summary (:func:`_summary`).
-``build_report`` folds each event's records as the store holds them,
-without copying them (:meth:`RunStore.steps_of`);
-``summarize_run`` folds the run directory's ``steps.jsonl`` as it reads it,
-so ``smsflow report`` counts what the report counts.
+One driver (:func:`_rows`) turns a step stream, the pharmacy actions and
+the SMS kinds into one report row per event, folding each step record into
+its event's row (:func:`_fold`).  The fold reads typed step fields only; a
+terminal record's note is the outcome itself.  One counter turns rows into
+the summary (:func:`_summary`).  ``build_report`` runs the driver over the
+store's own records, uncopied; ``summarize_run`` runs it over the run
+directory's logs as it reads them, so ``smsflow report`` counts what the
+report counts.
 """
 from __future__ import annotations
 
@@ -20,35 +19,16 @@ import json
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
-from .arbitration import ACTION_PROCESS_DIRECT
 from .config import PipelineConfig
 from .pipeline import Pipeline, build_pipeline
 from .renewal import KeywordLexicon, tokens_of
-from .store import (
-    NOTE_RETRY,
-    STEP_KEYS,
-    TERMINAL_AWAITING,
-    TERMINAL_DONE,
-    TERMINAL_FAILED,
-    TERMINAL_ROUTED,
-    TERMINAL_UNROUTED,
-    read_jsonl,
-)
+from .store import STEP_KEYS, read_jsonl
 
-OUTCOME_NAMES = {
-    TERMINAL_DONE: "processed",
-    TERMINAL_FAILED: "failed",
-    TERMINAL_AWAITING: "awaiting-confirmation",
-    TERMINAL_ROUTED: "routed",
-    TERMINAL_UNROUTED: "unrouted",
-}
-
-# The evaluator's decision note when it applies the parser's claims itself.
-DIRECT_NOTE = f"decision:{ACTION_PROCESS_DIRECT}"
-# The verdict fields of the router's terminal record.
+# The verdict fields of a terminal record: the router's, or the evaluator's direct one.
 _VERDICT = itemgetter("keyword_outcome", "accepted", "scores")
 
 REPORT_JSON = "report.json"
@@ -72,18 +52,20 @@ class RunResult:
 def load_corpus(path: Path | str) -> list[dict]:
     """The corpus entries of a JSON-lines file; a malformed line raises ``ValueError`` naming it."""
     entries = []
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{i}: not JSON: {exc}") from exc
+    for index, doc in enumerate(read_jsonl(Path(path))):
         if not isinstance(doc, dict) or not all(isinstance(doc.get(k), str) for k in ("phone", "text")):
-            raise ValueError(f"{path}:{i}: corpus lines are objects with string 'phone' and 'text'")
+            raise ValueError(
+                f"{path}:{_line_of(path, index)}: corpus lines are objects with string 'phone' and 'text'"
+            )
         entries.append({"phone": doc["phone"], "text": doc["text"]})
     return entries
+
+
+def _line_of(path: Path | str, index: int) -> int:
+    """The number of the line holding the ``index``-th record (from 0) that ``read_jsonl`` yields."""
+    with Path(path).open(encoding="utf-8") as lines:
+        numbered = (number for number, line in enumerate(lines, start=1) if line.strip())
+        return next(islice(numbered, index, None))
 
 
 def run_pipeline(
@@ -185,20 +167,20 @@ def build_report(
     drop_rate: float,
     quiescent: bool,
 ) -> dict:
-    """One row per corpus entry plus summary counters, linear in messages and log records."""
-    store = pipeline.store
-    pharmacy_by_event, sms_by_event = _by_event(store.pharmacy.read_all(), store.outbound_sms.read_all())
+    """One row per corpus entry plus summary counters, linear in messages and log records.
 
+    The store's records are folded as it holds them, uncopied.
+    """
+    store = pipeline.store
+    by_event = _rows(store.steps.read_all(), store.pharmacy.read_all(), store.outbound_sms.read_all())
     rows = []
     for entry, event in entries:
-        event_id = event.metadata.event_id if event is not None else None
-        row = {"eventId": event_id, "phone": entry["phone"], "text": entry["text"]}
-        if event_id is None:
-            row["outcome"] = "auth-rejected"
+        if event is None:
+            row = {"eventId": None, "outcome": "auth-rejected"}
         else:
-            row.update(_empty_row(sms_by_event.get(event_id, []), pharmacy_by_event.get(event_id, [])))
-            for record in store.steps_of(event_id):
-                _fold(row, record)
+            row = by_event[event.metadata.event_id]
+            row["eventId"] = event.metadata.event_id
+        row["phone"], row["text"] = entry["phone"], entry["text"]
         rows.append(row)
 
     return {
@@ -216,27 +198,45 @@ def _empty_row(sms: list[str], pharmacy: list[dict]) -> dict:
             "pharmacy": pharmacy, "sms": sms, "routing": [], "discarded": [], "retries": 0}
 
 
+def _rows(steps: Iterable[dict], pharmacy: Iterable[dict], sms: Iterable[dict]) -> dict[str, dict]:
+    """The report row of every event that has a step record, by eventId.
+
+    Each row starts with the event's pharmacy actions and SMS kinds, in log
+    order, and then folds the event's step records in stream order.
+    """
+    pharmacy_by_event: dict[str, list[dict]] = {}
+    for r in pharmacy:
+        pharmacy_by_event.setdefault(r["eventId"], []).append({"keyword": r["keyword"], "action": r["action"]})
+    sms_by_event: dict[str, list[str]] = {}
+    for r in sms:
+        sms_by_event.setdefault(r["eventId"], []).append(r["kind"])
+    rows: dict[str, dict] = {}
+    for record in steps:
+        event_id = record["eventId"]
+        row = rows.get(event_id)
+        if row is None:
+            row = rows[event_id] = _empty_row(sms_by_event.get(event_id, []), pharmacy_by_event.get(event_id, []))
+        _fold(row, record)
+    return rows
+
+
 def _fold(row: dict, record: dict) -> None:
-    """Fold the event's next step record into its report row.
+    """Fold the event's next step record into its report row, reading no note but a terminal one.
 
     A row shows only what was recorded: no ``ra`` before the evaluator's
-    decision, no verdict before the router's terminal record.  Without a
-    terminal step the outcome stays ``pending``; with several, the last counts.
-    The record is the store's own (:meth:`RunStore.steps_of`), so the fold
-    changes nothing in it or in the values it holds.
+    decision, no verdict before a terminal record carries one.  Without a
+    terminal step the outcome stays ``pending``; with several, the last
+    counts.  The record may be the store's own, so the fold changes nothing
+    in it or in the values it holds.
     """
-    note = record["note"]
     if record["terminal"]:
-        row["outcome"] = OUTCOME_NAMES.get(note, note)
+        row["outcome"] = record["note"]
         if "keyword_outcome" in record:
             row["keyword_outcome"], row["accepted"], row["scores"] = _VERDICT(record)
-    if note == NOTE_RETRY:
-        row["retries"] += 1
     elif "ra" in record:
-        ra = row["ra"] = record["ra"]
-        if note == DIRECT_NOTE:
-            row["keyword_outcome"] = "direct"
-            row["accepted"] = {"renew": ra["renew"], "stop": ra["stop"]}
+        row["ra"] = record["ra"]
+    elif "next_attempt" in record:
+        row["retries"] += 1
     elif "destination" in record:
         row["routing"].append(record["destination"])
     elif "reason" in record:
@@ -263,17 +263,6 @@ def _summary(rows) -> dict:
         "retries": retries,
         "pharmacy_actions": pharmacy_actions,
     }
-
-
-def _by_event(pharmacy_records: Iterable[dict], sms_records: Iterable[dict]) -> tuple[dict, dict]:
-    """Pharmacy actions and SMS kinds grouped by eventId, for the events that have any."""
-    pharmacy_by_event: dict[str, list[dict]] = {}
-    for r in pharmacy_records:
-        pharmacy_by_event.setdefault(r["eventId"], []).append({"keyword": r["keyword"], "action": r["action"]})
-    sms_by_event: dict[str, list[str]] = {}
-    for r in sms_records:
-        sms_by_event.setdefault(r["eventId"], []).append(r["kind"])
-    return pharmacy_by_event, sms_by_event
 
 
 def render_report_table(report: dict) -> str:
@@ -362,14 +351,9 @@ def summarize_run(run_dir: Path | str) -> dict:
     ``outcomes`` has no ``auth-rejected`` count.
     """
     root = Path(run_dir)
-    pharmacy_by_event, sms_by_event = _by_event(
-        read_jsonl(root / "pharmacy.jsonl"), read_jsonl(root / "outbound_sms.jsonl")
+    rows = _rows(
+        read_jsonl(root / "steps.jsonl"),
+        read_jsonl(root / "pharmacy.jsonl"),
+        read_jsonl(root / "outbound_sms.jsonl"),
     )
-    rows: dict[str, dict] = {}
-    for record in read_jsonl(root / "steps.jsonl"):
-        event_id = record["eventId"]
-        row = rows.get(event_id)
-        if row is None:
-            row = rows[event_id] = _empty_row(sms_by_event.get(event_id, []), pharmacy_by_event.get(event_id, []))
-        _fold(row, record)
     return _summary(rows.values())

@@ -29,8 +29,9 @@ CONTACT_SUPPORT_TEXT = (
     "We could not process your reply automatically. Please call customer support."
 )
 
-TERMINAL_DONE = "done"
-TERMINAL_FAILED = "contact-support SMS sent"
+# A terminal note is the outcome the report shows for its event.
+TERMINAL_PROCESSED = "processed"
+TERMINAL_FAILED = "failed"
 TERMINAL_AWAITING = "awaiting-confirmation"
 TERMINAL_ROUTED = "routed"
 TERMINAL_UNROUTED = "unrouted"
@@ -176,6 +177,11 @@ class RunStore:
 
         self._closed = False
         self._logs: list[JsonlLog] = []
+        if self.root is not None:
+            # Every log the store owns starts empty, queues too, though a
+            # queue's log is opened only when the run first uses the queue.
+            for stale in (self.root / "queues").glob("*.jsonl"):
+                stale.unlink()
 
         def _log(name: str) -> JsonlLog:
             log = JsonlLog(self.root / name if self.root is not None else None)

@@ -331,8 +331,11 @@ class ValidatorAgent:
 
         outcome = keywords["outcome"]
         if outcome == OUTCOME_RETRY:
-            self.store.record_step(event_id, STEP_LLM_EXTRACTED, self.qualifier, NOTE_RETRY)
-            self.pool.publish(AGENTS_TOPIC, {**parsed, "attempt": doc["attempt"] + 1})
+            next_attempt = doc["attempt"] + 1
+            self.store.record_step(
+                event_id, STEP_LLM_EXTRACTED, self.qualifier, NOTE_RETRY, next_attempt=next_attempt
+            )
+            self.pool.publish(AGENTS_TOPIC, {**parsed, "attempt": next_attempt})
             return
 
         customer_id = parsed["metadata"]["customerId"]

@@ -266,7 +266,7 @@ def test_criterion_6_full_match_bypass(config, fuzzed_run):
         seen_forward = any(r["stepId"] == "S002" for r in history)
         if all_match:
             bypassed += 1
-            assert terminal_notes(store, event.metadata.event_id) == ["done"]
+            assert terminal_notes(store, event.metadata.event_id) == ["processed"]
             assert not seen_forward
         else:
             # Conversely a partial message must never ride the direct path.

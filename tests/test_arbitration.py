@@ -153,7 +153,7 @@ def test_evaluate_process_direct_calls_pharmacy_per_keyword(default_config):
     )
     assert decision.action == ACTION_PROCESS_DIRECT
     assert [r["keyword"] for r in store.pharmacy.read_all() if r["eventId"] == "A1001"] == ["1", "unenroll"]
-    assert terminal_notes(store, "A1001") == ["done"]
+    assert terminal_notes(store, "A1001") == ["processed"]
     assert drained(agents) == []  # bypass: never forwarded
 
 
@@ -174,7 +174,7 @@ def test_evaluate_fail_sends_support_sms(default_config):
     assert decision.action == ACTION_FAIL
     sms = store.outbound_sms.read_all()
     assert len(sms) == 1 and sms[0]["kind"] == "contact-support"
-    assert terminal_notes(store, "A1001") == ["contact-support SMS sent"]
+    assert terminal_notes(store, "A1001") == ["failed"]
     assert drained(agents) == []
 
 

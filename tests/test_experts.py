@@ -436,5 +436,5 @@ def test_a_failed_event_gets_one_contact_support_sms_then_one_failed_terminal(de
     steps = [(r["agent"], r["note"], r["terminal"]) for r in store.steps_of("A1001")]
     assert [s for s in steps if s[2] or s[1].startswith("sms:")] == [
         ("OutboundSmsService", "sms:contact-support", False),
-        (agent, "contact-support SMS sent", True),
+        (agent, "failed", True),
     ]

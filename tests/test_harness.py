@@ -26,7 +26,6 @@ from smsflow.messages import AGENTS_TOPIC, OUTBOUND_TOPIC
 from smsflow.pipeline import build_pipeline
 from smsflow.pool import Envelope
 from smsflow.harness import (
-    OUTCOME_NAMES,
     _empty_row,
     _fold,
     build_report,
@@ -38,7 +37,7 @@ from smsflow.harness import (
     trace_lines,
 )
 from smsflow.renewal import KeywordLexicon, tokens_of
-from smsflow.store import NOTE_RETRY, read_jsonl
+from smsflow.store import NOTE_RETRY, RunStore, read_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -68,14 +67,28 @@ def test_cli_run_trace_and_report_happy_path(tmp_path, capsys):
 
     assert main(["trace", "--run", str(out), "--event", "A1002"]) == 0
     trace_out = capsys.readouterr().out.strip().splitlines()
-    # Ingested, the evaluator's direct decision, and its terminal record with what it applied.
+    # Ingested, the evaluator's direct decision, and its terminal record with what it accepted.
     assert len(trace_out) == 3 and "decision:processDirect" in trace_out[1]
-    assert trace_out[-1].endswith('done  {"applied":["1","unenroll"]}')
+    assert trace_out[-1].endswith(
+        'processed  {"accepted":{"renew":["1"],"stop":["unenroll"]},"keyword_outcome":"direct","scores":null}'
+    )
 
     assert main(["report", "--run", str(out)]) == 0
     report_out = capsys.readouterr().out
     summary_json = json.dumps(summarize_run(out), sort_keys=True, indent=2) + "\n"
     assert report_out == summary_json + "soundness: ok\n"
+
+
+@pytest.mark.parametrize("option", ["--corpus", "--config", "--out"])
+def test_cli_run_refuses_a_path_of_the_wrong_kind(tmp_path, capsys, option):
+    # A directory where a file is read, or a file where the run directory goes.
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    paths = {"--corpus": str(default_corpus_path()), "--config": str(default_config_path()),
+             "--out": str(tmp_path / "run")}
+    paths[option] = str(tmp_path / ("file" if option == "--out" else "dir"))
+    assert main(["run", *(arg for pair in paths.items() for arg in pair)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_trace_unknown_event_exits_nonzero(ten_message_run):
@@ -185,7 +198,7 @@ def test_failed_event_trace_ends_with_the_support_note(tmp_path):
     assert main(["run", "--config", str(config_path), "--corpus", str(corpus_path),
                  "--out", str(out)]) == 0
     lines = trace_lines(out, "A1001")
-    assert lines[-1].endswith("contact-support SMS sent")
+    assert [line.split()[-1] for line in lines[-2:]] == ["sms:contact-support", "failed"]
 
 
 def test_empty_corpus_produces_an_empty_report(tmp_path):
@@ -227,6 +240,29 @@ def test_demo_report_bytes_are_pinned():
     assert hashlib.sha256(rendered).hexdigest() == DEMO_REPORT_SHA256
 
 
+def test_the_report_reads_no_note_but_a_terminal_one(monkeypatch):
+    # Every note but a terminal one is rewritten as the step is recorded;
+    # the rows and summary read typed fields only, so the report stays put.
+    def demo():
+        return run_pipeline(load_config(default_config_path()), load_corpus(default_corpus_path()),
+                            seed=1, add_keyword_rate=0.1, drop_keyword_rate=0.1)
+
+    plain = render_report_json(demo().report)
+    rows = json.loads(plain)["messages"]
+    # The demo has a direct decision and a retry, both named by notes.
+    assert any(row["keyword_outcome"] == "direct" for row in rows)
+    assert any(row["retries"] for row in rows)
+    record_step = RunStore.record_step
+
+    def renoted(self, event_id, step_id, agent, note, terminal=False, **fields):
+        return record_step(self, event_id, step_id, agent, note if terminal else "x", terminal, **fields)
+
+    monkeypatch.setattr(RunStore, "record_step", renoted)
+    result = demo()
+    assert {r["note"] for r in result.pipeline.store.steps.read_all() if not r["terminal"]} == {"x"}
+    assert render_report_json(result.report) == plain
+
+
 def test_building_the_report_twice_renders_equal_bytes_and_changes_no_history():
     # build_report folds the store's own step records, uncopied: the fold
     # must leave every record, and every value it holds, as it was.
@@ -261,7 +297,7 @@ DEMO_RUN_DIR_SHA256 = {
     "queues/pharmacist.jsonl": "e27007b1f68f38ff105c98376c8d236d10c4aa9f6cc3caaae00a18850c1ba920",
     "report.json": DEMO_REPORT_SHA256,
     "report.txt": "799139389a663a69bf2dd93ed0df78f36a7adb4c92109351840462bf001d35f6",
-    "steps.jsonl": "d6e17829deacadb4d26c5ba57b02f8c70c1ca7f6a77850e1d156b4f028fccf24",
+    "steps.jsonl": "404959db173a4bd973ac671c4b0b582d95f59be59ef371d92951b6144db960f4",
 }
 
 
@@ -273,14 +309,28 @@ def _demo_run(run_dir):
     )
 
 
-def test_demo_run_directory_bytes_are_pinned(tmp_path):
-    _demo_run(tmp_path)
-    digests = {
-        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in tmp_path.rglob("*")
+def _file_digests(root: Path) -> dict[str, str]:
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in root.rglob("*")
         if path.is_file()
     }
-    assert digests == DEMO_RUN_DIR_SHA256
+
+
+def test_demo_run_directory_bytes_are_pinned(tmp_path):
+    _demo_run(tmp_path)
+    assert _file_digests(tmp_path) == DEMO_RUN_DIR_SHA256
+
+
+def test_a_reused_run_directory_holds_only_the_last_run(tmp_path):
+    # The demo queues an item for the pharmacist; a one-line run queues
+    # nothing, so a reused directory must not keep the demo's queue log.
+    _demo_run(tmp_path / "reused")
+    assert (tmp_path / "reused" / "queues" / "pharmacist.jsonl").exists()
+    config = load_config(default_config_path())
+    for name in ("reused", "fresh"):
+        run_pipeline(config, [{"phone": "+15550002", "text": "1"}], run_dir=tmp_path / name)
+    assert _file_digests(tmp_path / "reused") == _file_digests(tmp_path / "fresh")
 
 
 @pytest.fixture(scope="module")
@@ -541,7 +591,7 @@ def test_report_rows_match_a_scan_of_the_logs(seed):
         assert row["sms"] == [r["kind"] for r in sms if r["eventId"] == event_id]
         assert row["retries"] == sum(1 for r in history if r["note"] == "retry-requested")
         terminals = [r["note"] for r in history if r["terminal"]]
-        assert row["outcome"] == OUTCOME_NAMES[terminals[-1]]
+        assert row["outcome"] == terminals[-1]
     assert sum(len(row["pharmacy"]) for row in rows) == len(pharmacy)
     assert any(len(row["pharmacy"]) > 1 for row in rows)  # a multi-keyword event
     assert any(row["retries"] > 0 for row in rows)  # a retried event
@@ -632,7 +682,8 @@ def test_trace_shows_the_typed_fields_of_each_record(ten_message_run):
             if typed:
                 fields.setdefault(note, []).append(json.loads("{" + typed))
     assert {"attempt": 1} in fields["extracting"]
-    assert {"applied": ["1", "unenroll"]} in fields["done"]
+    assert {"keyword_outcome": "direct", "accepted": {"renew": ["1"], "stop": ["unenroll"]},
+            "scores": None} in fields["processed"]
     assert {"applied": ["1"]} in fields["pharmacy-applied"]
     [confirmation] = fields["confirmation-requested"]
     assert confirmation.keys() == {"risk"} and 0.0 <= confirmation["risk"] <= 1.0

@@ -673,7 +673,7 @@ def test_the_router_sends_the_one_contact_support_sms_of_a_failed_verdict(
     )
     router.handle(Envelope(AGENTS_TOPIC, 1, s004))
     assert [s["kind"] for s in store.outbound_sms.read_all()] == [*validator_sms, "contact-support"]
-    assert terminal_notes(store, "A1001") == ["contact-support SMS sent"]
+    assert terminal_notes(store, "A1001") == ["failed"]
 
 
 @pytest.mark.parametrize("text, renew, stop", [
