@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", type=Path, default=Path("run-out"),
                        help="run directory for logs and reports")
     p_run.add_argument("--budget", type=int, default=None,
-                       help="scheduler pass budget before declaring a deadlock")
+                       help="scheduler passes (one hop each) before declaring a deadlock")
 
     p_trace = sub.add_parser("trace", help="print the step history of one event")
     p_trace.add_argument("--run", type=Path, required=True, help="run directory")
@@ -60,17 +60,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
 
+    command = {"run": _cmd_run, "trace": _cmd_trace, "report": _cmd_report}[args.command]
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "report":
-            return _cmd_report(args)
+        return command(args)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 def _cmd_run(args) -> int:

@@ -44,6 +44,8 @@ _WEEKDAYS = tuple(
 _DAYPARTS = {"morning": range(9, 13), "afternoon": range(13, 18)}
 _DETERMINERS = {"the", "a", "an", "my", "your", "our", "this", "that", "these", "those",
                 "i", "we", "you", "it", "he", "she", "they", "do", "can", "could"}
+_STORE_STOP_WORDS = frozenset({"what", "are", "your", "the", "of", "is", "a", "an", "do", "you",
+                               "have", "i", "my", "to"})
 _REQUEST_PREFIXES = (
     "i would like to ", "i want to ", "i need to ", "i just want to ",
     "can you ", "could you ", "do i need to ", "please ",
@@ -147,22 +149,22 @@ def forward_to_queue(store: RunStore, queue_name: str, event_id: str, decision: 
 class StoreDocument:
     question: str
     answer: str
+    # Tokenized once here: every store question is scored against it.
+    content_tokens: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "content_tokens", frozenset(_item_tokens(self.question)) - _STORE_STOP_WORDS)
 
 
 def answer_store_question(question: str, documents: list[StoreDocument]) -> str:
     """Answer from the document with the best content-token overlap."""
-    stop = {"what", "are", "your", "the", "of", "is", "a", "an", "do", "you", "have", "i", "my", "to"}
-    q_tokens = set(_item_tokens(question)) - stop
-    best_doc = None
-    best_score = 0
+    q_tokens = set(_item_tokens(question)) - _STORE_STOP_WORDS
+    best_score, best_answer = 0, REFERRAL_ANSWER
     for doc in documents:
-        score = len(q_tokens & (set(_item_tokens(doc.question)) - stop))
+        score = len(q_tokens & doc.content_tokens)
         if score > best_score:
-            best_score = score
-            best_doc = doc
-    if best_doc is None:
-        return REFERRAL_ANSWER
-    return best_doc.answer
+            best_score, best_answer = score, doc.answer
+    return best_answer
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Wiring of the full pipeline: broker, stores, agents and dispatchers.
 
-The scheduler is a deterministic round-robin over the two dispatchers,
-each the one consumer of its topic and each moving one envelope per turn,
-which makes whole runs replayable.  Each agent records the hop it works in
-the step log; nothing else reads the topics.
+Each scheduler pass moves one envelope, from the most downstream dispatcher
+(each is the one consumer of its topic) that has one.  So an event reaches
+its terminal step before the next reply is parsed, and no document waits in
+a queue long enough to age through garbage collections and go cold in the
+CPU cache.  Runs are replayable.  Each agent records its hop in the step
+log; nothing else reads the topics.
 
 When a model waits on an HTTP backend, the two model calls of one stage
 (the two extractions, then the two cross-judgements) overlap on the
@@ -44,17 +46,16 @@ log = logging.getLogger(__name__)
 
 
 class Scheduler:
-    """Round-robin over message sources until nothing makes progress."""
+    """Finishes started work first; ``sources`` are ordered upstream to downstream."""
 
     def __init__(self, sources: list):
         self.sources = sources
 
     def step(self) -> bool:
-        progressed = False
-        for source in self.sources:
+        for source in reversed(self.sources):
             if source.drain_one():
-                progressed = True
-        return progressed
+                return True
+        return False
 
     def run(self, budget: int) -> bool:
         """True when quiescent within ``budget`` passes.

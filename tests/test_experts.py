@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import logging
 import random
+import re
 import string
 from concurrent.futures import ThreadPoolExecutor
 from datetime import date
@@ -11,7 +13,8 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from smsflow.arbitration import CustomerProfile, EvaluatorAgent
-from smsflow.config import default_config_path, load_config
+from smsflow import experts
+from smsflow.config import default_config_path, default_corpus_path, load_config
 from smsflow.experts import (
     CALL_US_REPLY,
     REFERRAL_ANSWER,
@@ -29,7 +32,7 @@ from smsflow.experts import (
     rephrase,
     route,
 )
-from smsflow.harness import run_pipeline
+from smsflow.harness import load_corpus, run_pipeline
 from smsflow.messages import AGENTS_TOPIC
 from smsflow.pool import Envelope, MessagePool
 from smsflow.renewal import READING_MEMO_SIZE
@@ -151,6 +154,51 @@ def test_gibberish_question_gets_the_referral_answer(documents):
 
 def test_empty_store_gets_the_referral_answer():
     assert answer_store_question("where are you located", []) == REFERRAL_ANSWER
+
+
+def _answer_by_retokenizing(question, documents):
+    """The store answer as first written: every document re-tokenized per call."""
+    stop = {"what", "are", "your", "the", "of", "is", "a", "an", "do", "you", "have", "i", "my", "to"}
+
+    def tokens(text):
+        return {t for t in re.split(r"[^\w]+", text.lower()) if t} - stop
+
+    best_doc, best_score = None, 0
+    for doc in documents:
+        score = len(tokens(question) & tokens(doc.question))
+        if score > best_score:
+            best_score, best_doc = score, doc
+    return REFERRAL_ANSWER if best_doc is None else best_doc.answer
+
+
+def test_store_answers_match_retokenizing_every_document(monkeypatch):
+    # Every store question a campaign routes, every store-question template
+    # of the campaigns, every demo text (the demo routes none) and every
+    # configured document question, in both document orders.
+    asked = []
+
+    def recording(question, documents):
+        asked.append(question)
+        return answer_store_question(question, documents)
+
+    monkeypatch.setattr(experts, "answer_store_question", recording)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    bench_gen = importlib.import_module("bench_gen")
+    workload = bench_gen.campaign(1, 1000)
+    config = load_config(default_config_path())
+    bench_gen.extend_config(config, workload.customers)
+    run_pipeline(config, list(workload.corpus), seed=1, add_keyword_rate=0.1, drop_keyword_rate=0.1)
+    assert len(set(asked)) >= len(bench_gen.STORE_QUESTIONS)
+
+    documents = config.documents
+    questions = sorted(set(asked)) + list(bench_gen.STORE_QUESTIONS)
+    questions += [entry["text"] for entry in load_corpus(default_corpus_path())]
+    questions += [doc.question for doc in documents]
+    for question in questions:
+        assert answer_store_question(question, documents) == _answer_by_retokenizing(question, documents)
+        assert answer_store_question(question, documents[::-1]) == _answer_by_retokenizing(
+            question, documents[::-1]
+        )
 
 
 def test_slot_line_round_trip():

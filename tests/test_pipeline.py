@@ -10,6 +10,7 @@ The same wrappers record what each per-key cache of a pipeline answered,
 to check it against the uncached function, and count the scheduler's
 passes against the budget.
 """
+import itertools
 import json
 import re
 from collections import Counter
@@ -23,6 +24,7 @@ from smsflow.harness import load_corpus
 from smsflow.messages import AGENTS_TOPIC, INCOMING_TOPIC
 from smsflow.pipeline import build_pipeline
 from smsflow.renewal import READING_MEMO_SIZE
+from smsflow.store import read_jsonl
 
 
 def _wrap(obj, attr: str, calls: Counter, name: str, seen=None):
@@ -72,18 +74,49 @@ def test_instance_wrappers_see_every_hop_of_the_demo_run():
     assert terminals == Counter(event_ids)
     assert calls["record_step"] == calls["steps.append"] == len(store.steps) > 0
 
+    # The downstream dispatcher is polled on every pass, the upstream one
+    # exactly on the passes where downstream had nothing; every pass but the
+    # last, quiescent one moves one envelope.
     steps = calls["scheduler.step"]
-    assert steps > 0
+    upstream, downstream = (dispatcher.name for dispatcher in dispatchers)
+    assert calls[f"{downstream}.drain_one"] == calls[f"{downstream}.poll"] == steps > 0
+    idle = sum(1 for _, _, result in drains[downstream] if not result)
+    assert calls[f"{upstream}.drain_one"] == calls[f"{upstream}.poll"] == idle > 0
     invoked = Counter()
     for dispatcher in dispatchers:
         name = dispatcher.name
-        assert calls[f"{name}.drain_one"] == calls[f"{name}.poll"] == steps
         progressed = sum(1 for _, _, result in drains[name] if result)
         assert calls[f"{name}.dispatch"] == progressed > 0
         for (envelope,), _, _ in dispatches[name]:
             invoked[STEP_AGENTS[envelope.payload["metadata"]["stepId"]]] += 1
+    assert steps == sum(calls[f"{d.name}.dispatch"] for d in dispatchers) + 1
     assert set(invoked) == set(agents)
     assert {qualifier: calls[qualifier] for qualifier in agents} == dict(invoked)
+
+
+def test_a_started_event_finishes_before_the_next_reply_is_parsed(tmp_path):
+    # Each pass takes from the most downstream queue that has an envelope,
+    # so at most one half-finished event waits and events end in arrival order.
+    pipeline = build_pipeline(
+        load_config(default_config_path()), seed=1, add_keyword_rate=0.1, drop_keyword_rate=0.1,
+        run_dir=tmp_path,
+    )
+    [agents] = [d.subscription for d in pipeline.scheduler.sources if d.subscription.topic == AGENTS_TOPIC]
+    try:
+        events = [pipeline.ingest(e["phone"], e["text"]) for e in load_corpus(default_corpus_path()) * 20]
+        ingested = len(pipeline.store.steps)
+        depths = []
+        while pipeline.scheduler.step():
+            depths.append(len(agents))
+        assert not pipeline.pending_events()
+    finally:
+        pipeline.close()
+
+    assert max(depths) == 1
+    event_ids = [event.metadata.event_id for event in events if event is not None]
+    assert len(event_ids) > 100
+    run = [record["eventId"] for record in read_jsonl(tmp_path / "steps.jsonl")][ingested:]
+    assert [event_id for event_id, _ in itertools.groupby(run)] == event_ids
 
 
 def test_the_sources_expose_every_agent_and_method_a_tracer_wraps():
