@@ -77,6 +77,10 @@ def run_pipeline(
     run_dir: Path | str | None = None,
     budget: int | None = None,
 ) -> RunResult:
+    if run_dir is not None:
+        # A run that raises must not leave an earlier run's report beside its logs.
+        for name in (REPORT_JSON, REPORT_TEXT):
+            (Path(run_dir) / name).unlink(missing_ok=True)
     pipeline = build_pipeline(
         config,
         seed=seed,
@@ -119,7 +123,39 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _render(value, newline: str) -> str:
-    """One JSON value at the indent that ``newline`` ends with, in ``json``'s type order."""
+    """One JSON value at the indent that ``newline`` ends with.
+
+    A report is almost all exact ``dict``, ``list`` and ``str`` values, so
+    containers are picked by their exact type and encode their exact-``str``
+    members in their own loop.  Everything else, subclasses included, takes
+    :func:`_render_other`.
+    """
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join([
+            _encode_str(k if type(k) is str else _key_str(k)) + ": "
+            + (_encode_str(v) if type(v) is str else _render(v, inner))
+            for k, v in sorted(value.items())
+        ]) + newline + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join(
+            [_encode_str(v) if type(v) is str else _render(v, inner) for v in value]
+        ) + newline + "]"
+    return _render_other(value, newline)
+
+
+def _render_other(value, newline: str) -> str:
+    """A value that is not an exact ``dict``, ``list`` or ``str``, tested in ``json``'s type order.
+
+    A tuple or a ``list`` or ``dict`` subclass is rendered as the exact
+    container holding what ``json`` would iterate over.
+    """
     if isinstance(value, str):
         return _encode_str(value)
     if value is None:
@@ -136,17 +172,10 @@ def _render(value, newline: str) -> str:
         if value in (json.encoder.INFINITY, -json.encoder.INFINITY):
             return "Infinity" if value > 0 else "-Infinity"
         return float.__repr__(value)
-    inner = newline + "  "
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_render(v, inner) for v in value]) + newline + "]"
+        return _render(list(value), newline)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return "{" + inner + ("," + inner).join(
-            [_encode_str(_key_str(k)) + ": " + _render(v, inner) for k, v in sorted(value.items())]
-        ) + newline + "}"
+        return _render(dict(value.items()), newline)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -155,7 +184,7 @@ def _key_str(key) -> str:
     if isinstance(key, str):
         return key
     if key is None or isinstance(key, (int, float)):  # bool is an int
-        return _render(key, "")
+        return _render_other(key, "")
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
@@ -267,7 +296,7 @@ def _summary(rows) -> dict:
 
 def render_report_table(report: dict) -> str:
     headers = ["eventId", "outcome", "accepted", "pharmacy", "sms", "routing"]
-    lines = ["  ".join(f"{h:<22}" for h in headers).rstrip()]
+    lines = ["  ".join([h.ljust(22) for h in headers]).rstrip()]
     for row in report["messages"]:
         accepted = row.get("accepted")
         accepted_text = (
@@ -283,7 +312,7 @@ def render_report_table(report: dict) -> str:
             ",".join(row.get("sms", ())) or "-",
             ",".join(row.get("routing", ())) or "-",
         ]
-        lines.append("  ".join(f"{c:<22}" for c in cells).rstrip())
+        lines.append("  ".join([c.ljust(22) for c in cells]).rstrip())
     summary = report["summary"]
     lines.append("")
     lines.append(f"outcomes: {summary['outcomes']}")

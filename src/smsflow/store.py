@@ -4,9 +4,10 @@ original-message store.
 
 Every store is an append-only JSON-lines log, either in memory or under a
 run directory, so run outcomes can be asserted by reading files back.  On
-disk each log keeps one file handle open for the whole run and flushes every
-record to the OS before ``append`` returns, so a reader sees it at once;
-``Pipeline.close()`` closes the handles through ``RunStore.close()``.
+disk each log keeps one unbuffered file open for the whole run and hands
+every record's line to the OS in one write before ``append`` returns, so a
+reader sees it at once; ``Pipeline.close()`` closes the files through
+``RunStore.close()``.
 """
 from __future__ import annotations
 
@@ -95,30 +96,40 @@ _jsonl_chunks = json.encoder.c_make_encoder(
 class JsonlLog:
     """Append-only record log, optionally mirrored to a .jsonl file.
 
-    The file is truncated and opened once; after ``close()`` reads still
-    work and an append raises ``ValueError``.
+    The file is truncated and opened once, unbuffered.  Each record is
+    encoded as one ASCII line and written with one ``write`` call, repeated
+    only for what a short write left, so the whole line is in the file
+    before ``append`` returns.  After ``close()`` reads still work and an
+    append raises ``ValueError``, with or without a file.
     """
 
     def __init__(self, path: Path | None = None):
         self._records: list[dict] = []
         self._lock = threading.Lock()
+        self._closed = False
         self._file = None
         if path is not None:
             path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = path.open("w", encoding="utf-8")
+            self._file = path.open("wb", buffering=0)
 
     def append(self, record: dict) -> int:
         records = self._records
         with self._lock:
+            if self._closed:
+                raise ValueError("append to a closed log")
             file = self._file
             if file is not None:
-                file.write("".join(_jsonl_chunks(record, 0)) + "\n")
-                file.flush()
+                line = ("".join(_jsonl_chunks(record, 0)) + "\n").encode()
+                written = file.write(line)
+                while written < len(line):  # a signal can cut a write short
+                    line = line[written:]
+                    written = file.write(line)
             records.append(record)
             return len(records) - 1
 
     def close(self) -> None:
         with self._lock:
+            self._closed = True
             if self._file is not None:
                 self._file.close()
 
@@ -267,11 +278,9 @@ class RunStore:
     def queue(self, name: str) -> JsonlLog:
         with self._queues_lock:
             if name not in self._queues:
-                path = None
-                if self.root is not None:
-                    if self._closed:
-                        raise ValueError(f"run store {self.root} is closed; no new queue {name!r}")
-                    path = self.root / "queues" / f"{name}.jsonl"
+                if self._closed:
+                    raise ValueError(f"run store is closed; no new queue {name!r}")
+                path = self.root / "queues" / f"{name}.jsonl" if self.root is not None else None
                 self._queues[name] = JsonlLog(path)
             return self._queues[name]
 

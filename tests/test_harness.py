@@ -9,7 +9,8 @@ import sys
 import threading
 import types
 import warnings
-from collections import Counter
+from collections import Counter, OrderedDict
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from fake_chat import FakeChat
 from hypothesis import example, given, settings, strategies as st
 
 import smsflow.fuzzy.inference as inference
+import smsflow.harness as harness
 import smsflow.validator as validator
 from smsflow.cli import main
 from smsflow.config import default_config_path, default_corpus_path, load_config
@@ -31,6 +33,7 @@ from smsflow.harness import (
     build_report,
     load_corpus,
     render_report_json,
+    render_report_table,
     run_pipeline,
     soundness_violations,
     summarize_run,
@@ -333,6 +336,24 @@ def test_a_reused_run_directory_holds_only_the_last_run(tmp_path):
     assert _file_digests(tmp_path / "reused") == _file_digests(tmp_path / "fresh")
 
 
+def test_a_failed_rerun_leaves_no_earlier_report(tmp_path, monkeypatch):
+    # The logs of a run that raises stay, but no report from an earlier run
+    # in the same directory stays beside them.
+    _demo_run(tmp_path)
+    assert (tmp_path / "report.json").exists() and (tmp_path / "report.txt").exists()
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("no report")
+
+    monkeypatch.setattr(harness, "build_report", failing)
+    config = load_config(default_config_path())
+    with pytest.raises(RuntimeError, match="no report"):
+        run_pipeline(config, [{"phone": "+15550002", "text": "1"}], seed=2, run_dir=tmp_path)
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "report.txt").exists()
+    assert {r["eventId"] for r in read_jsonl(tmp_path / "steps.jsonl")} == {"A1001"}
+
+
 @pytest.fixture(scope="module")
 def demo_run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("demo")
@@ -475,14 +496,72 @@ _JSON_VALUES = st.recursive(
 )
 
 
+class _List(list):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Level(IntEnum):
+    HIGH = 2
+
+
 @settings(max_examples=200, deadline=None)
 @example({"a": [], "b": {}, "c": [{}, [[]], ()], "d": ({"e": []},)})
+@example(OrderedDict([("b", [1]), ("a", OrderedDict([("d", "x"), ("c", None)]))]))
+@example([_List(["x", 1, _List()]), {"k": _List([{}])}])
+@example({_Str("key"): _Str("value \u00e9"), "plain": [_Str("in a list")]})
+@example([{"level": _Level.HIGH, "levels": [_Level.HIGH]}, {_Level.HIGH: "as a key", 1: "int"}])
+@example([{True: "bool", 2.5: "float", 3: "int", False: 0, float("inf"): "inf"}, {None: "none"}])
+@example({"t": (1, "x", (), ({"u": ("v",)},))})
 @example([-0.0, float("nan"), float("inf"), float("-inf"), 10**40, -(10**40), 1e300, 5e-324])
 @example({"\u00e9\u4e2d\U0001f600": "\x00\x1f\x7f\u2028\ud800", "": "\"\\/\b\f\n\r\t"})
 @example({10: "ten", -1: "minus one", 2: {3: [True, False, None]}})
 @given(_JSON_VALUES)
 def test_render_report_json_matches_json_dumps(value):
     assert render_report_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def _table_as_formatted(report: dict) -> str:
+    """The table laid out with an f-string format spec per cell."""
+    headers = ["eventId", "outcome", "accepted", "pharmacy", "sms", "routing"]
+    lines = ["  ".join(f"{h:<22}" for h in headers).rstrip()]
+    for row in report["messages"]:
+        accepted = row.get("accepted")
+        cells = [
+            str(row.get("eventId")),
+            row.get("outcome", ""),
+            "renew=" + ",".join(accepted["renew"]) + " stop=" + ",".join(accepted["stop"]) if accepted else "-",
+            ",".join(f"{p['action']}:{p['keyword']}" for p in row.get("pharmacy", ())) or "-",
+            ",".join(row.get("sms", ())) or "-",
+            ",".join(row.get("routing", ())) or "-",
+        ]
+        lines.append("  ".join(f"{c:<22}" for c in cells).rstrip())
+    summary = report["summary"]
+    lines += ["", f"outcomes: {summary['outcomes']}",
+              f"discards: {summary['discard_reasons']}  retries: {summary['retries']}",
+              f"sms: {summary['sms_kinds']}  pharmacy actions: {summary['pharmacy_actions']}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_report_table_pads_cells_as_a_format_spec_does(ten_message_run):
+    result, _ = ten_message_run
+    rows = [
+        {"eventId": None, "outcome": "auth-rejected"},  # missing cells
+        {"eventId": "A1", "outcome": "", "accepted": {"renew": [], "stop": []},
+         "pharmacy": [], "sms": [], "routing": []},  # empty cells
+        {"eventId": "A2", "outcome": "processed", "accepted": {"renew": ["1", "2"], "stop": ["3"]},
+         "pharmacy": [{"action": "renew", "keyword": "1"}, {"action": "stop", "keyword": "3"}],
+         "sms": ["confirm-stop", "booking-confirmation"], "routing": ["Pharmacist", "StoreManagement"]},
+        {"eventId": "A" * 30, "outcome": "awaiting-confirmation-x", "accepted": None,
+         "pharmacy": [], "sms": ["contact-support"], "routing": []},  # longer than 22
+        *result.report["messages"],
+    ]
+    report = {"messages": rows, "summary": result.report["summary"]}
+    assert render_report_table(report) == _table_as_formatted(report)
+    assert render_report_table(result.report) == _table_as_formatted(result.report)
 
 
 @pytest.mark.parametrize("value", [{1, 2}, b"bytes", [b"bytes"], {"k": {1}}, {(1, 2): 0}])

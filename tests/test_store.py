@@ -1,6 +1,8 @@
+import json
 import re
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -251,8 +253,9 @@ def test_disk_records_are_readable_before_close(tmp_path):
     store.close()
 
 
-def test_closed_store_keeps_reads_and_refuses_appends(tmp_path):
-    store = RunStore(tmp_path)
+@pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+def test_closed_store_keeps_reads_and_refuses_appends(tmp_path, on_disk):
+    store = RunStore(tmp_path if on_disk else None)
     store.record_step("E1", "S001", "A", "x")
     store.queue("pharmacist").append({"eventId": "E1"})
     store.close()
@@ -268,6 +271,10 @@ def test_closed_store_keeps_reads_and_refuses_appends(tmp_path):
         store.queue("pharmacist").append({"eventId": "E2"})
     with pytest.raises(ValueError):
         store.queue("customer-support")
+    assert len(store.steps) == 1
+    assert store.queue("pharmacist").read_all() == [{"eventId": "E1"}]
+    if not on_disk:
+        return
 
     # Nothing was reopened or truncated, and the refused appends left no trace.
     assert not (tmp_path / "queues" / "customer-support.jsonl").exists()
@@ -286,6 +293,71 @@ def test_jsonl_log_append_after_close_raises(tmp_path):
         log.append({"b": 2})
     assert log.read_all() == [{"a": 1}]
     assert list(read_jsonl(path)) == [{"a": 1}]
+
+
+class _CountingFile:
+    """A raw file that counts its writes and takes at most ``limit`` bytes in each.
+
+    It has no ``flush``: the log must not need one.
+    """
+
+    def __init__(self, raw, limit=None):
+        self.raw, self.limit, self.writes = raw, limit, 0
+
+    def write(self, data):
+        self.writes += 1
+        return self.raw.write(bytes(data[:self.limit]))
+
+    def close(self):
+        self.raw.close()
+
+
+_RECORDS = [
+    {"eventId": "E1", "text": "renouveler 1 été \U0001f600", "n": 1},
+    {"b": [True, None, 2.5], "a": {"z": "\"quoted\"\n"}},
+    {},
+]
+
+
+def _log_over(monkeypatch, path, limit=None):
+    """A log at ``path`` whose file is wrapped in a :class:`_CountingFile`, and that file."""
+    opened = []
+    real_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(_CountingFile(real_open(self, *args, **kwargs), limit))
+        return opened[-1]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Path, "open", counting_open)
+        log = JsonlLog(path)
+    [file] = opened
+    return log, file
+
+
+def test_jsonl_log_writes_each_record_in_one_call(tmp_path, monkeypatch):
+    path = tmp_path / "things.jsonl"
+    log, file = _log_over(monkeypatch, path)
+    for count, record in enumerate(_RECORDS, start=1):
+        log.append(record)
+        assert file.writes == count
+        assert list(read_jsonl(path)) == _RECORDS[:count]
+    log.close()
+    expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in _RECORDS)
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_jsonl_log_finishes_lines_that_the_os_takes_in_pieces(tmp_path, monkeypatch):
+    # A signal can cut a write short; the log writes the rest before returning.
+    path = tmp_path / "things.jsonl"
+    log, file = _log_over(monkeypatch, path, limit=3)
+    for count, record in enumerate(_RECORDS, start=1):
+        log.append(record)
+        assert list(read_jsonl(path)) == _RECORDS[:count]
+    log.close()
+    expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in _RECORDS).encode("ascii")
+    assert path.read_bytes() == expected
+    assert file.writes == sum(-(-len(json.dumps(r, sort_keys=True) + "\n") // 3) for r in _RECORDS)
 
 
 def test_read_jsonl_skips_blank_and_whitespace_only_lines(tmp_path):
