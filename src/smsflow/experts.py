@@ -118,14 +118,16 @@ class ScriptedRouterModel:
 def route(item_text: str, experts: dict[str, ExpertRegistration], model, kind: str) -> RoutingDecision:
     """Pick the expert for one item of ``kind``; unmatched items go to the catch-all.
 
-    ``experts`` maps each qualifier to its registration.
+    ``experts`` maps each qualifier to its registration.  A model's choice not
+    among them goes to the catch-all if registered, else to the first one.
     """
     if not experts:
         raise ValueError("at least one expert registration is required")
     decision = model.route(item_text, experts, kind)
     if decision.destination not in experts:
-        log.warning("model chose unregistered expert %r; using catch-all", decision.destination)
-        decision = RoutingDecision(destination=CATCH_ALL, next_inputs=decision.next_inputs)
+        fallback = CATCH_ALL if CATCH_ALL in experts else next(iter(experts))
+        log.warning("model chose unregistered expert %r; using %r", decision.destination, fallback)
+        decision = RoutingDecision(destination=fallback, next_inputs=decision.next_inputs)
     return decision
 
 

@@ -11,7 +11,8 @@ terminal record's note is the outcome itself.  One counter turns rows into
 the summary (:func:`_summary`).  ``build_report`` runs the driver over the
 store's own records, uncopied; ``summarize_run`` runs it over the run
 directory's logs as it reads them, so ``smsflow report`` counts what the
-report counts.
+report counts.  ``render_report_json`` writes ``json.dumps``'s indented
+bytes in one pass, spelling each key set once per call and depth.
 """
 from __future__ import annotations
 
@@ -110,82 +111,88 @@ def render_report_json(report: dict) -> str:
     """The report as JSON plus a newline, byte-identical to ``json.dumps``
     with ``sort_keys=True`` and ``indent=2``.
 
-    With an indent, ``json.dumps`` leaves its C encoder for a pure-Python
-    one that runs a generator per container; here containers are joined
-    directly and leaves go through ``json``'s own C string encoder and
-    number spellings.  A value of any other type raises ``TypeError``, as
-    ``json.dumps`` does.
+    One pass appends pieces to one list, joined once.  Each exact-``str``
+    key set is sorted, and its ``,<newline><indent>"key": `` prefixes are
+    encoded, once per call and depth.  Each non-string list element is
+    joined into one piece once rendered, so the pieces stay near the size
+    of the text.  Values are type-tested and spelled as ``json`` does, and
+    one it cannot encode raises ``TypeError``.
     """
-    return _render(report, "\n") + "\n"
+    out: list[str] = []
+    layouts: dict[tuple, list] = {}  # (indent, keys in insertion order) -> sorted (key, prefix) pairs
+
+    def emit(value, newline: str) -> None:
+        kind = type(value)
+        if kind is not dict and kind is not list:
+            if isinstance(value, (list, tuple)):  # json's order; no value is both
+                value, kind = list(value), list
+            elif isinstance(value, dict):
+                value, kind = dict(value.items()), dict
+            else:
+                out.append(_leaf(value))
+                return
+        if not value:
+            out.append("{}" if kind is dict else "[]")
+            return
+        inner = newline + "  "
+        if kind is dict:
+            keys = tuple(value)
+            layout = layouts.get((inner, keys))
+            if layout is None:
+                # Keys are spelled after sorting, as json does.  Only all-str key
+                # sets are kept: 1, 1.0 and True are one key but three spellings.
+                layout = [(k, f",{inner}{_encode_str(k if isinstance(k, str) else _leaf(k))}: ")
+                          for k, _ in sorted(value.items())]
+                layout[0] = (layout[0][0], "{" + layout[0][1][1:])
+                if all(type(k) is str for k in keys):
+                    layouts[inner, keys] = layout
+            for k, prefix in layout:
+                v = value[k]
+                vtype = type(v)
+                if vtype is str:
+                    out.append(prefix + _encode_str(v))
+                elif vtype is int or vtype is float and v - v == 0:  # finite
+                    out.append(prefix + vtype.__repr__(v))
+                else:
+                    out.append(prefix)
+                    emit(v, inner)
+            out.append(newline + "}")
+        else:
+            prefix = "[" + inner
+            for v in value:
+                if type(v) is str:
+                    out.append(prefix + _encode_str(v))
+                else:  # joined at once, so the pieces stay near the text's size
+                    start = len(out)
+                    out.append(prefix)
+                    emit(v, inner)
+                    out[start:] = ["".join(out[start:])]
+                prefix = "," + inner
+            out.append(newline + "]")
+
+    emit(report, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _render(value, newline: str) -> str:
-    """One JSON value at the indent that ``newline`` ends with.
-
-    A report is almost all exact ``dict``, ``list`` and ``str`` values, so
-    containers are picked by their exact type and encode their exact-``str``
-    members in their own loop.  Everything else, subclasses included, takes
-    :func:`_render_other`.
-    """
-    kind = type(value)
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        return "{" + inner + ("," + inner).join([
-            _encode_str(k if type(k) is str else _key_str(k)) + ": "
-            + (_encode_str(v) if type(v) is str else _render(v, inner))
-            for k, v in sorted(value.items())
-        ]) + newline + "}"
-    if kind is list:
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        return "[" + inner + ("," + inner).join(
-            [_encode_str(v) if type(v) is str else _render(v, inner) for v in value]
-        ) + newline + "]"
-    return _render_other(value, newline)
-
-
-def _render_other(value, newline: str) -> str:
-    """A value that is not an exact ``dict``, ``list`` or ``str``, tested in ``json``'s type order.
-
-    A tuple or a ``list`` or ``dict`` subclass is rendered as the exact
-    container holding what ``json`` would iterate over.
-    """
+def _leaf(value) -> str:
+    """A value that is not a list, tuple or dict, tested in ``json``'s type order."""
     if isinstance(value, str):
         return _encode_str(value)
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if value is True or value is False:
+        return "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (json.encoder.INFINITY, -json.encoder.INFINITY):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    if isinstance(value, (list, tuple)):
-        return _render(list(value), newline)
-    if isinstance(value, dict):
-        return _render(dict(value.items()), newline)
+        if value - value == 0:  # finite
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _key_str(key) -> str:
-    """A dict key as ``json`` spells it; keys are converted after sorting, as ``json`` does."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):  # bool is an int
-        return _render_other(key, "")
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def build_report(

@@ -89,13 +89,45 @@ def test_route_is_total_over_random_text(registrations):
         assert route(text, registrations, ScriptedRouterModel(), "request").destination in qualifiers
 
 
-def test_unregistered_model_choice_is_corrected_to_catch_all(registrations):
-    class WildModel:
-        def route(self, item_text, regs, kind):
-            return RoutingDecision(destination="Nonexistent", next_inputs=item_text)
+class _Naming:
+    """A router model that names one expert, registered or not."""
 
-    decision = route("anything", registrations, WildModel(), "request")
+    def __init__(self, destination):
+        self.destination = destination
+
+    def route(self, item_text, regs, kind):
+        return RoutingDecision(destination=self.destination, next_inputs=item_text)
+
+
+def test_unregistered_model_choice_is_corrected_to_catch_all(registrations):
+    decision = route("anything", registrations, _Naming("Nonexistent"), "request")
     assert decision.destination == "ComplaintDepartment"
+
+
+def test_unregistered_model_choice_without_a_catch_all_goes_to_the_first_registration(registrations):
+    scheduling_first = {q: registrations[q] for q in ("Scheduling", "Pharmacy")}
+    assert route("x", scheduling_first, _Naming("Nope"), "request").destination == "Scheduling"
+    pharmacy_only = {"Pharmacy": registrations["Pharmacy"]}
+    assert route("x", pharmacy_only, _Naming("Nope"), "request").destination == "Pharmacy"
+    # A registered choice stands.
+    assert route("x", scheduling_first, _Naming("Pharmacy"), "request").destination == "Pharmacy"
+
+
+def test_a_router_without_a_catch_all_closes_an_event_whose_model_names_no_expert(default_config, monkeypatch):
+    monkeypatch.setattr(ScriptedRouterModel, "route", _Naming("Nope").route)
+    store = RunStore()
+    experts_only = [r for r in default_config.experts if r.qualifier != "ComplaintDepartment"]
+    router = RouterAgent(experts_only, default_config.documents, AvailabilityStore({}), store,
+                         OutboundSmsGateway(store))
+    doc = {
+        "metadata": {"eventId": "A1", "customerId": "C1001", "stepId": "S004"},
+        "keywords": {"outcome": "process", "accepted": {"renew": [], "stop": []}},
+        "extraction": {"outcome": "route", "chosen": {"complaint": ["the pill is too big"]}, "scores": {}},
+    }
+    router.handle(Envelope(AGENTS_TOPIC, 0, doc))
+    steps = store.steps_of("A1")
+    assert [s["destination"] for s in steps if s["note"].startswith("routed-to:")] == ["Pharmacy"]
+    assert [s["note"] for s in steps if s["terminal"]] == ["routed"]
 
 
 def test_an_item_is_rephrased_as_the_kind_of_its_list():

@@ -7,6 +7,7 @@ import random
 import shutil
 import sys
 import threading
+import tracemalloc
 import types
 import warnings
 from collections import Counter, OrderedDict
@@ -519,9 +520,34 @@ class _Level(IntEnum):
 @example([-0.0, float("nan"), float("inf"), float("-inf"), 10**40, -(10**40), 1e300, 5e-324])
 @example({"\u00e9\u4e2d\U0001f600": "\x00\x1f\x7f\u2028\ud800", "": "\"\\/\b\f\n\r\t"})
 @example({10: "ten", -1: "minus one", 2: {3: [True, False, None]}})
+# Equal keys of different types at one depth are spelled apart.
+@example([{1: "a"}, {1.0: "b"}])
+@example([{True: "a"}, {1: "b"}])
+@example([{1: "a"}, {True: "b"}])
+# One key set in two insertion orders, and at two depths.
+@example([{"b": 1, "a": [2]}, {"a": None, "b": "x"}, {"k": {"a": 1.5, "b": True}}])
+# Every kind of non-string list element; a top-level list of dicts.
+@example([(), ("x", 1), OrderedDict([("b", 1)]), _List(), _List([{}]), {}, [], [[1, ["y"]], []], 2])
+@example([{"eventId": "A1", "sms": []}, {"eventId": "A2", "sms": ["generic"]}])
 @given(_JSON_VALUES)
 def test_render_report_json_matches_json_dumps(value):
     assert render_report_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_render_report_json_peak_memory_stays_near_the_rendered_length():
+    # Pieces kept flat until the final join peak at about four times the
+    # text; joining each list element once rendered keeps the peak near two.
+    corpus = load_corpus(default_corpus_path()) * 100
+    report = run_pipeline(load_config(default_config_path()), corpus, seed=1,
+                          add_keyword_rate=0.1, drop_keyword_rate=0.1).report
+    assert len(report["messages"]) == 1000
+    tracemalloc.start()
+    try:
+        rendered = render_report_json(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(rendered)
 
 
 def _table_as_formatted(report: dict) -> str:
